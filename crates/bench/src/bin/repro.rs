@@ -697,9 +697,12 @@ fn tune_pipeline(opts: &Opts) {
             .expect("paged generation failed");
         hef_engine::PagedTable::open_dir(&dir, "lineorder").expect("paged open failed")
     });
+    let cache = hef_storage::PageCache::from_env();
     let run = |plan: &hef_engine::StarPlan, cfg: &ExecConfig| match &paged_table {
         Some(t) => {
-            hef_engine::execute_star_paged(plan, t, cfg).expect("paged execution failed");
+            let ctx = hef_engine::QueryCtx::unbounded();
+            hef_engine::try_execute_star_paged_ctx(plan, t, cfg, &cache, &ctx)
+                .expect("paged execution failed");
         }
         None => {
             execute_star(plan, &data.lineorder, cfg);
@@ -969,7 +972,9 @@ fn flame_cmd(q: QueryId, opts: &Opts) {
             .expect("paged generation failed");
         let table = hef_engine::PagedTable::open_dir(&dir, "lineorder").expect("paged open");
         let pages = table.page_count() as u64;
-        match hef_engine::execute_star_paged(&plan, &table, &cfg) {
+        let cache = hef_storage::PageCache::from_env();
+        let ctx = hef_engine::QueryCtx::unbounded();
+        match hef_engine::try_execute_star_paged_ctx(&plan, &table, &cfg, &cache, &ctx) {
             Ok(out) => (out, ("page", pages, format!("{pages} page(s)"))),
             Err(e) => {
                 eprintln!("flame: {}: {e}", q.name());

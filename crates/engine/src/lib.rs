@@ -40,7 +40,7 @@ pub use govern::{
     DegradeAction, Governor, GovernorConfig, Interrupt, QueryCtx, MIN_BATCH,
 };
 pub use ops::{gather_keys, grouped_accumulate};
-pub use paged::{execute_star_paged, try_execute_star_paged_ctx, PagedTable, PagedTableError};
+pub use paged::{try_execute_star_paged_ctx, PagedTable, PagedTableError};
 pub use parallel::{
     execute_star_parallel, resolve_threads, resolve_threads_governed, try_execute_star_parallel,
     ExecError, ExecReport,

@@ -1,12 +1,19 @@
 //! Out-of-core star execution over paged compressed columns.
 //!
-//! The morsel is the page: workers claim page indices from a shared atomic
-//! cursor, pull each needed column's page through the bounded shared
-//! [`PageCache`], decode with the tuned `Decode` kernel family, and run the
-//! same filter → probe → aggregate pipeline as the in-memory
-//! [`PipelineWorker`](crate::star) — with one extra fusion step: the *first*
-//! filter is evaluated in compressed space whenever the page's encoding
-//! allows it.
+//! This module owns the paged *table* and the paged *batch source*; it has
+//! no executor of its own. A paged query is the in-memory query with a
+//! different source: pages are the units of the one morsel scheduler in
+//! `crate::parallel` (one page per morsel), and each worker runs the one
+//! stage loop, `star::PipelineWorker`, over a `PageSource` that treats
+//! one page as one batch. The scheduler's panic isolation, retry, serial
+//! fallback, fault hooks and governance checks therefore apply unchanged;
+//! a page that cannot be read becomes a typed [`ExecError::Failed`].
+//!
+//! The source pulls each needed column's page through the bounded shared
+//! [`PageCache`], decodes it with the tuned `Decode` kernel family on first
+//! use (a page whose filters drop every row never decodes its join or
+//! measure columns), and evaluates the plan's *first* filter in compressed
+//! space whenever the page's encoding allows it:
 //!
 //! * **Dictionary pages** — the dictionary is sorted, so a value-range
 //!   predicate maps to a code-range predicate by two binary searches; the
@@ -20,28 +27,29 @@
 //!   order is preserved, so results stay bit-identical to the in-memory
 //!   executor.
 //!
-//! Group accumulation is wrapping addition of per-row contributions, which
-//! commutes — so per-worker accumulators merged in any order produce
-//! bit-identical aggregates at every thread count, paged or not.
-//!
 //! Memory governance: the page cache's capacity is charged to the
 //! [`Governor`](crate::govern::Governor)'s [`BudgetTracker`] for the
 //! duration of the query, so paged scans participate in the same admission
 //! arithmetic as in-memory scratch.
+//!
+//! [`BudgetTracker`]: crate::govern::BudgetTracker
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
-use hef_kernels::{run_on, Family, KernelIo, PartitionScratch};
+use hef_kernels::{run_on, Family, KernelIo};
+use hef_obs::trace::SpanGuard;
 use hef_storage::cache::PageCache;
-use hef_storage::page::{Enc, Page, PagedColumn};
+use hef_storage::page::{Enc, Page, PageMeta, PagedColumn};
 use hef_storage::ColumnFileError;
 
-use crate::govern::{interrupt_error, QueryCtx};
-use crate::ops::{compact_hits, grouped_accumulate};
-use crate::parallel::ExecError;
-use crate::star::{take, validate_star_plan_with, ExecConfig, ExecStats, Measure, QueryOutput, StarPlan};
+use crate::govern::QueryCtx;
+use crate::parallel::{ExecError, MorselWorker, Scan, Stop};
+use crate::star::{
+    validate_star_plan_with, BatchSource, ColumnSlots, ExecConfig, FilterInput, PipelineWorker,
+    QueryOutput, RangeFilter, StarPlan,
+};
 
 // ---------------------------------------------------------------------------
 // Paged fact table.
@@ -242,22 +250,14 @@ fn fuse_filter(page: &Page, lo: u64, hi: u64) -> FusedFilter {
 // Execution.
 // ---------------------------------------------------------------------------
 
-fn column_error(query: &str, err: ColumnFileError) -> ExecError {
-    ExecError::Failed { query: query.to_string(), message: format!("paged read failed: {err}") }
-}
-
-/// Execute a star plan against a paged fact table with the process-global
-/// page cache and no cancellation context.
-pub fn execute_star_paged(
-    plan: &StarPlan,
-    fact: &PagedTable,
-    cfg: &ExecConfig,
-) -> Result<QueryOutput, ExecError> {
-    try_execute_star_paged_ctx(plan, fact, cfg, PageCache::global(), &QueryCtx::unbounded())
-}
-
-/// [`execute_star_paged`] with an explicit cache and governance context
-/// (cancellation + deadline checked at every page boundary).
+/// Execute a star plan against a paged fact table through `cache`, under a
+/// governance context (cancellation + deadline checked at every page).
+///
+/// Pages are the scheduler's units and each morsel is one page; every
+/// worker runs the shared stage loop over a `PageSource`, so a paged
+/// query gets the in-memory path's panic isolation, morsel retry, serial
+/// fallback and fault hooks. A page that cannot be read stops the query
+/// with a typed [`ExecError::Failed`].
 pub fn try_execute_star_paged_ctx(
     plan: &StarPlan,
     fact: &PagedTable,
@@ -290,478 +290,108 @@ pub fn try_execute_star_paged_ctx(
     };
     hef_obs::metrics::add(hef_obs::metrics::Metric::QueriesExecuted, 1);
 
-    let cursor = AtomicUsize::new(0);
-    if threads == 1 {
-        let mut w = PagedWorker::new(plan, fact, &cfg, cache)?;
-        w.run(&cursor, ctx)?;
-        return Ok(w.finish());
-    }
-    let results: Vec<Result<QueryOutput, ExecError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let cfg = &cfg;
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut w = PagedWorker::new(plan, fact, cfg, cache)?;
-                    w.run(cursor, ctx)?;
-                    Ok(w.finish())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                h.join().unwrap_or_else(|p| {
-                    Err(ExecError::Failed {
-                        query: plan.name.clone(),
-                        message: format!("paged worker panicked: {}", panic_message(&p)),
-                    })
-                })
-            })
-            .collect()
-    });
-    // Merge: wrapping adds commute, so any merge order is bit-identical.
-    let mut merged: Option<QueryOutput> = None;
-    for r in results {
-        let out = r?;
-        merged = Some(match merged {
-            None => out,
-            Some(mut m) => {
-                for (a, b) in m.groups.iter_mut().zip(&out.groups) {
-                    *a = a.wrapping_add(*b);
-                }
-                merge_stats(&mut m.stats, &out.stats);
-                m
-            }
-        });
-    }
-    // `threads >= 1`, so a merged output always exists; stay typed anyway.
-    merged.ok_or_else(|| ExecError::Failed {
-        query: plan.name.clone(),
-        message: "no paged worker produced output".to_string(),
-    })
-}
-
-fn panic_message(p: &Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = p.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = p.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-fn merge_stats(into: &mut ExecStats, from: &ExecStats) {
-    into.rows_scanned += from.rows_scanned;
-    into.rows_after_filter += from.rows_after_filter;
-    into.rows_aggregated += from.rows_aggregated;
-    into.materialized += from.materialized;
-    for (a, b) in into.probes.iter_mut().zip(&from.probes) {
-        *a += b;
-    }
-    for (a, b) in into.hits.iter_mut().zip(&from.hits) {
-        *a += b;
-    }
-}
-
-/// One paged pipeline worker: the per-thread state of the out-of-core scan.
-/// Mirrors [`PipelineWorker`](crate::star) but sources batches from decoded
-/// pages instead of resident columns.
-struct PagedWorker<'a> {
-    plan: &'a StarPlan,
-    fact: &'a PagedTable,
-    cfg: &'a ExecConfig,
-    cache: &'a PageCache,
-    /// Unique columns the plan touches, in discovery order.
-    cols: Vec<&'a PagedColumn>,
-    slot: HashMap<&'a str, usize>,
-    /// Per-column decoded page buffer + which page it currently holds.
-    decoded: Vec<Vec<u64>>,
-    decoded_page: Vec<usize>,
-    /// Scratch for code-space filtering (raw codes, no reconstruction).
-    codes: Vec<u64>,
-    acc: Vec<u64>,
-    stats: ExecStats,
-    strides: Vec<u64>,
-    sel: Vec<u64>,
-    keys: Vec<u64>,
-    probe_out: Vec<u64>,
-    gids: Vec<u64>,
-    vals: Vec<u64>,
-    scratch: Vec<u64>,
-    part_scratch: PartitionScratch,
-}
-
-impl<'a> PagedWorker<'a> {
-    fn new(
-        plan: &'a StarPlan,
-        fact: &'a PagedTable,
-        cfg: &'a ExecConfig,
-        cache: &'a PageCache,
-    ) -> Result<Self, ExecError> {
-        let mut names: Vec<&'a str> = Vec::new();
-        let mut need = |name: &'a str| {
-            if !names.contains(&name) {
-                names.push(name);
-            }
-        };
-        for f in &plan.filters {
-            need(&f.col);
-        }
-        for d in &plan.dims {
-            need(&d.fk_col);
-        }
-        match &plan.measure {
-            Measure::Sum(a) => need(a),
-            Measure::SumProduct(a, b) | Measure::SumDiff(a, b) => {
-                need(a);
-                need(b);
-            }
-        }
-        // Validation already proved every column exists; keep the failure
-        // typed anyway (the no-panic contract covers the whole engine).
-        let mut cols: Vec<&'a PagedColumn> = Vec::with_capacity(names.len());
-        let mut slot: HashMap<&'a str, usize> = HashMap::with_capacity(names.len());
-        for (i, &name) in names.iter().enumerate() {
-            let col = fact.column(name).ok_or_else(|| ExecError::BadPlan {
+    let slots = ColumnSlots::of(plan);
+    // Validation already proved every column exists; keep the failure
+    // typed anyway (the no-panic contract covers the whole engine).
+    let cols = slots
+        .names
+        .iter()
+        .map(|&name| {
+            fact.column(name).ok_or_else(|| ExecError::BadPlan {
                 query: plan.name.clone(),
                 message: format!("fact column '{name}' missing from paged table"),
-            })?;
-            slot.insert(name, i);
-            cols.push(col);
-        }
-        let ncols = cols.len();
-        let ndims = plan.dims.len();
-        let stats = ExecStats {
-            probes: vec![0; ndims],
-            hits: vec![0; ndims],
-            table_bytes: plan.dims.iter().map(|d| d.table.working_set_bytes()).collect(),
-            ..Default::default()
-        };
-        Ok(PagedWorker {
-            plan,
-            fact,
-            cfg,
-            cache,
-            cols,
-            slot,
-            decoded: vec![Vec::new(); ncols],
-            decoded_page: vec![usize::MAX; ncols],
-            codes: Vec::new(),
-            acc: vec![0u64; plan.group_cells()],
-            stats,
-            strides: plan.gid_strides(),
-            sel: Vec::new(),
-            keys: Vec::new(),
-            probe_out: Vec::new(),
-            gids: Vec::new(),
-            vals: Vec::new(),
-            scratch: Vec::new(),
-            part_scratch: PartitionScratch::default(),
+            })
         })
-    }
+        .collect::<Result<Vec<_>, _>>()?;
+    let cfg = &cfg;
+    let make = || -> Box<dyn MorselWorker + '_> {
+        let src = PageSource {
+            pages: fact.cols[0].pages(),
+            cols: cols.clone(),
+            cache,
+            cfg,
+            page: 0,
+            decoded: vec![Vec::new(); cols.len()],
+            fresh: vec![false; cols.len()],
+            codes: Vec::new(),
+        };
+        Box::new(PipelineWorker::new(plan, cfg, &slots, src))
+    };
+    let scan = Scan { plan, units: fact.page_count(), morsel: 1, make: &make };
+    crate::parallel::run_scan(&scan, threads, ctx).map(|(out, _)| out)
+}
 
-    fn run(&mut self, cursor: &AtomicUsize, ctx: &QueryCtx) -> Result<(), ExecError> {
-        loop {
-            if let Err(i) = ctx.check() {
-                return Err(interrupt_error(&self.plan.name, ctx, i, Default::default()));
-            }
-            let pidx = cursor.fetch_add(1, Ordering::Relaxed);
-            if pidx >= self.fact.page_count() {
-                return Ok(());
-            }
-            self.run_page(pidx)?;
-        }
-    }
+/// One page at a time, fetched through the shared cache. Each column is
+/// decoded on first use within the page, and the first filter runs in code
+/// space when the page's encoding allows it (see [`fuse_filter`]).
+struct PageSource<'a> {
+    /// Page directory shared by every column (`open_dir` checks geometry).
+    pages: &'a [PageMeta],
+    cols: Vec<&'a PagedColumn>,
+    cache: &'a PageCache,
+    cfg: &'a ExecConfig,
+    page: usize,
+    /// Per-slot decoded values of the current page, valid where `fresh`.
+    decoded: Vec<Vec<u64>>,
+    fresh: Vec<bool>,
+    /// Raw codes for the code-space first filter.
+    codes: Vec<u64>,
+}
 
-    /// Fetch + decode column slot `ci`'s values for page `pidx` into its
-    /// buffer (idempotent per page).
-    fn decode_col(&mut self, ci: usize, pidx: usize) -> Result<(), ExecError> {
-        if self.decoded_page[ci] == pidx {
-            return Ok(());
-        }
-        let page = self
-            .cache
-            .page(self.cols[ci], pidx)
-            .map_err(|e| column_error(&self.plan.name, e))?;
-        decode_page(&page, self.cfg, None, &mut self.decoded[ci]);
-        self.decoded_page[ci] = pidx;
-        Ok(())
-    }
-
-    fn run_page(&mut self, pidx: usize) -> Result<(), ExecError> {
-        let (plan, cfg) = (self.plan, self.cfg);
-        let rows = self.cols[0].pages()[pidx].rows as usize;
-        self.stats.rows_scanned += rows as u64;
-        let _pspan = hef_obs::span_fine!("page", idx = pidx as i64, rows = rows as i64);
-        for s in &mut self.decoded_page {
-            *s = usize::MAX;
-        }
-
-        // 1. First filter, fused with decode where the encoding allows;
-        // later filters refine over fully decoded page columns.
-        self.sel.clear();
-        if plan.filters.is_empty() {
-            self.sel.extend(0..rows as u64);
-        } else {
-            let f0 = &plan.filters[0];
-            let ci = self.slot[f0.col.as_str()];
-            let page = self
-                .cache
-                .page(self.cols[ci], pidx)
-                .map_err(|e| column_error(&self.plan.name, e))?;
-            match fuse_filter(&page, f0.lo, f0.hi) {
-                FusedFilter::Empty => {
-                    if hef_obs::metrics::enabled() {
-                        hef_obs::metrics::add(
-                            hef_obs::metrics::Metric::DecodeCodeFiltered,
-                            rows as u64,
-                        );
-                    }
-                }
-                FusedFilter::Codes { lo, hi } => {
-                    decode_page(&page, cfg, Some(DecodeRaw), &mut self.codes);
-                    let mut io = KernelIo::Filter {
-                        input: &self.codes,
-                        lo,
-                        hi,
-                        base: 0,
-                        sel: &mut self.sel,
-                    };
-                    assert!(
-                        run_on(Family::Filter, cfg.filter, cfg.backend, &mut io),
-                        "filter node {} not compiled",
-                        cfg.filter
-                    );
-                    if hef_obs::metrics::enabled() {
-                        hef_obs::metrics::add(
-                            hef_obs::metrics::Metric::DecodeCodeFiltered,
-                            rows as u64,
-                        );
-                    }
-                }
-                FusedFilter::Values => {
-                    self.decode_col(ci, pidx)?;
-                    let mut io = KernelIo::Filter {
-                        input: &self.decoded[ci],
-                        lo: f0.lo,
-                        hi: f0.hi,
-                        base: 0,
-                        sel: &mut self.sel,
-                    };
-                    assert!(
-                        run_on(Family::Filter, cfg.filter, cfg.backend, &mut io),
-                        "filter node {} not compiled",
-                        cfg.filter
-                    );
-                }
-            }
-            for fi in 1..plan.filters.len() {
-                if self.sel.is_empty() {
-                    break;
-                }
-                let f = &plan.filters[fi];
-                let ci = self.slot[f.col.as_str()];
-                self.decode_col(ci, pidx)?;
-                let mut io = KernelIo::FilterRefine {
-                    input: &self.decoded[ci],
-                    lo: f.lo,
-                    hi: f.hi,
-                    sel: &mut self.sel,
-                };
-                assert!(
-                    run_on(Family::Filter, cfg.filter, cfg.backend, &mut io),
-                    "filter node {} not compiled",
-                    cfg.filter
-                );
-            }
-        }
-        self.stats.rows_after_filter += self.sel.len() as u64;
-        if hef_obs::metrics::enabled() {
-            use hef_obs::metrics::{add, observe, Hist, Metric};
-            add(Metric::FilterRowsIn, rows as u64);
-            add(Metric::FilterRowsOut, self.sel.len() as u64);
-            observe(Hist::FilterBatchRowsOut, self.sel.len() as u64);
-        }
-
-        // 2. Dimension probes — identical to the in-memory pipeline, with
-        // fk columns decoded lazily (a page whose filter kills every row
-        // never decodes its joins or measures).
-        let ndims = plan.dims.len();
-        let mut pays: Vec<Vec<u64>> = Vec::with_capacity(ndims);
-        for (di, dim) in plan.dims.iter().enumerate() {
-            if self.sel.is_empty() {
-                pays.push(Vec::new());
-                continue;
-            }
-            let ci = self.slot[dim.fk_col.as_str()];
-            self.decode_col(ci, pidx)?;
-            take(&self.decoded[ci], &self.sel, &mut self.keys, cfg);
-            if cfg.use_bloom {
-                self.probe_out.clear();
-                self.probe_out.resize(self.keys.len(), 0);
-                let mut io = KernelIo::Bloom {
-                    keys: &self.keys,
-                    filter: &dim.bloom,
-                    out: &mut self.probe_out,
-                    prefetch: cfg.probe_prefetch,
-                };
-                assert!(run_on(Family::BloomCheck, cfg.probe, cfg.backend, &mut io));
-                let mut k = 0usize;
-                for j in 0..self.sel.len() {
-                    if self.probe_out[j] != 0 {
-                        self.sel[k] = self.sel[j];
-                        self.keys[k] = self.keys[j];
-                        for ps in pays.iter_mut() {
-                            ps[k] = ps[j];
-                        }
-                        k += 1;
-                    }
-                }
-                self.sel.truncate(k);
-                self.keys.truncate(k);
-                for ps in pays.iter_mut() {
-                    ps.truncate(k);
-                }
-                if hef_obs::metrics::enabled() {
-                    use hef_obs::metrics::{add, Metric};
-                    add(Metric::BloomKeys, self.probe_out.len() as u64);
-                    add(Metric::BloomDrops, (self.probe_out.len() - k) as u64);
-                }
-                if self.sel.is_empty() {
-                    pays.push(Vec::new());
-                    continue;
-                }
-            }
-            self.probe_out.clear();
-            self.probe_out.resize(self.keys.len(), 0);
-            self.stats.probes[di] += self.keys.len() as u64;
-            let parts = if cfg.partition {
-                dim.parts
-                    .as_ref()
-                    .filter(|p| self.keys.len() >= (1usize << p.bits()) * 64)
-            } else {
-                None
-            };
-            if let Some(parts) = parts {
-                parts.probe_with(
-                    &self.keys,
-                    &mut self.probe_out,
-                    &mut self.part_scratch,
-                    |table, keys, out| {
-                        let mut io = KernelIo::Probe {
-                            keys,
-                            table,
-                            out,
-                            prefetch: cfg.probe_prefetch,
-                        };
-                        assert!(
-                            run_on(Family::Probe, cfg.probe, cfg.backend, &mut io),
-                            "probe node {} not compiled",
-                            cfg.probe
-                        );
-                    },
-                );
-            } else {
-                let mut io = KernelIo::Probe {
-                    keys: &self.keys,
-                    table: &dim.table,
-                    out: &mut self.probe_out,
-                    prefetch: cfg.probe_prefetch,
-                };
-                assert!(
-                    run_on(Family::Probe, cfg.probe, cfg.backend, &mut io),
-                    "probe node {} not compiled",
-                    cfg.probe
-                );
-            }
-            let k = compact_hits(&mut self.sel, &mut pays, &mut self.probe_out);
-            self.stats.hits[di] += k as u64;
-            if hef_obs::metrics::enabled() {
-                use hef_obs::metrics::{add, observe, Hist, Metric};
-                add(Metric::ProbeKeys, self.keys.len() as u64);
-                add(Metric::ProbeHits, k as u64);
-                observe(Hist::ProbeBatchHits, k as u64);
-            }
-        }
-
-        // 3. Group ids and aggregation.
-        if !self.sel.is_empty() {
-            self.stats.rows_aggregated += self.sel.len() as u64;
-            if hef_obs::metrics::enabled() {
-                hef_obs::metrics::add(hef_obs::metrics::Metric::AggRows, self.sel.len() as u64);
-            }
-            self.gids.clear();
-            self.gids.resize(self.sel.len(), 0);
-            for di in 0..ndims {
-                let stride = self.strides[di];
-                for (j, gid) in self.gids.iter_mut().enumerate() {
-                    *gid = gid.wrapping_add(pays[di][j].wrapping_mul(stride));
-                }
-            }
-            // Measure columns decode lazily too.
-            match &plan.measure {
-                Measure::Sum(a) => {
-                    let ca = self.slot[a.as_str()];
-                    self.decode_col(ca, pidx)?;
-                    take(&self.decoded[ca], &self.sel, &mut self.vals, cfg);
-                }
-                Measure::SumProduct(a, b) => {
-                    let (ca, cb) = (self.slot[a.as_str()], self.slot[b.as_str()]);
-                    self.decode_col(ca, pidx)?;
-                    self.decode_col(cb, pidx)?;
-                    take(&self.decoded[ca], &self.sel, &mut self.vals, cfg);
-                    take(&self.decoded[cb], &self.sel, &mut self.scratch, cfg);
-                    for (v, &s) in self.vals.iter_mut().zip(self.scratch.iter()) {
-                        *v = v.wrapping_mul(s);
-                    }
-                }
-                Measure::SumDiff(a, b) => {
-                    let (ca, cb) = (self.slot[a.as_str()], self.slot[b.as_str()]);
-                    self.decode_col(ca, pidx)?;
-                    self.decode_col(cb, pidx)?;
-                    take(&self.decoded[ca], &self.sel, &mut self.vals, cfg);
-                    take(&self.decoded[cb], &self.sel, &mut self.scratch, cfg);
-                    for (v, &s) in self.vals.iter_mut().zip(self.scratch.iter()) {
-                        *v = v.wrapping_sub(s);
-                    }
-                }
-            }
-            if self.acc.len() == 1 {
-                let mut total = 0u64;
-                let mut io = KernelIo::AggSum { a: &self.vals, acc: &mut total };
-                assert!(run_on(Family::AggSum, cfg.agg, cfg.backend, &mut io));
-                self.acc[0] = self.acc[0].wrapping_add(total);
-            } else {
-                grouped_accumulate(&mut self.acc, &self.gids, &self.vals);
-            }
-        }
-        Ok(())
-    }
-
-    fn finish(self) -> QueryOutput {
-        QueryOutput { groups: self.acc, stats: self.stats }
+impl PageSource<'_> {
+    fn fetch(&self, slot: usize) -> Result<Arc<Page>, Stop> {
+        self.cache
+            .page(self.cols[slot], self.page)
+            .map_err(|e| Stop::Failed(format!("paged read failed: {e}")))
     }
 }
 
-/// Marker for [`decode_page`]: emit raw codes (no reference add, no
-/// dictionary gather).
-struct DecodeRaw;
+impl BatchSource for PageSource<'_> {
+    fn begin(&mut self, start: usize, _hi: usize) -> (usize, usize) {
+        self.page = start;
+        self.fresh.fill(false);
+        (start + 1, self.pages[start].rows as usize)
+    }
+
+    fn span(&self, rows: usize) -> SpanGuard {
+        hef_obs::span_fine!("page", idx = self.page as i64, rows = rows as i64)
+    }
+
+    fn values(&mut self, slot: usize) -> Result<&[u64], Stop> {
+        if !self.fresh[slot] {
+            let page = self.fetch(slot)?;
+            decode_page(&page, self.cfg, false, &mut self.decoded[slot]);
+            self.fresh[slot] = true;
+        }
+        Ok(&self.decoded[slot])
+    }
+
+    fn first_filter(&mut self, slot: usize, f: &RangeFilter) -> Result<FilterInput<'_>, Stop> {
+        let page = self.fetch(slot)?;
+        let fused = fuse_filter(&page, f.lo, f.hi);
+        if hef_obs::metrics::enabled() && !matches!(fused, FusedFilter::Values) {
+            hef_obs::metrics::add(hef_obs::metrics::Metric::DecodeCodeFiltered, page.rows() as u64);
+        }
+        match fused {
+            FusedFilter::Empty => Ok(None),
+            FusedFilter::Codes { lo, hi } => {
+                decode_page(&page, self.cfg, true, &mut self.codes);
+                Ok(Some((&self.codes, lo, hi)))
+            }
+            FusedFilter::Values => Ok(Some((self.values(slot)?, f.lo, f.hi))),
+        }
+    }
+}
 
 /// Decode one page through the tuned `Decode` kernel (scalar fallback for
-/// off-grid nodes). With `raw` set, the codes come out unreconstructed —
-/// the code-space filter path.
-fn decode_page(page: &Page, cfg: &ExecConfig, raw: Option<DecodeRaw>, out: &mut Vec<u64>) {
+/// off-grid nodes). With `raw`, the codes come out unreconstructed (no
+/// reference add, no dictionary gather) — the code-space filter path.
+fn decode_page(page: &Page, cfg: &ExecConfig, raw: bool, out: &mut Vec<u64>) {
     let rows = page.rows();
     out.clear();
     out.resize(rows, 0);
     let _dspan = hef_obs::span_fine!("decode", rows = rows as i64, width = page.width() as i64);
-    let (reference, dict) = if raw.is_some() {
-        (0u64, None)
-    } else {
-        (page.reference(), page.dict_padded())
-    };
+    let (reference, dict) = if raw { (0u64, None) } else { (page.reference(), page.dict_padded()) };
     let mut io = KernelIo::Decode {
         words: page.words(),
         width: page.width(),
@@ -771,7 +401,7 @@ fn decode_page(page: &Page, cfg: &ExecConfig, raw: Option<DecodeRaw>, out: &mut 
         out,
     };
     if !run_on(Family::Decode, cfg.decode, cfg.backend, &mut io) {
-        if raw.is_some() {
+        if raw {
             for (e, slot) in out.iter_mut().enumerate() {
                 *slot = page.code_at(e);
             }
@@ -789,7 +419,7 @@ fn decode_page(page: &Page, cfg: &ExecConfig, raw: Option<DecodeRaw>, out: &mut 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::star::{build_dimension, execute_star, Flavor, RangeFilter};
+    use crate::star::{build_dimension, execute_star, Flavor, Measure};
     use hef_storage::page::PagedColumnWriter;
     use hef_storage::{Column, Table};
 

@@ -1,42 +1,46 @@
-//! Morsel-driven parallel star-query execution.
+//! Morsel-driven star-query execution: one scheduler for every source.
 //!
-//! SSB is embarrassingly parallel over the fact table: every operator of the
-//! VIP-style pipeline (filter → probes → grouped aggregation) is a pure
-//! function of the rows it scans plus read-only shared state (the dimension
-//! probe tables and Bloom filters). This module splits the fact table into
-//! *morsels* — a few pipeline batches each, following the morsel-driven
-//! scheduling of HyPer — and lets `std::thread::scope` workers claim them
-//! from a shared atomic cursor. Each worker runs the **same** per-flavor
-//! pipeline the serial executor uses (`star::PipelineWorker` or
-//! `voila::VoilaWorker`) with private batch buffers, a private dense
-//! group-accumulator array, and private [`ExecStats`]; the main thread
-//! merges the per-worker outputs at the end.
+//! SSB is embarrassingly parallel over the fact table: every stage of the
+//! pipeline (filter → probes → grouped aggregation) is a pure function of
+//! the rows it scans plus read-only shared state (the dimension probe
+//! tables and Bloom filters). A query is a [`Scan`] over *units* — fact
+//! rows of an in-memory table, or pages of a paged one — split into
+//! *morsels* (HyPer's morsel-driven scheduling): `MORSEL_BATCHES` batches
+//! of rows, or one page. `std::thread::scope` workers claim morsels from a
+//! shared atomic cursor; each runs a [`MorselWorker`] — the shared stage
+//! loop (`star::PipelineWorker`) over a row-window or page source, or the
+//! Voila worker — with private batch buffers, a private dense
+//! group-accumulator array and private [`ExecStats`]. The main thread
+//! merges the per-worker outputs at the end. A single worker runs the same
+//! worker over all units on the calling thread.
 //!
 //! Determinism: group accumulators are wrapping `u64` sums and every stats
-//! field is a sum over disjoint row ranges, so the merged output is
-//! independent of which worker claimed which morsel and of merge order —
-//! parallel output is bit-identical to the serial path at any thread count.
-//! The differential and property tests in `tests/` pin this down.
+//! field is a sum over disjoint units, so the merged output is independent
+//! of which worker claimed which morsel and of merge order — parallel
+//! output is bit-identical to the serial path at any thread count, in
+//! memory or paged. The differential and property tests in `tests/` pin
+//! this down.
 //!
 //! Fault tolerance: each morsel is executed under `catch_unwind`. A panic
 //! discards the whole worker (its partial accumulations are unmergeable),
 //! requeues everything that worker had completed plus the poisoned range,
 //! and a fresh worker takes over. A range that keeps failing degrades the
-//! query to the serial `PipelineWorker` path; if even that panics the caller
-//! gets a typed [`ExecError`]. Every recovery action is counted in the
-//! [`ExecReport`] returned beside the (bit-identical) output — a worker
-//! crash can change a query's latency, never its result.
+//! query to the serial path; if even that panics the caller gets a typed
+//! [`ExecError`]. Every recovery action is counted in the [`ExecReport`]
+//! returned beside the (bit-identical) output — a worker crash can change a
+//! query's latency, never its result. A cancel, a deadline, or a failed
+//! page read is a [`Stop`] cause instead: the first one stops the
+//! scheduler and comes back typed, and none of them is retried.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use hef_storage::Table;
 use hef_testutil::fault;
 
 use crate::govern::{DegradeAction, Interrupt, QueryCtx};
-use crate::star::{ExecConfig, ExecStats, Flavor, PipelineWorker, QueryOutput, StarPlan};
-use crate::voila::VoilaWorker;
+use crate::star::{ExecConfig, ExecStats, QueryOutput, StarPlan};
 
 /// Pipeline batches per morsel. Morsels are the scheduling quantum: large
 /// enough that cursor contention is negligible (one `fetch_add` per
@@ -114,41 +118,6 @@ pub fn resolve_threads_governed(requested: usize, admitted: usize) -> usize {
     requested.min(admitted)
 }
 
-/// One worker of either execution strategy (the parallel scheduler is
-/// flavor-agnostic; Voila rides along so the paper's comparison stays
-/// apples-to-apples at every thread count).
-enum AnyWorker<'a> {
-    Pipeline(PipelineWorker<'a>),
-    Voila(VoilaWorker<'a>),
-}
-
-impl<'a> AnyWorker<'a> {
-    fn new(plan: &'a StarPlan, fact: &'a Table, cfg: &'a ExecConfig) -> Self {
-        if cfg.flavor == Flavor::Voila {
-            AnyWorker::Voila(VoilaWorker::new(plan, fact, cfg.batch))
-        } else {
-            AnyWorker::Pipeline(PipelineWorker::new(plan, fact, cfg))
-        }
-    }
-
-    /// Interruptible range execution: checks `ctx` at every batch boundary
-    /// (which brackets each radix-partition bucketing pass — partitioning
-    /// is per-batch), so a cancel or deadline fires mid-morsel.
-    fn try_run_range(&mut self, lo: usize, hi: usize, ctx: &QueryCtx) -> Result<(), Interrupt> {
-        match self {
-            AnyWorker::Pipeline(w) => w.try_run_range(lo, hi, ctx),
-            AnyWorker::Voila(w) => w.try_run_range(lo, hi, ctx),
-        }
-    }
-
-    fn finish(self) -> QueryOutput {
-        match self {
-            AnyWorker::Pipeline(w) => w.finish(),
-            AnyWorker::Voila(w) => w.finish(),
-        }
-    }
-}
-
 /// Per-query fault-recovery and governance attribution, returned beside the
 /// output by [`crate::try_execute_star`] — and *inside* the
 /// [`ExecError::Cancelled`] / [`ExecError::DeadlineExceeded`] variants,
@@ -186,7 +155,8 @@ impl ExecReport {
 /// plan, or a governance outcome (rejection, cancellation, deadline).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
-    /// The serial fallback itself panicked.
+    /// The serial fallback itself panicked (the degradation ladder is
+    /// exhausted), or a page read failed (never retried).
     Failed { query: String, message: String },
     /// The plan references columns the fact table does not have, or its
     /// group-id strides are inconsistent; rejected up front, before any
@@ -210,7 +180,7 @@ impl std::fmt::Display for ExecError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ExecError::Failed { query, message } => {
-                write!(f, "query `{query}` failed after exhausting degradation ladder: {message}")
+                write!(f, "query `{query}` failed: {message}")
             }
             ExecError::BadPlan { query, message } => {
                 write!(f, "query `{query}` rejected: {message}")
@@ -243,6 +213,45 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
+/// Why a worker stopped before finishing its range.
+pub(crate) enum Stop {
+    /// A cancel or deadline observed at a batch boundary.
+    Interrupt(Interrupt),
+    /// A storage read failed. Typed, and never retried like a panic.
+    Failed(String),
+}
+
+impl From<Interrupt> for Stop {
+    fn from(i: Interrupt) -> Stop {
+        Stop::Interrupt(i)
+    }
+}
+
+/// The typed error for a stop cause, carrying `report` as partial progress.
+fn stop_error(query: &str, ctx: &QueryCtx, cause: Stop, report: ExecReport) -> ExecError {
+    match cause {
+        Stop::Interrupt(i) => crate::govern::interrupt_error(query, ctx, i, report),
+        Stop::Failed(message) => ExecError::Failed { query: query.to_string(), message },
+    }
+}
+
+/// One worker over a scan's units: private accumulators, fed morsels.
+pub(crate) trait MorselWorker {
+    /// Process units `lo..hi`, checking `ctx` at every batch boundary.
+    fn try_run_range(&mut self, lo: usize, hi: usize, ctx: &QueryCtx) -> Result<(), Stop>;
+    fn finish(self: Box<Self>) -> QueryOutput;
+}
+
+/// One query as the scheduler sees it: `units` scan units (fact rows or
+/// pages) claimed `morsel` at a time, and a factory for fresh workers
+/// (called once per thread and again after every worker loss).
+pub(crate) struct Scan<'a> {
+    pub(crate) plan: &'a StarPlan,
+    pub(crate) units: usize,
+    pub(crate) morsel: usize,
+    pub(crate) make: &'a (dyn Fn() -> Box<dyn MorselWorker + 'a> + Sync + 'a),
+}
+
 /// Failures tolerated per morsel range before the query abandons the
 /// parallel path and degrades to serial.
 const MAX_MORSEL_RETRIES: u32 = 2;
@@ -260,46 +269,56 @@ struct Scheduler {
     in_flight: AtomicUsize,
     /// A range exceeded [`MAX_MORSEL_RETRIES`]: stop everything, go serial.
     give_up: AtomicBool,
-    /// Governance stop-cause: 0 = running, 1 = cancelled, 2 = deadline.
-    /// Checked in [`Scheduler::claim`] — including its wait-spin, so no
-    /// worker can wait forever on a peer that was interrupted.
-    stop: AtomicU8,
+    /// Set with the first [`Stop`] cause. Checked in [`Scheduler::claim`] —
+    /// including its wait-spin, so no worker can wait forever on a peer
+    /// that stopped.
+    stopped: AtomicBool,
+    cause: Mutex<Option<Stop>>,
     retried: AtomicUsize,
     workers_lost: AtomicUsize,
     /// Morsel ranges fully executed (partial-progress attribution).
     completed: AtomicUsize,
 }
 
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 impl Scheduler {
-    /// Record a governance interrupt (first cause wins) and stop handing
-    /// out work.
-    fn interrupt(&self, i: Interrupt) {
-        let code = match i {
-            Interrupt::Cancelled => 1,
-            Interrupt::DeadlineExceeded => 2,
-        };
-        let _ = self.stop.compare_exchange(0, code, Ordering::AcqRel, Ordering::Acquire);
+    fn new(n: usize, morsel: usize) -> Scheduler {
+        Scheduler {
+            n,
+            morsel: morsel.max(1),
+            cursor: AtomicUsize::new(0),
+            retry: Mutex::new(Vec::new()),
+            in_flight: AtomicUsize::new(0),
+            give_up: AtomicBool::new(false),
+            stopped: AtomicBool::new(false),
+            cause: Mutex::new(None),
+            retried: AtomicUsize::new(0),
+            workers_lost: AtomicUsize::new(0),
+            completed: AtomicUsize::new(0),
+        }
     }
 
-    fn interrupted(&self) -> Option<Interrupt> {
-        match self.stop.load(Ordering::Acquire) {
-            1 => Some(Interrupt::Cancelled),
-            2 => Some(Interrupt::DeadlineExceeded),
-            _ => None,
-        }
+    /// Record a stop cause (the first one wins) and stop handing out work.
+    fn stop(&self, cause: Stop) {
+        lock(&self.cause).get_or_insert(cause);
+        self.stopped.store(true, Ordering::Release);
+    }
+
+    fn halted(&self) -> bool {
+        self.give_up.load(Ordering::Acquire) || self.stopped.load(Ordering::Acquire)
     }
 
     fn claim(&self) -> Option<(usize, usize, u32)> {
         loop {
-            if self.give_up.load(Ordering::Acquire) || self.stop.load(Ordering::Acquire) != 0 {
+            if self.halted() {
                 return None;
             }
-            {
-                let mut q = self.retry.lock().unwrap_or_else(|e| e.into_inner());
-                if let Some(r) = q.pop() {
-                    self.in_flight.fetch_add(1, Ordering::AcqRel);
-                    return Some(r);
-                }
+            if let Some(r) = lock(&self.retry).pop() {
+                self.in_flight.fetch_add(1, Ordering::AcqRel);
+                return Some(r);
             }
             let lo = self.cursor.fetch_add(self.morsel, Ordering::Relaxed);
             if lo < self.n {
@@ -308,12 +327,11 @@ impl Scheduler {
             }
             // Fresh work is exhausted. If anything is still in flight it may
             // yet be requeued, so wait; otherwise we are done.
-            if self.in_flight.load(Ordering::Acquire) == 0 {
-                let empty =
-                    self.retry.lock().unwrap_or_else(|e| e.into_inner()).is_empty();
-                if empty && self.in_flight.load(Ordering::Acquire) == 0 {
-                    return None;
-                }
+            if self.in_flight.load(Ordering::Acquire) == 0
+                && lock(&self.retry).is_empty()
+                && self.in_flight.load(Ordering::Acquire) == 0
+            {
+                return None;
             }
             std::thread::yield_now();
         }
@@ -340,7 +358,7 @@ impl Scheduler {
             return;
         }
         {
-            let mut q = self.retry.lock().unwrap_or_else(|e| e.into_inner());
+            let mut q = lock(&self.retry);
             q.push((lo, hi, attempts + 1));
             for &(dlo, dhi) in done {
                 q.push((dlo, dhi, 0));
@@ -359,20 +377,13 @@ impl Scheduler {
 /// `catch_unwind`, and on a panic discard the whole worker (partial
 /// accumulations are unmergeable), requeue its completed ranges plus the
 /// poisoned one, and start over with a fresh worker. Returns `None` when
-/// the query gave up on the parallel path.
-fn worker_loop<'a>(
-    wid: usize,
-    sched: &Scheduler,
-    plan: &'a StarPlan,
-    fact: &'a Table,
-    cfg: &'a ExecConfig,
-    ctx: &QueryCtx,
-) -> Option<QueryOutput> {
+/// the query stopped or gave up on the parallel path.
+fn worker_loop(wid: usize, sched: &Scheduler, scan: &Scan<'_>, ctx: &QueryCtx) -> Option<QueryOutput> {
     if hef_obs::trace::enabled() {
         hef_obs::trace::set_thread_name(&format!("worker-{wid}"));
     }
     let _wspan = hef_obs::span!("worker", wid = wid);
-    let mut w = AnyWorker::new(plan, fact, cfg);
+    let mut w = (scan.make)();
     let mut done: Vec<(usize, usize)> = Vec::new();
     while let Some((lo, hi, attempts)) = sched.claim() {
         let morsel_idx = lo / sched.morsel;
@@ -382,7 +393,7 @@ fn worker_loop<'a>(
         // a deadline/cancel fires *mid*-morsel and still comes back typed.
         if let Some(stall) = fault::next_slow_morsel(wid, morsel_idx) {
             if let Err(i) = crate::govern::sleep_checked(stall, ctx) {
-                sched.interrupt(i);
+                sched.stop(i.into());
                 sched.complete();
                 return None;
             }
@@ -409,73 +420,45 @@ fn worker_loop<'a>(
                 sched.completed.fetch_add(1, Ordering::AcqRel);
                 sched.complete();
             }
-            Ok(Err(i)) => {
-                // Interrupted mid-morsel: this worker's partial output is
+            Ok(Err(cause)) => {
+                // Stopped mid-morsel: this worker's partial output is
                 // unusable, and the whole query is ending anyway.
-                sched.interrupt(i);
+                sched.stop(cause);
                 sched.complete();
                 return None;
             }
             Err(_) => {
                 sched.requeue((lo, hi, attempts), &done);
-                w = AnyWorker::new(plan, fact, cfg);
+                w = (scan.make)();
                 done.clear();
             }
         }
     }
-    if sched.give_up.load(Ordering::Acquire) || sched.stop.load(Ordering::Acquire) != 0 {
+    if sched.halted() {
         return None;
     }
     Some(w.finish())
 }
 
-/// Execute `plan` with `threads` workers pulling morsels from a shared
-/// atomic cursor, with the full degradation ladder. Callers normally go
-/// through [`crate::try_execute_star`], which resolves the thread count
-/// first.
-pub fn try_execute_star_parallel(
-    plan: &StarPlan,
-    fact: &Table,
-    cfg: &ExecConfig,
-    threads: usize,
-) -> Result<(QueryOutput, ExecReport), ExecError> {
-    try_execute_star_parallel_ctx(plan, fact, cfg, threads, &QueryCtx::unbounded())
-}
-
-/// [`try_execute_star_parallel`] under a governance context: every worker
-/// checks `ctx` at morsel claims and batch boundaries, and an interrupt
-/// drains the scheduler and comes back as a typed error with the partial
-/// [`ExecReport`]. `std::thread::scope` guarantees all workers are joined
-/// before this returns — interrupted queries never leak threads.
-pub(crate) fn try_execute_star_parallel_ctx(
-    plan: &StarPlan,
-    fact: &Table,
-    cfg: &ExecConfig,
+/// Run `scan` on `threads` workers with the full degradation ladder; one
+/// worker runs the serial path on the calling thread.
+pub(crate) fn run_scan(
+    scan: &Scan<'_>,
     threads: usize,
     ctx: &QueryCtx,
 ) -> Result<(QueryOutput, ExecReport), ExecError> {
-    crate::star::validate_star_plan(plan, fact)?;
-    let threads = threads.max(1);
-    let sched = Scheduler {
-        n: fact.len(),
-        morsel: (MORSEL_BATCHES * cfg.batch).max(1),
-        cursor: AtomicUsize::new(0),
-        retry: Mutex::new(Vec::new()),
-        in_flight: AtomicUsize::new(0),
-        give_up: AtomicBool::new(false),
-        stop: AtomicU8::new(0),
-        retried: AtomicUsize::new(0),
-        workers_lost: AtomicUsize::new(0),
-        completed: AtomicUsize::new(0),
-    };
-
+    if threads <= 1 {
+        let report = ExecReport { threads: 1, ..Default::default() };
+        return run_serial_guarded_ctx(scan, ctx, &report).map(|out| (out, report));
+    }
+    let sched = Scheduler::new(scan.units, scan.morsel);
     let mut outputs: Vec<QueryOutput> = Vec::with_capacity(threads);
     let mut worker_escaped = false;
     std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
             .map(|wid| {
                 let sched = &sched;
-                s.spawn(move || worker_loop(wid, sched, plan, fact, cfg, ctx))
+                s.spawn(move || worker_loop(wid, sched, scan, ctx))
             })
             .collect();
         for h in handles {
@@ -498,35 +481,55 @@ pub(crate) fn try_execute_star_parallel_ctx(
         morsels_completed: sched.completed.load(Ordering::Acquire),
         degrade_actions: Vec::new(),
     };
-    if let Some(i) = sched.interrupted() {
-        return Err(crate::govern::interrupt_error(&plan.name, ctx, i, report));
+    if let Some(cause) = lock(&sched.cause).take() {
+        return Err(stop_error(&scan.plan.name, ctx, cause, report));
     }
     if sched.give_up.load(Ordering::Acquire) || worker_escaped {
         if worker_escaped {
             report.workers_lost += 1;
         }
         report.degraded_to_serial = true;
-        let out = run_serial_guarded_ctx(plan, fact, cfg, ctx, &report)?;
+        let out = run_serial_guarded_ctx(scan, ctx, &report)?;
         return Ok((out, report));
     }
-    Ok((merge_outputs(plan, outputs), report))
+    Ok((merge_outputs(scan.plan, outputs), report))
 }
 
-/// The serial path under a governance context, panic-guarded: a panic is the
-/// ladder's last rung and becomes a typed [`ExecError::Failed`]; a cancel or
-/// deadline observed at a batch boundary comes back typed, carrying
-/// `base_report`'s attribution (the serial path may be the tail of an
-/// abandoned parallel attempt, whose recovery counts should survive into the
-/// error).
-pub(crate) fn run_serial_guarded_ctx(
+/// Execute `plan` with `threads` workers pulling morsels from a shared
+/// atomic cursor, with the full degradation ladder. Callers normally go
+/// through [`crate::try_execute_star`], which resolves the thread count
+/// first.
+pub fn try_execute_star_parallel(
     plan: &StarPlan,
     fact: &Table,
     cfg: &ExecConfig,
+    threads: usize,
+) -> Result<(QueryOutput, ExecReport), ExecError> {
+    crate::star::validate_star_plan(plan, fact)?;
+    crate::star::run_table(plan, fact, cfg, threads, &QueryCtx::unbounded())
+}
+
+/// The serial path under a governance context, panic-guarded: one worker
+/// over every unit. It consults the fault harness once (worker id
+/// [`fault::SERIAL_WORKER`], morsel 0) so unrestricted
+/// `HEF_FAULT=panic:morsel=0` plans exercise the ladder's last rung too. A
+/// panic is that last rung and becomes a typed [`ExecError::Failed`]; a
+/// stop cause comes back typed, carrying `base_report`'s attribution (the
+/// serial path may be the tail of an abandoned parallel attempt, whose
+/// recovery counts should survive into the error).
+fn run_serial_guarded_ctx(
+    scan: &Scan<'_>,
     ctx: &QueryCtx,
     base_report: &ExecReport,
 ) -> Result<QueryOutput, ExecError> {
     let run = catch_unwind(AssertUnwindSafe(|| {
-        crate::star::execute_star_serial_ctx(plan, fact, cfg, ctx)
+        fault::maybe_panic_worker(fault::SERIAL_WORKER, 0, fault::Phase::Before);
+        if let Some(stall) = fault::next_slow_morsel(fault::SERIAL_WORKER, 0) {
+            crate::govern::sleep_checked(stall, ctx)?;
+        }
+        let mut w = (scan.make)();
+        w.try_run_range(0, scan.units, ctx)?;
+        Ok(w.finish())
     }))
     .map_err(|payload| {
         let message = payload
@@ -534,9 +537,9 @@ pub(crate) fn run_serial_guarded_ctx(
             .cloned()
             .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_else(|| "panic with non-string payload".to_string());
-        ExecError::Failed { query: plan.name.clone(), message }
+        ExecError::Failed { query: scan.plan.name.clone(), message }
     })?;
-    run.map_err(|i| crate::govern::interrupt_error(&plan.name, ctx, i, base_report.clone()))
+    run.map_err(|cause| stop_error(&scan.plan.name, ctx, cause, base_report.clone()))
 }
 
 /// Panicking convenience over [`try_execute_star_parallel`], for callers
@@ -589,13 +592,12 @@ fn merge_outputs(plan: &StarPlan, outputs: Vec<QueryOutput>) -> QueryOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::star::{build_dimension, Measure};
+    use crate::star::{build_dimension, Flavor, Measure};
     use hef_storage::Column;
 
-    /// The serial path under an unbounded context (which never interrupts).
+    /// The serial path: one worker on the calling thread.
     fn execute_star_serial(plan: &StarPlan, fact: &Table, cfg: &ExecConfig) -> QueryOutput {
-        crate::star::execute_star_serial_ctx(plan, fact, cfg, &QueryCtx::unbounded())
-            .expect("unbounded ctx never interrupts")
+        crate::execute_star(plan, fact, &cfg.with_threads(1))
     }
 
     fn toy(n: u64) -> (Table, StarPlan) {

@@ -1,13 +1,18 @@
 //! Star-query plans and the VIP-style pipelined executor.
 
+use std::ops::Range;
+
 use hef_hid::Backend;
 use hef_kernels::{
     plan_partition_bits, run_on, Family, HybridConfig, KernelIo, PartitionScratch,
     PartitionedProbeTable, ProbeTable,
 };
+use hef_obs::trace::SpanGuard;
 use hef_storage::Table;
 
+use crate::govern::QueryCtx;
 use crate::ops::{compact_hits, gather_keys, grouped_accumulate};
+use crate::parallel::{MorselWorker, Scan, Stop};
 
 /// Execution flavor (the four bars of the paper's Figs. 8–10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -148,8 +153,8 @@ impl ExecConfig {
         }
     }
 
-    /// The Voila comparator (the flavor tag routes execution to
-    /// [`crate::voila::execute_star_voila`]; kernel configs are unused).
+    /// The Voila comparator (the flavor tag routes in-memory execution to
+    /// the Voila worker in [`crate::voila`]; kernel configs are unused).
     pub fn voila() -> ExecConfig {
         ExecConfig {
             flavor: Flavor::Voila,
@@ -286,6 +291,16 @@ pub enum Measure {
     SumProduct(String, String),
     /// `sum(a - b)` (e.g. `lo_revenue - lo_supplycost`)
     SumDiff(String, String),
+}
+
+impl Measure {
+    /// The fact columns the measure reads, in operand order.
+    pub(crate) fn columns(&self) -> Vec<&str> {
+        match self {
+            Measure::Sum(a) => vec![a],
+            Measure::SumProduct(a, b) | Measure::SumDiff(a, b) => vec![a, b],
+        }
+    }
 }
 
 /// A star query over one fact table.
@@ -450,10 +465,7 @@ pub(crate) fn validate_star_plan_with(
     for d in &plan.dims {
         need(&format!("join `{}`", d.name), &d.fk_col)?;
     }
-    for col in match &plan.measure {
-        Measure::Sum(a) => vec![a],
-        Measure::SumProduct(a, b) | Measure::SumDiff(a, b) => vec![a, b],
-    } {
+    for col in plan.measure.columns() {
         need("measure", col)?;
     }
     if !plan.strides.is_empty() {
@@ -574,13 +586,7 @@ pub fn try_execute_star_cancellable(
         hef_obs::trace::SpanGuard::disabled()
     };
     hef_obs::metrics::add(hef_obs::metrics::Metric::QueriesExecuted, 1);
-    let mut result = if threads > 1 {
-        crate::parallel::try_execute_star_parallel_ctx(plan, fact, cfg, threads, &ctx)
-    } else {
-        let report = crate::parallel::ExecReport { threads: 1, ..Default::default() };
-        crate::parallel::run_serial_guarded_ctx(plan, fact, cfg, &ctx, &report)
-            .map(|out| (out, report))
-    };
+    let mut result = run_table(plan, fact, cfg, threads, &ctx);
     // Stamp the admission-time degradations into whichever report the
     // outcome carries, so callers always see the full attribution.
     let actions = admission.take_actions();
@@ -604,47 +610,109 @@ pub fn try_execute_star_cancellable(
     result
 }
 
-/// The serial path: one worker over the whole fact table, under a
-/// governance context — checks `ctx` at every batch boundary and honors
-/// `slow_morsel:` stalls interruptibly, mirroring the parallel workers.
-/// Consults the fault harness once (worker id
-/// [`hef_testutil::fault::SERIAL_WORKER`], morsel 0) so unrestricted
-/// `HEF_FAULT=panic:morsel=0` plans exercise the ladder's last rung too.
-pub(crate) fn execute_star_serial_ctx(
+/// Run `plan` over the in-memory `fact` on `threads` workers (one worker
+/// runs the serial path): `cfg.batch`-row windows feed the shared stage
+/// loop, or the Voila worker for that flavor, through the morsel
+/// scheduler. The caller has validated the plan.
+pub(crate) fn run_table(
     plan: &StarPlan,
     fact: &Table,
     cfg: &ExecConfig,
-    ctx: &crate::govern::QueryCtx,
-) -> Result<QueryOutput, crate::govern::Interrupt> {
-    hef_testutil::fault::maybe_panic_worker(
-        hef_testutil::fault::SERIAL_WORKER,
-        0,
-        hef_testutil::fault::Phase::Before,
-    );
-    if let Some(stall) =
-        hef_testutil::fault::next_slow_morsel(hef_testutil::fault::SERIAL_WORKER, 0)
-    {
-        crate::govern::sleep_checked(stall, ctx)?;
-    }
-    if cfg.flavor == Flavor::Voila {
-        let mut w = crate::voila::VoilaWorker::new(plan, fact, cfg.batch);
-        w.try_run_range(0, fact.len(), ctx)?;
-        return Ok(w.finish());
-    }
-    let mut w = PipelineWorker::new(plan, fact, cfg);
-    w.try_run_range(0, fact.len(), ctx)?;
-    Ok(w.finish())
+    threads: usize,
+    ctx: &QueryCtx,
+) -> Result<(QueryOutput, crate::parallel::ExecReport), crate::parallel::ExecError> {
+    let slots = ColumnSlots::of(plan);
+    let cols: Vec<&[u64]> = slots.names.iter().map(|c| fact.col(c)).collect();
+    let make = || -> Box<dyn MorselWorker + '_> {
+        if cfg.flavor == Flavor::Voila {
+            Box::new(crate::voila::VoilaWorker::new(plan, fact, cfg.batch))
+        } else {
+            let src = TableSource { cols: cols.clone(), batch: cfg.batch, window: 0..0 };
+            Box::new(PipelineWorker::new(plan, cfg, &slots, src))
+        }
+    };
+    let morsel = (crate::parallel::MORSEL_BATCHES * cfg.batch).max(1);
+    crate::parallel::run_scan(&Scan { plan, units: fact.len(), morsel, make: &make }, threads, ctx)
 }
 
-/// One VIP-style pipeline worker: owns the reusable batch buffers, a private
-/// group-accumulator array, and private [`ExecStats`]. The serial executor
-/// is a single worker run over `0..n`; the parallel executor hands disjoint
-/// morsels of the fact table to one worker per thread and merges at the end
-/// (see `crate::parallel`).
-pub(crate) struct PipelineWorker<'a> {
+/// The fact columns a plan reads, each listed once. Stages name their
+/// column by slot, so a source resolves column names once per query.
+pub(crate) struct ColumnSlots<'p> {
+    pub(crate) names: Vec<&'p str>,
+    filters: Vec<usize>,
+    fks: Vec<usize>,
+    measure: Vec<usize>,
+}
+
+impl<'p> ColumnSlots<'p> {
+    pub(crate) fn of(plan: &'p StarPlan) -> Self {
+        let mut names: Vec<&'p str> = Vec::new();
+        let mut slot = |name: &'p str| match names.iter().position(|&n| n == name) {
+            Some(i) => i,
+            None => {
+                names.push(name);
+                names.len() - 1
+            }
+        };
+        let filters = plan.filters.iter().map(|f| slot(&f.col)).collect();
+        let fks = plan.dims.iter().map(|d| slot(&d.fk_col)).collect();
+        let measure = plan.measure.columns().into_iter().map(&mut slot).collect();
+        ColumnSlots { names, filters, fks, measure }
+    }
+}
+
+/// Where the stage loop's batches come from: a window of rows over an
+/// in-memory [`Table`] or one page of a paged table. The loop is generic
+/// over the source and asks it for whole batch columns, never single rows.
+/// Scan units are rows or pages; selection vectors are batch-local.
+pub(crate) trait BatchSource {
+    /// Move to the batch that starts at unit `start` of a morsel ending
+    /// at `hi`; returns the unit after the batch and the batch's row count.
+    fn begin(&mut self, start: usize, hi: usize) -> (usize, usize);
+    /// Trace span around the current batch.
+    fn span(&self, _rows: usize) -> SpanGuard {
+        SpanGuard::disabled()
+    }
+    /// Column `slot`'s values over the current batch.
+    fn values(&mut self, slot: usize) -> Result<&[u64], Stop>;
+    /// Input and bounds for the first filter `f` over column `slot`.
+    fn first_filter(&mut self, slot: usize, f: &RangeFilter) -> Result<FilterInput<'_>, Stop> {
+        Ok(Some((self.values(slot)?, f.lo, f.hi)))
+    }
+}
+
+/// The first filter's input column (values, or codes in code space) and
+/// the bounds to apply to it; `None` when no row of the batch can pass.
+pub(crate) type FilterInput<'s> = Option<(&'s [u64], u64, u64)>;
+
+/// `cfg.batch`-row windows over resident columns.
+struct TableSource<'a> {
+    cols: Vec<&'a [u64]>,
+    batch: usize,
+    window: Range<usize>,
+}
+
+impl BatchSource for TableSource<'_> {
+    fn begin(&mut self, start: usize, hi: usize) -> (usize, usize) {
+        let end = (start + self.batch).min(hi);
+        self.window = start..end;
+        (end, end - start)
+    }
+    fn values(&mut self, slot: usize) -> Result<&[u64], Stop> {
+        Ok(&self.cols[slot][self.window.clone()])
+    }
+}
+
+/// One VIP-style pipeline worker — the one stage loop (filter → probe →
+/// group id → measure → aggregate) for every flavor except Voila and for
+/// both storage layers. It owns the reusable batch buffers, a private
+/// group-accumulator array and private [`ExecStats`]; the scheduler in
+/// `crate::parallel` hands it morsels and merges the workers at the end.
+pub(crate) struct PipelineWorker<'a, S> {
     plan: &'a StarPlan,
-    fact: &'a Table,
     cfg: &'a ExecConfig,
+    slots: &'a ColumnSlots<'a>,
+    src: S,
     acc: Vec<u64>,
     stats: ExecStats,
     /// Per-dimension group-id strides (see [`StarPlan::gid_strides`]).
@@ -658,8 +726,13 @@ pub(crate) struct PipelineWorker<'a> {
     part_scratch: PartitionScratch,
 }
 
-impl<'a> PipelineWorker<'a> {
-    pub(crate) fn new(plan: &'a StarPlan, fact: &'a Table, cfg: &'a ExecConfig) -> Self {
+impl<'a, S: BatchSource> PipelineWorker<'a, S> {
+    pub(crate) fn new(
+        plan: &'a StarPlan,
+        cfg: &'a ExecConfig,
+        slots: &'a ColumnSlots<'a>,
+        src: S,
+    ) -> Self {
         let ndims = plan.dims.len();
         let stats = ExecStats {
             probes: vec![0; ndims],
@@ -667,101 +740,69 @@ impl<'a> PipelineWorker<'a> {
             table_bytes: plan.dims.iter().map(|d| d.table.working_set_bytes()).collect(),
             ..Default::default()
         };
-        let buf_cap = cfg.batch.min(fact.len());
         PipelineWorker {
             plan,
-            fact,
             cfg,
+            slots,
+            src,
             acc: vec![0u64; plan.group_cells()],
             stats,
             strides: plan.gid_strides(),
-            sel: Vec::with_capacity(buf_cap),
-            keys: Vec::with_capacity(buf_cap),
-            probe_out: Vec::with_capacity(buf_cap),
-            gids: Vec::with_capacity(buf_cap),
-            vals: Vec::with_capacity(buf_cap),
+            sel: Vec::new(),
+            keys: Vec::new(),
+            probe_out: Vec::new(),
+            gids: Vec::new(),
+            vals: Vec::new(),
             part_scratch: PartitionScratch::default(),
         }
     }
 
-    /// Process fact rows `lo..hi` batch by batch under a governance
-    /// context: the
-    /// cancel/deadline check runs before every batch, which also brackets
-    /// each radix-partition bucketing pass (partitioning is per-batch).
-    pub(crate) fn try_run_range(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        ctx: &crate::govern::QueryCtx,
-    ) -> Result<(), crate::govern::Interrupt> {
-        self.stats.rows_scanned += (hi - lo) as u64;
-        let mut start = lo;
-        while start < hi {
-            ctx.check()?;
-            let end = (start + self.cfg.batch).min(hi);
-            self.run_batch(start, end);
-            start = end;
-        }
-        Ok(())
-    }
-
-    fn run_batch(&mut self, start: usize, end: usize) {
-        let (plan, fact, cfg) = (self.plan, self.fact, self.cfg);
+    fn run_batch(&mut self, rows: usize) -> Result<(), Stop> {
+        let (plan, cfg) = (self.plan, self.cfg);
         let ndims = plan.dims.len();
 
         // 1. Fact-table filters. The first runs as a kernel over the
-        // contiguous batch; later ones refine the selection through the
-        // same tuned Filter grid (Q1.x is the filter-heavy family).
+        // contiguous batch (in code space when the source can); later ones
+        // refine the selection through the same tuned Filter grid (Q1.x is
+        // the filter-heavy family).
         self.sel.clear();
-        if plan.filters.is_empty() {
-            self.sel.extend(start as u64..end as u64);
-        } else {
-            let f0 = &plan.filters[0];
-            let colv = &fact.col(&f0.col)[start..end];
-            let mut io = KernelIo::Filter {
-                input: colv,
-                lo: f0.lo,
-                hi: f0.hi,
-                base: start as u64,
-                sel: &mut self.sel,
-            };
-            assert!(
-                run_on(Family::Filter, cfg.filter, cfg.backend, &mut io),
-                "filter node {} not compiled",
-                cfg.filter
-            );
-            for f in &plan.filters[1..] {
-                let mut io = KernelIo::FilterRefine {
-                    input: fact.col(&f.col),
-                    lo: f.lo,
-                    hi: f.hi,
-                    sel: &mut self.sel,
-                };
-                assert!(
-                    run_on(Family::Filter, cfg.filter, cfg.backend, &mut io),
-                    "filter node {} not compiled",
-                    cfg.filter
-                );
+        match plan.filters.split_first() {
+            None => self.sel.extend(0..rows as u64),
+            Some((f0, rest)) => {
+                if let Some((input, lo, hi)) = self.src.first_filter(self.slots.filters[0], f0)? {
+                    let mut io = KernelIo::Filter { input, lo, hi, base: 0, sel: &mut self.sel };
+                    run_kernel(Family::Filter, cfg.filter, cfg, &mut io);
+                }
+                for (f, &slot) in rest.iter().zip(&self.slots.filters[1..]) {
+                    if self.sel.is_empty() {
+                        break;
+                    }
+                    let input = self.src.values(slot)?;
+                    let mut io =
+                        KernelIo::FilterRefine { input, lo: f.lo, hi: f.hi, sel: &mut self.sel };
+                    run_kernel(Family::Filter, cfg.filter, cfg, &mut io);
+                }
             }
         }
         self.stats.rows_after_filter += self.sel.len() as u64;
         if hef_obs::metrics::enabled() {
             use hef_obs::metrics::{add, observe, Hist, Metric};
-            add(Metric::FilterRowsIn, (end - start) as u64);
+            add(Metric::FilterRowsIn, rows as u64);
             add(Metric::FilterRowsOut, self.sel.len() as u64);
             observe(Hist::FilterBatchRowsOut, self.sel.len() as u64);
         }
 
         // 2. Dimension probes, most selective first; selection vector
-        // shrinks after each (VIP pipeline, no full materialization).
+        // shrinks after each (VIP pipeline, no full materialization). A
+        // source decodes a column on first use, so a batch the filters
+        // emptied never decodes its join or measure columns.
         let mut pays: Vec<Vec<u64>> = Vec::with_capacity(ndims);
         for (di, dim) in plan.dims.iter().enumerate() {
             if self.sel.is_empty() {
                 pays.push(Vec::new());
                 continue;
             }
-            let col = fact.col(&dim.fk_col);
-            take(col, &self.sel, &mut self.keys, cfg);
+            take(self.src.values(self.slots.fks[di])?, &self.sel, &mut self.keys, cfg);
             if cfg.use_bloom {
                 // Semi-join pre-filter: drop definite misses before the
                 // (more expensive) table probe.
@@ -773,7 +814,7 @@ impl<'a> PipelineWorker<'a> {
                     out: &mut self.probe_out,
                     prefetch: cfg.probe_prefetch,
                 };
-                assert!(run_on(Family::BloomCheck, cfg.probe, cfg.backend, &mut io));
+                run_kernel(Family::BloomCheck, cfg.probe, cfg, &mut io);
                 let mut k = 0usize;
                 for j in 0..self.sel.len() {
                     if self.probe_out[j] != 0 {
@@ -807,7 +848,7 @@ impl<'a> PipelineWorker<'a> {
             // the batch carries enough keys per partition for the bucketing
             // pass to pay for itself (≥ 64 keys per sub-table on average —
             // pipeline batches are small, so this mostly serves large-batch
-            // callers like the probe bench and morsel-sized scans).
+            // callers like the probe bench and page-sized batches).
             let parts = if cfg.partition {
                 dim.parts
                     .as_ref()
@@ -824,17 +865,9 @@ impl<'a> PipelineWorker<'a> {
                     &mut self.part_scratch,
                     |table, keys, out| {
                         sub_probes += 1;
-                        let mut io = KernelIo::Probe {
-                            keys,
-                            table,
-                            out,
-                            prefetch: cfg.probe_prefetch,
-                        };
-                        assert!(
-                            run_on(Family::Probe, cfg.probe, cfg.backend, &mut io),
-                            "probe node {} not compiled",
-                            cfg.probe
-                        );
+                        let mut io =
+                            KernelIo::Probe { keys, table, out, prefetch: cfg.probe_prefetch };
+                        run_kernel(Family::Probe, cfg.probe, cfg, &mut io);
                     },
                 );
             } else {
@@ -844,11 +877,7 @@ impl<'a> PipelineWorker<'a> {
                     out: &mut self.probe_out,
                     prefetch: cfg.probe_prefetch,
                 };
-                assert!(
-                    run_on(Family::Probe, cfg.probe, cfg.backend, &mut io),
-                    "probe node {} not compiled",
-                    cfg.probe
-                );
+                run_kernel(Family::Probe, cfg.probe, cfg, &mut io);
             }
             let k = compact_hits(&mut self.sel, &mut pays, &mut self.probe_out);
             self.stats.hits[di] += k as u64;
@@ -867,73 +896,77 @@ impl<'a> PipelineWorker<'a> {
             }
         }
 
-        // 3. Group ids and aggregation.
-        if !self.sel.is_empty() {
-            self.stats.rows_aggregated += self.sel.len() as u64;
-            if hef_obs::metrics::enabled() {
-                hef_obs::metrics::add(hef_obs::metrics::Metric::AggRows, self.sel.len() as u64);
-            }
-            self.gids.clear();
-            self.gids.resize(self.sel.len(), 0);
-            for (di, _) in plan.dims.iter().enumerate() {
-                let stride = self.strides[di];
-                for (j, gid) in self.gids.iter_mut().enumerate() {
-                    *gid = gid.wrapping_add(pays[di][j].wrapping_mul(stride));
-                }
-            }
-            materialize_measure(&plan.measure, fact, &self.sel, &mut self.vals, &mut self.keys, cfg);
-            if self.acc.len() == 1 {
-                // Ungrouped: the tuned aggregation kernel does the reduction.
-                let mut total = 0u64;
-                let mut io = KernelIo::AggSum { a: &self.vals, acc: &mut total };
-                assert!(run_on(Family::AggSum, cfg.agg, cfg.backend, &mut io));
-                self.acc[0] = self.acc[0].wrapping_add(total);
-            } else {
-                grouped_accumulate(&mut self.acc, &self.gids, &self.vals);
+        // 3. Group ids, the measure, and aggregation.
+        if self.sel.is_empty() {
+            return Ok(());
+        }
+        self.stats.rows_aggregated += self.sel.len() as u64;
+        if hef_obs::metrics::enabled() {
+            hef_obs::metrics::add(hef_obs::metrics::Metric::AggRows, self.sel.len() as u64);
+        }
+        self.gids.clear();
+        self.gids.resize(self.sel.len(), 0);
+        for (pay, &stride) in pays.iter().zip(&self.strides) {
+            for (gid, &p) in self.gids.iter_mut().zip(pay) {
+                *gid = gid.wrapping_add(p.wrapping_mul(stride));
             }
         }
+        let m = &self.slots.measure;
+        take(self.src.values(m[0])?, &self.sel, &mut self.vals, cfg);
+        if let Some(&b) = m.get(1) {
+            // `keys` is free again: reuse it for the second measure column.
+            take(self.src.values(b)?, &self.sel, &mut self.keys, cfg);
+            let pairs = self.vals.iter_mut().zip(&self.keys);
+            match plan.measure {
+                Measure::SumProduct(..) => pairs.for_each(|(v, &s)| *v = v.wrapping_mul(s)),
+                Measure::SumDiff(..) => pairs.for_each(|(v, &s)| *v = v.wrapping_sub(s)),
+                Measure::Sum(_) => {}
+            }
+        }
+        if self.acc.len() == 1 {
+            // Ungrouped: the tuned aggregation kernel does the reduction.
+            let mut total = 0u64;
+            let mut io = KernelIo::AggSum { a: &self.vals, acc: &mut total };
+            run_kernel(Family::AggSum, cfg.agg, cfg, &mut io);
+            self.acc[0] = self.acc[0].wrapping_add(total);
+        } else {
+            grouped_accumulate(&mut self.acc, &self.gids, &self.vals);
+        }
+        Ok(())
+    }
+}
+
+impl<S: BatchSource> MorselWorker for PipelineWorker<'_, S> {
+    /// Process units `lo..hi` batch by batch; the cancel/deadline check
+    /// runs before every batch, which also brackets each radix-partition
+    /// bucketing pass (partitioning is per-batch).
+    fn try_run_range(&mut self, lo: usize, hi: usize, ctx: &QueryCtx) -> Result<(), Stop> {
+        let mut start = lo;
+        while start < hi {
+            ctx.check()?;
+            let (end, rows) = self.src.begin(start, hi);
+            self.stats.rows_scanned += rows as u64;
+            let _span = self.src.span(rows);
+            self.run_batch(rows)?;
+            start = end;
+        }
+        Ok(())
     }
 
-    pub(crate) fn finish(self) -> QueryOutput {
+    fn finish(self: Box<Self>) -> QueryOutput {
         QueryOutput { groups: self.acc, stats: self.stats }
     }
 }
 
-/// Evaluate the measure expression for the selected rows into `vals`
-/// (`scratch` is a reusable buffer for two-column measures).
-pub(crate) fn materialize_measure(
-    measure: &Measure,
-    fact: &Table,
-    sel: &[u64],
-    vals: &mut Vec<u64>,
-    scratch: &mut Vec<u64>,
-    cfg: &ExecConfig,
-) {
-    match measure {
-        Measure::Sum(c) => {
-            take(fact.col(c), sel, vals, cfg);
-        }
-        Measure::SumProduct(a, b) => {
-            take(fact.col(a), sel, vals, cfg);
-            take(fact.col(b), sel, scratch, cfg);
-            for (v, &s) in vals.iter_mut().zip(scratch.iter()) {
-                *v = v.wrapping_mul(s);
-            }
-        }
-        Measure::SumDiff(a, b) => {
-            take(fact.col(a), sel, vals, cfg);
-            take(fact.col(b), sel, scratch, cfg);
-            for (v, &s) in vals.iter_mut().zip(scratch.iter()) {
-                *v = v.wrapping_sub(s);
-            }
-        }
-    }
+/// Dispatch one kernel; every node the shipped configs name is compiled.
+fn run_kernel(family: Family, node: HybridConfig, cfg: &ExecConfig, io: &mut KernelIo<'_>) {
+    assert!(run_on(family, node, cfg.backend, io), "{family:?} node {node} not compiled");
 }
 
 /// Selective projection through the tuned gather kernel (falls back to the
 /// scalar helper for off-grid nodes, which cannot happen for the shipped
 /// flavor configs).
-pub(crate) fn take(col: &[u64], sel: &[u64], out: &mut Vec<u64>, cfg: &ExecConfig) {
+fn take(col: &[u64], sel: &[u64], out: &mut Vec<u64>, cfg: &ExecConfig) {
     if hef_obs::metrics::enabled() {
         hef_obs::metrics::add(hef_obs::metrics::Metric::GatherRows, sel.len() as u64);
     }

@@ -26,25 +26,20 @@
 use hef_kernels::MISS;
 use hef_storage::Table;
 
+use crate::govern::QueryCtx;
 use crate::ops::grouped_accumulate;
+use crate::parallel::{MorselWorker, Stop};
 use crate::star::{ExecStats, Measure, QueryOutput, StarPlan};
 
 /// Prefetch distance (slots ahead) of the probe pass.
 const PREFETCH_DIST: usize = 16;
 
-/// Execute a star plan in the Voila style: vector(1024), full
-/// materialization, prefetch = 1.
-pub fn execute_star_voila(plan: &StarPlan, fact: &Table, batch: usize) -> QueryOutput {
-    let mut w = VoilaWorker::new(plan, fact, batch);
-    w.run_range(0, fact.len());
-    w.finish()
-}
-
-/// One Voila-style worker: owns the dense materialization buffers, a private
-/// group-accumulator array, and private [`ExecStats`] — the same worker
-/// shape as `star::PipelineWorker`, so the morsel-driven parallel executor
-/// can drive the comparator too (keeping the paper's Figs. 8–10 comparison
-/// apples-to-apples at every thread count).
+/// One Voila-style worker (vector(1024), full materialization, prefetch =
+/// 1): owns the dense materialization buffers, a private group-accumulator
+/// array, and private [`ExecStats`]. It is a [`MorselWorker`] like
+/// `star::PipelineWorker`, so the morsel scheduler drives the comparator
+/// too (keeping the paper's Figs. 8–10 comparison apples-to-apples at every
+/// thread count). In-memory only.
 pub(crate) struct VoilaWorker<'a> {
     plan: &'a StarPlan,
     fact: &'a Table,
@@ -74,10 +69,7 @@ impl<'a> VoilaWorker<'a> {
         };
         // The live column set carried through the pipeline: every fk column
         // still to be probed plus the measure columns.
-        let measure_cols: Vec<&str> = match &plan.measure {
-            Measure::Sum(a) => vec![a.as_str()],
-            Measure::SumProduct(a, b) | Measure::SumDiff(a, b) => vec![a.as_str(), b.as_str()],
-        };
+        let measure_cols = plan.measure.columns();
         let ncols = ndims + measure_cols.len();
         let buf_cap = batch.min(fact.len());
         VoilaWorker {
@@ -94,36 +86,6 @@ impl<'a> VoilaWorker<'a> {
             slots: Vec::with_capacity(buf_cap),
             pay: Vec::with_capacity(buf_cap),
         }
-    }
-
-    /// Process fact rows `lo..hi` batch by batch.
-    pub(crate) fn run_range(&mut self, lo: usize, hi: usize) {
-        self.stats.rows_scanned += (hi - lo) as u64;
-        let mut start = lo;
-        while start < hi {
-            let end = (start + self.batch).min(hi);
-            self.run_batch(start, end);
-            start = end;
-        }
-    }
-
-    /// [`VoilaWorker::run_range`] under a governance context: the
-    /// cancel/deadline check runs before every batch.
-    pub(crate) fn try_run_range(
-        &mut self,
-        lo: usize,
-        hi: usize,
-        ctx: &crate::govern::QueryCtx,
-    ) -> Result<(), crate::govern::Interrupt> {
-        self.stats.rows_scanned += (hi - lo) as u64;
-        let mut start = lo;
-        while start < hi {
-            ctx.check()?;
-            let end = (start + self.batch).min(hi);
-            self.run_batch(start, end);
-            start = end;
-        }
-        Ok(())
     }
 
     fn run_batch(&mut self, start: usize, end: usize) {
@@ -269,7 +231,24 @@ impl<'a> VoilaWorker<'a> {
         }
     }
 
-    pub(crate) fn finish(self) -> QueryOutput {
+}
+
+impl MorselWorker for VoilaWorker<'_> {
+    /// Process fact rows `lo..hi` batch by batch; the cancel/deadline check
+    /// runs before every batch.
+    fn try_run_range(&mut self, lo: usize, hi: usize, ctx: &QueryCtx) -> Result<(), Stop> {
+        self.stats.rows_scanned += (hi - lo) as u64;
+        let mut start = lo;
+        while start < hi {
+            ctx.check()?;
+            let end = (start + self.batch).min(hi);
+            self.run_batch(start, end);
+            start = end;
+        }
+        Ok(())
+    }
+
+    fn finish(self: Box<Self>) -> QueryOutput {
         QueryOutput { groups: self.acc, stats: self.stats }
     }
 }

@@ -10,7 +10,7 @@
 //! (`storage.page_cache_*`).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use hef_obs::metrics::{self, Metric};
 
@@ -134,13 +134,6 @@ impl PageCache {
             .and_then(|s| parse_byte_size(&s))
             .unwrap_or(DEFAULT_CACHE_BYTES);
         PageCache::new(cap as usize)
-    }
-
-    /// The process-wide cache (capacity fixed by the environment at first
-    /// use).
-    pub fn global() -> &'static PageCache {
-        static GLOBAL: OnceLock<PageCache> = OnceLock::new();
-        GLOBAL.get_or_init(PageCache::from_env)
     }
 
     /// Total byte capacity.

@@ -156,7 +156,9 @@ pub struct LoadedColumn {
     pub partial: Option<PartialLoad>,
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a over `bytes`: the checksum of both on-disk column formats
+/// (`.hefc` v1 data sections and v2 pages, footers and column ids).
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;

@@ -56,7 +56,7 @@ use hef_kernels::decode::{pack, unpack_at, words_needed};
 use hef_obs::metrics::{self, Metric};
 
 use crate::column::Column;
-use crate::file::{ColumnFileError, ColumnFileIssue};
+use crate::file::{fnv1a, ColumnFileError, ColumnFileIssue};
 
 const MAGIC: &[u8; 4] = b"HEFC";
 const FOOTER_MAGIC: &[u8; 4] = b"HEFD";
@@ -72,15 +72,6 @@ const MAX_PAGE_ROWS: u32 = 1 << 22;
 
 /// Default page size when `HEF_PAGE_BYTES` is unset: 256 KiB.
 pub const DEFAULT_PAGE_BYTES: u64 = 256 * 1024;
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Parse a byte-size spec: plain bytes or `k`/`m`/`g` suffix (binary units,
 /// case-insensitive). `None` on anything else.

@@ -64,6 +64,16 @@ if grep -rn '_mm_prefetch' crates --include='*.rs' | grep -v 'crates/kernels/src
     exit 1
 fi
 
+# One executor: the stage loop (filter → probe → aggregate) lives only in
+# star.rs and the thread pool only in parallel.rs. The paged module supplies
+# a batch source over pages and nothing else.
+for pat in 'KernelIo::Probe' 'KernelIo::AggSum' 'compact_hits' 'grouped_accumulate' 'thread::scope'; do
+    if grep -n "$pat" crates/engine/src/paged.rs; then
+        echo "verify: FAIL — \`$pat\` in crates/engine/src/paged.rs (one stage loop, one scheduler)" >&2
+        exit 1
+    fi
+done
+
 # Trend gate over the *committed* snapshot archive: sparkline series must
 # render and --strict must exit zero. This runs before any smoke bench
 # rewrites a live snapshot: committed history is deterministic, whereas a
