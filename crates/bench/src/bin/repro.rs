@@ -736,8 +736,16 @@ fn tune_pipeline(opts: &Opts) {
 /// bit-identical to the in-memory executor at 1 and 4 threads. The cache
 /// capacity comes from `HEF_PAGE_CACHE` when set, else 25% of the dataset's
 /// raw (decoded) bytes — small enough that eviction is constant. Exits
-/// non-zero on any divergence, and on a bounded cache that somehow never
-/// evicted (the out-of-core claim would be vacuous).
+/// non-zero on any divergence, on a bounded cache that somehow never
+/// evicted (the out-of-core claim would be vacuous), and on more than
+/// [`MAX_DECODE_ROWS_PER_FACT_ROW`] decoded rows per scanned fact row (a
+/// silent fallback to full-page decode past the first filter).
+/// Decoded rows per scanned fact row above which `repro paged` fails. Only
+/// the first filter column decodes every row of a page; every other column
+/// decodes just the rows that reach it, so the SSB sweep stays near 1.2.
+/// Full-page decode of every read column lands near 4.5.
+const MAX_DECODE_ROWS_PER_FACT_ROW: f64 = 2.0;
+
 fn paged_cmd(opts: &Opts) {
     use hef_engine::{execute_star, try_execute_star_paged_ctx, PagedTable, QueryCtx};
     use hef_storage::PageCache;
@@ -771,6 +779,7 @@ fn paged_cmd(opts: &Opts) {
     );
 
     let before = hef_obs::metrics::snapshot();
+    let mut scanned = 0u64;
     let mut t = TableWriter::new(vec![
         "query", "in-mem ms", "paged t1 ms", "paged t4 ms", "rows agg", "identical",
     ]);
@@ -789,6 +798,7 @@ fn paged_cmd(opts: &Opts) {
                     std::process::exit(1);
                 });
             paged_ms[i] = t0.elapsed().as_secs_f64() * 1e3;
+            scanned += out.stats.rows_scanned;
             if out.groups != reference.groups {
                 eprintln!(
                     "paged: {} diverged from in-memory at {threads} thread(s)",
@@ -819,8 +829,10 @@ fn paged_cmd(opts: &Opts) {
         "\npage cache: {hits} hits / {misses} misses ({:.1}% hit rate), {evict} evictions",
         hits as f64 / (hits + misses).max(1) as f64 * 100.0
     );
+    let per_fact_row = d.get(Metric::DecodeRows) as f64 / scanned.max(1) as f64;
     println!(
-        "decode: {} pages, {} rows, {} rows filtered in code space (decode skipped)",
+        "decode: {} pages, {} rows ({per_fact_row:.3} per scanned fact row), \
+         {} rows filtered in code space (decode skipped)",
         d.get(Metric::PagesDecoded),
         d.get(Metric::DecodeRows),
         d.get(Metric::DecodeCodeFiltered)
@@ -830,6 +842,13 @@ fn paged_cmd(opts: &Opts) {
     // have evicted or the bound was never exercised.
     if (cache.capacity() as u64) < disk && evict == 0 {
         eprintln!("paged: cache below compressed dataset size but never evicted — bound not exercised");
+        std::process::exit(1);
+    }
+    if per_fact_row > MAX_DECODE_ROWS_PER_FACT_ROW {
+        eprintln!(
+            "paged: {per_fact_row:.3} decoded rows per scanned fact row exceeds \
+             {MAX_DECODE_ROWS_PER_FACT_ROW} — join and measure columns decoded whole pages"
+        );
         std::process::exit(1);
     }
     std::fs::remove_dir_all(&dir).ok();

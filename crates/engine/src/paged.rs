@@ -10,10 +10,18 @@
 //! a page that cannot be read becomes a typed [`ExecError::Failed`].
 //!
 //! The source pulls each needed column's page through the bounded shared
-//! [`PageCache`], decodes it with the tuned `Decode` kernel family on first
-//! use (a page whose filters drop every row never decodes its join or
-//! measure columns), and evaluates the plan's *first* filter in compressed
-//! space whenever the page's encoding allows it:
+//! [`PageCache`] and decodes it with the tuned `Decode` kernel family.
+//! Decode is late: only the plan's *first* filter reads its column's whole
+//! page; secondary filters, probe keys and measures decode just the rows
+//! the stage loop still holds (`BatchSource::take` / `refine`, decode at
+//! selection positions), so a page where 2% of rows survive the filters
+//! pays for 2% of its join and measure rows, and one where none survive
+//! decodes nothing else. Before a selective decode the source checks the
+//! selection against the page's row count — the kernel's SIMD gathers are
+//! unchecked — and an out-of-page row is a typed [`ExecError::Failed`].
+//!
+//! The first filter runs in compressed space whenever the page's encoding
+//! allows it:
 //!
 //! * **Dictionary pages** — the dictionary is sorted, so a value-range
 //!   predicate maps to a code-range predicate by two binary searches; the
@@ -47,8 +55,8 @@ use hef_storage::ColumnFileError;
 use crate::govern::QueryCtx;
 use crate::parallel::{ExecError, MorselWorker, Scan, Stop};
 use crate::star::{
-    validate_star_plan_with, BatchSource, ColumnSlots, ExecConfig, FilterInput, PipelineWorker,
-    QueryOutput, RangeFilter, StarPlan,
+    run_kernel, validate_star_plan_with, BatchSource, ColumnSlots, ExecConfig, FilterInput,
+    PipelineWorker, QueryOutput, RangeFilter, StarPlan,
 };
 
 // ---------------------------------------------------------------------------
@@ -83,7 +91,7 @@ impl From<std::io::Error> for PagedTableError {
     }
 }
 
-/// A fact table whose columns live in paged `.hefc` v2 files on disk; only
+/// A fact table whose columns live in paged `.hefc` v3 files on disk; only
 /// directories and per-page payloads on demand are ever resident.
 #[derive(Debug)]
 pub struct PagedTable {
@@ -309,11 +317,9 @@ pub fn try_execute_star_paged_ctx(
             pages: fact.cols[0].pages(),
             cols: cols.clone(),
             cache,
-            cfg,
             page: 0,
-            decoded: vec![Vec::new(); cols.len()],
-            fresh: vec![false; cols.len()],
-            codes: Vec::new(),
+            buf: Vec::new(),
+            keep: Vec::new(),
         };
         Box::new(PipelineWorker::new(plan, cfg, &slots, src))
     };
@@ -321,21 +327,21 @@ pub fn try_execute_star_paged_ctx(
     crate::parallel::run_scan(&scan, threads, ctx).map(|(out, _)| out)
 }
 
-/// One page at a time, fetched through the shared cache. Each column is
-/// decoded on first use within the page, and the first filter runs in code
-/// space when the page's encoding allows it (see [`fuse_filter`]).
+/// One page at a time, fetched through the shared cache. The first filter
+/// reads its whole column, in code space when the page's encoding allows
+/// it (see [`fuse_filter`]); every later read decodes only the selected
+/// rows, so join and measure columns cost per surviving row, not per page.
 struct PageSource<'a> {
     /// Page directory shared by every column (`open_dir` checks geometry).
     pages: &'a [PageMeta],
     cols: Vec<&'a PagedColumn>,
     cache: &'a PageCache,
-    cfg: &'a ExecConfig,
     page: usize,
-    /// Per-slot decoded values of the current page, valid where `fresh`.
-    decoded: Vec<Vec<u64>>,
-    fresh: Vec<bool>,
-    /// Raw codes for the code-space first filter.
-    codes: Vec<u64>,
+    /// The column the current stage decoded: first-filter codes or values,
+    /// or a secondary filter's selected values.
+    buf: Vec<u64>,
+    /// Secondary filter: indices into `buf` of the rows that pass.
+    keep: Vec<u64>,
 }
 
 impl PageSource<'_> {
@@ -344,12 +350,25 @@ impl PageSource<'_> {
             .page(self.cols[slot], self.page)
             .map_err(|e| Stop::Failed(format!("paged read failed: {e}")))
     }
+
+    /// [`fetch`](Self::fetch), after checking that every row of `sel` lies
+    /// inside the page. The decode kernel gathers packed words unchecked,
+    /// so this check is what keeps a selective decode in bounds.
+    fn fetch_for(&self, slot: usize, sel: &[u64]) -> Result<Arc<Page>, Stop> {
+        let rows = self.pages[self.page].rows as u64;
+        match sel.iter().max() {
+            Some(&last) if last >= rows => Err(Stop::Failed(format!(
+                "page {}: selected row {last} outside its {rows} rows",
+                self.page
+            ))),
+            _ => self.fetch(slot),
+        }
+    }
 }
 
 impl BatchSource for PageSource<'_> {
     fn begin(&mut self, start: usize, _hi: usize) -> (usize, usize) {
         self.page = start;
-        self.fresh.fill(false);
         (start + 1, self.pages[start].rows as usize)
     }
 
@@ -357,16 +376,18 @@ impl BatchSource for PageSource<'_> {
         hef_obs::span_fine!("page", idx = self.page as i64, rows = rows as i64)
     }
 
-    fn values(&mut self, slot: usize) -> Result<&[u64], Stop> {
-        if !self.fresh[slot] {
-            let page = self.fetch(slot)?;
-            decode_page(&page, self.cfg, false, &mut self.decoded[slot]);
-            self.fresh[slot] = true;
-        }
-        Ok(&self.decoded[slot])
+    fn values(&mut self, slot: usize, cfg: &ExecConfig) -> Result<&[u64], Stop> {
+        let page = self.fetch(slot)?;
+        decode_page(&page, cfg, false, None, &mut self.buf);
+        Ok(&self.buf)
     }
 
-    fn first_filter(&mut self, slot: usize, f: &RangeFilter) -> Result<FilterInput<'_>, Stop> {
+    fn first_filter(
+        &mut self,
+        slot: usize,
+        f: &RangeFilter,
+        cfg: &ExecConfig,
+    ) -> Result<FilterInput<'_>, Stop> {
         let page = self.fetch(slot)?;
         let fused = fuse_filter(&page, f.lo, f.hi);
         if hef_obs::metrics::enabled() && !matches!(fused, FusedFilter::Values) {
@@ -375,19 +396,61 @@ impl BatchSource for PageSource<'_> {
         match fused {
             FusedFilter::Empty => Ok(None),
             FusedFilter::Codes { lo, hi } => {
-                decode_page(&page, self.cfg, true, &mut self.codes);
-                Ok(Some((&self.codes, lo, hi)))
+                decode_page(&page, cfg, true, None, &mut self.buf);
+                Ok(Some((&self.buf, lo, hi)))
             }
-            FusedFilter::Values => Ok(Some((self.values(slot)?, f.lo, f.hi))),
+            FusedFilter::Values => Ok(Some((self.values(slot, cfg)?, f.lo, f.hi))),
         }
+    }
+
+    fn take(
+        &mut self,
+        slot: usize,
+        sel: &[u64],
+        out: &mut Vec<u64>,
+        cfg: &ExecConfig,
+    ) -> Result<(), Stop> {
+        out.clear();
+        if !sel.is_empty() {
+            let page = self.fetch_for(slot, sel)?;
+            decode_page(&page, cfg, false, Some(sel), out);
+        }
+        Ok(())
+    }
+
+    fn refine(
+        &mut self,
+        slot: usize,
+        f: &RangeFilter,
+        sel: &mut Vec<u64>,
+        cfg: &ExecConfig,
+    ) -> Result<(), Stop> {
+        if sel.is_empty() {
+            return Ok(());
+        }
+        let page = self.fetch_for(slot, sel)?;
+        decode_page(&page, cfg, false, Some(sel), &mut self.buf);
+        self.keep.clear();
+        let mut io =
+            KernelIo::Filter { input: &self.buf, lo: f.lo, hi: f.hi, base: 0, sel: &mut self.keep };
+        run_kernel(Family::Filter, cfg.filter, cfg, &mut io);
+        // `keep` is ascending and `keep[k] >= k`: compacting in place only
+        // overwrites rows already read.
+        for (k, &j) in self.keep.iter().enumerate() {
+            sel[k] = sel[j as usize];
+        }
+        sel.truncate(self.keep.len());
+        Ok(())
     }
 }
 
-/// Decode one page through the tuned `Decode` kernel (scalar fallback for
-/// off-grid nodes). With `raw`, the codes come out unreconstructed (no
-/// reference add, no dictionary gather) — the code-space filter path.
-fn decode_page(page: &Page, cfg: &ExecConfig, raw: bool, out: &mut Vec<u64>) {
-    let rows = page.rows();
+/// Decode one page's column through the tuned `Decode` kernel (scalar
+/// fallback for off-grid nodes): every row, or only rows `pos`, which the
+/// caller has bounded by the page's rows. With `raw`, the codes come out
+/// unreconstructed (no reference add, no dictionary gather) — the
+/// code-space filter path. Counts one decoded page and the rows produced.
+fn decode_page(page: &Page, cfg: &ExecConfig, raw: bool, pos: Option<&[u64]>, out: &mut Vec<u64>) {
+    let rows = pos.map_or(page.rows(), <[u64]>::len);
     out.clear();
     out.resize(rows, 0);
     let _dspan = hef_obs::span_fine!("decode", rows = rows as i64, width = page.width() as i64);
@@ -398,15 +461,13 @@ fn decode_page(page: &Page, cfg: &ExecConfig, raw: bool, out: &mut Vec<u64>) {
         reference,
         dict,
         start: 0,
+        pos,
         out,
     };
     if !run_on(Family::Decode, cfg.decode, cfg.backend, &mut io) {
-        if raw {
-            for (e, slot) in out.iter_mut().enumerate() {
-                *slot = page.code_at(e);
-            }
-        } else {
-            page.decode_range(0, out);
+        for (j, slot) in out.iter_mut().enumerate() {
+            let e = pos.map_or(j, |p| p[j] as usize);
+            *slot = if raw { page.code_at(e) } else { page.value_at(e) };
         }
     }
     if hef_obs::metrics::enabled() {
@@ -422,6 +483,13 @@ mod tests {
     use crate::star::{build_dimension, execute_star, Flavor, Measure};
     use hef_storage::page::PagedColumnWriter;
     use hef_storage::{Column, Table};
+
+    /// Decode counters are process-global: tests that decode pages run one
+    /// at a time so a test can assert exact counter deltas.
+    fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static M: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        M.lock().unwrap_or_else(|p| p.into_inner())
+    }
 
     fn write_paged(dir: &Path, name: &str, vals: &[u64], rows_per_page: u32) {
         let mut w = PagedColumnWriter::create(&dir.join(format!("{name}.hefc")), name, rows_per_page)
@@ -483,6 +551,7 @@ mod tests {
 
     #[test]
     fn paged_matches_in_memory_every_flavor_and_thread_count() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("hef-paged-exec-test");
         let (paged, mem, plan) = toy_paged(&dir);
         let cache = PageCache::new(1 << 20);
@@ -512,6 +581,7 @@ mod tests {
 
     #[test]
     fn tiny_cache_still_bit_identical() {
+        let _serial = serial();
         let dir = std::env::temp_dir().join("hef-paged-tinycache-test");
         let (paged, mem, plan) = toy_paged(&dir);
         let expect = execute_star(&plan, &mem, &ExecConfig::scalar().with_threads(1));
@@ -526,6 +596,57 @@ mod tests {
         )
         .unwrap();
         assert_eq!(got.groups, expect.groups);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A secondary filter over a mixed-sign frame-of-reference page, which
+    /// has no code-space form: the selective decode keeps exactly the
+    /// passing rows, counts one decoded page per non-empty selection and
+    /// one decoded row per selected row, and refuses a selection that
+    /// leaves the page.
+    #[test]
+    fn refine_on_mixed_sign_for_page_decodes_only_selected_rows() {
+        use hef_obs::metrics::{self, Metric};
+        let _serial = serial();
+        let dir = std::env::temp_dir().join(format!("hef-paged-refine-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let rows = 1024u64;
+        let vals: Vec<u64> = (0..rows as i64).map(|i| (i - 512) as u64).collect();
+        write_paged(&dir, "m", &vals, rows as u32);
+        let table = PagedTable::open_dir(&dir, "fact").unwrap();
+        let col = table.column("m").unwrap();
+        let f = RangeFilter { col: "m".into(), lo: -100i64 as u64, hi: 300 };
+        let page = col.read_page(0).unwrap();
+        assert_eq!(page.enc(), Enc::For);
+        assert!(matches!(fuse_filter(&page, f.lo, f.hi), FusedFilter::Values));
+
+        let cache = PageCache::new(1 << 20);
+        let cfg = ExecConfig::hybrid_default();
+        let mut src = PageSource {
+            pages: col.pages(),
+            cols: vec![col],
+            cache: &cache,
+            page: 0,
+            buf: Vec::new(),
+            keep: Vec::new(),
+        };
+        assert_eq!(src.begin(0, 1), (1, rows as usize));
+        metrics::enable();
+        let passes = |r: &u64| (-100..=300).contains(&(vals[*r as usize] as i64));
+        for sel in [vec![], vec![600], (0..rows).collect::<Vec<u64>>()] {
+            let before = metrics::snapshot();
+            let mut got = sel.clone();
+            assert!(matches!(src.refine(0, &f, &mut got, &cfg), Ok(())));
+            let d = metrics::snapshot().delta(&before);
+            let expect: Vec<u64> = sel.iter().copied().filter(passes).collect();
+            assert_eq!(got, expect, "{} selected", sel.len());
+            assert_eq!(d.get(Metric::PagesDecoded), u64::from(!sel.is_empty()));
+            assert_eq!(d.get(Metric::DecodeRows), sel.len() as u64);
+        }
+        let mut outside = vec![3, rows];
+        assert!(matches!(src.refine(0, &f, &mut outside, &cfg), Err(Stop::Failed(_))));
+        let mut out = Vec::new();
+        assert!(matches!(src.take(0, &outside, &mut out, &cfg), Err(Stop::Failed(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 

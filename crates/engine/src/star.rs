@@ -663,8 +663,17 @@ impl<'p> ColumnSlots<'p> {
 
 /// Where the stage loop's batches come from: a window of rows over an
 /// in-memory [`Table`] or one page of a paged table. The loop is generic
-/// over the source and asks it for whole batch columns, never single rows.
-/// Scan units are rows or pages; selection vectors are batch-local.
+/// over the source and asks it for whole batch columns or for the rows of
+/// a selection, never for single rows. Scan units are rows or pages;
+/// selection vectors are batch-local and ascending.
+///
+/// Past the first filter the loop only asks for selected rows ([`take`],
+/// [`refine`]). Their defaults gather from [`values`]; a source that must
+/// decode its columns overrides them to decode just those rows.
+///
+/// [`take`]: BatchSource::take
+/// [`refine`]: BatchSource::refine
+/// [`values`]: BatchSource::values
 pub(crate) trait BatchSource {
     /// Move to the batch that starts at unit `start` of a morsel ending
     /// at `hi`; returns the unit after the batch and the batch's row count.
@@ -674,10 +683,41 @@ pub(crate) trait BatchSource {
         SpanGuard::disabled()
     }
     /// Column `slot`'s values over the current batch.
-    fn values(&mut self, slot: usize) -> Result<&[u64], Stop>;
+    fn values(&mut self, slot: usize, cfg: &ExecConfig) -> Result<&[u64], Stop>;
     /// Input and bounds for the first filter `f` over column `slot`.
-    fn first_filter(&mut self, slot: usize, f: &RangeFilter) -> Result<FilterInput<'_>, Stop> {
-        Ok(Some((self.values(slot)?, f.lo, f.hi)))
+    fn first_filter(
+        &mut self,
+        slot: usize,
+        f: &RangeFilter,
+        cfg: &ExecConfig,
+    ) -> Result<FilterInput<'_>, Stop> {
+        Ok(Some((self.values(slot, cfg)?, f.lo, f.hi)))
+    }
+    /// Column `slot`'s values at the batch rows `sel`, into `out` (probe
+    /// keys and measures).
+    fn take(
+        &mut self,
+        slot: usize,
+        sel: &[u64],
+        out: &mut Vec<u64>,
+        cfg: &ExecConfig,
+    ) -> Result<(), Stop> {
+        gather(self.values(slot, cfg)?, sel, out, cfg);
+        Ok(())
+    }
+    /// Keep, in order, the rows of `sel` whose column `slot` value passes
+    /// `f` (secondary fact-table filters).
+    fn refine(
+        &mut self,
+        slot: usize,
+        f: &RangeFilter,
+        sel: &mut Vec<u64>,
+        cfg: &ExecConfig,
+    ) -> Result<(), Stop> {
+        let input = self.values(slot, cfg)?;
+        let mut io = KernelIo::FilterRefine { input, lo: f.lo, hi: f.hi, sel };
+        run_kernel(Family::Filter, cfg.filter, cfg, &mut io);
+        Ok(())
     }
 }
 
@@ -698,7 +738,7 @@ impl BatchSource for TableSource<'_> {
         self.window = start..end;
         (end, end - start)
     }
-    fn values(&mut self, slot: usize) -> Result<&[u64], Stop> {
+    fn values(&mut self, slot: usize, _cfg: &ExecConfig) -> Result<&[u64], Stop> {
         Ok(&self.cols[slot][self.window.clone()])
     }
 }
@@ -764,12 +804,13 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
         // 1. Fact-table filters. The first runs as a kernel over the
         // contiguous batch (in code space when the source can); later ones
         // refine the selection through the same tuned Filter grid (Q1.x is
-        // the filter-heavy family).
+        // the filter-heavy family), reading only the selected rows.
         self.sel.clear();
         match plan.filters.split_first() {
             None => self.sel.extend(0..rows as u64),
             Some((f0, rest)) => {
-                if let Some((input, lo, hi)) = self.src.first_filter(self.slots.filters[0], f0)? {
+                let first = self.src.first_filter(self.slots.filters[0], f0, cfg)?;
+                if let Some((input, lo, hi)) = first {
                     let mut io = KernelIo::Filter { input, lo, hi, base: 0, sel: &mut self.sel };
                     run_kernel(Family::Filter, cfg.filter, cfg, &mut io);
                 }
@@ -777,10 +818,7 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
                     if self.sel.is_empty() {
                         break;
                     }
-                    let input = self.src.values(slot)?;
-                    let mut io =
-                        KernelIo::FilterRefine { input, lo: f.lo, hi: f.hi, sel: &mut self.sel };
-                    run_kernel(Family::Filter, cfg.filter, cfg, &mut io);
+                    self.src.refine(slot, f, &mut self.sel, cfg)?;
                 }
             }
         }
@@ -793,16 +831,16 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
         }
 
         // 2. Dimension probes, most selective first; selection vector
-        // shrinks after each (VIP pipeline, no full materialization). A
-        // source decodes a column on first use, so a batch the filters
-        // emptied never decodes its join or measure columns.
+        // shrinks after each (VIP pipeline, no full materialization). Join
+        // and measure columns are read only at the surviving rows, so a
+        // batch the filters emptied never reads them at all.
         let mut pays: Vec<Vec<u64>> = Vec::with_capacity(ndims);
         for (di, dim) in plan.dims.iter().enumerate() {
             if self.sel.is_empty() {
                 pays.push(Vec::new());
                 continue;
             }
-            take(self.src.values(self.slots.fks[di])?, &self.sel, &mut self.keys, cfg);
+            self.src.take(self.slots.fks[di], &self.sel, &mut self.keys, cfg)?;
             if cfg.use_bloom {
                 // Semi-join pre-filter: drop definite misses before the
                 // (more expensive) table probe.
@@ -912,10 +950,10 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
             }
         }
         let m = &self.slots.measure;
-        take(self.src.values(m[0])?, &self.sel, &mut self.vals, cfg);
+        self.src.take(m[0], &self.sel, &mut self.vals, cfg)?;
         if let Some(&b) = m.get(1) {
             // `keys` is free again: reuse it for the second measure column.
-            take(self.src.values(b)?, &self.sel, &mut self.keys, cfg);
+            self.src.take(b, &self.sel, &mut self.keys, cfg)?;
             let pairs = self.vals.iter_mut().zip(&self.keys);
             match plan.measure {
                 Measure::SumProduct(..) => pairs.for_each(|(v, &s)| *v = v.wrapping_mul(s)),
@@ -959,14 +997,19 @@ impl<S: BatchSource> MorselWorker for PipelineWorker<'_, S> {
 }
 
 /// Dispatch one kernel; every node the shipped configs name is compiled.
-fn run_kernel(family: Family, node: HybridConfig, cfg: &ExecConfig, io: &mut KernelIo<'_>) {
+pub(crate) fn run_kernel(
+    family: Family,
+    node: HybridConfig,
+    cfg: &ExecConfig,
+    io: &mut KernelIo<'_>,
+) {
     assert!(run_on(family, node, cfg.backend, io), "{family:?} node {node} not compiled");
 }
 
 /// Selective projection through the tuned gather kernel (falls back to the
 /// scalar helper for off-grid nodes, which cannot happen for the shipped
 /// flavor configs).
-fn take(col: &[u64], sel: &[u64], out: &mut Vec<u64>, cfg: &ExecConfig) {
+fn gather(col: &[u64], sel: &[u64], out: &mut Vec<u64>, cfg: &ExecConfig) {
     if hef_obs::metrics::enabled() {
         hef_obs::metrics::add(hef_obs::metrics::Metric::GatherRows, sel.len() as u64);
     }

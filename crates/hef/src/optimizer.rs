@@ -560,6 +560,7 @@ impl MeasuredCost {
                     reference: 0,
                     dict: Some(dict),
                     start: 0,
+                    pos: None,
                     out: &mut self.output,
                 }
             }

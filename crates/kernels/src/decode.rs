@@ -9,10 +9,16 @@
 //! classic shift-and-mask loop. Like every family, the body is expanded
 //! pack-major over `(v, s, p)` so the optimizer can mix both.
 //!
+//! The same body decodes either a contiguous run of rows or only the rows a
+//! selection vector names (`pos`): with positions, the SIMD statements load
+//! eight row ids instead of adding an iota, and the scalar statements read
+//! one — so a paged scan past its first filter unpacks only surviving rows.
+//!
 //! Safety contract shared by all entry points: `words` must hold at least
-//! [`words_needed`]`(start + out.len(), width)` words — one *past* the last
-//! touched word, because the SIMD statements unconditionally gather the
-//! straddle word `wi + 1` even when the code ends on a word boundary. A
+//! [`words_needed`]`(last + 1, width)` words, where `last` is the largest
+//! element decoded — one *past* the last touched word, because the SIMD
+//! statements unconditionally gather the straddle word `wi + 1` even when
+//! the code ends on a word boundary. A
 //! dictionary, when present, must have at least `1 << width` entries
 //! (padded by the page reader), so that any `width`-bit code — including
 //! garbage from a corrupted page — gathers in bounds.
@@ -71,13 +77,15 @@ pub fn pack(values: &[u64], width: u32) -> Vec<u64> {
     words
 }
 
-/// The hybrid decode body: `out[j] = dict[code(start + j)]` or
-/// `code(start + j) + reference`, for `j in 0..out.len()`.
+/// The hybrid decode body: `out[j] = dict[code(e)]` or `code(e) +
+/// reference`, for `j in 0..out.len()`, where element `e` is `start + j`,
+/// or `start + pos[j]` when positions are given.
 ///
 /// # Safety
-/// Backend ISA must be available; `words` holds at least
-/// [`words_needed`]`(start + out.len(), width)` words; `dict`, when
-/// present, holds at least `1 << width` entries; `width` is in `1..=64`.
+/// Backend ISA must be available; `pos`, when present, holds at least
+/// `out.len()` entries; `words` holds at least [`words_needed`]`(e + 1,
+/// width)` words for every decoded element `e`; `dict`, when present,
+/// holds at least `1 << width` entries; `width` is in `1..=64`.
 #[inline(always)]
 pub unsafe fn body<B: Simd64, const V: usize, const S: usize, const P: usize>(
     words: &[u64],
@@ -85,6 +93,7 @@ pub unsafe fn body<B: Simd64, const V: usize, const S: usize, const P: usize>(
     reference: u64,
     dict: Option<&[u64]>,
     start: usize,
+    pos: Option<&[u64]>,
     out: &mut [u64],
 ) {
     const L: usize = hef_hid::LANES;
@@ -101,6 +110,7 @@ pub unsafe fn body<B: Simd64, const V: usize, const S: usize, const P: usize>(
     let c64 = B::splat(64);
     let one = B::splat(1);
     let ref_v = B::splat(reference);
+    let start_v = B::splat(start as u64);
     let iota = B::from_array([0, 1, 2, 3, 4, 5, 6, 7]);
 
     let mut i = 0usize;
@@ -109,7 +119,10 @@ pub unsafe fn body<B: Simd64, const V: usize, const S: usize, const P: usize>(
             let pbase = i + pi * (V * L + S);
             for vi in 0..V {
                 let off = pbase + vi * L;
-                let idx = B::add(iota, B::splat((start + off) as u64));
+                let idx = match pos {
+                    Some(ps) => B::add(B::loadu(ps.as_ptr().add(off)), start_v),
+                    None => B::add(iota, B::splat((start + off) as u64)),
+                };
                 let bit = B::mullo(idx, w_v);
                 let wi = B::srli::<6>(bit);
                 let sh = B::and(bit, c63);
@@ -127,7 +140,7 @@ pub unsafe fn body<B: Simd64, const V: usize, const S: usize, const P: usize>(
             }
             for si in 0..S {
                 let off = pbase + V * L + si;
-                let e = start + off;
+                let e = start + pos.map_or(off, |ps| *ps.get_unchecked(off) as usize);
                 let bit = e * width as usize;
                 let wi = bit >> 6;
                 let sh = (bit & 63) as u32;
@@ -143,7 +156,7 @@ pub unsafe fn body<B: Simd64, const V: usize, const S: usize, const P: usize>(
         i += step;
     }
     for j in main..n {
-        let code = unpack_at(words, width, start + j);
+        let code = unpack_at(words, width, start + pos.map_or(j, |ps| ps[j] as usize));
         out[j] = match dict {
             Some(d) => d[code as usize],
             None => code.wrapping_add(reference),
@@ -161,8 +174,11 @@ pub unsafe fn run<B: Simd64, const V: usize, const S: usize, const P: usize>(
     io: &mut KernelIo<'_>,
 ) {
     match io {
-        KernelIo::Decode { words, width, reference, dict, start, out } => {
-            body::<B, V, S, P>(words, *width, *reference, *dict, *start, out)
+        KernelIo::Decode { words, width, reference, dict, start, pos, out } => {
+            if let Some(ps) = pos {
+                assert_eq!(ps.len(), out.len(), "decode positions and output differ in length");
+            }
+            body::<B, V, S, P>(words, *width, *reference, *dict, *start, *pos, out)
         }
         _ => panic!("decode kernel requires KernelIo::Decode"),
     }
@@ -197,12 +213,13 @@ mod tests {
             let expect: Vec<u64> = vals.iter().map(|v| v.wrapping_add(77)).collect();
             for (v, s, p) in [(0, 1, 1), (1, 0, 1), (1, 2, 2), (2, 1, 3)] {
                 let mut out = vec![0u64; vals.len()];
+                let o = &mut out;
                 unsafe {
                     match (v, s, p) {
-                        (0, 1, 1) => body::<Emu, 0, 1, 1>(&words, width, 77, None, 0, &mut out),
-                        (1, 0, 1) => body::<Emu, 1, 0, 1>(&words, width, 77, None, 0, &mut out),
-                        (1, 2, 2) => body::<Emu, 1, 2, 2>(&words, width, 77, None, 0, &mut out),
-                        (2, 1, 3) => body::<Emu, 2, 1, 3>(&words, width, 77, None, 0, &mut out),
+                        (0, 1, 1) => body::<Emu, 0, 1, 1>(&words, width, 77, None, 0, None, o),
+                        (1, 0, 1) => body::<Emu, 1, 0, 1>(&words, width, 77, None, 0, None, o),
+                        (1, 2, 2) => body::<Emu, 1, 2, 2>(&words, width, 77, None, 0, None, o),
+                        (2, 1, 3) => body::<Emu, 2, 1, 3>(&words, width, 77, None, 0, None, o),
                         _ => unreachable!(),
                     }
                 }
@@ -219,7 +236,7 @@ mod tests {
         let words = pack(&vals, width);
         let expect: Vec<u64> = vals.iter().map(|&c| dict[c as usize]).collect();
         let mut out = vec![0u64; vals.len()];
-        unsafe { body::<Emu, 2, 1, 2>(&words, width, 0, Some(&dict), 0, &mut out) };
+        unsafe { body::<Emu, 2, 1, 2>(&words, width, 0, Some(&dict), 0, None, &mut out) };
         assert_eq!(out, expect);
     }
 
@@ -229,8 +246,21 @@ mod tests {
         let vals = codes(700, width);
         let words = pack(&vals, width);
         let mut out = vec![0u64; 123];
-        unsafe { body::<Emu, 1, 1, 2>(&words, width, 0, None, 400, &mut out) };
+        unsafe { body::<Emu, 1, 1, 2>(&words, width, 0, None, 400, None, &mut out) };
         assert_eq!(out, vals[400..523].to_vec());
+    }
+
+    #[test]
+    fn positions_decode_selected_rows_past_start() {
+        let width = 11u32;
+        let vals = codes(700, width);
+        let words = pack(&vals, width);
+        // 43 positions: two full (1,1,2) steps of 18, then a scalar tail.
+        let pos: Vec<u64> = (0..300).step_by(7).collect();
+        let mut out = vec![0u64; pos.len()];
+        unsafe { body::<Emu, 1, 1, 2>(&words, width, 0, None, 400, Some(&pos), &mut out) };
+        let expect: Vec<u64> = pos.iter().map(|&p| vals[400 + p as usize]).collect();
+        assert_eq!(out, expect);
     }
 
     #[test]

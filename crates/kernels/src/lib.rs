@@ -222,16 +222,20 @@ pub enum KernelIo<'a> {
         prefetch: usize,
     },
     /// Compressed decode: `out[j] = dict[code]` or `code + reference` for
-    /// the `width`-bit codes at element positions `start..start+out.len()`
-    /// of the packed stream. `words` must include the one-word straddle pad
-    /// ([`decode::words_needed`]); `dict`, when present, must hold at least
-    /// `1 << width` entries so any code gathers in bounds.
+    /// the `width`-bit code at element `start + j` of the packed stream, or
+    /// at element `start + pos[j]` when `pos` is given (decode of a
+    /// selection; `pos.len()` must equal `out.len()`). `words` must include
+    /// the one-word straddle pad past the last decoded element
+    /// ([`decode::words_needed`]) — the SIMD statements gather unchecked, so
+    /// callers must bound `pos` first; `dict`, when present, must hold at
+    /// least `1 << width` entries so any code gathers in bounds.
     Decode {
         words: &'a [u64],
         width: u32,
         reference: u64,
         dict: Option<&'a [u64]>,
         start: usize,
+        pos: Option<&'a [u64]>,
         out: &'a mut [u64],
     },
 }

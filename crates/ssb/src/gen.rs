@@ -229,7 +229,7 @@ pub fn generate(sf: f64, seed: u64) -> SsbData {
 /// in-memory; the fact table is addressed by directory.
 #[derive(Debug)]
 pub struct PagedSsbData {
-    /// Directory holding one `.hefc` v2 file per lineorder column.
+    /// Directory holding one `.hefc` v3 file per lineorder column.
     pub dir: std::path::PathBuf,
     pub lineorder_rows: u64,
     pub customer: Table,

@@ -377,4 +377,48 @@ mod tests {
         assert_eq!(out, vals);
         std::fs::remove_file(&path).ok();
     }
+
+    /// A file rewritten at the same path while the cache lives must never
+    /// be served its predecessor's pages — also when the rewrite keeps the
+    /// page geometry (same row count, widths and page lengths) and only
+    /// the values change, and when it salvages through a damaged footer.
+    #[test]
+    fn rewritten_file_never_hits_stale_pages() {
+        let dir = std::env::temp_dir().join(format!("hef-cache-rewrite-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("c.hefc");
+        let cache = PageCache::new(1 << 20);
+        let read_all = |col: &PagedColumn| {
+            let mut out = Vec::new();
+            for i in 0..col.page_count() {
+                cache.page(col, i).unwrap().decode_append(&mut out);
+            }
+            out
+        };
+        let first: Vec<u64> = (0..5000u64).map(|i| 1000 + i % 700).collect();
+        save_paged_column(&Column::new("c", first.clone()), &path, 1024).unwrap();
+        let col = PagedColumn::open(&path).unwrap();
+        assert_eq!(read_all(&col), first);
+
+        // Same geometry: every value shifts by one, so widths and page
+        // lengths are unchanged and only page contents differ.
+        let second: Vec<u64> = first.iter().map(|v| v + 1).collect();
+        save_paged_column(&Column::new("c", second.clone()), &path, 1024).unwrap();
+        let reopened = PagedColumn::open(&path).unwrap();
+        assert_eq!(reopened.pages().len(), col.pages().len());
+        assert_ne!(reopened.column_id(), col.column_id());
+        assert_eq!(read_all(&reopened), second);
+
+        // A different geometry, opened through the salvage walk.
+        let third: Vec<u64> = (0..3000u64).map(|i| i * 7).collect();
+        save_paged_column(&Column::new("c", third.clone()), &path, 1024).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        let n = bytes.len();
+        bytes[n - 10] ^= 0xff;
+        std::fs::write(&path, &bytes).unwrap();
+        let salvaged = PagedColumn::open(&path).unwrap();
+        assert!(!salvaged.issues().is_empty());
+        assert_eq!(read_all(&salvaged), third);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }

@@ -78,13 +78,13 @@ pub enum ColumnFileIssue {
     ChecksumMismatch,
     /// The trailing checksum itself is missing (file cut at the very end).
     ChecksumMissing,
-    /// v2: the footer page directory was missing or damaged; the directory
+    /// Paged: the footer page directory was missing or damaged; the directory
     /// was rebuilt by walking the self-delimiting page stream.
     FooterDamaged,
-    /// v2: one page's checksum disagreed; its rows are kept (torn write
+    /// Paged: one page's checksum disagreed; its rows are kept (torn write
     /// confined to that page).
     PageChecksumMismatch { page: u32 },
-    /// v2: the page stream ended early; complete pages were salvaged.
+    /// Paged: the page stream ended early; complete pages were salvaged.
     /// `expected_rows` is known only when a checksum-valid footer survived.
     PagesTruncated { salvaged_pages: u32, salvaged_rows: u64, expected_rows: Option<u64> },
 }
@@ -156,8 +156,9 @@ pub struct LoadedColumn {
     pub partial: Option<PartialLoad>,
 }
 
-/// FNV-1a over `bytes`: the checksum of both on-disk column formats
-/// (`.hefc` v1 data sections and v2 pages, footers and column ids).
+/// FNV-1a over `bytes`: the checksum of `.hefc` v1 data sections and of
+/// paged footers and column ids (paged pages use
+/// [`page_checksum`](crate::page::page_checksum)).
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -278,7 +279,7 @@ pub fn decode_column(bytes: &[u8]) -> Result<(Column, Vec<ColumnFileIssue>), Col
 /// Load a column file through the fault layer, reporting survivable damage
 /// via `hef_obs::diag` and the metrics registry.
 ///
-/// Handles both formats: v1 monolithic files decode directly; v2 paged
+/// Handles both formats: v1 monolithic files decode directly; v3 paged
 /// files are routed through [`crate::page::PagedColumn`] and fully decoded.
 pub fn load_column(path: &Path) -> Result<(Column, Vec<ColumnFileIssue>), ColumnFileError> {
     load_column_report(path).map(|l| (l.column, l.issues))
@@ -287,11 +288,12 @@ pub fn load_column(path: &Path) -> Result<(Column, Vec<ColumnFileIssue>), Column
 /// [`load_column`] with the typed partial-load marker attached.
 pub fn load_column_report(path: &Path) -> Result<LoadedColumn, ColumnFileError> {
     let (bytes, fault_fired) = hef_testutil::fault::read_file(path)?;
-    // Peek the version: v2 files go through the paged reader (which does
-    // its own metrics/diag reporting at open).
+    // Peek the version: paged files go through the paged reader (which does
+    // its own metrics/diag reporting at open). Any other version, retired
+    // paged v2 included, is a typed `UnsupportedVersion` from the v1 decoder.
     if bytes.len() >= 8 && &bytes[0..4] == MAGIC {
         let version = u32::from_le_bytes(bytes[4..8].try_into().unwrap());
-        if version == 2 {
+        if version == crate::page::VERSION {
             let paged = crate::page::PagedColumn::open(path)?;
             let issues = paged.issues().to_vec();
             let column = paged.to_column()?;

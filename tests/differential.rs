@@ -226,3 +226,59 @@ fn full_grid_murmur_differential() {
         }
     }
 }
+
+/// Decode of a selection (`pos`) against the scalar `unpack_at` reference:
+/// frame-of-reference and dictionary streams, every backend, a spread of
+/// nodes, widths straddling word boundaries, and selections that are
+/// empty, one row, the last row, every row, or a random sparse subset.
+#[test]
+fn decode_at_positions_agrees_with_unpack_at() {
+    use hef::kernels::decode::{code_mask, pack, unpack_at};
+    const REFERENCE: u64 = 0xffff_ffff_0000_0007;
+    let n = 1000usize;
+    let mut rng = Rng::seed_from_u64(0xDEC0);
+    let sparse: Vec<u64> = (0..n as u64).filter(|_| rng.gen_below(9) == 0).collect();
+    let selections: [(&str, Vec<u64>); 5] = [
+        ("empty", vec![]),
+        ("single", vec![417]),
+        ("last", vec![n as u64 - 1]),
+        ("dense", (0..n as u64).collect()),
+        ("sparse", sparse),
+    ];
+    for width in [1u32, 5, 12, 13, 21, 33, 64] {
+        let codes: Vec<u64> =
+            random_input(n, width as u64).iter().map(|&c| c & code_mask(width)).collect();
+        let words = pack(&codes, width);
+        // Dictionary streams carry a gather table of `1 << width` entries.
+        let table = random_input(1 << width.min(13), 99);
+        let dicts: &[Option<&[u64]>] = if width <= 13 { &[None, Some(&table)] } else { &[None] };
+        for &dict in dicts {
+            for (name, sel) in &selections {
+                let expect: Vec<u64> = sel
+                    .iter()
+                    .map(|&e| {
+                        let code = unpack_at(&words, width, e as usize);
+                        dict.map_or(code.wrapping_add(REFERENCE), |d| d[code as usize])
+                    })
+                    .collect();
+                for backend in backends() {
+                    for cfg in sample_nodes() {
+                        let mut out = vec![0u64; sel.len()];
+                        let mut io = KernelIo::Decode {
+                            words: &words,
+                            width,
+                            reference: REFERENCE,
+                            dict,
+                            start: 0,
+                            pos: Some(sel),
+                            out: &mut out,
+                        };
+                        assert!(run_on(Family::Decode, cfg, backend, &mut io));
+                        let enc = if dict.is_some() { "dict" } else { "for" };
+                        assert_eq!(out, expect, "w={width} {enc} {name} {cfg} {backend:?}");
+                    }
+                }
+            }
+        }
+    }
+}
