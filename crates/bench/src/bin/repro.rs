@@ -15,13 +15,14 @@
 //!   ablation-dynamic         per-query best flavor (paper §VII)
 //!   ablation-bloom           Bloom semi-join pre-filtering vs plain probes
 //!   tune                     run the measured HEF tuner on this machine
-//!   tune-pipeline            joint (v,s,p,f) whole-pipeline tuning on the
-//!                            modeled Xeons; writes registry v3 pipeline
-//!                            rows to results/tuned.txt and a measured
-//!                            per-op-vs-joint snapshot (--query qNN for one
-//!                            query, --model silver-4110|gold-6240r;
-//!                            --paged adds the page-decode stage and
-//!                            measures over the out-of-core scan)
+//!   tune-pipeline            per-query pipeline rows picked by a measured
+//!                            playoff (default sf 1, in memory with a paged
+//!                            check) among the baseline, the per-op rows and
+//!                            the modeled Xeons' joint winners; writes the
+//!                            rows to --out (default results/tuned.txt) and
+//!                            a baseline-vs-shipped snapshot (--query qNN
+//!                            for one query, --model silver-4110|gold-6240r
+//!                            for one model's proposal)
 //!   paged                    out-of-core sweep: lineorder as paged
 //!                            compressed columns behind the bounded page
 //!                            cache (HEF_PAGE_CACHE, default 25% of raw),
@@ -81,6 +82,7 @@ struct Opts {
     deadline_ms: Option<u64>,
     mem_budget: Option<String>,
     paged: bool,
+    out: Option<String>,
 }
 
 fn parse_opts(args: &[String]) -> Opts {
@@ -94,6 +96,7 @@ fn parse_opts(args: &[String]) -> Opts {
         deadline_ms: None,
         mem_budget: None,
         paged: false,
+        out: None,
     };
     let mut i = 0;
     while i < args.len() {
@@ -133,6 +136,10 @@ fn parse_opts(args: &[String]) -> Opts {
             "--paged" => {
                 o.paged = true;
                 i += 1;
+            }
+            "--out" => {
+                o.out = Some(args[i + 1].clone());
+                i += 2;
             }
             other => panic!("unknown option {other}"),
         }
@@ -498,6 +505,13 @@ fn tune(opts: &Opts) {
     reg.insert_tuned_probe(&tp);
     std::fs::create_dir_all("results").ok();
     let path = std::path::Path::new("results/tuned.txt");
+    // Keep the pipeline rows `tune-pipeline` picked: each names every slot
+    // its plan runs, so new per-op rows underneath do not change them.
+    if path.is_file() {
+        for (fp, entry) in Registry::load_degraded(path).0.pipelines() {
+            reg.insert_pipeline(fp, entry.clone());
+        }
+    }
     match reg.save(path) {
         Ok(()) => println!(
             "\nsaved {} tuned nodes to {}; set HEF_REGISTRY={} so engines and \
@@ -532,24 +546,59 @@ fn model_by_name(name: &str) -> CpuModel {
     }
 }
 
-/// Whole-pipeline joint `(v, s, p, f)` tuning (the co-residency model in
-/// `hef_core::pipeline`): per query, lower the star plan into a
-/// [`hef_core::PipelineSpec`] via one cheap stats run, tune each kernel
-/// family per-op on the simulator as the baseline composition, then run the
-/// joint search seeded from it. Results are persisted as registry v3
-/// pipeline rows in `results/tuned.txt` (keyed by plan fingerprint, for the
-/// first `--model`, default silver-4110), and the per-op vs joint configs
-/// are wall-clock measured into `results/bench_pipeline.json` with a trend
-/// diff against the previous archive.
-fn tune_pipeline(opts: &Opts) {
-    use hef_bench::pipeline::{
-        joint_exec_config, per_op_exec_config, pipeline_spec, pipeline_spec_paged,
-    };
-    use hef_bench::BenchSnapshot;
-    use hef_engine::{execute_star, ExecConfig};
-    use hef_testutil::bench::Group;
+/// Candidates one query's playoff may measure, baseline included. Bounds
+/// the neighbour step so `tune-pipeline --sf 1` stays under 5 minutes on a
+/// 2-vCPU host.
+const PLAYOFF_CANDIDATES: usize = 16;
 
-    let (sf, note) = scale_for("small", opts);
+/// Prefetch depths the playoff sweeps on the best candidate so far.
+const PLAYOFF_DEPTHS: [usize; 4] = [0, 8, 16, 64];
+
+/// Rows per page and page-cache bytes of the paged copy the playoff
+/// measures on: the geometry the SSB benchmark's paged workload runs.
+const PLAYOFF_PAGE_ROWS: u32 = (256 << 10) / 8;
+const PLAYOFF_CACHE_BYTES: usize = 48 << 20;
+
+/// One model's joint winner on one query: its joint/baseline cost ratio as
+/// the model prices it and as the clock measures it.
+struct Gap {
+    /// SSB query family digit (`'1'` for Q1.x).
+    family: char,
+    model: String,
+    sim: f64,
+    meas: f64,
+}
+
+/// One measured pipeline candidate: where it came from and the row it runs.
+struct Candidate {
+    source: String,
+    row: hef_core::PipelineEntry,
+}
+
+/// Whole-pipeline tuning decided on this host's clock (paper Alg. 2 is
+/// test-based; the simulator only proposes). Per query, candidates are the
+/// baseline — the paper's n113 node everywhere with `f = 0` — the per-op
+/// composition of the registry's rows, and the simulated joint winner on
+/// each modeled Xeon, reduced to the shape that executes (one probe node
+/// for every join). A drift-cancelling playoff ([`hef_bench::playoff`])
+/// times them on SF 1 data at the host's thread count, in memory with a
+/// paged check; then the prefetch depths [`PLAYOFF_DEPTHS`] on the best so
+/// far; then one Alg. 2 neighbour step around it. The winner — the
+/// baseline itself when nothing wins beyond noise — is written for every
+/// query as a registry v3 row to `--out` (default `results/tuned.txt`),
+/// layered on that registry's per-op rows, and a final baseline-vs-shipped
+/// playoff per query is archived as `results/bench_pipeline.json`.
+fn tune_pipeline(opts: &Opts) {
+    use hef_bench::pipeline::{per_op_exec_config, pipeline_row, pipeline_spec};
+    use hef_bench::playoff::{playoff, run_rounds, MIN_ROUNDS};
+    use hef_bench::BenchSnapshot;
+    use hef_core::{PipelineNode, PipelineSpec};
+    use hef_engine::{apply_pipeline_entry, first_per_slot, ExecConfig, StarPlan};
+
+    let sf = opts.sf.unwrap_or(1.0);
+    let rounds = opts.repeats.max(MIN_ROUNDS);
+    let threads = hef_engine::resolve_threads(0);
+    let out_path = std::path::PathBuf::from(opts.out.as_deref().unwrap_or("results/tuned.txt"));
     let queries: Vec<QueryId> = match &opts.query {
         Some(s) => {
             vec![parse_query(s).unwrap_or_else(|| panic!("--query {s}: not an SSB query"))]
@@ -561,172 +610,336 @@ fn tune_pipeline(opts: &Opts) {
         None => vec![CpuModel::silver_4110(), CpuModel::gold_6240r()],
     };
     println!(
-        "\n=== whole-pipeline joint (v,s,p,f) tuning ({note}; {} queries × {} models{}) ===\n",
-        queries.len(),
-        models.len(),
-        if opts.paged { "; paged scan with decode stage" } else { "" }
+        "\n=== whole-pipeline tuning: simulated proposals, measured playoff \
+         (sf {sf}, {} queries, {threads} threads, {rounds} rounds) ===\n",
+        queries.len()
     );
     let data = gen_data(sf);
 
-    // Per-op simulated baselines, one registry per model: each family the
-    // SSB pipelines use, tuned in isolation — the composition the paper's
-    // per-op tuner would deploy, and the joint search's seed. A paged scan
-    // adds the page-decode family to the chain.
-    let mut spec_families =
-        vec![Family::Filter, Family::Probe, Family::Gather, Family::AggSum, Family::AggDot];
-    if opts.paged {
-        spec_families.push(Family::Decode);
-    }
+    // The per-op rows (`repro tune`) under the pipeline rows: the per-op
+    // candidate, and the config every row is applied onto, exactly as the
+    // engine and the benchmark apply it.
+    let committed = std::path::Path::new("results/tuned.txt");
+    let mut reg = if committed.is_file() {
+        Registry::load_degraded(committed).0
+    } else {
+        Registry::with_host_provenance("this machine (repro tune-pipeline)")
+    };
+    let per_op = per_op_exec_config(&reg).with_threads(threads);
+    let baseline = ExecConfig::hybrid_default().with_threads(threads);
+
+    let dir = std::env::temp_dir()
+        .join(format!("hef-repro-tunepipe-sf{sf}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    hef_ssb::generate_paged(sf, 0x55B, &dir, PLAYOFF_PAGE_ROWS).expect("paged generation failed");
+    let paged = hef_engine::PagedTable::open_dir(&dir, "lineorder").expect("paged open failed");
+    let cache = hef_storage::PageCache::new(PLAYOFF_CACHE_BYTES);
+    let time_mem = |plan: &StarPlan, cfg: &ExecConfig| {
+        let t = std::time::Instant::now();
+        hef_engine::try_execute_star(plan, &data.lineorder, cfg)
+            .expect("in-memory execution failed");
+        t.elapsed().as_secs_f64() * 1e3
+    };
+    let time_paged = |plan: &StarPlan, cfg: &ExecConfig| {
+        let t = std::time::Instant::now();
+        let ctx = hef_engine::QueryCtx::unbounded();
+        hef_engine::try_execute_star_paged_ctx(plan, &paged, cfg, &cache, &ctx)
+            .expect("paged execution failed");
+        t.elapsed().as_secs_f64() * 1e3
+    };
+
+    // Per-op simulated registries, one per model: the joint search's seed.
     let seed_regs: Vec<Registry> = models
         .iter()
         .map(|model| {
-            let mut reg = Registry::default();
-            for &family in &spec_families {
-                reg.insert_tuned(&tune_simulated(family, model));
+            let mut r = Registry::default();
+            let families =
+                [Family::Filter, Family::Probe, Family::Gather, Family::AggSum, Family::AggDot];
+            for family in families {
+                r.insert_tuned(&tune_simulated(family, model));
             }
-            reg
+            r
         })
         .collect();
 
-    let mut t = TableWriter::new(vec![
-        "query", "model", "per-op ns/row", "joint ns/row", "gain %", "tested", "joint plan",
+    let mut sim_table = TableWriter::new(vec![
+        "query", "model", "per-op ns/row", "joint ns/row", "gain %", "joint plan",
     ]);
-    let mut strict = 0usize;
-    let mut dominated = 0usize;
-    let mut cases = 0usize;
-    // (query, plan, per-model entries) for persistence + measurement.
-    let mut tuned: Vec<(QueryId, hef_engine::StarPlan, hef_core::PipelineEntry)> = Vec::new();
+    let mut table = TableWriter::new(vec![
+        "query", "candidates", "winner", "baseline ms", "shipped ms", "shipped/base",
+        "paged base ms", "paged shipped ms", "shipped row",
+    ]);
+    // Per query and model: how far the model's gain is from the clock's.
+    let mut gaps: Vec<Gap> = Vec::new();
+    let mut snap =
+        BenchSnapshot::new(if opts.query.is_some() { "pipeline_smoke" } else { "pipeline" });
+    snap.config("sf", sf)
+        .config("seed", "0x55B")
+        .config("rounds", rounds)
+        .config("lineorder_rows", data.lineorder.len())
+        .config("baseline", "n113 f0")
+        .config("page_rows", PLAYOFF_PAGE_ROWS)
+        .config("page_cache_bytes", PLAYOFF_CACHE_BYTES);
+    let rows = data.lineorder.len() as u64;
+    let mut t_all = std::time::Instant::now();
+    let start = t_all;
 
     for &q in &queries {
         let plan = build_plan(&data, q);
-        // One stats run (scalar, single-threaded) yields the reach fractions
-        // and probe working sets the co-residency model weighs.
-        let out = execute_star(&plan, &data.lineorder, &ExecConfig::scalar().with_threads(1));
-        let spec = if opts.paged {
-            pipeline_spec_paged(&plan, &out.stats)
-        } else {
-            pipeline_spec(&plan, &out.stats)
-        };
+        let stats_cfg = ExecConfig::scalar().with_threads(1);
+        let out = hef_engine::execute_star(&plan, &data.lineorder, &stats_cfg);
+        let spec = pipeline_spec(&plan, &out.stats);
         let max_ws = spec.stages.iter().map(|s| s.working_set).max().unwrap_or(0);
+        let row_of = |cfg: &ExecConfig| pipeline_row(&plan, cfg);
+        let config_of = |row: &hef_core::PipelineEntry| apply_pipeline_entry(per_op, row);
+        // A one-node-per-slot row as a node of the spec's stage chain, so
+        // the simulator can price it.
+        let spec_node = |row: &hef_core::PipelineEntry, spec: &PipelineSpec| PipelineNode {
+            cfgs: spec
+                .stages
+                .iter()
+                .map(|s| row.stage(s.family).unwrap_or(HybridConfig::new(1, 1, 3)))
+                .collect(),
+            f: row.f,
+        };
 
-        for (model, seed) in models.iter().zip(&seed_regs) {
-            // The per-op baseline also gets its prefetch depth tuned in
-            // isolation, against this query's largest probe table.
-            let mut reg = seed.clone();
-            if max_ws > 0 {
-                reg.insert_tuned_probe(&hef_core::tune_probe_simulated(model, max_ws));
-            }
-            let per_op = hef_core::compose_per_op(model, &spec, &reg);
-            let per_op_cost = hef_core::pipeline_cost(model, &spec, &per_op);
-            let joint = hef_core::tune_pipeline_simulated(model, &spec, &reg);
+        let mut cands = vec![
+            Candidate { source: "baseline".into(), row: row_of(&baseline) },
+            Candidate { source: "per-op".into(), row: row_of(&per_op) },
+        ];
+        // The simulated searches, one thread per model: pure model
+        // arithmetic, and nothing is timed while they run.
+        let searches: Vec<(f64, hef_core::TunedPipeline)> = std::thread::scope(|s| {
+            let spec = &spec;
+            let handles: Vec<_> = models
+                .iter()
+                .zip(&seed_regs)
+                .map(|(model, seed)| {
+                    s.spawn(move || {
+                        let mut r = seed.clone();
+                        if max_ws > 0 {
+                            r.insert_tuned_probe(&hef_core::tune_probe_simulated(model, max_ws));
+                        }
+                        let per_op_node = hef_core::compose_per_op(model, spec, &r);
+                        let per_op_cost = hef_core::pipeline_cost(model, spec, &per_op_node);
+                        (per_op_cost, hef_core::tune_pipeline_simulated(model, spec, &r))
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("simulated search panicked")).collect()
+        });
+        for (model, (per_op_cost, joint)) in models.iter().zip(searches) {
             let joint_cost = joint.outcome.best_cost;
-
-            cases += 1;
-            if joint_cost <= per_op_cost {
-                dominated += 1;
-            }
-            if joint_cost < per_op_cost * (1.0 - 1e-6) {
-                strict += 1;
-            }
-            t.row(vec![
+            sim_table.row(vec![
                 q.name().to_string(),
                 model.name.to_string(),
                 format!("{per_op_cost:.3}"),
                 format!("{joint_cost:.3}"),
                 format!("{:.1}", (1.0 - joint_cost / per_op_cost) * 100.0),
-                joint.outcome.tested.len().to_string(),
                 joint.node.to_string(),
             ]);
-            if model.name == models[0].name {
-                tuned.push((q, plan.clone(), joint.entry(&spec)));
-            }
+            let row = row_of(&config_of(&first_per_slot(&joint.entry(&spec))));
+            cands.push(Candidate { source: short_model(model), row });
         }
-    }
-    t.print();
-    println!(
-        "\njoint ≤ per-op composition on {dominated}/{cases} (strictly better on {strict})"
-    );
+        dedup_candidates(&mut cands);
 
-    // Persist registry v3: pipeline rows keyed by plan fingerprint, layered
-    // onto whatever per-op registry `repro tune` already wrote (the
-    // degradation ladder's lower rungs).
-    std::fs::create_dir_all("results").ok();
-    let path = std::path::Path::new("results/tuned.txt");
-    let mut reg = if path.is_file() {
-        Registry::load_degraded(path).0
-    } else {
-        Registry::with_host_provenance("this machine (repro tune-pipeline)")
-    };
-    for (_, plan, entry) in &tuned {
-        reg.insert_pipeline(plan.fingerprint(), entry.clone());
-    }
-    match reg.save(path) {
-        Ok(()) => println!(
-            "saved {} pipeline plan(s) [model {}] to {}; set HEF_PIPELINE={} to deploy them",
-            reg.pipelines_len(),
-            models[0].name,
-            path.display(),
-            path.display()
-        ),
-        Err(e) => eprintln!("warning: could not save {}: {e}", path.display()),
-    }
+        // One playoff among `entrants`; entrants[0] is the baseline.
+        let mut run = |entrants: &[&Candidate]| {
+            let cfgs: Vec<ExecConfig> = entrants.iter().map(|c| config_of(&c.row)).collect();
+            let mut mem = |cfg: &ExecConfig| time_mem(&plan, cfg);
+            playoff(&cfgs, rounds, &mut mem, &mut |cfg| time_paged(&plan, cfg))
+        };
+        time_mem(&plan, &baseline); // warm the allocator and the fact columns
 
-    // Measured before/after on this machine: the per-op composition vs the
-    // joint plan, archived as a snapshot with a trend diff.
-    let samples = opts.repeats.max(3);
-    // Single-query (smoke) runs archive separately, so the committed
-    // full-sweep bench_pipeline.json only changes on full runs (same split
-    // as the probe bench's --smoke).
-    let mut snap = BenchSnapshot::new(match (opts.paged, opts.query.is_some()) {
-        (false, false) => "pipeline",
-        (false, true) => "pipeline_smoke",
-        (true, false) => "pipeline_paged",
-        (true, true) => "pipeline_paged_smoke",
-    });
-    snap.config("sf", sf)
-        .config("model", &models[0].name)
-        .config("samples", samples)
-        .config("lineorder_rows", data.lineorder.len());
-    let rows = data.lineorder.len() as u64;
-    // In paged mode the measured before/after runs the out-of-core scan, so
-    // the tuned decode node is actually on the measured path.
-    let paged_table = opts.paged.then(|| {
-        let dir = std::env::temp_dir().join(format!("hef-repro-tunepipe-sf{sf}"));
-        std::fs::remove_dir_all(&dir).ok();
-        hef_ssb::generate_paged(sf, 0x55B, &dir, hef_storage::page::rows_per_page_from_env())
-            .expect("paged generation failed");
-        hef_engine::PagedTable::open_dir(&dir, "lineorder").expect("paged open failed")
-    });
-    let cache = hef_storage::PageCache::from_env();
-    let run = |plan: &hef_engine::StarPlan, cfg: &ExecConfig| match &paged_table {
-        Some(t) => {
-            let ctx = hef_engine::QueryCtx::unbounded();
-            hef_engine::try_execute_star_paged_ctx(plan, t, cfg, &cache, &ctx)
-                .expect("paged execution failed");
+        // Stage 1: baseline, per-op, simulated winners.
+        let first = run(&cands.iter().collect::<Vec<_>>());
+        for (c, s) in cands.iter().zip(&first.mem) {
+            let Some(model) = models.iter().find(|m| short_model(m) == c.source) else {
+                continue;
+            };
+            let price = |row| hef_core::pipeline_cost(model, &spec, &spec_node(row, &spec));
+            gaps.push(Gap {
+                family: q.name().chars().nth(1).unwrap_or('?'),
+                model: c.source.clone(),
+                sim: price(&c.row) / price(&cands[0].row),
+                meas: s.median / first.mem[0].median,
+            });
         }
-        None => {
-            execute_star(plan, &data.lineorder, cfg);
+        let mut best = first.winner;
+
+        // Stage 2: the prefetch depths on the best so far.
+        let depth_rows: Vec<Candidate> = PLAYOFF_DEPTHS
+            .iter()
+            .filter(|f| hef_kernels::F_AXIS.contains(f))
+            .map(|&f| Candidate {
+                source: format!("{}+f{f}", cands[best].source),
+                row: hef_core::PipelineEntry { f, ..cands[best].row.clone() },
+            })
+            .collect();
+        best = next_stage(&mut cands, best, depth_rows, &mut run);
+
+        // Stage 3: one Alg. 2 neighbour step around the winner. Only the
+        // winner is expanded (losers and their variants are never
+        // generated); the depth axis was swept above, and the decode node
+        // has no effect in memory, so neither is stepped; the rest are
+        // ranked by the first model's simulated cost to fit the budget.
+        let w = &cands[best];
+        let stepped: Vec<usize> =
+            (0..w.row.stages.len()).filter(|&i| w.row.stages[i].0 != Family::Decode).collect();
+        let node = PipelineNode {
+            cfgs: stepped.iter().map(|&i| w.row.stages[i].1).collect(),
+            f: w.row.f,
+        };
+        let mut neighbours: Vec<(f64, Candidate)> = hef_core::try_pipeline_neighbors(&node)
+            .unwrap_or_default()
+            .into_iter()
+            .filter(|n| n.f == node.f)
+            .map(|n| {
+                let mut row = w.row.clone();
+                for (&i, &c) in stepped.iter().zip(&n.cfgs) {
+                    row.stages[i].1 = c;
+                }
+                row
+            })
+            .filter(|row| cands.iter().all(|c| &c.row != row))
+            .map(|row| {
+                let cost = hef_core::pipeline_cost(&models[0], &spec, &spec_node(&row, &spec));
+                (cost, Candidate { source: format!("{}~step", w.source), row })
+            })
+            .collect();
+        neighbours.sort_by(|a, b| a.0.total_cmp(&b.0));
+        neighbours.truncate(PLAYOFF_CANDIDATES.saturating_sub(cands.len()));
+        let step = neighbours.into_iter().map(|(_, c)| c).collect();
+        best = next_stage(&mut cands, best, step, &mut run);
+
+        // Confirmation: a fresh baseline-vs-shipped playoff on both layers,
+        // the numbers the snapshot archives. A shipped baseline is the same
+        // config, timed once and listed under both labels.
+        let shipped = &cands[best];
+        let mut pair = vec![config_of(&cands[0].row)];
+        if best != 0 {
+            pair.push(config_of(&shipped.row));
         }
-    };
-    for (q, plan, entry) in &tuned {
+        // (baseline, shipped): the first and the last of the pair.
+        let ends = |s: Vec<hef_testutil::bench::Stats>| [s[0], s[s.len() - 1]];
+        let mem = ends(run_rounds(&pair, rounds, &mut |cfg| time_mem(&plan, cfg)));
+        let pgd = ends(run_rounds(&pair, rounds, &mut |cfg| time_paged(&plan, cfg)));
         let group = format!("pipeline_{}", q.name().replace('.', "_"));
-        let per_cfg = per_op_exec_config(&seed_regs[0]);
-        let joint_cfg = joint_exec_config(&seed_regs[0], entry);
-        let mut g = Group::new(group.clone()).throughput_elems(rows).samples(samples);
-        let s = g.bench("per_op", || run(plan, &per_cfg));
-        snap.row(&group, "per_op", s, Some(rows));
-        let s = g.bench("joint", || run(plan, &joint_cfg));
-        snap.row(&group, "joint", s, Some(rows));
-        g.finish();
+        snap.row(&group, "baseline", mem[0], Some(rows))
+            .row(&group, "shipped", mem[1], Some(rows))
+            .row(&group, "baseline_paged", pgd[0], Some(rows))
+            .row(&group, "shipped_paged", pgd[1], Some(rows));
+        table.row(vec![
+            q.name().to_string(),
+            cands.len().to_string(),
+            shipped.source.clone(),
+            format!("{:.2}", mem[0].median_ms()),
+            format!("{:.2}", mem[1].median_ms()),
+            format!("{:.3}", mem[1].median / mem[0].median),
+            format!("{:.2}", pgd[0].median_ms()),
+            format!("{:.2}", pgd[1].median_ms()),
+            shipped.row.to_string(),
+        ]);
+        reg.insert_pipeline(plan.fingerprint(), shipped.row.clone());
+        eprintln!("[tune] {} done in {:.1}s", q.name(), t_all.elapsed().as_secs_f64());
+        t_all = std::time::Instant::now();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+
+    println!("simulated proposals (ns per fact row on the modeled Xeons):\n");
+    sim_table.print();
+    println!("\nmeasured playoff on this machine (medians of {rounds} rounds, t{threads}):\n");
+    table.print();
+    println!("\nsimulated ÷ measured gain of each model's joint winner over the baseline");
+    println!("(geomean per query family; < 1 means the model over-credits the joint plan):\n");
+    let mut gap_table =
+        TableWriter::new(vec!["family", "model", "simulated", "measured", "sim ÷ meas"]);
+    for fam in ['1', '2', '3', '4'] {
+        for model in &models {
+            let m = short_model(model);
+            let xs: Vec<&Gap> = gaps.iter().filter(|g| g.family == fam && g.model == m).collect();
+            if xs.is_empty() {
+                continue;
+            }
+            let geo = |f: fn(&Gap) -> f64| {
+                (xs.iter().map(|g| f(g).ln()).sum::<f64>() / xs.len() as f64).exp()
+            };
+            let (sim, meas) = (geo(|g| g.sim), geo(|g| g.meas));
+            gap_table.row(vec![
+                format!("Q{fam}.x"),
+                m.clone(),
+                format!("{sim:.3}"),
+                format!("{meas:.3}"),
+                format!("{:.3}", sim / meas),
+            ]);
+        }
+    }
+    gap_table.print();
+    println!("\ntuned in {:.1}s", start.elapsed().as_secs_f64());
+
+    if let Some(parent) = out_path.parent() {
+        std::fs::create_dir_all(parent).ok();
+    }
+    match reg.save(&out_path) {
+        Ok(()) => println!(
+            "saved {} pipeline row(s) to {}; the engine applies them with \
+             HEF_PIPELINE={}",
+            reg.pipelines_len(),
+            out_path.display(),
+            out_path.display()
+        ),
+        Err(e) => eprintln!("warning: could not save {}: {e}", out_path.display()),
     }
     match snap.compare_default() {
         Some(report) => print!("{}", report.render()),
-        None => println!("compare: no archived baseline for `pipeline` yet"),
+        None => println!("compare: no archived baseline for `{}` yet", snap.name()),
     }
     match snap.write_default() {
         Ok(p) => println!("snapshot: {}", p.display()),
         Err(e) => eprintln!("snapshot write failed: {e}"),
     }
+}
+
+/// `silver-4110` / `gold-6240r`: a model's short name for reports.
+fn short_model(model: &CpuModel) -> String {
+    if model.name.contains("4110") { "silver-4110" } else { "gold-6240r" }.to_string()
+}
+
+/// Drop candidates whose row an earlier candidate already runs, keeping
+/// the first (so the baseline and the per-op composition keep their names).
+fn dedup_candidates(cands: &mut Vec<Candidate>) {
+    let mut seen: Vec<hef_core::PipelineEntry> = Vec::new();
+    cands.retain(|c| {
+        let fresh = !seen.contains(&c.row);
+        if fresh {
+            seen.push(c.row.clone());
+        }
+        fresh
+    });
+}
+
+/// Run one playoff stage: the baseline, the winner so far and the `fresh`
+/// candidates not measured yet. Appends the fresh candidates to `cands`
+/// and returns the index of the stage's winner in `cands`.
+fn next_stage(
+    cands: &mut Vec<Candidate>,
+    best: usize,
+    fresh: Vec<Candidate>,
+    run: &mut dyn FnMut(&[&Candidate]) -> hef_bench::playoff::Outcome,
+) -> usize {
+    let first_new = cands.len();
+    cands.extend(fresh);
+    dedup_candidates(cands);
+    if cands.len() == first_new {
+        return best;
+    }
+    let mut idx = vec![0];
+    if best != 0 {
+        idx.push(best);
+    }
+    idx.extend(first_new..cands.len());
+    let entrants: Vec<&Candidate> = idx.iter().map(|&i| &cands[i]).collect();
+    idx[run(&entrants).winner]
 }
 
 // ---------------------------------------------------------------- out-of-core
@@ -1367,7 +1580,7 @@ fn main() {
                 );
                 println!("experiments: fig8 fig9 fig10 table3..table9 fig11..fig14");
                 println!("             ablation-search ablation-pack ablation-bloom ablation-dynamic tune all");
-                println!("             tune-pipeline [--query qNN] [--model silver-4110|gold-6240r] [--paged]");
+                println!("             tune-pipeline [--query qNN] [--model silver-4110|gold-6240r] [--out file]");
                 println!("             paged [--sf f] (out-of-core sweep: paged columns + page cache,");
                 println!("                             checked bit-identical to in-memory at 1 and 4 threads)");
                 println!("             qNN (traced single query, e.g. q21)   report <trace.json>");

@@ -15,6 +15,7 @@ pub mod config;
 pub mod counters;
 pub mod measure;
 pub mod pipeline;
+pub mod playoff;
 pub mod report;
 pub mod snapshot;
 pub mod trend;
@@ -22,7 +23,7 @@ pub mod trend;
 pub use config::{exec_config, tuned_hybrid};
 pub use counters::{model_kernel, model_query, QueryCounters};
 pub use measure::{measure_kernel, measure_query, Measured};
-pub use pipeline::{joint_exec_config, per_op_exec_config, pipeline_spec};
+pub use pipeline::{per_op_exec_config, pipeline_row, pipeline_spec};
 pub use report::TableWriter;
 pub use snapshot::BenchSnapshot;
 pub use trend::{TrendReport, TrendSeries};

@@ -10,7 +10,7 @@
 //! plan fingerprint: fractions, not row counts.
 
 use hef_core::{PipelineEntry, PipelineSpec, PipelineStage, Registry};
-use hef_engine::{apply_pipeline_entry, ExecConfig, ExecStats, Measure, StarPlan};
+use hef_engine::{ExecConfig, ExecStats, Measure, StarPlan};
 use hef_kernels::Family;
 
 /// Derive the joint tuner's pipeline spec from a plan and the stats of one
@@ -51,20 +51,9 @@ pub fn pipeline_spec(plan: &StarPlan, stats: &ExecStats) -> PipelineSpec {
     }
 }
 
-/// [`pipeline_spec`] with the out-of-core decode stage prepended: every
-/// fact row passes through page decode before the first filter, so the
-/// stage has weight 1.0 and no probe working set, and the compressed page
-/// stream adds one co-resident column stream per touched column (already
-/// counted by `streams` — the paged scan replaces the plain column reads
-/// one for one).
-pub fn pipeline_spec_paged(plan: &StarPlan, stats: &ExecStats) -> PipelineSpec {
-    let mut spec = pipeline_spec(plan, stats);
-    spec.stages.insert(0, PipelineStage::new(Family::Decode, 1.0, 0));
-    spec
-}
-
-/// The per-op-tuned execution config an explicit registry implies: the
-/// baseline the joint plan is measured against. Same shape as
+/// The per-op-tuned execution config an explicit registry implies: one
+/// candidate of the pipeline playoff, and the config its rows are applied
+/// onto. Same shape as
 /// [`crate::tuned_hybrid`] but from a caller-supplied registry instead of
 /// the warmed process-global one.
 pub fn per_op_exec_config(reg: &Registry) -> ExecConfig {
@@ -81,16 +70,36 @@ pub fn per_op_exec_config(reg: &Registry) -> ExecConfig {
     }
 }
 
-/// The execution config a joint pipeline row implies: the per-op baseline
-/// with the tuned stage nodes and shared prefetch depth overlaid.
-pub fn joint_exec_config(reg: &Registry, entry: &PipelineEntry) -> ExecConfig {
-    apply_pipeline_entry(per_op_exec_config(reg), entry)
+/// The pipeline row that runs a plan exactly as `cfg` does: one node per
+/// stage slot the plan dispatches on either storage layer (the filter slot
+/// only when it has filters, one probe node for every join, gather, the
+/// measure's aggregation family, and page decode) plus `cfg`'s prefetch
+/// depth. Applied onto any config with [`hef_engine::apply_pipeline_entry`],
+/// it reproduces `cfg` on every slot the plan touches, whatever the per-op
+/// rows underneath say — the shape the playoff measures is the shape that
+/// ships.
+pub fn pipeline_row(plan: &StarPlan, cfg: &ExecConfig) -> PipelineEntry {
+    let mut stages = Vec::new();
+    if !plan.filters.is_empty() {
+        stages.push((Family::Filter, cfg.filter));
+    }
+    if !plan.dims.is_empty() {
+        stages.push((Family::Probe, cfg.probe));
+    }
+    stages.push((Family::Gather, cfg.gather));
+    let agg = match plan.measure {
+        Measure::Sum(_) | Measure::SumDiff(_, _) => Family::AggSum,
+        Measure::SumProduct(_, _) => Family::AggDot,
+    };
+    stages.push((agg, cfg.agg));
+    stages.push((Family::Decode, cfg.decode));
+    PipelineEntry { stages, f: cfg.probe_prefetch }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hef_engine::execute_star;
+    use hef_engine::{apply_pipeline_entry, execute_star};
     use hef_ssb::{build_plan, generate, QueryId};
 
     #[test]
@@ -124,16 +133,27 @@ mod tests {
     }
 
     #[test]
-    fn joint_config_overlays_per_op_baseline() {
+    fn row_reproduces_the_config_it_was_built_from() {
+        let data = generate(0.002, 42);
         let reg = Registry::default();
-        let base = per_op_exec_config(&reg);
-        let entry = PipelineEntry {
-            stages: vec![(Family::Probe, hef_kernels::HybridConfig::new(2, 1, 2))],
-            f: 16,
-        };
-        let joint = joint_exec_config(&reg, &entry);
-        assert_eq!(joint.probe, hef_kernels::HybridConfig::new(2, 1, 2));
-        assert_eq!(joint.probe_prefetch, 16);
-        assert_eq!(joint.filter, base.filter);
+        let n = hef_kernels::HybridConfig::new;
+        let cfg = ExecConfig::hybrid_tuned(n(2, 2, 1), n(1, 2, 3), n(4, 3, 1), n(8, 1, 4))
+            .with_decode(n(0, 2, 2))
+            .with_probe_prefetch(8);
+        for q in QueryId::ALL {
+            let plan = build_plan(&data, q);
+            let row = pipeline_row(&plan, &cfg);
+            // One node per slot, so the engine never refuses it.
+            assert!(hef_engine::conflicting_stages(&row).is_none(), "{row:?}");
+            let applied = apply_pipeline_entry(per_op_exec_config(&reg), &row);
+            assert_eq!(applied.probe, cfg.probe);
+            assert_eq!(applied.gather, cfg.gather);
+            assert_eq!(applied.agg, cfg.agg);
+            assert_eq!(applied.decode, cfg.decode);
+            assert_eq!(applied.probe_prefetch, 8);
+            if !plan.filters.is_empty() {
+                assert_eq!(applied.filter, cfg.filter);
+            }
+        }
     }
 }

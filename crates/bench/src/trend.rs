@@ -125,7 +125,7 @@ impl TrendSeries {
         let med = median(prior_medians.iter().copied());
         let mad = median(prior_medians.iter().map(|m| (m - med).abs()));
         let delta = last.median_s - med;
-        let noise = 3.0 * (mad + last.mad_s);
+        let noise = noise_margin(mad, last.mad_s);
         let relative = if med > 0.0 { (delta / med).abs() } else { 0.0 };
         if delta.abs() <= noise || relative <= 0.02 {
             return Verdict::Stable;
@@ -136,6 +136,13 @@ impl TrendSeries {
             Verdict::Improved
         }
     }
+}
+
+/// The shift two medians must exceed to count as a real difference:
+/// `3·(MAD_a + MAD_b)`. Shared by the trend verdict and the tuning
+/// playoff ([`crate::playoff`]).
+pub fn noise_margin(mad_a: f64, mad_b: f64) -> f64 {
+    3.0 * (mad_a + mad_b)
 }
 
 /// Median of an iterator of floats (0.0 when empty).

@@ -45,7 +45,7 @@ pub use parallel::{
     execute_star_parallel, resolve_threads, resolve_threads_governed, try_execute_star_parallel,
     ExecError, ExecReport,
 };
-pub use pipeline_plan::apply_pipeline_entry;
+pub use pipeline_plan::{apply_pipeline_entry, conflicting_stages, first_per_slot};
 pub use plan::{
     lower, optimize, parse_plan, render_plan, Catalog, GroupBy, JoinBuilder, JoinSpec, KeyExpr,
     LogicalPlan, Node, OptReport, PlanBuilder, PlanError, Pred,

@@ -46,7 +46,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use hef_kernels::{run_on, Family, KernelIo};
+use hef_kernels::KernelIo;
 use hef_obs::trace::SpanGuard;
 use hef_storage::cache::PageCache;
 use hef_storage::page::{Enc, Page, PageMeta, PagedColumn};
@@ -55,7 +55,7 @@ use hef_storage::ColumnFileError;
 use crate::govern::QueryCtx;
 use crate::parallel::{ExecError, MorselWorker, Scan, Stop};
 use crate::star::{
-    run_kernel, validate_star_plan_with, BatchSource, ColumnSlots, ExecConfig, FilterInput,
+    validate_star_plan_with, BatchSource, ColumnSlots, ExecConfig, FilterInput, Kernels,
     PipelineWorker, QueryOutput, RangeFilter, StarPlan,
 };
 
@@ -376,9 +376,9 @@ impl BatchSource for PageSource<'_> {
         hef_obs::span_fine!("page", idx = self.page as i64, rows = rows as i64)
     }
 
-    fn values(&mut self, slot: usize, cfg: &ExecConfig) -> Result<&[u64], Stop> {
+    fn values(&mut self, slot: usize, k: &Kernels) -> Result<&[u64], Stop> {
         let page = self.fetch(slot)?;
-        decode_page(&page, cfg, false, None, &mut self.buf);
+        decode_page(&page, k, false, None, &mut self.buf);
         Ok(&self.buf)
     }
 
@@ -386,7 +386,7 @@ impl BatchSource for PageSource<'_> {
         &mut self,
         slot: usize,
         f: &RangeFilter,
-        cfg: &ExecConfig,
+        k: &Kernels,
     ) -> Result<FilterInput<'_>, Stop> {
         let page = self.fetch(slot)?;
         let fused = fuse_filter(&page, f.lo, f.hi);
@@ -396,10 +396,10 @@ impl BatchSource for PageSource<'_> {
         match fused {
             FusedFilter::Empty => Ok(None),
             FusedFilter::Codes { lo, hi } => {
-                decode_page(&page, cfg, true, None, &mut self.buf);
+                decode_page(&page, k, true, None, &mut self.buf);
                 Ok(Some((&self.buf, lo, hi)))
             }
-            FusedFilter::Values => Ok(Some((self.values(slot, cfg)?, f.lo, f.hi))),
+            FusedFilter::Values => Ok(Some((self.values(slot, k)?, f.lo, f.hi))),
         }
     }
 
@@ -408,12 +408,12 @@ impl BatchSource for PageSource<'_> {
         slot: usize,
         sel: &[u64],
         out: &mut Vec<u64>,
-        cfg: &ExecConfig,
+        k: &Kernels,
     ) -> Result<(), Stop> {
         out.clear();
         if !sel.is_empty() {
             let page = self.fetch_for(slot, sel)?;
-            decode_page(&page, cfg, false, Some(sel), out);
+            decode_page(&page, k, false, Some(sel), out);
         }
         Ok(())
     }
@@ -423,21 +423,25 @@ impl BatchSource for PageSource<'_> {
         slot: usize,
         f: &RangeFilter,
         sel: &mut Vec<u64>,
-        cfg: &ExecConfig,
+        k: &Kernels,
     ) -> Result<(), Stop> {
         if sel.is_empty() {
             return Ok(());
         }
         let page = self.fetch_for(slot, sel)?;
-        decode_page(&page, cfg, false, Some(sel), &mut self.buf);
+        decode_page(&page, k, false, Some(sel), &mut self.buf);
         self.keep.clear();
-        let mut io =
-            KernelIo::Filter { input: &self.buf, lo: f.lo, hi: f.hi, base: 0, sel: &mut self.keep };
-        run_kernel(Family::Filter, cfg.filter, cfg, &mut io);
-        // `keep` is ascending and `keep[k] >= k`: compacting in place only
+        k.filter(&mut KernelIo::Filter {
+            input: &self.buf,
+            lo: f.lo,
+            hi: f.hi,
+            base: 0,
+            sel: &mut self.keep,
+        });
+        // `keep` is ascending and `keep[i] >= i`: compacting in place only
         // overwrites rows already read.
-        for (k, &j) in self.keep.iter().enumerate() {
-            sel[k] = sel[j as usize];
+        for (i, &j) in self.keep.iter().enumerate() {
+            sel[i] = sel[j as usize];
         }
         sel.truncate(self.keep.len());
         Ok(())
@@ -449,7 +453,7 @@ impl BatchSource for PageSource<'_> {
 /// caller has bounded by the page's rows. With `raw`, the codes come out
 /// unreconstructed (no reference add, no dictionary gather) — the
 /// code-space filter path. Counts one decoded page and the rows produced.
-fn decode_page(page: &Page, cfg: &ExecConfig, raw: bool, pos: Option<&[u64]>, out: &mut Vec<u64>) {
+fn decode_page(page: &Page, k: &Kernels, raw: bool, pos: Option<&[u64]>, out: &mut Vec<u64>) {
     let rows = pos.map_or(page.rows(), <[u64]>::len);
     out.clear();
     out.resize(rows, 0);
@@ -464,7 +468,7 @@ fn decode_page(page: &Page, cfg: &ExecConfig, raw: bool, pos: Option<&[u64]>, ou
         pos,
         out,
     };
-    if !run_on(Family::Decode, cfg.decode, cfg.backend, &mut io) {
+    if !k.decode(&mut io) {
         for (j, slot) in out.iter_mut().enumerate() {
             let e = pos.map_or(j, |p| p[j] as usize);
             *slot = if raw { page.code_at(e) } else { page.value_at(e) };
@@ -621,7 +625,7 @@ mod tests {
         assert!(matches!(fuse_filter(&page, f.lo, f.hi), FusedFilter::Values));
 
         let cache = PageCache::new(1 << 20);
-        let cfg = ExecConfig::hybrid_default();
+        let k = Kernels::resolve(&ExecConfig::hybrid_default());
         let mut src = PageSource {
             pages: col.pages(),
             cols: vec![col],
@@ -636,7 +640,7 @@ mod tests {
         for sel in [vec![], vec![600], (0..rows).collect::<Vec<u64>>()] {
             let before = metrics::snapshot();
             let mut got = sel.clone();
-            assert!(matches!(src.refine(0, &f, &mut got, &cfg), Ok(())));
+            assert!(matches!(src.refine(0, &f, &mut got, &k), Ok(())));
             let d = metrics::snapshot().delta(&before);
             let expect: Vec<u64> = sel.iter().copied().filter(passes).collect();
             assert_eq!(got, expect, "{} selected", sel.len());
@@ -644,9 +648,9 @@ mod tests {
             assert_eq!(d.get(Metric::DecodeRows), sel.len() as u64);
         }
         let mut outside = vec![3, rows];
-        assert!(matches!(src.refine(0, &f, &mut outside, &cfg), Err(Stop::Failed(_))));
+        assert!(matches!(src.refine(0, &f, &mut outside, &k), Err(Stop::Failed(_))));
         let mut out = Vec::new();
-        assert!(matches!(src.take(0, &outside, &mut out, &cfg), Err(Stop::Failed(_))));
+        assert!(matches!(src.take(0, &outside, &mut out, &k), Err(Stop::Failed(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -21,7 +21,7 @@ use std::path::Path;
 use std::sync::Mutex;
 
 use hef_core::{PipelineEntry, Registry};
-use hef_kernels::Family;
+use hef_kernels::{Family, HybridConfig};
 
 use crate::star::{ExecConfig, Measure, StarPlan};
 
@@ -99,12 +99,79 @@ impl StarPlan {
     }
 }
 
+/// The [`ExecConfig`] slot a stage family's node lands on: bloom checks ride
+/// the probe slot they guard and both aggregation families share one slot.
+/// The hash micro-kernels have no slot.
+fn slot(family: Family) -> Option<usize> {
+    match family {
+        Family::Filter => Some(0),
+        Family::Probe | Family::BloomCheck => Some(1),
+        Family::Gather => Some(2),
+        Family::AggSum | Family::AggDot => Some(3),
+        Family::Decode => Some(4),
+        Family::Murmur | Family::Crc64 => None,
+    }
+}
+
+/// The first two stages of `entry` that name different nodes for one
+/// config slot. A config holds one node per slot — one probe node serves
+/// every join — so such a row has no single shape to execute.
+pub fn conflicting_stages(
+    entry: &PipelineEntry,
+) -> Option<((Family, HybridConfig), (Family, HybridConfig))> {
+    let mut seen: [Option<(Family, HybridConfig)>; 5] = [None; 5];
+    for &(family, node) in &entry.stages {
+        let Some(i) = slot(family) else { continue };
+        match seen[i] {
+            Some((first, n)) if n != node => return Some(((first, n), (family, node))),
+            Some(_) => {}
+            None => seen[i] = Some((family, node)),
+        }
+    }
+    None
+}
+
+/// `entry` reduced to a shape a config can execute: for each slot, only
+/// the first stage that names it (along a lowered chain, the stage the most
+/// rows reach). Stages without a slot are dropped.
+pub fn first_per_slot(entry: &PipelineEntry) -> PipelineEntry {
+    let mut seen = [false; 5];
+    let stages = entry
+        .stages
+        .iter()
+        .copied()
+        .filter(|&(family, _)| match slot(family) {
+            Some(i) if !seen[i] => {
+                seen[i] = true;
+                true
+            }
+            _ => false,
+        })
+        .collect();
+    PipelineEntry { stages, f: entry.f }
+}
+
 /// Overlay a registry v3 pipeline row onto an execution config: each stage's
-/// node lands on the kernel-family slot the pipeline dispatches (bloom
-/// checks ride the probe slot they guard), and the row's shared prefetch
-/// depth replaces the per-op one. Stage families with no `ExecConfig` slot
-/// (the hash micro-kernels) are ignored.
+/// node lands on its family's slot (see [`slot`]), and the row's shared
+/// prefetch depth replaces the per-op one. Stage families with no
+/// `ExecConfig` slot (the hash micro-kernels) are ignored.
+///
+/// A row whose stages disagree on one slot (say, two probe nodes) is
+/// refused: it cannot run as written, so the caller's per-op config is
+/// returned unchanged, with one warning per process.
 pub fn apply_pipeline_entry(mut cfg: ExecConfig, entry: &PipelineEntry) -> ExecConfig {
+    if let Some(((fa, a), (fb, b))) = conflicting_stages(entry) {
+        hef_obs::diag::warn_once(
+            "pipeline-row-conflict",
+            format!(
+                "pipeline row refused: {} node {a} and {} node {b} share one config slot; \
+                 running the per-op config",
+                fa.name(),
+                fb.name()
+            ),
+        );
+        return cfg;
+    }
     for &(family, node) in &entry.stages {
         match family {
             Family::Filter => cfg.filter = node,
@@ -180,7 +247,6 @@ pub(crate) fn resolve_pipeline_env(plan: &StarPlan, cfg: ExecConfig) -> ExecConf
 mod tests {
     use super::*;
     use crate::star::{build_dimension, RangeFilter};
-    use hef_kernels::HybridConfig;
     use hef_storage::{Column, Table};
 
     fn toy_plan() -> (Table, StarPlan) {
@@ -262,6 +328,63 @@ mod tests {
         // Untouched knobs survive the overlay.
         assert_eq!(cfg.batch, base.batch);
         assert_eq!(cfg.use_bloom, base.use_bloom);
+    }
+
+    #[test]
+    fn row_with_disagreeing_probe_stages_is_refused() {
+        let base = ExecConfig::hybrid_default().with_probe_prefetch(4);
+        let conflicting = PipelineEntry {
+            stages: vec![
+                (Family::Probe, HybridConfig::new(1, 2, 3)),
+                (Family::Probe, HybridConfig::new(0, 1, 3)),
+                (Family::Probe, HybridConfig::new(1, 1, 4)),
+                (Family::Gather, HybridConfig::new(2, 0, 4)),
+            ],
+            f: 16,
+        };
+        let (cfg, warnings) =
+            hef_obs::diag::capture(|| apply_pipeline_entry(base, &conflicting));
+        // Nothing of the row applies: not the gather node, not the depth.
+        assert_eq!(cfg.probe, base.probe);
+        assert_eq!(cfg.gather, base.gather);
+        assert_eq!(cfg.probe_prefetch, 4);
+        assert_eq!(warnings.len(), 1, "{warnings:?}");
+        assert!(warnings[0].contains("refused"), "{warnings:?}");
+        // Once per process, not once per query.
+        let (_, again) = hef_obs::diag::capture(|| {
+            apply_pipeline_entry(base, &conflicting);
+            apply_pipeline_entry(base, &conflicting)
+        });
+        assert_eq!(again.len(), 1, "{again:?}");
+
+        // A bloom check guards the probe it rides on: it must agree too.
+        let bloom = PipelineEntry {
+            stages: vec![
+                (Family::BloomCheck, HybridConfig::new(2, 0, 1)),
+                (Family::Probe, HybridConfig::new(1, 1, 3)),
+            ],
+            f: 0,
+        };
+        assert!(conflicting_stages(&bloom).is_some());
+
+        // Repeated stages that agree are one shape and apply.
+        let agreeing = PipelineEntry {
+            stages: vec![
+                (Family::Probe, HybridConfig::new(1, 1, 4)),
+                (Family::Probe, HybridConfig::new(1, 1, 4)),
+                (Family::Gather, HybridConfig::new(2, 0, 4)),
+            ],
+            f: 8,
+        };
+        assert!(conflicting_stages(&agreeing).is_none());
+        let collapsed = first_per_slot(&conflicting);
+        assert!(conflicting_stages(&collapsed).is_none());
+        assert_eq!(collapsed.stages[0], (Family::Probe, HybridConfig::new(1, 2, 3)));
+        assert_eq!(collapsed.stages.len(), 2);
+        let cfg = apply_pipeline_entry(base, &agreeing);
+        assert_eq!(cfg.probe, HybridConfig::new(1, 1, 4));
+        assert_eq!(cfg.gather, HybridConfig::new(2, 0, 4));
+        assert_eq!(cfg.probe_prefetch, 8);
     }
 
     /// Serializes the tests that mutate the process-wide `HEF_PIPELINE`

@@ -4,7 +4,7 @@ use std::ops::Range;
 
 use hef_hid::Backend;
 use hef_kernels::{
-    plan_partition_bits, run_on, Family, HybridConfig, KernelIo, PartitionScratch,
+    plan_partition_bits, Family, HybridConfig, Kernel, KernelIo, PartitionScratch,
     PartitionedProbeTable, ProbeTable,
 };
 use hef_obs::trace::SpanGuard;
@@ -683,15 +683,15 @@ pub(crate) trait BatchSource {
         SpanGuard::disabled()
     }
     /// Column `slot`'s values over the current batch.
-    fn values(&mut self, slot: usize, cfg: &ExecConfig) -> Result<&[u64], Stop>;
+    fn values(&mut self, slot: usize, k: &Kernels) -> Result<&[u64], Stop>;
     /// Input and bounds for the first filter `f` over column `slot`.
     fn first_filter(
         &mut self,
         slot: usize,
         f: &RangeFilter,
-        cfg: &ExecConfig,
+        k: &Kernels,
     ) -> Result<FilterInput<'_>, Stop> {
-        Ok(Some((self.values(slot, cfg)?, f.lo, f.hi)))
+        Ok(Some((self.values(slot, k)?, f.lo, f.hi)))
     }
     /// Column `slot`'s values at the batch rows `sel`, into `out` (probe
     /// keys and measures).
@@ -700,9 +700,9 @@ pub(crate) trait BatchSource {
         slot: usize,
         sel: &[u64],
         out: &mut Vec<u64>,
-        cfg: &ExecConfig,
+        k: &Kernels,
     ) -> Result<(), Stop> {
-        gather(self.values(slot, cfg)?, sel, out, cfg);
+        k.gather(self.values(slot, k)?, sel, out);
         Ok(())
     }
     /// Keep, in order, the rows of `sel` whose column `slot` value passes
@@ -712,11 +712,10 @@ pub(crate) trait BatchSource {
         slot: usize,
         f: &RangeFilter,
         sel: &mut Vec<u64>,
-        cfg: &ExecConfig,
+        k: &Kernels,
     ) -> Result<(), Stop> {
-        let input = self.values(slot, cfg)?;
-        let mut io = KernelIo::FilterRefine { input, lo: f.lo, hi: f.hi, sel };
-        run_kernel(Family::Filter, cfg.filter, cfg, &mut io);
+        let input = self.values(slot, k)?;
+        k.filter(&mut KernelIo::FilterRefine { input, lo: f.lo, hi: f.hi, sel });
         Ok(())
     }
 }
@@ -738,7 +737,7 @@ impl BatchSource for TableSource<'_> {
         self.window = start..end;
         (end, end - start)
     }
-    fn values(&mut self, slot: usize, _cfg: &ExecConfig) -> Result<&[u64], Stop> {
+    fn values(&mut self, slot: usize, _k: &Kernels) -> Result<&[u64], Stop> {
         Ok(&self.cols[slot][self.window.clone()])
     }
 }
@@ -751,6 +750,7 @@ impl BatchSource for TableSource<'_> {
 pub(crate) struct PipelineWorker<'a, S> {
     plan: &'a StarPlan,
     cfg: &'a ExecConfig,
+    kernels: Kernels,
     slots: &'a ColumnSlots<'a>,
     src: S,
     acc: Vec<u64>,
@@ -783,6 +783,7 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
         PipelineWorker {
             plan,
             cfg,
+            kernels: Kernels::resolve(cfg),
             slots,
             src,
             acc: vec![0u64; plan.group_cells()],
@@ -798,7 +799,7 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
     }
 
     fn run_batch(&mut self, rows: usize) -> Result<(), Stop> {
-        let (plan, cfg) = (self.plan, self.cfg);
+        let (plan, cfg, kernels) = (self.plan, self.cfg, &self.kernels);
         let ndims = plan.dims.len();
 
         // 1. Fact-table filters. The first runs as a kernel over the
@@ -809,16 +810,15 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
         match plan.filters.split_first() {
             None => self.sel.extend(0..rows as u64),
             Some((f0, rest)) => {
-                let first = self.src.first_filter(self.slots.filters[0], f0, cfg)?;
+                let first = self.src.first_filter(self.slots.filters[0], f0, kernels)?;
                 if let Some((input, lo, hi)) = first {
-                    let mut io = KernelIo::Filter { input, lo, hi, base: 0, sel: &mut self.sel };
-                    run_kernel(Family::Filter, cfg.filter, cfg, &mut io);
+                    kernels.filter(&mut KernelIo::Filter { input, lo, hi, base: 0, sel: &mut self.sel });
                 }
                 for (f, &slot) in rest.iter().zip(&self.slots.filters[1..]) {
                     if self.sel.is_empty() {
                         break;
                     }
-                    self.src.refine(slot, f, &mut self.sel, cfg)?;
+                    self.src.refine(slot, f, &mut self.sel, kernels)?;
                 }
             }
         }
@@ -840,19 +840,18 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
                 pays.push(Vec::new());
                 continue;
             }
-            self.src.take(self.slots.fks[di], &self.sel, &mut self.keys, cfg)?;
+            self.src.take(self.slots.fks[di], &self.sel, &mut self.keys, kernels)?;
             if cfg.use_bloom {
                 // Semi-join pre-filter: drop definite misses before the
                 // (more expensive) table probe.
                 self.probe_out.clear();
                 self.probe_out.resize(self.keys.len(), 0);
-                let mut io = KernelIo::Bloom {
+                kernels.bloom(&mut KernelIo::Bloom {
                     keys: &self.keys,
                     filter: &dim.bloom,
                     out: &mut self.probe_out,
                     prefetch: cfg.probe_prefetch,
-                };
-                run_kernel(Family::BloomCheck, cfg.probe, cfg, &mut io);
+                });
                 let mut k = 0usize;
                 for j in 0..self.sel.len() {
                     if self.probe_out[j] != 0 {
@@ -903,19 +902,21 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
                     &mut self.part_scratch,
                     |table, keys, out| {
                         sub_probes += 1;
-                        let mut io =
-                            KernelIo::Probe { keys, table, out, prefetch: cfg.probe_prefetch };
-                        run_kernel(Family::Probe, cfg.probe, cfg, &mut io);
+                        kernels.probe(&mut KernelIo::Probe {
+                            keys,
+                            table,
+                            out,
+                            prefetch: cfg.probe_prefetch,
+                        });
                     },
                 );
             } else {
-                let mut io = KernelIo::Probe {
+                kernels.probe(&mut KernelIo::Probe {
                     keys: &self.keys,
                     table: &dim.table,
                     out: &mut self.probe_out,
                     prefetch: cfg.probe_prefetch,
-                };
-                run_kernel(Family::Probe, cfg.probe, cfg, &mut io);
+                });
             }
             let k = compact_hits(&mut self.sel, &mut pays, &mut self.probe_out);
             self.stats.hits[di] += k as u64;
@@ -950,10 +951,10 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
             }
         }
         let m = &self.slots.measure;
-        self.src.take(m[0], &self.sel, &mut self.vals, cfg)?;
+        self.src.take(m[0], &self.sel, &mut self.vals, kernels)?;
         if let Some(&b) = m.get(1) {
             // `keys` is free again: reuse it for the second measure column.
-            self.src.take(b, &self.sel, &mut self.keys, cfg)?;
+            self.src.take(b, &self.sel, &mut self.keys, kernels)?;
             let pairs = self.vals.iter_mut().zip(&self.keys);
             match plan.measure {
                 Measure::SumProduct(..) => pairs.for_each(|(v, &s)| *v = v.wrapping_mul(s)),
@@ -964,8 +965,7 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
         if self.acc.len() == 1 {
             // Ungrouped: the tuned aggregation kernel does the reduction.
             let mut total = 0u64;
-            let mut io = KernelIo::AggSum { a: &self.vals, acc: &mut total };
-            run_kernel(Family::AggSum, cfg.agg, cfg, &mut io);
+            kernels.agg(&mut KernelIo::AggSum { a: &self.vals, acc: &mut total });
             self.acc[0] = self.acc[0].wrapping_add(total);
         } else {
             grouped_accumulate(&mut self.acc, &self.gids, &self.vals);
@@ -996,31 +996,92 @@ impl<S: BatchSource> MorselWorker for PipelineWorker<'_, S> {
     }
 }
 
-/// Dispatch one kernel; every node the shipped configs name is compiled.
-pub(crate) fn run_kernel(
-    family: Family,
-    node: HybridConfig,
-    cfg: &ExecConfig,
-    io: &mut KernelIo<'_>,
-) {
-    assert!(run_on(family, node, cfg.backend, io), "{family:?} node {node} not compiled");
+/// The kernels a config dispatches, resolved once per worker: the batch
+/// loop calls each through a function pointer instead of searching the
+/// family's grid on every call.
+pub(crate) struct Kernels {
+    filter: Slot,
+    probe: Slot,
+    bloom: Slot,
+    gather: Slot,
+    agg: Slot,
+    decode: Slot,
 }
 
-/// Selective projection through the tuned gather kernel (falls back to the
-/// scalar helper for off-grid nodes, which cannot happen for the shipped
-/// flavor configs).
-fn gather(col: &[u64], sel: &[u64], out: &mut Vec<u64>, cfg: &ExecConfig) {
-    if hef_obs::metrics::enabled() {
-        hef_obs::metrics::add(hef_obs::metrics::Metric::GatherRows, sel.len() as u64);
+/// One family's node and its compiled kernel (`None` when off the grid).
+struct Slot {
+    family: Family,
+    node: HybridConfig,
+    kernel: Option<Kernel>,
+}
+
+impl Slot {
+    fn new(family: Family, node: HybridConfig, cfg: &ExecConfig) -> Slot {
+        Slot { family, node, kernel: Kernel::resolve(family, node, cfg.backend) }
     }
-    out.clear();
-    out.resize(sel.len(), 0);
-    // The index stream is a fresh in-cache selection vector and the gather
-    // sources are streamed fact columns — hardware prefetch covers both, so
-    // the software-prefetch depth stays probe-only here.
-    let mut io = KernelIo::Gather { src: col, idx: sel, out, prefetch: 0 };
-    if !run_on(Family::Gather, cfg.gather, cfg.backend, &mut io) {
-        gather_keys(col, sel, out);
+
+    /// Run the kernel; every node the shipped configs name is compiled.
+    fn run(&self, io: &mut KernelIo<'_>) {
+        match &self.kernel {
+            Some(k) => k.run(io),
+            None => panic!("{:?} node {} not compiled", self.family, self.node),
+        }
+    }
+}
+
+impl Kernels {
+    /// Resolve every family `cfg` dispatches on its backend (panics if the
+    /// backend is unavailable on this CPU). Bloom checks run at the probe
+    /// node they guard.
+    pub(crate) fn resolve(cfg: &ExecConfig) -> Kernels {
+        Kernels {
+            filter: Slot::new(Family::Filter, cfg.filter, cfg),
+            probe: Slot::new(Family::Probe, cfg.probe, cfg),
+            bloom: Slot::new(Family::BloomCheck, cfg.probe, cfg),
+            gather: Slot::new(Family::Gather, cfg.gather, cfg),
+            agg: Slot::new(Family::AggSum, cfg.agg, cfg),
+            decode: Slot::new(Family::Decode, cfg.decode, cfg),
+        }
+    }
+
+    pub(crate) fn filter(&self, io: &mut KernelIo<'_>) {
+        self.filter.run(io)
+    }
+
+    fn probe(&self, io: &mut KernelIo<'_>) {
+        self.probe.run(io)
+    }
+
+    fn bloom(&self, io: &mut KernelIo<'_>) {
+        self.bloom.run(io)
+    }
+
+    fn agg(&self, io: &mut KernelIo<'_>) {
+        self.agg.run(io)
+    }
+
+    /// Run the decode kernel; `false` when its node is off the grid, so the
+    /// caller decodes with the scalar helper.
+    pub(crate) fn decode(&self, io: &mut KernelIo<'_>) -> bool {
+        self.decode.kernel.map(|k| k.run(io)).is_some()
+    }
+
+    /// Selective projection through the tuned gather kernel (falls back to
+    /// the scalar helper for off-grid nodes, which cannot happen for the
+    /// shipped flavor configs).
+    fn gather(&self, col: &[u64], sel: &[u64], out: &mut Vec<u64>) {
+        if hef_obs::metrics::enabled() {
+            hef_obs::metrics::add(hef_obs::metrics::Metric::GatherRows, sel.len() as u64);
+        }
+        out.clear();
+        out.resize(sel.len(), 0);
+        // The index stream is a fresh in-cache selection vector and the
+        // gather sources are streamed fact columns — hardware prefetch
+        // covers both, so the software-prefetch depth stays probe-only here.
+        match self.gather.kernel {
+            Some(k) => k.run(&mut KernelIo::Gather { src: col, idx: sel, out, prefetch: 0 }),
+            None => gather_keys(col, sel, out),
+        }
     }
 }
 
@@ -1180,6 +1241,91 @@ mod tests {
             assert!(out.stats.probes[0] <= no_bloom.stats.probes[0]);
             assert!(out.stats.probes[0] >= no_bloom.stats.hits[0]);
             assert_eq!(out.stats.hits, no_bloom.stats.hits);
+        }
+    }
+
+    /// Kernels resolved once per worker dispatch exactly what a per-call
+    /// `run_on` lookup does, for every config the engine ships: the four
+    /// flavors and the hybrid configs the committed registry's per-op and
+    /// pipeline rows produce.
+    #[test]
+    fn resolved_kernels_match_per_call_dispatch() {
+        use hef_kernels::{run_on, BloomFilter};
+        let reg = hef_core::Registry::parse(include_str!("../../../results/tuned.txt"))
+            .expect("committed registry parses");
+        let per_op = ExecConfig::hybrid_tuned(
+            reg.get_or_default(Family::Filter),
+            reg.get_or_default(Family::Probe),
+            reg.get_or_default(Family::AggSum),
+            reg.get_or_default(Family::Gather),
+        )
+        .with_decode(reg.get_or_default(Family::Decode))
+        .with_probe_prefetch(reg.get_prefetch(Family::Probe).unwrap_or(0));
+        let mut shipped: Vec<ExecConfig> = Flavor::ALL.map(ExecConfig::for_flavor).to_vec();
+        shipped.push(per_op);
+        shipped.extend(
+            reg.pipelines().map(|(_, e)| crate::pipeline_plan::apply_pipeline_entry(per_op, e)),
+        );
+        assert!(shipped.len() > 5, "the committed registry ships pipeline rows");
+
+        let vals: Vec<u64> = (0..3000u64).map(|i| (i * 37) % 1000).collect();
+        let sel: Vec<u64> = (0..3000u64).filter(|i| i % 3 != 0).collect();
+        let mut table = ProbeTable::with_capacity(400);
+        let mut bloom = BloomFilter::with_capacity(400);
+        for key in (0..1000u64).step_by(3) {
+            table.insert(key, key + 7);
+            bloom.insert(key);
+        }
+        let page = hef_storage::page::Page::encode(&vals);
+        for cfg in &shipped {
+            let k = Kernels::resolve(cfg);
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            k.filter(&mut KernelIo::Filter { input: &vals, lo: 100, hi: 600, base: 0, sel: &mut a });
+            let io = &mut KernelIo::Filter { input: &vals, lo: 100, hi: 600, base: 0, sel: &mut b };
+            assert!(run_on(Family::Filter, cfg.filter, cfg.backend, io));
+            assert_eq!(a, b, "filter {cfg:?}");
+
+            let (mut a, mut b) = (vec![0; vals.len()], vec![0; vals.len()]);
+            let f = cfg.probe_prefetch;
+            k.probe(&mut KernelIo::Probe { keys: &vals, table: &table, out: &mut a, prefetch: f });
+            let io = &mut KernelIo::Probe { keys: &vals, table: &table, out: &mut b, prefetch: f };
+            assert!(run_on(Family::Probe, cfg.probe, cfg.backend, io));
+            assert_eq!(a, b, "probe {cfg:?}");
+
+            let (mut a, mut b) = (vec![0; vals.len()], vec![0; vals.len()]);
+            k.bloom(&mut KernelIo::Bloom { keys: &vals, filter: &bloom, out: &mut a, prefetch: f });
+            let io = &mut KernelIo::Bloom { keys: &vals, filter: &bloom, out: &mut b, prefetch: f };
+            assert!(run_on(Family::BloomCheck, cfg.probe, cfg.backend, io));
+            assert_eq!(a, b, "bloom {cfg:?}");
+
+            let (mut a, mut b) = (Vec::new(), vec![0; sel.len()]);
+            k.gather(&vals, &sel, &mut a);
+            let io = &mut KernelIo::Gather { src: &vals, idx: &sel, out: &mut b, prefetch: 0 };
+            assert!(run_on(Family::Gather, cfg.gather, cfg.backend, io));
+            assert_eq!(a, b, "gather {cfg:?}");
+
+            let (mut a, mut b) = (0u64, 0u64);
+            k.agg(&mut KernelIo::AggSum { a: &vals, acc: &mut a });
+            assert!(run_on(Family::AggSum, cfg.agg, cfg.backend, &mut KernelIo::AggSum {
+                a: &vals,
+                acc: &mut b
+            }));
+            assert_eq!(a, b, "agg {cfg:?}");
+
+            let (mut a, mut b) = (vec![0; sel.len()], vec![0; sel.len()]);
+            let decode = |pos, out| KernelIo::Decode {
+                words: page.words(),
+                width: page.width(),
+                reference: page.reference(),
+                dict: page.dict_padded(),
+                start: 0,
+                pos,
+                out,
+            };
+            assert!(k.decode(&mut decode(Some(&sel), &mut a)));
+            assert!(run_on(Family::Decode, cfg.decode, cfg.backend, &mut decode(Some(&sel), &mut b)));
+            assert_eq!(a, b, "decode {cfg:?}");
+            assert_eq!(a, sel.iter().map(|&r| vals[r as usize]).collect::<Vec<_>>());
         }
     }
 

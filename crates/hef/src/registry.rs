@@ -169,6 +169,16 @@ impl PipelineEntry {
     }
 }
 
+/// The row body as the registry file spells it: `family:v,s,p … f:<depth>`.
+impl std::fmt::Display for PipelineEntry {
+    fn fmt(&self, w: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (family, cfg) in &self.stages {
+            write!(w, "{}:{},{},{} ", family.name(), cfg.v, cfg.s, cfg.p)?;
+        }
+        write!(w, "f:{}", self.f)
+    }
+}
+
 /// Parse a v3 pipeline row body (`<16hex> = family:v,s,p … f:<depth>`).
 fn parse_pipeline_row(rest: &str, line_no: usize) -> Result<Line, ParseError> {
     let bad = |message: String| ParseError::BadPipeline { line: line_no, message };
@@ -447,11 +457,7 @@ impl Registry {
             }
         }
         for (fp, e) in &self.pipelines {
-            let _ = write!(out, "pipeline {fp:016x} =");
-            for (family, cfg) in &e.stages {
-                let _ = write!(out, " {}:{},{},{}", family.name(), cfg.v, cfg.s, cfg.p);
-            }
-            let _ = writeln!(out, " f:{}", e.f);
+            let _ = writeln!(out, "pipeline {fp:016x} = {e}");
         }
         out
     }

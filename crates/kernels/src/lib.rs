@@ -285,19 +285,40 @@ pub fn run(family: Family, cfg: HybridConfig, io: &mut KernelIo<'_>) -> bool {
 
 /// [`run`], but on an explicit backend (panics if unavailable on this CPU).
 pub fn run_on(family: Family, cfg: HybridConfig, backend: Backend, io: &mut KernelIo<'_>) -> bool {
-    assert!(
-        backend.is_available(),
-        "backend {} not available on this CPU",
-        backend.name()
-    );
-    match kernel_for(family, cfg, backend) {
-        // SAFETY: availability checked above; the io variant is the caller's
-        // contract, checked again (with a panic) inside the kernel body.
-        Some(f) => {
-            unsafe { f(io) };
+    match Kernel::resolve(family, cfg, backend) {
+        Some(k) => {
+            k.run(io);
             true
         }
         None => false,
+    }
+}
+
+/// A grid entry resolved once for one backend: what a hot loop holds so
+/// each call skips the grid lookup [`run_on`] repeats.
+#[derive(Clone, Copy)]
+pub struct Kernel {
+    f: KernelFn,
+}
+
+impl Kernel {
+    /// The kernel for `(family, cfg)` on `backend`; `None` when `cfg` is not
+    /// a compiled grid point. Panics if `backend` is unavailable on this CPU.
+    pub fn resolve(family: Family, cfg: HybridConfig, backend: Backend) -> Option<Kernel> {
+        assert!(
+            backend.is_available(),
+            "backend {} not available on this CPU",
+            backend.name()
+        );
+        kernel_for(family, cfg, backend).map(|f| Kernel { f })
+    }
+
+    /// Invoke the kernel. Panics if `io` is not its family's variant.
+    #[inline]
+    pub fn run(&self, io: &mut KernelIo<'_>) {
+        // SAFETY: `resolve` checked the backend is available; the io variant
+        // is checked again (with a panic) inside the kernel body.
+        unsafe { (self.f)(io) }
     }
 }
 

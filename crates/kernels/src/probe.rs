@@ -313,8 +313,11 @@ pub unsafe fn body_prefetched<B: Simd64, const V: usize, const S: usize, const P
         .div_ceil(step.max(1))
         .clamp(1, (RING_SLOTS / step.max(1)).max(1))
         .min(nblocks.max(1));
-    let mut ring = [0u64; RING_SLOTS];
-    let ringp = ring.as_mut_ptr();
+    // Left uninitialized: only the first `depth * step` slots are used, and
+    // every block's chunk is written by its hash phase before its resolve
+    // phase reads it, so zero-filling 16 KiB per call bought nothing.
+    let mut ring = core::mem::MaybeUninit::<[u64; RING_SLOTS]>::uninit();
+    let ringp = ring.as_mut_ptr().cast::<u64>();
 
     // Hash phase for block `b`: compute home slots into ring chunk
     // `(b % depth) * step` and prefetch each slot's key/payload lines.
