@@ -23,8 +23,8 @@
 //! built from it every round must stay within 2% of the dark run — the
 //! observatory must be cheap enough to leave on.
 
-use hef_bench::config::tuned_hybrid;
-use hef_engine::execute_star;
+use hef_bench::config::{registry_from_env, tuned_hybrid};
+use hef_engine::{CancelToken, Engine, Fact};
 use hef_obs::metrics::{add, observe, Hist, Metric};
 use hef_ssb::{build_plan, generate, QueryId};
 use hef_testutil::time_best_of;
@@ -149,16 +149,19 @@ fn main() {
     }
 
     // Scale check on a real query: tracing off vs a fine in-memory capture.
+    // The environment's engine: `HEF_MAX_QUERIES`/`HEF_MEM_BUDGET` put the
+    // governor's admission arithmetic on the measured path.
+    let engine = Engine::from_env();
     let data = generate(0.01, 0xB5);
     let plan = build_plan(&data, QueryId::Q2_1);
-    let cfg = tuned_hybrid().with_threads(2);
-    let off = time_best_of(5, || {
-        std::hint::black_box(execute_star(&plan, &data.lineorder, &cfg));
-    });
+    let cfg = tuned_hybrid(&registry_from_env().0).with_threads(2);
+    let query = || {
+        let run = engine.execute(&plan, Fact::Mem(&data.lineorder), &cfg, &CancelToken::new());
+        std::hint::black_box(run.expect("Q2.1"));
+    };
+    let off = time_best_of(5, query);
     hef_obs::trace::start_capture(hef_obs::Level::Fine);
-    let on = time_best_of(5, || {
-        std::hint::black_box(execute_star(&plan, &data.lineorder, &cfg));
-    });
+    let on = time_best_of(5, query);
     let out = hef_obs::trace::finish().expect("capture session active");
     println!(
         "query Q2.1 @2T: tracing off {:.3} ms, fine capture {:.3} ms ({} events, {} dropped)",
@@ -185,11 +188,12 @@ fn main() {
         // The workload is sized up so per-run scheduler jitter (tens of µs
         // on a busy host) amortizes below the 2% budget instead of
         // dominating a sub-millisecond run.
-        std::env::set_var("HEF_DEADLINE_MS", "60000");
+        let governed = Engine::from_env().with_deadline_ms(60_000);
         let gdata = generate(0.05, 0xB5);
         let gplan = build_plan(&gdata, QueryId::Q2_1);
         let run = || {
-            let (_, report) = hef_engine::try_execute_star(&gplan, &gdata.lineorder, &cfg)
+            let (_, report) = governed
+                .execute(&gplan, Fact::Mem(&gdata.lineorder), &cfg, &CancelToken::new())
                 .expect("governed Q2.1 fits a 60s deadline");
             std::hint::black_box(report.morsels_completed);
         };
@@ -249,7 +253,6 @@ fn main() {
                 break;
             }
         }
-        std::env::remove_var("HEF_DEADLINE_MS");
         assert!(
             eratio < 1.02,
             "enabled-path overhead {:.2}% exceeds the 2% budget in every attempt",

@@ -15,9 +15,9 @@
 //! scale factor, few samples, one query — it exercises the full measurement
 //! path and asserts parallel/serial output equality without burning CI time.
 
-use hef_bench::config::tuned_hybrid;
+use hef_bench::config::{registry_from_env, tuned_hybrid};
 use hef_bench::report::{f2, TableWriter};
-use hef_engine::{execute_star, resolve_threads, try_execute_star, ExecReport};
+use hef_engine::{resolve_threads, CancelToken, Engine, ExecConfig, ExecReport, Fact, StarPlan};
 use hef_ssb::{build_plan, generate, QueryId};
 use hef_testutil::bench::Bench;
 
@@ -44,6 +44,11 @@ fn main() {
         if smoke { " (smoke)" } else { "" }
     );
     let data = generate(sf, 0x5CA1);
+    let engine = Engine::from_env();
+    let (registry, _) = registry_from_env();
+    let run = |plan: &StarPlan, cfg: &ExecConfig| {
+        engine.execute(plan, Fact::Mem(&data.lineorder), cfg, &CancelToken::new())
+    };
 
     let mut header: Vec<String> = vec!["query".into()];
     for &t in &counts {
@@ -61,9 +66,9 @@ fn main() {
         let mut outputs = Vec::with_capacity(counts.len());
         let mut recovery = ExecReport::default();
         for &t in &counts {
-            let cfg = tuned_hybrid().with_threads(t);
-            let (out, report) = try_execute_star(&plan, &data.lineorder, &cfg)
-                .unwrap_or_else(|e| panic!("{}: {e}", q.name()));
+            let cfg = tuned_hybrid(&registry).with_threads(t);
+            let (out, report) =
+                run(&plan, &cfg).unwrap_or_else(|e| panic!("{}: {e}", q.name()));
             if !report.is_clean() {
                 eprintln!(
                     "[scaling] {} @{t}T: recovered run — {} morsels retried, {} workers lost{}",
@@ -78,7 +83,7 @@ fn main() {
             recovery.degraded_to_serial |= report.degraded_to_serial;
             outputs.push(out);
             let stats = Bench::with_samples(samples).run(|| {
-                std::hint::black_box(execute_star(&plan, &data.lineorder, &cfg));
+                std::hint::black_box(run(&plan, &cfg).expect("bench query"));
             });
             ms.push(stats.median * 1e3);
         }

@@ -8,8 +8,9 @@
 //! `results/bench_ssb.json`; `--smoke` shrinks the scale factor and
 //! sample count for CI.
 
-use hef_bench::{config::exec_config, BenchSnapshot};
-use hef_engine::{execute_star, Flavor};
+use hef_bench::config::{exec_config, registry_from_env};
+use hef_bench::BenchSnapshot;
+use hef_engine::{CancelToken, Engine, Fact, Flavor};
 use hef_ssb::{build_plan, generate, QueryId};
 use hef_testutil::bench::Group;
 
@@ -20,6 +21,8 @@ fn main() {
     let samples = if smoke { 3 } else { 10 };
 
     let data = generate(sf, 4242);
+    let engine = Engine::from_env();
+    let (registry, _) = registry_from_env();
     let mut snap = BenchSnapshot::new(if smoke { "ssb_smoke" } else { "ssb" });
     snap.config("sf", sf)
         .config("smoke", smoke)
@@ -33,9 +36,11 @@ fn main() {
             .throughput_elems(data.lineorder.len() as u64)
             .samples(samples);
         for flavor in Flavor::ALL {
-            let cfg = exec_config(flavor);
+            let cfg = exec_config(&registry, flavor);
             let s = g.bench(flavor.name(), || {
-                execute_star(&plan, &data.lineorder, &cfg);
+                engine
+                    .execute(&plan, Fact::Mem(&data.lineorder), &cfg, &CancelToken::new())
+                    .expect("bench query");
             });
             snap.row(&group, flavor.name(), s, Some(data.lineorder.len() as u64));
         }

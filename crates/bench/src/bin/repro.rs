@@ -52,22 +52,29 @@
 //!                   (equivalent to HEF_TRACE=<file>)
 //!   --deadline-ms <ms>   per-query deadline; an exceeded deadline prints a
 //!                        typed DeadlineExceeded outcome instead of timing
-//!                        (equivalent to HEF_DEADLINE_MS=<ms>)
-//!   --mem-budget <bytes> global memory budget with k/m/g suffixes; the
-//!                        governor degrades and then rejects queries that
-//!                        would exceed it (equivalent to HEF_MEM_BUDGET=<n>)
+//!                        (overrides HEF_DEADLINE_MS)
+//!   --mem-budget <bytes> memory budget with k/m/g suffixes; the governor
+//!                        degrades and then rejects queries that would
+//!                        exceed it (overrides HEF_MEM_BUDGET)
+//!
+//! Every query runs on one engine built once from the environment
+//! (`Engine::from_env`) with these options applied over it, and hybrid
+//! configs come from the registry `HEF_REGISTRY` names, loaded once.
 //! ```
 //!
 //! Scale-factor mapping (see DESIGN.md §3): the paper's SF10/SF20/SF50 are
 //! run as 0.25/0.5/1.25 by default — the same 1:2:5 ratio, sized for this
 //! machine; pass `--sf` to change.
 
-use hef_bench::config::{exec_config, tuned_hybrid};
+use hef_bench::config::{exec_config, registry_from_env, tuned_hybrid};
 use hef_bench::counters::{issue_histogram, model_kernel, model_query};
 use hef_bench::measure::{kernel_input, measure_kernel, measure_query, measure_query_reported};
 use hef_bench::report::{eng, f2, TableWriter};
-use hef_core::{optimizer, space, templates, tune_measured, tune_simulated, Registry};
-use hef_engine::Flavor;
+use hef_core::{optimizer, space, templates, tune_measured, tune_simulated, Registry, WarmReport};
+use hef_engine::{
+    CancelToken, Engine, ExecConfig, ExecError, ExecReport, Fact, Flavor, GovernorConfig,
+    QueryOutput, StarPlan,
+};
 use hef_kernels::{Family, HybridConfig};
 use hef_ssb::{build_plan, generate, QueryId, SsbData};
 use hef_uarch::CpuModel;
@@ -83,6 +90,10 @@ struct Opts {
     mem_budget: Option<String>,
     paged: bool,
     out: Option<String>,
+    /// The engine every query of the run executes on.
+    engine: Engine,
+    /// The per-op registry `HEF_REGISTRY` names, and what loading it did.
+    registry: (Registry, WarmReport),
 }
 
 fn parse_opts(args: &[String]) -> Opts {
@@ -97,6 +108,8 @@ fn parse_opts(args: &[String]) -> Opts {
         mem_budget: None,
         paged: false,
         out: None,
+        engine: Engine::default(),
+        registry: (Registry::default(), WarmReport::default()),
     };
     let mut i = 0;
     while i < args.len() {
@@ -144,7 +157,28 @@ fn parse_opts(args: &[String]) -> Opts {
             other => panic!("unknown option {other}"),
         }
     }
+    let mut engine = Engine::from_env();
+    if let Some(ms) = o.deadline_ms {
+        engine = engine.with_deadline_ms(ms);
+    }
+    if let Some(budget) = &o.mem_budget {
+        let bytes = hef_engine::parse_bytes(budget).expect("--mem-budget <bytes>[k|m|g]");
+        let limits = GovernorConfig { mem_budget: bytes, ..engine.governor().config() };
+        engine = engine.with_limits(limits);
+    }
+    o.engine = engine;
+    o.registry = registry_from_env();
     o
+}
+
+/// Run `plan` over `fact` on the run's engine.
+fn execute(
+    opts: &Opts,
+    plan: &StarPlan,
+    fact: Fact<'_>,
+    cfg: &ExecConfig,
+) -> Result<(QueryOutput, ExecReport), ExecError> {
+    opts.engine.execute(plan, fact, cfg, &CancelToken::new())
 }
 
 /// The paper's workload scales mapped to this machine.
@@ -192,8 +226,9 @@ fn ssb_figure(fig: &str, scale: &str, opts: &Opts) {
         let mut ms = Vec::new();
         let mut modeled: Vec<(f64, f64)> = Vec::new();
         for flavor in Flavor::ALL {
-            let cfg = exec_config(flavor);
-            let (m, out, report) = measure_query_reported(&plan, &data.lineorder, &cfg, opts.repeats);
+            let cfg = exec_config(&opts.registry.0, flavor);
+            let (m, out, report) =
+                measure_query_reported(&opts.engine, &plan, &data.lineorder, &cfg, opts.repeats);
             if !report.is_clean() {
                 eprintln!(
                     "[exec] {} {}: recovered run — {} morsels retried, {} workers lost{}",
@@ -252,8 +287,8 @@ fn counter_table(name: &str, q: QueryId, scale: &str, model: CpuModel, opts: &Op
             vec!["Time (ms, measured here)".into()],
         ];
     for flavor in Flavor::ALL {
-        let cfg = exec_config(flavor);
-        let (m, out) = measure_query(&plan, &data.lineorder, &cfg, opts.repeats);
+        let cfg = exec_config(&opts.registry.0, flavor);
+        let (m, out) = measure_query(&opts.engine, &plan, &data.lineorder, &cfg, opts.repeats);
         let c = model_query(&model, flavor, &out.stats);
         rows[0].push(eng(c.instructions));
         rows[1].push(eng(c.llc_misses));
@@ -433,11 +468,13 @@ fn ablation_bloom(opts: &Opts) {
     for q in [hef_ssb::QueryId::Q2_3, hef_ssb::QueryId::Q3_3, hef_ssb::QueryId::Q3_4,
               hef_ssb::QueryId::Q2_1, hef_ssb::QueryId::Q4_2] {
         let plan = build_plan(&data, q);
-        let cfg = tuned_hybrid();
-        let (plain, out_plain) = measure_query(&plan, &data.lineorder, &cfg, opts.repeats);
+        let cfg = tuned_hybrid(&opts.registry.0);
+        let (plain, out_plain) =
+            measure_query(&opts.engine, &plan, &data.lineorder, &cfg, opts.repeats);
         let mut bcfg = cfg;
         bcfg.use_bloom = true;
-        let (bloom, out_bloom) = measure_query(&plan, &data.lineorder, &bcfg, opts.repeats);
+        let (bloom, out_bloom) =
+            measure_query(&opts.engine, &plan, &data.lineorder, &bcfg, opts.repeats);
         assert_eq!(out_plain.groups, out_bloom.groups, "{}", q.name());
         t.row(vec![
             q.name().to_string(),
@@ -462,9 +499,10 @@ fn ablation_dynamic(opts: &Opts) {
         let mut hybrid_ms = 0.0;
         for flavor in Flavor::ALL {
             let (m, _) = measure_query(
+                &opts.engine,
                 &plan,
                 &data.lineorder,
-                &exec_config(flavor),
+                &exec_config(&opts.registry.0, flavor),
                 opts.repeats,
             );
             if m.ms() < best.1 {
@@ -589,11 +627,11 @@ struct Candidate {
 /// layered on that registry's per-op rows, and a final baseline-vs-shipped
 /// playoff per query is archived as `results/bench_pipeline.json`.
 fn tune_pipeline(opts: &Opts) {
-    use hef_bench::pipeline::{per_op_exec_config, pipeline_row, pipeline_spec};
+    use hef_bench::pipeline::{pipeline_row, pipeline_spec};
     use hef_bench::playoff::{playoff, run_rounds, MIN_ROUNDS};
     use hef_bench::BenchSnapshot;
     use hef_core::{PipelineNode, PipelineSpec};
-    use hef_engine::{apply_pipeline_entry, first_per_slot, ExecConfig, StarPlan};
+    use hef_engine::{apply_pipeline_entry, first_per_slot};
 
     let sf = opts.sf.unwrap_or(1.0);
     let rounds = opts.repeats.max(MIN_ROUNDS);
@@ -625,7 +663,7 @@ fn tune_pipeline(opts: &Opts) {
     } else {
         Registry::with_host_provenance("this machine (repro tune-pipeline)")
     };
-    let per_op = per_op_exec_config(&reg).with_threads(threads);
+    let per_op = tuned_hybrid(&reg).with_threads(threads);
     let baseline = ExecConfig::hybrid_default().with_threads(threads);
 
     let dir = std::env::temp_dir()
@@ -960,7 +998,7 @@ fn next_stage(
 const MAX_DECODE_ROWS_PER_FACT_ROW: f64 = 2.0;
 
 fn paged_cmd(opts: &Opts) {
-    use hef_engine::{execute_star, try_execute_star_paged_ctx, PagedTable, QueryCtx};
+    use hef_engine::PagedTable;
     use hef_storage::PageCache;
 
     let sf = opts.sf.unwrap_or(1.0);
@@ -999,13 +1037,18 @@ fn paged_cmd(opts: &Opts) {
     for q in QueryId::ALL {
         let plan = build_plan(&data, q);
         let t0 = std::time::Instant::now();
-        let reference = execute_star(&plan, &data.lineorder, &exec_config(Flavor::Hybrid).with_threads(1));
+        let hybrid = exec_config(&opts.registry.0, Flavor::Hybrid);
+        let (reference, _) = execute(opts, &plan, Fact::Mem(&data.lineorder), &hybrid.with_threads(1))
+            .unwrap_or_else(|e| {
+                eprintln!("paged: {} in memory: {e}", q.name());
+                std::process::exit(1);
+            });
         let mem_ms = t0.elapsed().as_secs_f64() * 1e3;
         let mut paged_ms = [0.0f64; 2];
         for (i, threads) in [1usize, 4].into_iter().enumerate() {
-            let cfg = exec_config(Flavor::Hybrid).with_threads(threads);
+            let cfg = hybrid.with_threads(threads);
             let t0 = std::time::Instant::now();
-            let out = try_execute_star_paged_ctx(&plan, &table, &cfg, &cache, &QueryCtx::unbounded())
+            let (out, _) = execute(opts, &plan, Fact::Paged(&table, &cache), &cfg)
                 .unwrap_or_else(|e| {
                     eprintln!("paged: {} (threads {threads}): {e}", q.name());
                     std::process::exit(1);
@@ -1091,9 +1134,9 @@ fn run_query(q: QueryId, opts: &Opts) {
     let (sf, note) = scale_for("small", opts);
     println!("\n=== {}: single traced query ({note}) ===\n", q.name());
 
-    // Offline phase: registry warm-load plus a simulated tune per kernel
-    // family (tuner/translate spans in the trace).
-    let (reg, warm) = hef_core::Registry::warm_report();
+    // Offline phase: the registry loaded at startup plus a simulated tune
+    // per kernel family (tuner/translate spans in the trace).
+    let (reg, warm) = &opts.registry;
     println!(
         "registry: {} nodes warm-loaded{}",
         reg.len(),
@@ -1120,8 +1163,8 @@ fn run_query(q: QueryId, opts: &Opts) {
     // fatal, which is exactly wrong here).
     if opts.deadline_ms.is_some() || opts.mem_budget.is_some() {
         for flavor in Flavor::ALL {
-            let cfg = exec_config(flavor).with_threads(threads);
-            match hef_engine::try_execute_star(&plan, &data.lineorder, &cfg) {
+            let cfg = exec_config(reg, flavor).with_threads(threads);
+            match execute(opts, &plan, Fact::Mem(&data.lineorder), &cfg) {
                 Ok((out, report)) => println!(
                     "  {}: ok — {} groups, {} morsels, {} threads",
                     flavor.name(),
@@ -1129,13 +1172,13 @@ fn run_query(q: QueryId, opts: &Opts) {
                     report.morsels_completed,
                     report.threads
                 ),
-                Err(e @ hef_engine::ExecError::DeadlineExceeded { .. }) => {
+                Err(e @ ExecError::DeadlineExceeded { .. }) => {
                     println!("  {}: DeadlineExceeded — {e}", flavor.name())
                 }
-                Err(e @ hef_engine::ExecError::Cancelled { .. }) => {
+                Err(e @ ExecError::Cancelled { .. }) => {
                     println!("  {}: Cancelled — {e}", flavor.name())
                 }
-                Err(e @ hef_engine::ExecError::Rejected { .. }) => {
+                Err(e @ ExecError::Rejected { .. }) => {
                     println!("  {}: Rejected — {e}", flavor.name())
                 }
                 Err(e) => println!("  {}: error — {e}", flavor.name()),
@@ -1146,8 +1189,9 @@ fn run_query(q: QueryId, opts: &Opts) {
 
     let mut t = TableWriter::new(vec!["flavor", "ms", "threads", "retried", "lost", "serial"]);
     for flavor in Flavor::ALL {
-        let cfg = exec_config(flavor).with_threads(threads);
-        let (m, _out, report) = measure_query_reported(&plan, &data.lineorder, &cfg, opts.repeats);
+        let cfg = exec_config(reg, flavor).with_threads(threads);
+        let (m, _out, report) =
+            measure_query_reported(&opts.engine, &plan, &data.lineorder, &cfg, opts.repeats);
         t.row(vec![
             flavor.name().to_string(),
             f2(m.ms()),
@@ -1193,7 +1237,7 @@ fn flame_cmd(q: QueryId, opts: &Opts) {
     let data = gen_data(sf);
     let plan = build_plan(&data, q);
     let threads = hef_engine::resolve_threads(0).max(2);
-    let cfg = exec_config(Flavor::Hybrid).with_threads(threads);
+    let cfg = exec_config(&opts.registry.0, Flavor::Hybrid).with_threads(threads);
 
     // `--paged` profiles the out-of-core scan instead: page morsels with
     // per-worker `decode` self-time under them, no in-memory ExecReport.
@@ -1205,16 +1249,15 @@ fn flame_cmd(q: QueryId, opts: &Opts) {
         let table = hef_engine::PagedTable::open_dir(&dir, "lineorder").expect("paged open");
         let pages = table.page_count() as u64;
         let cache = hef_storage::PageCache::from_env();
-        let ctx = hef_engine::QueryCtx::unbounded();
-        match hef_engine::try_execute_star_paged_ctx(&plan, &table, &cfg, &cache, &ctx) {
-            Ok(out) => (out, ("page", pages, format!("{pages} page(s)"))),
+        match execute(opts, &plan, Fact::Paged(&table, &cache), &cfg) {
+            Ok((out, _)) => (out, ("page", pages, format!("{pages} page(s)"))),
             Err(e) => {
                 eprintln!("flame: {}: {e}", q.name());
                 std::process::exit(1);
             }
         }
     } else {
-        match hef_engine::try_execute_star(&plan, &data.lineorder, &cfg) {
+        match execute(opts, &plan, Fact::Mem(&data.lineorder), &cfg) {
             Ok((out, report)) => {
                 let n = report.morsels_completed as u64;
                 println!(
@@ -1398,7 +1441,7 @@ fn trace_report(path: &str) {
         println!("  thread {tid}: {name}");
     }
     // Calibration follow-up: how the registry's tuned nodes price out today.
-    drift_table(Registry::warm());
+    drift_table(&registry_from_env().0);
 }
 
 // ---------------------------------------------------------------- plan files
@@ -1409,7 +1452,7 @@ fn trace_report(path: &str) {
 /// optimized lowering in all four flavors and checks each against the
 /// naive (declared-order, unoptimized) lowering for bit-identical groups.
 fn plan_cmd(spec: &str, opts: &Opts) {
-    use hef_engine::{lower, optimize, parse_plan, render_plan, try_execute_star, ExecConfig};
+    use hef_engine::{lower, optimize, parse_plan, render_plan};
 
     let logical = match parse_query(spec) {
         Some(q) => hef_ssb::logical_plan(q),
@@ -1444,7 +1487,7 @@ fn plan_cmd(spec: &str, opts: &Opts) {
     };
     let naive = lower(&logical, &cat).unwrap_or_else(|e| fail("naive lowering", &e));
     let tuned = lower(&optimized, &cat).unwrap_or_else(|e| fail("optimized lowering", &e));
-    let reference = match try_execute_star(&naive, &data.lineorder, &ExecConfig::scalar()) {
+    let reference = match execute(opts, &naive, Fact::Mem(&data.lineorder), &ExecConfig::scalar()) {
         Ok((out, _)) => out,
         Err(e) => fail("naive execution", &e),
     };
@@ -1452,9 +1495,9 @@ fn plan_cmd(spec: &str, opts: &Opts) {
     println!("\n=== execution (sf {sf}) ===");
     let mut t = TableWriter::new(vec!["flavor", "ms", "rows agg", "groups>0", "vs naive"]);
     for flavor in Flavor::ALL {
-        let cfg = exec_config(flavor);
+        let cfg = exec_config(&opts.registry.0, flavor);
         let start = std::time::Instant::now();
-        let out = match try_execute_star(&tuned, &data.lineorder, &cfg) {
+        let out = match execute(opts, &tuned, Fact::Mem(&data.lineorder), &cfg) {
             Ok((out, _)) => out,
             Err(e) => fail(flavor.name(), &e),
         };
@@ -1473,6 +1516,47 @@ fn plan_cmd(spec: &str, opts: &Opts) {
         ]);
     }
     t.print();
+}
+
+/// The paper's experiments, in the order `all` runs them.
+const ALL: [&str; 19] = [
+    "fig8", "fig9", "fig10", "table3", "table4", "table5", "table6", "table7", "table8", "table9",
+    "fig11", "fig12", "fig13", "fig14", "ablation-search", "ablation-pack", "ablation-bloom",
+    "ablation-dynamic", "tune",
+];
+
+/// Run the experiment named `cmd`; `false` when there is none.
+fn experiment(cmd: &str, opts: &Opts) -> bool {
+    match cmd {
+        "fig8" => ssb_figure("Fig 8", "small", opts),
+        "fig9" => ssb_figure("Fig 9", "medium", opts),
+        "fig10" => ssb_figure("Fig 10", "large", opts),
+        "table3" => counter_table("Table III", QueryId::Q3_3, "small", CpuModel::silver_4110(), opts),
+        "table4" => counter_table("Table IV", QueryId::Q2_3, "medium", CpuModel::silver_4110(), opts),
+        "table5" => counter_table("Table V", QueryId::Q2_1, "large", CpuModel::gold_6240r(), opts),
+        "table6" => kernel_table("Table VI", Family::Murmur, HybridConfig::new(1, 3, 2), CpuModel::silver_4110(), opts),
+        "table7" => kernel_table("Table VII", Family::Murmur, HybridConfig::new(1, 3, 2), CpuModel::gold_6240r(), opts),
+        "table8" => kernel_table("Table VIII", Family::Crc64, HybridConfig::new(8, 0, 1), CpuModel::silver_4110(), opts),
+        "table9" => kernel_table("Table IX", Family::Crc64, HybridConfig::new(8, 0, 1), CpuModel::gold_6240r(), opts),
+        "fig11" => hist_figure("Fig 11", Family::Murmur, HybridConfig::new(1, 3, 2), CpuModel::silver_4110()),
+        "fig12" => hist_figure("Fig 12", Family::Murmur, HybridConfig::new(1, 3, 2), CpuModel::gold_6240r()),
+        "fig13" => hist_figure("Fig 13", Family::Crc64, HybridConfig::new(8, 0, 1), CpuModel::silver_4110()),
+        "fig14" => hist_figure("Fig 14", Family::Crc64, HybridConfig::new(8, 0, 1), CpuModel::gold_6240r()),
+        "ablation-search" => ablation_search(),
+        "ablation-pack" => ablation_pack(opts),
+        "ablation-bloom" => ablation_bloom(opts),
+        "ablation-dynamic" => ablation_dynamic(opts),
+        "tune" => tune(opts),
+        "tune-pipeline" => tune_pipeline(opts),
+        "paged" => paged_cmd(opts),
+        "all" => {
+            for c in ALL {
+                experiment(c, opts);
+            }
+        }
+        _ => return false,
+    }
+    true
 }
 
 fn main() {
@@ -1515,63 +1599,12 @@ fn main() {
         return;
     }
     let opts = parse_opts(&args[1.min(args.len())..]);
-    // Governance knobs must land in the environment before the first query
-    // executes: the engine reads HEF_DEADLINE_MS per execution and latches
-    // HEF_MEM_BUDGET into the process-wide governor on first admission.
-    if let Some(ms) = opts.deadline_ms {
-        std::env::set_var("HEF_DEADLINE_MS", ms.to_string());
-    }
-    if let Some(budget) = &opts.mem_budget {
-        std::env::set_var("HEF_MEM_BUDGET", budget);
-    }
     if let Some(path) = &opts.trace {
         hef_obs::trace::start_file(path, hef_obs::Level::Fine);
     }
 
-    match cmd {
-        "fig8" => ssb_figure("Fig 8", "small", &opts),
-        "fig9" => ssb_figure("Fig 9", "medium", &opts),
-        "fig10" => ssb_figure("Fig 10", "large", &opts),
-        "table3" => counter_table("Table III", QueryId::Q3_3, "small", CpuModel::silver_4110(), &opts),
-        "table4" => counter_table("Table IV", QueryId::Q2_3, "medium", CpuModel::silver_4110(), &opts),
-        "table5" => counter_table("Table V", QueryId::Q2_1, "large", CpuModel::gold_6240r(), &opts),
-        "table6" => kernel_table("Table VI", Family::Murmur, HybridConfig::new(1, 3, 2), CpuModel::silver_4110(), &opts),
-        "table7" => kernel_table("Table VII", Family::Murmur, HybridConfig::new(1, 3, 2), CpuModel::gold_6240r(), &opts),
-        "table8" => kernel_table("Table VIII", Family::Crc64, HybridConfig::new(8, 0, 1), CpuModel::silver_4110(), &opts),
-        "table9" => kernel_table("Table IX", Family::Crc64, HybridConfig::new(8, 0, 1), CpuModel::gold_6240r(), &opts),
-        "fig11" => hist_figure("Fig 11", Family::Murmur, HybridConfig::new(1, 3, 2), CpuModel::silver_4110()),
-        "fig12" => hist_figure("Fig 12", Family::Murmur, HybridConfig::new(1, 3, 2), CpuModel::gold_6240r()),
-        "fig13" => hist_figure("Fig 13", Family::Crc64, HybridConfig::new(8, 0, 1), CpuModel::silver_4110()),
-        "fig14" => hist_figure("Fig 14", Family::Crc64, HybridConfig::new(8, 0, 1), CpuModel::gold_6240r()),
-        "ablation-search" => ablation_search(),
-        "ablation-pack" => ablation_pack(&opts),
-        "ablation-bloom" => ablation_bloom(&opts),
-        "ablation-dynamic" => ablation_dynamic(&opts),
-        "tune" => tune(&opts),
-        "tune-pipeline" => tune_pipeline(&opts),
-        "paged" => paged_cmd(&opts),
-        "all" => {
-            for f in ["fig8", "fig9", "fig10"] {
-                ssb_figure(f, match f { "fig8" => "small", "fig9" => "medium", _ => "large" }, &opts);
-            }
-            counter_table("Table III", QueryId::Q3_3, "small", CpuModel::silver_4110(), &opts);
-            counter_table("Table IV", QueryId::Q2_3, "medium", CpuModel::silver_4110(), &opts);
-            counter_table("Table V", QueryId::Q2_1, "large", CpuModel::gold_6240r(), &opts);
-            kernel_table("Table VI", Family::Murmur, HybridConfig::new(1, 3, 2), CpuModel::silver_4110(), &opts);
-            kernel_table("Table VII", Family::Murmur, HybridConfig::new(1, 3, 2), CpuModel::gold_6240r(), &opts);
-            kernel_table("Table VIII", Family::Crc64, HybridConfig::new(8, 0, 1), CpuModel::silver_4110(), &opts);
-            kernel_table("Table IX", Family::Crc64, HybridConfig::new(8, 0, 1), CpuModel::gold_6240r(), &opts);
-            hist_figure("Fig 11", Family::Murmur, HybridConfig::new(1, 3, 2), CpuModel::silver_4110());
-            hist_figure("Fig 12", Family::Murmur, HybridConfig::new(1, 3, 2), CpuModel::gold_6240r());
-            hist_figure("Fig 13", Family::Crc64, HybridConfig::new(8, 0, 1), CpuModel::silver_4110());
-            hist_figure("Fig 14", Family::Crc64, HybridConfig::new(8, 0, 1), CpuModel::gold_6240r());
-            ablation_search();
-            ablation_pack(&opts);
-            ablation_bloom(&opts);
-            ablation_dynamic(&opts);
-            tune(&opts);
-        }
-        other => match parse_query(other) {
+    if !experiment(cmd, &opts) {
+        match parse_query(cmd) {
             Some(q) => run_query(q, &opts),
             None => {
                 println!(
@@ -1588,7 +1621,7 @@ fn main() {
                 println!("             flame [qNN] (in-terminal flamegraph of one profiled query)");
                 println!("             trend [--strict] (per-row sparklines over archived snapshots)");
             }
-        },
+        }
     }
 
     if let Some(out) = hef_obs::trace::finish() {

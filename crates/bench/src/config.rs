@@ -1,21 +1,34 @@
-//! Tuned execution configs from the warmed operator registry.
+//! Tuned execution configs from the operator registry.
 //!
 //! Benches and the `repro` binary build their [`ExecConfig`]s here instead
-//! of hard-coding the paper's SSB optimum: [`hef_core::Registry::warm`]
-//! loads the tuned registry once per process (from `HEF_REGISTRY` when set,
-//! e.g. the file the `repro tune` experiment writes), and the hybrid flavor
-//! picks up whatever node the offline tuner found per kernel family.
+//! of hard-coding the paper's SSB optimum: they load the tuned registry
+//! once at startup with [`registry_from_env`] (the file `HEF_REGISTRY`
+//! names, e.g. the one the `repro tune` experiment writes) and pass it
+//! down, and the hybrid flavor picks up whatever node the offline tuner
+//! found per kernel family.
 
-use hef_core::Registry;
+use std::path::Path;
+
+use hef_core::{Registry, WarmReport};
 use hef_engine::{ExecConfig, Flavor};
 use hef_kernels::Family;
 
-/// Hybrid config with per-family nodes from the warmed registry (falling
-/// back to the paper's SSB optimum `(1, 1, 3)` for untuned families). A
-/// registry carrying a tuned probe prefetch depth (`f`, the v2 column)
-/// flows into [`ExecConfig::with_probe_prefetch`].
-pub fn tuned_hybrid() -> ExecConfig {
-    let reg = Registry::warm();
+/// The registry `HEF_REGISTRY` names, through the degradation ladder
+/// ([`Registry::load_degraded`]); empty (every family at the paper's SSB
+/// optimum) when the variable is unset.
+pub fn registry_from_env() -> (Registry, WarmReport) {
+    match std::env::var("HEF_REGISTRY") {
+        Ok(path) if !path.trim().is_empty() => Registry::load_degraded(Path::new(path.trim())),
+        _ => (Registry::default(), WarmReport::default()),
+    }
+}
+
+/// Hybrid config with per-family nodes from `reg` (falling back to the
+/// paper's SSB optimum `(1, 1, 3)` for untuned families). A registry
+/// carrying a tuned probe prefetch depth (`f`, the v2 column) flows into
+/// [`ExecConfig::with_probe_prefetch`]. This is also the per-op candidate
+/// of the pipeline playoff, the config its rows are applied onto.
+pub fn tuned_hybrid(reg: &Registry) -> ExecConfig {
     let cfg = ExecConfig::hybrid_tuned(
         reg.get_or_default(Family::Filter),
         reg.get_or_default(Family::Probe),
@@ -29,11 +42,11 @@ pub fn tuned_hybrid() -> ExecConfig {
     }
 }
 
-/// The config benches run for a flavor: registry-tuned nodes for Hybrid,
-/// the fixed baselines for everything else.
-pub fn exec_config(flavor: Flavor) -> ExecConfig {
+/// The config benches run for a flavor: `reg`-tuned nodes for Hybrid, the
+/// fixed baselines for everything else.
+pub fn exec_config(reg: &Registry, flavor: Flavor) -> ExecConfig {
     match flavor {
-        Flavor::Hybrid => tuned_hybrid(),
+        Flavor::Hybrid => tuned_hybrid(reg),
         _ => ExecConfig::for_flavor(flavor),
     }
 }
@@ -41,14 +54,16 @@ pub fn exec_config(flavor: Flavor) -> ExecConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hef_kernels::HybridConfig;
 
     #[test]
     fn hybrid_flavor_comes_from_registry() {
-        let cfg = exec_config(Flavor::Hybrid);
+        let mut reg = Registry::default();
+        reg.insert(Family::Probe, HybridConfig::new(2, 1, 2));
+        let cfg = exec_config(&reg, Flavor::Hybrid);
         assert_eq!(cfg.flavor, Flavor::Hybrid);
-        let reg = Registry::warm();
         assert_eq!(cfg.filter, reg.get_or_default(Family::Filter));
-        assert_eq!(cfg.probe, reg.get_or_default(Family::Probe));
+        assert_eq!(cfg.probe, HybridConfig::new(2, 1, 2));
         assert_eq!(cfg.agg, reg.get_or_default(Family::AggSum));
         assert_eq!(cfg.gather, reg.get_or_default(Family::Gather));
         assert_eq!(cfg.probe_prefetch, reg.get_prefetch(Family::Probe).unwrap_or(0));
@@ -56,8 +71,9 @@ mod tests {
 
     #[test]
     fn baselines_unchanged() {
-        assert_eq!(exec_config(Flavor::Scalar).filter, hef_kernels::HybridConfig::SCALAR);
-        assert_eq!(exec_config(Flavor::Simd).probe, hef_kernels::HybridConfig::SIMD);
-        assert_eq!(exec_config(Flavor::Voila).flavor, Flavor::Voila);
+        let reg = Registry::default();
+        assert_eq!(exec_config(&reg, Flavor::Scalar).filter, HybridConfig::SCALAR);
+        assert_eq!(exec_config(&reg, Flavor::Simd).probe, HybridConfig::SIMD);
+        assert_eq!(exec_config(&reg, Flavor::Voila).flavor, Flavor::Voila);
     }
 }

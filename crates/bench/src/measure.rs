@@ -1,7 +1,7 @@
 //! Wall-clock measurement on the build machine, on top of the
 //! `hef-testutil` clock discipline (warm-up run, best-of-k wall time).
 
-use hef_engine::{execute_star, try_execute_star, ExecConfig, ExecReport, QueryOutput, StarPlan};
+use hef_engine::{CancelToken, Engine, ExecConfig, ExecReport, Fact, QueryOutput, StarPlan};
 use hef_kernels::{run_on, Family, HybridConfig, KernelIo};
 use hef_storage::Table;
 
@@ -25,34 +25,41 @@ impl Measured {
     }
 }
 
-/// Execute `plan` `repeats` times under `cfg` and return the best time and
-/// the (identical every run) output, plus the executor's fault-recovery
-/// report from the untimed warm-up run. A degraded run still measures, but
-/// the report lets the harness flag numbers taken under recovery.
+/// Execute `plan` on `engine` `repeats` times under `cfg` and return the
+/// best time and the (identical every run) output, plus the executor's
+/// fault-recovery report from the untimed warm-up run. A degraded run
+/// still measures, but the report lets the harness flag numbers taken
+/// under recovery.
 pub fn measure_query_reported(
+    engine: &Engine,
     plan: &StarPlan,
     fact: &Table,
     cfg: &ExecConfig,
     repeats: usize,
 ) -> (Measured, QueryOutput, ExecReport) {
+    let run = || {
+        engine
+            .execute(plan, Fact::Mem(fact), cfg, &CancelToken::new())
+            .unwrap_or_else(|e| panic!("bench query failed: {e}"))
+    };
     // The (identical every run) result, with recovery accounting.
-    let (out, report) = try_execute_star(plan, fact, cfg)
-        .unwrap_or_else(|e| panic!("bench query failed: {e}"));
+    let (out, report) = run();
     let (secs, cycles) = hef_testutil::time_best_of_cycles(repeats, || {
-        execute_star(plan, fact, cfg);
+        run();
     });
     (Measured { secs, cycles }, out, report)
 }
 
-/// Execute `plan` `repeats` times under `cfg` and return the best time and
-/// the (identical every run) output.
+/// Execute `plan` on `engine` `repeats` times under `cfg` and return the
+/// best time and the (identical every run) output.
 pub fn measure_query(
+    engine: &Engine,
     plan: &StarPlan,
     fact: &Table,
     cfg: &ExecConfig,
     repeats: usize,
 ) -> (Measured, QueryOutput) {
-    let (m, out, _) = measure_query_reported(plan, fact, cfg, repeats);
+    let (m, out, _) = measure_query_reported(engine, plan, fact, cfg, repeats);
     (m, out)
 }
 
@@ -99,7 +106,9 @@ mod tests {
     fn query_measurement_returns_consistent_output() {
         let data = hef_ssb::generate(0.002, 9);
         let plan = hef_ssb::build_plan(&data, hef_ssb::QueryId::Q2_1);
+        let engine = Engine::default();
         let (m, out) = measure_query(
+            &engine,
             &plan,
             &data.lineorder,
             &ExecConfig::for_flavor(Flavor::Hybrid),
@@ -107,6 +116,7 @@ mod tests {
         );
         assert!(m.secs > 0.0);
         let (_, out2) = measure_query(
+            &engine,
             &plan,
             &data.lineorder,
             &ExecConfig::for_flavor(Flavor::Scalar),

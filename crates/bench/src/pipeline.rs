@@ -9,7 +9,7 @@
 //! weighs. The resulting spec is scale-invariant in the same sense as the
 //! plan fingerprint: fractions, not row counts.
 
-use hef_core::{PipelineEntry, PipelineSpec, PipelineStage, Registry};
+use hef_core::{PipelineEntry, PipelineSpec, PipelineStage};
 use hef_engine::{ExecConfig, ExecStats, Measure, StarPlan};
 use hef_kernels::Family;
 
@@ -51,25 +51,6 @@ pub fn pipeline_spec(plan: &StarPlan, stats: &ExecStats) -> PipelineSpec {
     }
 }
 
-/// The per-op-tuned execution config an explicit registry implies: one
-/// candidate of the pipeline playoff, and the config its rows are applied
-/// onto. Same shape as
-/// [`crate::tuned_hybrid`] but from a caller-supplied registry instead of
-/// the warmed process-global one.
-pub fn per_op_exec_config(reg: &Registry) -> ExecConfig {
-    let cfg = ExecConfig::hybrid_tuned(
-        reg.get_or_default(Family::Filter),
-        reg.get_or_default(Family::Probe),
-        reg.get_or_default(Family::AggSum),
-        reg.get_or_default(Family::Gather),
-    )
-    .with_decode(reg.get_or_default(Family::Decode));
-    match reg.get_prefetch(Family::Probe) {
-        Some(f) => cfg.with_probe_prefetch(f),
-        None => cfg,
-    }
-}
-
 /// The pipeline row that runs a plan exactly as `cfg` does: one node per
 /// stage slot the plan dispatches on either storage layer (the filter slot
 /// only when it has filters, one probe node for every join, gather, the
@@ -99,6 +80,7 @@ pub fn pipeline_row(plan: &StarPlan, cfg: &ExecConfig) -> PipelineEntry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hef_core::Registry;
     use hef_engine::{apply_pipeline_entry, execute_star};
     use hef_ssb::{build_plan, generate, QueryId};
 
@@ -145,7 +127,7 @@ mod tests {
             let row = pipeline_row(&plan, &cfg);
             // One node per slot, so the engine never refuses it.
             assert!(hef_engine::conflicting_stages(&row).is_none(), "{row:?}");
-            let applied = apply_pipeline_entry(per_op_exec_config(&reg), &row);
+            let applied = apply_pipeline_entry(crate::tuned_hybrid(&reg), &row);
             assert_eq!(applied.probe, cfg.probe);
             assert_eq!(applied.gather, cfg.gather);
             assert_eq!(applied.agg, cfg.agg);

@@ -30,6 +30,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use hef_obs::check::{parse_json, Json};
+use hef_testutil::bench::median;
 
 /// One snapshot's measurement of a series: the file it came from plus the
 /// row's median and MAD (seconds).
@@ -143,21 +144,6 @@ impl TrendSeries {
 /// playoff ([`crate::playoff`]).
 pub fn noise_margin(mad_a: f64, mad_b: f64) -> f64 {
     3.0 * (mad_a + mad_b)
-}
-
-/// Median of an iterator of floats (0.0 when empty).
-fn median(values: impl Iterator<Item = f64>) -> f64 {
-    let mut v: Vec<f64> = values.filter(|x| x.is_finite()).collect();
-    if v.is_empty() {
-        return 0.0;
-    }
-    v.sort_by(f64::total_cmp);
-    let mid = v.len() / 2;
-    if v.len() % 2 == 1 {
-        v[mid]
-    } else {
-        (v[mid - 1] + v[mid]) / 2.0
-    }
 }
 
 /// Every series found under a workspace root.

@@ -10,17 +10,10 @@
 //! observation that Voila wins very-high-selectivity queries while HEF wins
 //! the rest is exactly the kind of crossover this selector navigates.
 
-use std::time::Instant;
+use crate::star::Flavor;
 
-use hef_storage::Table;
-
-use crate::govern::CancelToken;
-use crate::parallel::ExecError;
-use crate::star::{
-    try_execute_star_cancellable, ExecConfig, Flavor, QueryOutput, StarPlan,
-};
-
-/// The outcome of a sampled selection.
+/// The outcome of a sampled selection
+/// ([`Engine::choose_flavor`](crate::Engine::choose_flavor)).
 #[derive(Debug, Clone)]
 pub struct Selection {
     /// The winning flavor.
@@ -36,93 +29,24 @@ pub struct Selection {
 /// `min_by` keeps the *first* of equal entries, so an all-NaN (or empty)
 /// ranking deterministically falls back to the first flavor in
 /// [`Flavor::ALL`] order.
-fn fastest(timings: &[(Flavor, f64)]) -> Flavor {
+pub(crate) fn fastest(timings: &[(Flavor, f64)]) -> Flavor {
     timings
         .iter()
         .min_by(|a, b| a.1.total_cmp(&b.1))
         .map_or(Flavor::Scalar, |&(f, _)| f)
 }
 
-/// Time each flavor on the first `sample_rows` rows and return the ranking.
-/// A plan the executor rejects comes back as a typed [`ExecError`].
-pub fn try_choose_flavor(
-    plan: &StarPlan,
-    fact: &Table,
-    sample_rows: usize,
-) -> Result<Selection, ExecError> {
-    try_choose_flavor_cancellable(plan, fact, sample_rows, &CancelToken::new())
-}
-
-/// [`try_choose_flavor`] with a caller-supplied cancel token: the token is
-/// checked inside every sampled pre-run, so a cancelled selection stops at
-/// the next morsel boundary with a typed [`ExecError::Cancelled`] instead of
-/// timing the remaining flavors.
-pub fn try_choose_flavor_cancellable(
-    plan: &StarPlan,
-    fact: &Table,
-    sample_rows: usize,
-    cancel: &CancelToken,
-) -> Result<Selection, ExecError> {
-    let sample = fact.head(sample_rows.max(1));
-    let mut timings = Vec::with_capacity(Flavor::ALL.len());
-    for flavor in Flavor::ALL {
-        let cfg = ExecConfig::for_flavor(flavor);
-        try_execute_star_cancellable(plan, &sample, &cfg, cancel)?; // warm-up
-        let t = Instant::now();
-        try_execute_star_cancellable(plan, &sample, &cfg, cancel)?;
-        timings.push((flavor, t.elapsed().as_secs_f64()));
-    }
-    Ok(Selection { flavor: fastest(&timings), sample_secs: timings, sample_rows: sample.len() })
-}
-
-/// Panicking convenience over [`try_choose_flavor`].
-pub fn choose_flavor(plan: &StarPlan, fact: &Table, sample_rows: usize) -> Selection {
-    try_choose_flavor(plan, fact, sample_rows).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Execute `plan` with the flavor a sampled pre-run selects, returning a
-/// typed [`ExecError`] instead of panicking on a bad plan or an exhausted
-/// degradation ladder.
-///
-/// `sample_fraction` of the fact table (clamped to `1024..=1_000_000` rows)
-/// is used for selection.
-pub fn try_execute_star_dynamic(
-    plan: &StarPlan,
-    fact: &Table,
-    sample_fraction: f64,
-) -> Result<(QueryOutput, Selection), ExecError> {
-    try_execute_star_dynamic_cancellable(plan, fact, sample_fraction, &CancelToken::new())
-}
-
-/// [`try_execute_star_dynamic`] with a caller-supplied cancel token threaded
-/// through both the sampled selection runs and the final full-table run.
-pub fn try_execute_star_dynamic_cancellable(
-    plan: &StarPlan,
-    fact: &Table,
-    sample_fraction: f64,
-    cancel: &CancelToken,
-) -> Result<(QueryOutput, Selection), ExecError> {
-    let rows = ((fact.len() as f64 * sample_fraction) as usize).clamp(1024, 1_000_000);
-    let sel = try_choose_flavor_cancellable(plan, fact, rows, cancel)?;
-    let (out, _) =
-        try_execute_star_cancellable(plan, fact, &ExecConfig::for_flavor(sel.flavor), cancel)?;
-    Ok((out, sel))
-}
-
-/// Panicking convenience over [`try_execute_star_dynamic`].
-pub fn execute_star_dynamic(
-    plan: &StarPlan,
-    fact: &Table,
-    sample_fraction: f64,
-) -> (QueryOutput, Selection) {
-    try_execute_star_dynamic(plan, fact, sample_fraction).unwrap_or_else(|e| panic!("{e}"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::star::{build_dimension, execute_star, Measure};
-    use hef_storage::Column;
+    use crate::parallel::ExecError;
+    use crate::star::{build_dimension, execute_star, ExecConfig, Measure, StarPlan};
+    use crate::{CancelToken, Engine, Fact};
+    use hef_storage::{Column, Table};
+
+    fn choose(plan: &StarPlan, fact: &Table, rows: usize) -> Result<Selection, ExecError> {
+        Engine::default().choose_flavor(plan, fact, rows, &CancelToken::new())
+    }
 
     fn toy() -> (Table, StarPlan) {
         let mut fact = Table::new("fact");
@@ -145,7 +69,7 @@ mod tests {
     #[test]
     fn selection_ranks_all_flavors() {
         let (fact, plan) = toy();
-        let sel = choose_flavor(&plan, &fact, 4096);
+        let sel = choose(&plan, &fact, 4096).unwrap();
         assert_eq!(sel.sample_secs.len(), Flavor::ALL.len());
         assert!(sel.sample_secs.iter().all(|&(_, t)| t > 0.0));
         assert_eq!(sel.sample_rows, 4096);
@@ -154,7 +78,8 @@ mod tests {
     #[test]
     fn dynamic_execution_matches_static_results() {
         let (fact, plan) = toy();
-        let (out, sel) = execute_star_dynamic(&plan, &fact, 0.2);
+        let sel = choose(&plan, &fact, 4000).unwrap();
+        let out = execute_star(&plan, &fact, &ExecConfig::for_flavor(sel.flavor));
         let reference = execute_star(&plan, &fact, &ExecConfig::scalar());
         assert_eq!(out.groups, reference.groups);
         assert!(Flavor::ALL.contains(&sel.flavor));
@@ -185,12 +110,11 @@ mod tests {
     fn bad_plan_is_a_typed_error_from_selection() {
         let (fact, mut plan) = toy();
         plan.measure = Measure::Sum("ghost".into());
+        assert!(matches!(choose(&plan, &fact, 1024), Err(ExecError::BadPlan { .. })));
+        let cancel = CancelToken::new();
+        let engine = Engine::default();
         assert!(matches!(
-            try_choose_flavor(&plan, &fact, 1024),
-            Err(ExecError::BadPlan { .. })
-        ));
-        assert!(matches!(
-            try_execute_star_dynamic(&plan, &fact, 0.1),
+            engine.execute(&plan, Fact::Mem(&fact), &ExecConfig::scalar(), &cancel),
             Err(ExecError::BadPlan { .. })
         ));
     }
@@ -198,7 +122,7 @@ mod tests {
     #[test]
     fn sample_clamps_to_table_size() {
         let (fact, plan) = toy();
-        let sel = choose_flavor(&plan, &fact, 10_000_000);
+        let sel = choose(&plan, &fact, 10_000_000).unwrap();
         assert_eq!(sel.sample_rows, fact.len());
     }
 }

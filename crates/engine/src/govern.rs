@@ -2,12 +2,13 @@
 //! graceful degradation, deadlines, and cooperative cancellation.
 //!
 //! The ROADMAP's end state is a multi-query server; this module is the
-//! robustness substrate it stands on. Before a query executes, the process
-//! [`Governor`] *admits* it: a concurrent-query cap and a global memory
-//! budget bound what the scheduler will take on, and an over-budget query is
-//! first **degraded** — drop the radix-partitioned probe (its sub-table
-//! scratch is the largest optional allocation), shrink morsel batch buffers,
-//! shed worker threads — and only **rejected** (typed
+//! robustness substrate it stands on. Before a query executes, the
+//! [`Governor`] of the [`Engine`](crate::Engine) running it *admits* it: a
+//! concurrent-query cap and a memory budget bound what the scheduler will
+//! take on, and an over-budget query is first **degraded** — drop the
+//! radix-partitioned probe (its sub-table scratch is the largest optional
+//! allocation), shrink morsel batch buffers, shed worker threads — and
+//! only **rejected** (typed
 //! [`ExecError::Rejected`] with a retry hint, never an unbounded queue) when
 //! even the minimal shape does not fit. Admitted queries run under a
 //! [`QueryCtx`] — an `Arc`-shared [`CancelToken`] plus an optional deadline
@@ -23,17 +24,15 @@
 //! cancel / deadline) emits an obs event and bumps a `govern.*` counter so
 //! `repro report` can show why a query was slowed or refused.
 //!
-//! Configuration comes from `HEF_MAX_QUERIES` (concurrent-query cap, 0 =
-//! unlimited) and `HEF_MEM_BUDGET` (bytes, `k`/`m`/`g` suffixes accepted,
-//! 0 = unlimited), read once per process; tests install a scoped governor
-//! via [`with_governor`], serialized process-wide exactly like
-//! `fault::with_plan`.
+//! Each engine owns one governor, built from a [`GovernorConfig`]: a
+//! concurrent-query cap and a memory budget, both 0 = unlimited.
+//! `Engine::from_env` fills it from `HEF_MAX_QUERIES` and `HEF_MEM_BUDGET`;
+//! a test builds a private engine with its own limits, and no other
+//! engine's queries can reach its budget.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-use hef_storage::Table;
 
 use crate::parallel::{ExecError, ExecReport};
 use crate::star::{ExecConfig, Flavor, Measure, StarPlan};
@@ -66,8 +65,8 @@ pub enum DegradeAction {
 pub const MIN_BATCH: usize = 256;
 
 /// Hard cap on a single backoff sleep in
-/// [`try_execute_star_with_retry`].
-const MAX_BACKOFF_MS: u64 = 100;
+/// [`Engine::execute_with_retry`](crate::Engine::execute_with_retry).
+pub(crate) const MAX_BACKOFF_MS: u64 = 100;
 
 // ---------------------------------------------------------------------------
 // Cancellation and deadlines.
@@ -115,6 +114,11 @@ impl QueryCtx {
     /// A context that never interrupts (fresh token, no deadline).
     pub fn unbounded() -> QueryCtx {
         QueryCtx::new(CancelToken::new(), 0)
+    }
+
+    /// The context's cancellation token.
+    pub fn token(&self) -> &CancelToken {
+        &self.cancel
     }
 
     /// The configured deadline in milliseconds (0 = none), for error
@@ -287,11 +291,11 @@ impl Drop for ByteCharge<'_> {
 /// under-charge.
 pub fn estimate_query_bytes(
     plan: &StarPlan,
-    fact: &Table,
+    fact_rows: usize,
     cfg: &ExecConfig,
     threads: usize,
 ) -> usize {
-    let batch = cfg.batch.clamp(1, fact.len().max(1));
+    let batch = cfg.batch.clamp(1, fact_rows.max(1));
     let streams = if cfg.flavor == Flavor::Voila {
         let measure_cols = match plan.measure {
             Measure::Sum(_) => 1,
@@ -317,43 +321,18 @@ pub fn estimate_query_bytes(
 // The governor.
 // ---------------------------------------------------------------------------
 
-/// Governor configuration (see module docs for the environment knobs).
-#[derive(Debug, Clone, Copy, Default)]
+/// Governor configuration (see module docs).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GovernorConfig {
     /// Concurrent-query cap (0 = unlimited).
     pub max_queries: usize,
-    /// Global memory budget in bytes (0 = unlimited).
+    /// Memory budget in bytes (0 = unlimited).
     pub mem_budget: usize,
 }
 
-impl GovernorConfig {
-    /// Read `HEF_MAX_QUERIES` / `HEF_MEM_BUDGET` (once per process — the
-    /// governor is global state, unlike the per-execution env knobs).
-    pub fn from_env() -> GovernorConfig {
-        GovernorConfig {
-            max_queries: env_usize("HEF_MAX_QUERIES"),
-            mem_budget: env_bytes("HEF_MEM_BUDGET"),
-        }
-    }
-}
-
-fn env_usize(key: &str) -> usize {
-    let Ok(v) = std::env::var(key) else { return 0 };
-    match v.trim().parse::<usize>() {
-        Ok(n) => n,
-        Err(_) => {
-            hef_obs::diag::warn_once(
-                "govern-bad-env",
-                format!("{key}=`{v}` is not a non-negative integer; governor treats it as unset"),
-            );
-            0
-        }
-    }
-}
-
-/// Parse a byte count with an optional `k`/`m`/`g` suffix (powers of 1024).
-fn env_bytes(key: &str) -> usize {
-    let Ok(v) = std::env::var(key) else { return 0 };
+/// Parse a byte count with an optional `k`/`m`/`g` suffix (powers of
+/// 1024); `None` when `v` is not one.
+pub fn parse_bytes(v: &str) -> Option<usize> {
     let s = v.trim();
     let (digits, shift) = match s.char_indices().last() {
         Some((i, 'k')) | Some((i, 'K')) => (&s[..i], 10),
@@ -361,22 +340,13 @@ fn env_bytes(key: &str) -> usize {
         Some((i, 'g')) | Some((i, 'G')) => (&s[..i], 30),
         _ => (s, 0),
     };
-    match digits.trim().parse::<usize>() {
-        Ok(n) => n.saturating_mul(1usize << shift),
-        Err(_) => {
-            hef_obs::diag::warn_once(
-                "govern-bad-env",
-                format!("{key}=`{v}` is not a byte count; governor treats it as unset"),
-            );
-            0
-        }
-    }
+    digits.trim().parse::<usize>().ok().map(|n| n.saturating_mul(1usize << shift))
 }
 
-/// The process-wide query governor: admission control, the memory budget,
-/// and the memo of plan fingerprints whose tuned pipeline overlay was
+/// An engine's query governor: admission control, the memory budget, and
+/// the memo of plan fingerprints whose tuned pipeline overlay was
 /// invalidated by degradation.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Governor {
     cfg: GovernorConfig,
     budget: BudgetTracker,
@@ -384,58 +354,20 @@ pub struct Governor {
     degraded_fps: Mutex<Vec<u64>>,
 }
 
-static OVERRIDE_ARMED: AtomicBool = AtomicBool::new(false);
-
-fn override_slot() -> &'static Mutex<Option<Arc<Governor>>> {
-    static SLOT: OnceLock<Mutex<Option<Arc<Governor>>>> = OnceLock::new();
-    SLOT.get_or_init(|| Mutex::new(None))
-}
-
-/// Install a scoped governor, run `f` with it, then restore the previous
-/// one — holding a process-wide guard (mirroring `fault::with_plan`) so
-/// concurrent tests never observe each other's budgets.
-pub fn with_governor<R>(cfg: GovernorConfig, f: impl FnOnce(&Arc<Governor>) -> R) -> R {
-    static GUARD: Mutex<()> = Mutex::new(());
-    let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    let gov = Arc::new(Governor::new(cfg));
-    {
-        let mut slot = override_slot().lock().unwrap_or_else(|e| e.into_inner());
-        *slot = Some(gov.clone());
-        OVERRIDE_ARMED.store(true, Ordering::Release);
+impl Default for BudgetTracker {
+    fn default() -> BudgetTracker {
+        BudgetTracker::new(0)
     }
-    struct Restore;
-    impl Drop for Restore {
-        fn drop(&mut self) {
-            let mut slot = override_slot().lock().unwrap_or_else(|e| e.into_inner());
-            *slot = None;
-            OVERRIDE_ARMED.store(false, Ordering::Release);
-        }
-    }
-    let _restore = Restore;
-    f(&gov)
 }
 
 impl Governor {
     pub fn new(cfg: GovernorConfig) -> Governor {
-        Governor {
-            cfg,
-            budget: BudgetTracker::new(cfg.mem_budget),
-            active: AtomicUsize::new(0),
-            degraded_fps: Mutex::new(Vec::new()),
-        }
+        Governor { cfg, budget: BudgetTracker::new(cfg.mem_budget), ..Governor::default() }
     }
 
-    /// The governor in effect: the [`with_governor`] override when armed,
-    /// else the process-global instance built from the environment.
-    pub fn current() -> Arc<Governor> {
-        if OVERRIDE_ARMED.load(Ordering::Acquire) {
-            let slot = override_slot().lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(gov) = slot.as_ref() {
-                return gov.clone();
-            }
-        }
-        static GLOBAL: OnceLock<Arc<Governor>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(Governor::new(GovernorConfig::from_env()))).clone()
+    /// The limits this governor enforces.
+    pub fn config(&self) -> GovernorConfig {
+        self.cfg
     }
 
     /// The memory budget tracker (for tests asserting it returns to zero).
@@ -448,15 +380,14 @@ impl Governor {
         self.active.load(Ordering::Acquire)
     }
 
-    /// Record that `fp`'s plan was degraded: its tuned `HEF_PIPELINE`
-    /// overlay is no longer valid (it was tuned for the un-degraded shape)
-    /// and must not be re-applied from the one-slot registry cache.
+    /// Record that `fp`'s plan was degraded: its tuned pipeline overlay is
+    /// no longer valid (it was tuned for the un-degraded shape), so the
+    /// engine stops applying it.
     fn note_degraded_fingerprint(&self, fp: u64) {
         let mut fps = self.degraded_fps.lock().unwrap_or_else(|e| e.into_inner());
         if !fps.contains(&fp) {
             fps.push(fp);
         }
-        crate::pipeline_plan::invalidate_cache();
     }
 
     /// `true` when `fp`'s tuned pipeline overlay was invalidated by a
@@ -465,16 +396,32 @@ impl Governor {
         self.degraded_fps.lock().unwrap_or_else(|e| e.into_inner()).contains(&fp)
     }
 
-    /// Admit a query, degrading `cfg`/`threads` under memory pressure (see
-    /// module docs for the ladder) or rejecting with a retry hint. The
-    /// returned [`Admission`] releases all accounting on drop.
+    /// Admit a query over `fact_rows` rows, degrading `cfg`/`threads` under
+    /// memory pressure (see module docs for the ladder) or rejecting with a
+    /// retry hint. The returned [`Admission`] releases all accounting on
+    /// drop.
     pub fn admit(
-        self: &Arc<Self>,
+        &self,
         plan: &StarPlan,
-        fact: &Table,
+        fact_rows: usize,
         cfg: &mut ExecConfig,
         threads: &mut usize,
-    ) -> Result<Admission, ExecError> {
+    ) -> Result<Admission<'_>, ExecError> {
+        self.admit_spiked(plan, fact_rows, cfg, threads, || None)
+    }
+
+    /// [`Governor::admit`], with `spike` adding injected bytes to the
+    /// estimate (the engine's `mem_spike` fault hook). It is consulted once,
+    /// and only when a budget is set: with an unlimited budget a spike has
+    /// nothing to push against.
+    pub(crate) fn admit_spiked(
+        &self,
+        plan: &StarPlan,
+        fact_rows: usize,
+        cfg: &mut ExecConfig,
+        threads: &mut usize,
+        spike: impl FnOnce() -> Option<u64>,
+    ) -> Result<Admission<'_>, ExecError> {
         use hef_obs::metrics::{add, Metric};
         let prev_active = self.active.fetch_add(1, Ordering::AcqRel);
         if self.cfg.max_queries > 0 && prev_active >= self.cfg.max_queries {
@@ -488,17 +435,11 @@ impl Governor {
 
         let mut actions: Vec<DegradeAction> = Vec::new();
         let mut charged = 0usize;
-        // The fault hook only engages when a budget can actually reject —
-        // with an unlimited budget the spike has nothing to push against.
-        let spike = if self.budget.limit > 0 {
-            hef_testutil::fault::next_mem_spike().unwrap_or(0) as usize
-        } else {
-            0
-        };
         if self.budget.limit > 0 {
+            let spike = spike().unwrap_or(0) as usize;
             loop {
                 let est =
-                    estimate_query_bytes(plan, fact, cfg, *threads).saturating_add(spike);
+                    estimate_query_bytes(plan, fact_rows, cfg, *threads).saturating_add(spike);
                 if self.budget.try_charge(est) {
                     charged = est;
                     break;
@@ -554,7 +495,7 @@ impl Governor {
             add(Metric::GovBytesCharged, charged as u64);
         }
         hef_obs::event!("govern_admit", bytes = charged, threads = *threads);
-        Ok(Admission { gov: self.clone(), charged, actions })
+        Ok(Admission { gov: self, charged, actions })
     }
 }
 
@@ -564,13 +505,13 @@ impl Governor {
 /// makes "budget returns to zero after every outcome" a structural
 /// guarantee rather than a per-path obligation.
 #[derive(Debug)]
-pub struct Admission {
-    gov: Arc<Governor>,
+pub struct Admission<'g> {
+    gov: &'g Governor,
     charged: usize,
     actions: Vec<DegradeAction>,
 }
 
-impl Admission {
+impl Admission<'_> {
     /// The degradations applied at admission, in order (drained into the
     /// [`ExecReport`]).
     pub(crate) fn take_actions(&mut self) -> Vec<DegradeAction> {
@@ -578,65 +519,10 @@ impl Admission {
     }
 }
 
-impl Drop for Admission {
+impl Drop for Admission<'_> {
     fn drop(&mut self) {
         self.gov.budget.release(self.charged);
         self.gov.active.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Admission retry.
-// ---------------------------------------------------------------------------
-
-/// [`crate::try_execute_star_cancellable`] with capped exponential backoff
-/// on transient admission rejections: a rejected query sleeps the
-/// governor's `retry_after_ms` hint, doubling per attempt (capped at
-/// 100 ms), up to `max_retries` times. The backoff sleep itself honors the
-/// cancellation token, so a caller can abandon a queued query immediately.
-/// All other outcomes — success, faults, cancel, deadline — pass through
-/// on the first occurrence.
-pub fn try_execute_star_with_retry(
-    plan: &StarPlan,
-    fact: &Table,
-    cfg: &ExecConfig,
-    cancel: &CancelToken,
-    max_retries: u32,
-) -> Result<(crate::star::QueryOutput, ExecReport), ExecError> {
-    let mut attempt = 0u32;
-    // Total wall time this query spent waiting in admission backoff; fed to
-    // the `govern.admission_wait_us` histogram on whatever outcome ends the
-    // loop, so queue pressure shows up as a percentile, not just a counter.
-    let mut waited_us = 0u64;
-    let observe_wait = |waited_us: u64| {
-        if waited_us > 0 {
-            hef_obs::metrics::observe(hef_obs::metrics::Hist::AdmissionWaitUs, waited_us);
-        }
-    };
-    loop {
-        match crate::star::try_execute_star_cancellable(plan, fact, cfg, cancel) {
-            Err(ExecError::Rejected { retry_after_ms, .. }) if attempt < max_retries => {
-                let backoff = retry_after_ms
-                    .max(1)
-                    .saturating_mul(1u64 << attempt.min(6))
-                    .min(MAX_BACKOFF_MS);
-                hef_obs::metrics::add(hef_obs::metrics::Metric::GovBackoffRetries, 1);
-                hef_obs::event!("govern_retry", attempt = attempt, backoff_ms = backoff);
-                let ctx = QueryCtx::new(cancel.clone(), 0);
-                let t0 = Instant::now();
-                let slept = sleep_checked(Duration::from_millis(backoff), &ctx);
-                waited_us += t0.elapsed().as_micros() as u64;
-                if let Err(i) = slept {
-                    observe_wait(waited_us);
-                    return Err(interrupt_error(&plan.name, &ctx, i, ExecReport::default()));
-                }
-                attempt += 1;
-            }
-            other => {
-                observe_wait(waited_us);
-                return other;
-            }
-        }
     }
 }
 
@@ -644,7 +530,7 @@ pub fn try_execute_star_with_retry(
 mod tests {
     use super::*;
     use crate::star::build_dimension;
-    use hef_storage::Column;
+    use hef_storage::{Column, Table};
 
     fn toy(n: u64) -> (Table, StarPlan) {
         let mut fact = Table::new("fact");
@@ -687,98 +573,82 @@ mod tests {
 
     #[test]
     fn admission_cap_rejects_with_hint() {
-        with_governor(GovernorConfig { max_queries: 1, mem_budget: 0 }, |gov| {
-            let (fact, plan) = toy(4000);
-            let mut cfg = ExecConfig::hybrid_default();
-            let mut threads = 2;
-            let first = gov.admit(&plan, &fact, &mut cfg, &mut threads).expect("admitted");
-            let mut cfg2 = ExecConfig::hybrid_default();
-            let mut threads2 = 2;
-            match gov.admit(&plan, &fact, &mut cfg2, &mut threads2) {
-                Err(ExecError::Rejected { retry_after_ms, .. }) => {
-                    assert!(retry_after_ms >= 1)
-                }
-                other => panic!("expected Rejected, got {other:?}"),
-            }
-            drop(first);
-            assert_eq!(gov.active_queries(), 0);
-            // Slot freed: admission succeeds again.
-            gov.admit(&plan, &fact, &mut cfg2, &mut threads2).expect("re-admitted");
-        });
+        let gov = Governor::new(GovernorConfig { max_queries: 1, mem_budget: 0 });
+        let (fact, plan) = toy(4000);
+        let rows = fact.len();
+        let mut cfg = ExecConfig::hybrid_default();
+        let mut threads = 2;
+        let first = gov.admit(&plan, rows, &mut cfg, &mut threads).expect("admitted");
+        let mut cfg2 = ExecConfig::hybrid_default();
+        let mut threads2 = 2;
+        match gov.admit(&plan, rows, &mut cfg2, &mut threads2) {
+            Err(ExecError::Rejected { retry_after_ms, .. }) => assert!(retry_after_ms >= 1),
+            other => panic!("expected Rejected, got {other:?}"),
+        }
+        drop(first);
+        assert_eq!(gov.active_queries(), 0);
+        // Slot freed: admission succeeds again.
+        gov.admit(&plan, rows, &mut cfg2, &mut threads2).expect("re-admitted");
     }
 
     #[test]
     fn ladder_degrades_batch_then_threads_then_rejects() {
         let (fact, plan) = toy(20_000);
+        let rows = fact.len();
         // No partitioned dim in the toy plan, so the ladder starts at
         // batch shrinking. Budget fits exactly one minimal worker shape.
         let minimal =
-            estimate_query_bytes(&plan, &fact, &ExecConfig::hybrid_default().with_batch(MIN_BATCH), 1);
-        with_governor(
-            GovernorConfig { max_queries: 0, mem_budget: minimal },
-            |gov| {
-                let mut cfg = ExecConfig::hybrid_default();
-                let mut threads = 4;
-                let mut adm = gov.admit(&plan, &fact, &mut cfg, &mut threads).expect("fits");
-                let actions = adm.take_actions();
-                assert!(!actions.is_empty(), "budget pressure must degrade");
-                assert!(actions
-                    .iter()
-                    .all(|a| !matches!(a, DegradeAction::DropPartition)));
-                assert_eq!(cfg.batch, MIN_BATCH);
-                assert_eq!(threads, 1);
-                assert!(gov.budget().used() > 0);
-                drop(adm);
-                assert_eq!(gov.budget().used(), 0, "budget must return to zero");
-            },
-        );
+            estimate_query_bytes(&plan, rows, &ExecConfig::hybrid_default().with_batch(MIN_BATCH), 1);
+        let gov = Governor::new(GovernorConfig { max_queries: 0, mem_budget: minimal });
+        let mut cfg = ExecConfig::hybrid_default();
+        let mut threads = 4;
+        let mut adm = gov.admit(&plan, rows, &mut cfg, &mut threads).expect("fits");
+        let actions = adm.take_actions();
+        assert!(!actions.is_empty(), "budget pressure must degrade");
+        assert!(actions.iter().all(|a| !matches!(a, DegradeAction::DropPartition)));
+        assert_eq!(cfg.batch, MIN_BATCH);
+        assert_eq!(threads, 1);
+        assert!(gov.budget().used() > 0);
+        drop(adm);
+        assert_eq!(gov.budget().used(), 0, "budget must return to zero");
+
         // A budget below even the minimal shape rejects.
-        with_governor(GovernorConfig { max_queries: 0, mem_budget: 64 }, |gov| {
-            let mut cfg = ExecConfig::hybrid_default();
-            let mut threads = 4;
-            match gov.admit(&plan, &fact, &mut cfg, &mut threads) {
-                Err(ExecError::Rejected { retry_after_ms, .. }) => {
-                    assert!(retry_after_ms >= 1)
-                }
-                other => panic!("expected Rejected, got {other:?}"),
-            }
-            assert_eq!(gov.budget().used(), 0);
-            assert_eq!(gov.active_queries(), 0);
-        });
+        let gov = Governor::new(GovernorConfig { max_queries: 0, mem_budget: 64 });
+        let mut cfg = ExecConfig::hybrid_default();
+        let mut threads = 4;
+        match gov.admit(&plan, rows, &mut cfg, &mut threads) {
+            Err(ExecError::Rejected { retry_after_ms, .. }) => assert!(retry_after_ms >= 1),
+            other => panic!("expected Rejected, got {other:?}"),
+        }
+        assert_eq!(gov.budget().used(), 0);
+        assert_eq!(gov.active_queries(), 0);
     }
 
     #[test]
     fn mem_spike_fault_drives_the_ladder() {
-        use hef_testutil::fault::{with_plan, FaultPlan, MemSpike};
+        use crate::{CancelToken, Engine, Fact};
+        use hef_testutil::fault::{FaultPlan, MemSpike};
         let (fact, plan) = toy(20_000);
-        let cfg0 = ExecConfig::hybrid_default();
-        let comfortable = estimate_query_bytes(&plan, &fact, &cfg0, 4) * 2;
-        with_governor(
-            GovernorConfig { max_queries: 0, mem_budget: comfortable },
-            |gov| {
-                // Without a spike: admitted clean at full shape.
-                let mut cfg = cfg0;
-                let mut threads = 4;
-                let mut adm = gov.admit(&plan, &fact, &mut cfg, &mut threads).expect("clean");
-                assert!(adm.take_actions().is_empty());
-                drop(adm);
-                // A spike bigger than the headroom forces degradation.
-                let faults = FaultPlan {
-                    mem_spikes: vec![MemSpike { bytes: comfortable as u64, times: 1 }],
-                    ..Default::default()
-                };
-                with_plan(faults, || {
-                    let mut cfg = cfg0;
-                    let mut threads = 4;
-                    match gov.admit(&plan, &fact, &mut cfg, &mut threads) {
-                        Ok(mut adm) => assert!(!adm.take_actions().is_empty()),
-                        Err(ExecError::Rejected { .. }) => {}
-                        other => panic!("unexpected: {other:?}"),
-                    }
-                });
-                assert_eq!(gov.budget().used(), 0);
-            },
-        );
+        let cfg = ExecConfig::hybrid_default().with_threads(4);
+        let comfortable = estimate_query_bytes(&plan, fact.len(), &cfg, 4) * 2;
+        let limits = GovernorConfig { max_queries: 0, mem_budget: comfortable };
+        let run = |engine: &Engine| engine.execute(&plan, Fact::Mem(&fact), &cfg, &CancelToken::new());
+        // Without a spike: admitted clean at full shape.
+        let clean = Engine::default().with_limits(limits);
+        assert!(run(&clean).expect("clean").1.degrade_actions.is_empty());
+        // A spike bigger than the headroom forces degradation.
+        let spiked = Engine::default().with_limits(limits).with_faults(FaultPlan {
+            mem_spikes: vec![MemSpike { bytes: comfortable as u64, times: 1 }],
+            ..Default::default()
+        });
+        match run(&spiked) {
+            Ok((_, report)) => assert!(!report.degrade_actions.is_empty()),
+            Err(ExecError::Rejected { .. }) => {}
+            other => panic!("unexpected: {other:?}"),
+        }
+        assert_eq!(spiked.governor().budget().used(), 0);
+        // The spike fired once; the next query is clean again.
+        assert!(run(&spiked).expect("clean").1.degrade_actions.is_empty());
     }
 
     #[test]
@@ -801,7 +671,7 @@ mod tests {
 
     #[test]
     fn degraded_fingerprint_is_memoized() {
-        let gov = Arc::new(Governor::new(GovernorConfig::default()));
+        let gov = Governor::new(GovernorConfig::default());
         assert!(!gov.fingerprint_degraded(42));
         gov.note_degraded_fingerprint(42);
         gov.note_degraded_fingerprint(42);
@@ -810,17 +680,12 @@ mod tests {
     }
 
     #[test]
-    fn env_bytes_suffixes() {
-        // Parsed via the public config only; poke the helper directly.
-        assert_eq!(super::env_bytes("HEF_NO_SUCH_VAR"), 0);
-        std::env::set_var("HEF_GOV_TEST_BYTES", "4k");
-        assert_eq!(super::env_bytes("HEF_GOV_TEST_BYTES"), 4096);
-        std::env::set_var("HEF_GOV_TEST_BYTES", "2M");
-        assert_eq!(super::env_bytes("HEF_GOV_TEST_BYTES"), 2 << 20);
-        std::env::set_var("HEF_GOV_TEST_BYTES", "1g");
-        assert_eq!(super::env_bytes("HEF_GOV_TEST_BYTES"), 1 << 30);
-        std::env::set_var("HEF_GOV_TEST_BYTES", "123");
-        assert_eq!(super::env_bytes("HEF_GOV_TEST_BYTES"), 123);
-        std::env::remove_var("HEF_GOV_TEST_BYTES");
+    fn byte_counts_take_suffixes() {
+        assert_eq!(parse_bytes("4k"), Some(4096));
+        assert_eq!(parse_bytes("2M"), Some(2 << 20));
+        assert_eq!(parse_bytes(" 1g "), Some(1 << 30));
+        assert_eq!(parse_bytes("123"), Some(123));
+        assert_eq!(parse_bytes("lots"), None);
+        assert_eq!(parse_bytes("k"), None);
     }
 }

@@ -20,8 +20,15 @@
 //! as payloads, then pipeline the fact table through the probes batch by
 //! batch with selection vectors, and finish with a dense grouped
 //! aggregation.
+//!
+//! Queries run through an [`Engine`] — the value that owns the governor,
+//! the tuned pipeline rows, the run overrides and the fault schedule — via
+//! [`Engine::execute`], for in-memory and paged fact tables alike.
+//! [`execute_star`], [`try_execute_star`] and [`try_execute_star_paged_ctx`]
+//! run one query on [`Engine::default`].
 
 pub mod dynamic;
+mod engine;
 pub mod govern;
 pub mod ops;
 pub mod paged;
@@ -31,29 +38,23 @@ pub mod plan;
 pub mod star;
 pub mod voila;
 
-pub use dynamic::{
-    choose_flavor, execute_star_dynamic, try_choose_flavor, try_choose_flavor_cancellable,
-    try_execute_star_dynamic, try_execute_star_dynamic_cancellable, Selection,
-};
+pub use dynamic::Selection;
+pub use engine::{Engine, Fact};
 pub use govern::{
-    estimate_query_bytes, try_execute_star_with_retry, with_governor, BudgetTracker, CancelToken,
-    DegradeAction, Governor, GovernorConfig, Interrupt, QueryCtx, MIN_BATCH,
+    estimate_query_bytes, parse_bytes, BudgetTracker, CancelToken, DegradeAction, Governor,
+    GovernorConfig, Interrupt, QueryCtx, MIN_BATCH,
 };
 pub use ops::{gather_keys, grouped_accumulate};
 pub use paged::{try_execute_star_paged_ctx, PagedTable, PagedTableError};
-pub use parallel::{
-    execute_star_parallel, resolve_threads, resolve_threads_governed, try_execute_star_parallel,
-    ExecError, ExecReport,
-};
+pub use parallel::{resolve_threads, resolve_threads_governed, ExecError, ExecReport};
 pub use pipeline_plan::{apply_pipeline_entry, conflicting_stages, first_per_slot};
 pub use plan::{
     lower, optimize, parse_plan, render_plan, Catalog, GroupBy, JoinBuilder, JoinSpec, KeyExpr,
     LogicalPlan, Node, OptReport, PlanBuilder, PlanError, Pred,
 };
 pub use star::{
-    build_dimension, execute_star, try_execute_star, try_execute_star_cancellable,
-    validate_star_plan, DimJoin, ExecConfig, ExecStats, Flavor, Measure, QueryOutput, RangeFilter,
-    StarPlan,
+    build_dimension, execute_star, try_execute_star, DimJoin, ExecConfig, ExecStats, Flavor,
+    Measure, QueryOutput, RangeFilter, StarPlan,
 };
 
 pub use hef_kernels::{HybridConfig, ProbeTable, MISS};

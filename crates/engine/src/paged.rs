@@ -35,12 +35,10 @@
 //!   order is preserved, so results stay bit-identical to the in-memory
 //!   executor.
 //!
-//! Memory governance: the page cache's capacity is charged to the
-//! [`Governor`](crate::govern::Governor)'s [`BudgetTracker`] for the
-//! duration of the query, so paged scans participate in the same admission
-//! arithmetic as in-memory scratch.
-//!
-//! [`BudgetTracker`]: crate::govern::BudgetTracker
+//! A paged query enters through [`Engine::execute`](crate::Engine::execute)
+//! like an in-memory one — same validation, pipeline overlay, admission and
+//! report — and the page cache's capacity is charged to the engine's memory
+//! budget for the duration of the query.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -52,11 +50,14 @@ use hef_storage::cache::PageCache;
 use hef_storage::page::{Enc, Page, PageMeta, PagedColumn};
 use hef_storage::ColumnFileError;
 
+use hef_testutil::fault::EngineFaults;
+
+use crate::engine::Fact;
 use crate::govern::QueryCtx;
-use crate::parallel::{ExecError, MorselWorker, Scan, Stop};
+use crate::parallel::{ExecError, ExecReport, MorselWorker, Scan, Stop};
 use crate::star::{
-    validate_star_plan_with, BatchSource, ColumnSlots, ExecConfig, FilterInput, Kernels,
-    PipelineWorker, QueryOutput, RangeFilter, StarPlan,
+    BatchSource, ColumnSlots, ExecConfig, FilterInput, Kernels, PipelineWorker, QueryOutput,
+    RangeFilter, StarPlan,
 };
 
 // ---------------------------------------------------------------------------
@@ -258,14 +259,9 @@ fn fuse_filter(page: &Page, lo: u64, hi: u64) -> FusedFilter {
 // Execution.
 // ---------------------------------------------------------------------------
 
-/// Execute a star plan against a paged fact table through `cache`, under a
-/// governance context (cancellation + deadline checked at every page).
-///
-/// Pages are the scheduler's units and each morsel is one page; every
-/// worker runs the shared stage loop over a `PageSource`, so a paged
-/// query gets the in-memory path's panic isolation, morsel retry, serial
-/// fallback and fault hooks. A page that cannot be read stops the query
-/// with a typed [`ExecError::Failed`].
+/// [`Engine::execute`](crate::Engine::execute) of a paged query on
+/// [`Engine::default`](crate::Engine): `ctx`'s token cancels it and its
+/// deadline, counted from this call, replaces `cfg.deadline_ms`.
 pub fn try_execute_star_paged_ctx(
     plan: &StarPlan,
     fact: &PagedTable,
@@ -273,31 +269,26 @@ pub fn try_execute_star_paged_ctx(
     cache: &PageCache,
     ctx: &QueryCtx,
 ) -> Result<QueryOutput, ExecError> {
-    validate_star_plan_with(plan, fact.name(), |c| fact.column(c).is_some())?;
-    let cfg = crate::pipeline_plan::resolve_pipeline_env(plan, *cfg).resolved_from_env();
-    let threads = crate::parallel::resolve_threads(cfg.threads).max(1);
-    // Charge the cache's full capacity — the standing allocation a paged
-    // scan can pin — to the same budget in-memory scratch is admitted
-    // against.
-    let gov = crate::govern::Governor::current();
-    let _cache_charge = gov.budget().try_charge_guard(cache.capacity()).ok_or_else(|| {
-        ExecError::Rejected { query: plan.name.clone(), retry_after_ms: 10 }
-    })?;
-    let _qspan = if hef_obs::trace::enabled() {
-        hef_obs::trace::span_begin_labeled(
-            "query_paged",
-            &format!("{} [{}]", plan.name, cfg.flavor.name()),
-            &[
-                ("rows", fact.rows() as i64),
-                ("pages", fact.page_count() as i64),
-                ("threads", threads as i64),
-            ],
-        )
-    } else {
-        hef_obs::trace::SpanGuard::disabled()
-    };
-    hef_obs::metrics::add(hef_obs::metrics::Metric::QueriesExecuted, 1);
+    let cfg = cfg.with_deadline_ms(ctx.deadline_ms());
+    let engine = crate::Engine::default();
+    engine.execute(plan, Fact::Paged(fact, cache), &cfg, ctx.token()).map(|(out, _)| out)
+}
 
+/// Run `plan` over the paged `fact` on `threads` workers. Pages are the
+/// scheduler's units and each morsel is one page; every worker runs the
+/// shared stage loop over a `PageSource`, so a paged query gets the
+/// in-memory path's panic isolation, morsel retry, serial fallback and
+/// fault hooks. A page that cannot be read stops the query with a typed
+/// [`ExecError::Failed`]. The caller has validated the plan.
+pub(crate) fn run_paged(
+    plan: &StarPlan,
+    fact: &PagedTable,
+    cache: &PageCache,
+    cfg: &ExecConfig,
+    threads: usize,
+    ctx: &QueryCtx,
+    faults: &EngineFaults,
+) -> Result<(QueryOutput, ExecReport), ExecError> {
     let slots = ColumnSlots::of(plan);
     // Validation already proved every column exists; keep the failure
     // typed anyway (the no-panic contract covers the whole engine).
@@ -311,7 +302,6 @@ pub fn try_execute_star_paged_ctx(
             })
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let cfg = &cfg;
     let make = || -> Box<dyn MorselWorker + '_> {
         let src = PageSource {
             pages: fact.cols[0].pages(),
@@ -323,8 +313,8 @@ pub fn try_execute_star_paged_ctx(
         };
         Box::new(PipelineWorker::new(plan, cfg, &slots, src))
     };
-    let scan = Scan { plan, units: fact.page_count(), morsel: 1, make: &make };
-    crate::parallel::run_scan(&scan, threads, ctx).map(|(out, _)| out)
+    let scan = Scan { plan, units: fact.page_count(), morsel: 1, make: &make, faults };
+    crate::parallel::run_scan(&scan, threads, ctx)
 }
 
 /// One page at a time, fetched through the shared cache. The first filter

@@ -36,11 +36,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use hef_storage::Table;
-use hef_testutil::fault;
+use hef_testutil::fault::{self, EngineFaults};
 
 use crate::govern::{DegradeAction, Interrupt, QueryCtx};
-use crate::star::{ExecConfig, ExecStats, QueryOutput, StarPlan};
+use crate::star::{ExecStats, QueryOutput, StarPlan};
 
 /// Pipeline batches per morsel. Morsels are the scheduling quantum: large
 /// enough that cursor contention is negligible (one `fetch_add` per
@@ -50,7 +49,7 @@ pub const MORSEL_BATCHES: usize = 4;
 
 /// Hard ceiling on worker threads: 4× the machine's available parallelism
 /// (at least 4). More workers than that cannot help a CPU-bound pipeline
-/// and an absurd request (a typo'd `HEF_THREADS=100000`) must not spawn
+/// and an absurd request (a typo'd `threads = 100000`) must not spawn
 /// unbounded threads.
 fn thread_cap() -> usize {
     std::thread::available_parallelism()
@@ -59,49 +58,30 @@ fn thread_cap() -> usize {
         .max(4)
 }
 
-/// Resolve a requested worker-thread count: an explicit nonzero request
-/// wins; otherwise the `HEF_THREADS` environment variable; otherwise
-/// [`std::thread::available_parallelism`]. Requests beyond 4× the available
-/// parallelism are clamped, and a malformed `HEF_THREADS` is reported once
-/// instead of being silently ignored.
+/// Resolve a requested worker-thread count: a nonzero request wins,
+/// clamped to 4× the available parallelism (once-per-process warning);
+/// `0` means [`std::thread::available_parallelism`].
 pub fn resolve_threads(requested: usize) -> usize {
     let cap = thread_cap();
-    let clamp = |n: usize| {
-        if n > cap {
-            hef_obs::diag::warn_once(
-                "threads-clamp",
-                format!(
-                    "{n} worker threads requested; clamping to {cap} \
-                     (4x available parallelism)"
-                ),
-            );
-            cap
-        } else {
-            n
-        }
-    };
-    if requested > 0 {
-        return clamp(requested);
-    }
-    if let Ok(v) = std::env::var("HEF_THREADS") {
-        match v.trim().parse::<usize>() {
-            Ok(n) if n > 0 => return clamp(n),
-            _ => hef_obs::diag::warn_once(
-                "threads-bad-env",
-                format!(
-                    "HEF_THREADS=`{v}` is not a positive integer; \
-                     using available parallelism"
-                ),
+    if requested > cap {
+        hef_obs::diag::warn_once(
+            "threads-clamp",
+            format!(
+                "{requested} worker threads requested; clamping to {cap} \
+                 (4x available parallelism)"
             ),
-        }
+        );
+        return cap;
+    }
+    if requested > 0 {
+        return requested;
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Re-clamp a resolved thread count against the governor's admitted worker
 /// budget. `admitted` comes out of [`crate::govern::Governor::admit`]'s
-/// degradation ladder; when the request (typically `HEF_THREADS`) exceeds
-/// it, one `diag::warn_once` explains the clamp — once per process, not
+/// degradation ladder; when the request exceeds it, one `diag::warn_once` explains the clamp — once per process, not
 /// once per query, so a server loop under sustained memory pressure does
 /// not flood stderr.
 pub fn resolve_threads_governed(requested: usize, admitted: usize) -> usize {
@@ -119,7 +99,7 @@ pub fn resolve_threads_governed(requested: usize, admitted: usize) -> usize {
 }
 
 /// Per-query fault-recovery and governance attribution, returned beside the
-/// output by [`crate::try_execute_star`] — and *inside* the
+/// output by [`crate::Engine::execute`] — and *inside* the
 /// [`ExecError::Cancelled`] / [`ExecError::DeadlineExceeded`] variants,
 /// where it reports the partial progress made before the interrupt. A clean
 /// run is all zeros.
@@ -165,13 +145,13 @@ pub enum ExecError {
     /// Admission control refused the query: the concurrent-query cap is
     /// full, or the memory budget cannot fit it even after the full
     /// degradation ladder. `retry_after_ms` hints when to try again (see
-    /// [`crate::govern::try_execute_star_with_retry`]).
+    /// [`crate::Engine::execute_with_retry`]).
     Rejected { query: String, retry_after_ms: u64 },
     /// The query's [`crate::govern::CancelToken`] fired mid-execution; the
     /// report carries the partial progress.
     Cancelled { query: String, report: ExecReport },
-    /// The per-query deadline (`HEF_DEADLINE_MS` / `ExecConfig::
-    /// deadline_ms`) passed mid-execution; the report carries the partial
+    /// The per-query deadline (`ExecConfig::deadline_ms`, or the engine's
+    /// override) passed mid-execution; the report carries the partial
     /// progress.
     DeadlineExceeded { query: String, deadline_ms: u64, report: ExecReport },
 }
@@ -243,13 +223,15 @@ pub(crate) trait MorselWorker {
 }
 
 /// One query as the scheduler sees it: `units` scan units (fact rows or
-/// pages) claimed `morsel` at a time, and a factory for fresh workers
-/// (called once per thread and again after every worker loss).
+/// pages) claimed `morsel` at a time, a factory for fresh workers (called
+/// once per thread and again after every worker loss), and the engine's
+/// fault schedule.
 pub(crate) struct Scan<'a> {
     pub(crate) plan: &'a StarPlan,
     pub(crate) units: usize,
     pub(crate) morsel: usize,
     pub(crate) make: &'a (dyn Fn() -> Box<dyn MorselWorker + 'a> + Sync + 'a),
+    pub(crate) faults: &'a EngineFaults,
 }
 
 /// Failures tolerated per morsel range before the query abandons the
@@ -391,7 +373,7 @@ fn worker_loop(wid: usize, sched: &Scheduler, scan: &Scan<'_>, ctx: &QueryCtx) -
         hef_obs::metrics::observe(hef_obs::metrics::Hist::MorselRows, (hi - lo) as u64);
         // The `slow_morsel:` fault stalls here, in interruptible slices, so
         // a deadline/cancel fires *mid*-morsel and still comes back typed.
-        if let Some(stall) = fault::next_slow_morsel(wid, morsel_idx) {
+        if let Some(stall) = scan.faults.next_slow_morsel(wid, morsel_idx) {
             if let Err(i) = crate::govern::sleep_checked(stall, ctx) {
                 sched.stop(i.into());
                 sched.complete();
@@ -403,9 +385,9 @@ fn worker_loop(wid: usize, sched: &Scheduler, scan: &Scan<'_>, ctx: &QueryCtx) -
         let t0 = hef_obs::metrics::enabled().then(std::time::Instant::now);
         let run = catch_unwind(AssertUnwindSafe(|| {
             let _mspan = hef_obs::span_fine!("morsel", lo = lo, hi = hi, attempt = attempts);
-            fault::maybe_panic_worker(wid, morsel_idx, fault::Phase::Before);
+            scan.faults.maybe_panic_worker(wid, morsel_idx, fault::Phase::Before);
             let r = w.try_run_range(lo, hi, ctx);
-            fault::maybe_panic_worker(wid, morsel_idx, fault::Phase::After);
+            scan.faults.maybe_panic_worker(wid, morsel_idx, fault::Phase::After);
             r
         }));
         match run {
@@ -495,24 +477,10 @@ pub(crate) fn run_scan(
     Ok((merge_outputs(scan.plan, outputs), report))
 }
 
-/// Execute `plan` with `threads` workers pulling morsels from a shared
-/// atomic cursor, with the full degradation ladder. Callers normally go
-/// through [`crate::try_execute_star`], which resolves the thread count
-/// first.
-pub fn try_execute_star_parallel(
-    plan: &StarPlan,
-    fact: &Table,
-    cfg: &ExecConfig,
-    threads: usize,
-) -> Result<(QueryOutput, ExecReport), ExecError> {
-    crate::star::validate_star_plan(plan, fact)?;
-    crate::star::run_table(plan, fact, cfg, threads, &QueryCtx::unbounded())
-}
-
 /// The serial path under a governance context, panic-guarded: one worker
-/// over every unit. It consults the fault harness once (worker id
-/// [`fault::SERIAL_WORKER`], morsel 0) so unrestricted
-/// `HEF_FAULT=panic:morsel=0` plans exercise the ladder's last rung too. A
+/// over every unit. It consults the fault schedule once (worker id
+/// [`fault::SERIAL_WORKER`], morsel 0) so unrestricted `panic:morsel=0`
+/// plans exercise the ladder's last rung too. A
 /// panic is that last rung and becomes a typed [`ExecError::Failed`]; a
 /// stop cause comes back typed, carrying `base_report`'s attribution (the
 /// serial path may be the tail of an abandoned parallel attempt, whose
@@ -523,8 +491,8 @@ fn run_serial_guarded_ctx(
     base_report: &ExecReport,
 ) -> Result<QueryOutput, ExecError> {
     let run = catch_unwind(AssertUnwindSafe(|| {
-        fault::maybe_panic_worker(fault::SERIAL_WORKER, 0, fault::Phase::Before);
-        if let Some(stall) = fault::next_slow_morsel(fault::SERIAL_WORKER, 0) {
+        scan.faults.maybe_panic_worker(fault::SERIAL_WORKER, 0, fault::Phase::Before);
+        if let Some(stall) = scan.faults.next_slow_morsel(fault::SERIAL_WORKER, 0) {
             crate::govern::sleep_checked(stall, ctx)?;
         }
         let mut w = (scan.make)();
@@ -540,19 +508,6 @@ fn run_serial_guarded_ctx(
         ExecError::Failed { query: scan.plan.name.clone(), message }
     })?;
     run.map_err(|cause| stop_error(&scan.plan.name, ctx, cause, base_report.clone()))
-}
-
-/// Panicking convenience over [`try_execute_star_parallel`], for callers
-/// that treat an exhausted degradation ladder as fatal.
-pub fn execute_star_parallel(
-    plan: &StarPlan,
-    fact: &Table,
-    cfg: &ExecConfig,
-    threads: usize,
-) -> QueryOutput {
-    try_execute_star_parallel(plan, fact, cfg, threads)
-        .map(|(out, _)| out)
-        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Merge per-worker outputs into one [`QueryOutput`]. Group cells and every
@@ -592,13 +547,9 @@ fn merge_outputs(plan: &StarPlan, outputs: Vec<QueryOutput>) -> QueryOutput {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::star::{build_dimension, Flavor, Measure};
-    use hef_storage::Column;
-
-    /// The serial path: one worker on the calling thread.
-    fn execute_star_serial(plan: &StarPlan, fact: &Table, cfg: &ExecConfig) -> QueryOutput {
-        crate::execute_star(plan, fact, &cfg.with_threads(1))
-    }
+    use crate::star::{build_dimension, execute_star, try_execute_star, ExecConfig, Flavor, Measure};
+    use crate::{CancelToken, Engine, Fact};
+    use hef_storage::{Column, Table};
 
     fn toy(n: u64) -> (Table, StarPlan) {
         let mut fact = Table::new("fact");
@@ -629,9 +580,9 @@ mod tests {
         let (fact, plan) = toy(20_000);
         for flavor in Flavor::ALL {
             let cfg = ExecConfig::for_flavor(flavor);
-            let serial = execute_star_serial(&plan, &fact, &cfg);
+            let serial = execute_star(&plan, &fact, &cfg.with_threads(1));
             for threads in [1, 2, 3, 7] {
-                let par = execute_star_parallel(&plan, &fact, &cfg, threads);
+                let par = execute_star(&plan, &fact, &cfg.with_threads(threads));
                 assert_eq!(par, serial, "{} × {threads} threads", flavor.name());
             }
         }
@@ -642,8 +593,8 @@ mod tests {
         for n in [0u64, 1, 7, 100] {
             let (fact, plan) = toy(n);
             let cfg = ExecConfig::hybrid_default();
-            let serial = execute_star_serial(&plan, &fact, &cfg);
-            let par = execute_star_parallel(&plan, &fact, &cfg, 4);
+            let serial = execute_star(&plan, &fact, &cfg.with_threads(1));
+            let par = execute_star(&plan, &fact, &cfg.with_threads(4));
             assert_eq!(par, serial, "n={n}");
         }
     }
@@ -663,35 +614,29 @@ mod tests {
 
     #[test]
     fn worker_panic_recovers_bit_identical() {
-        use hef_testutil::fault::{with_plan, FaultPlan, WorkerPanic};
+        use hef_testutil::fault::{FaultPlan, WorkerPanic};
         let (fact, plan) = toy(20_000);
-        let cfg = ExecConfig::hybrid_default();
-        let serial = execute_star_serial(&plan, &fact, &cfg);
-        let faults = FaultPlan {
-            worker_panics: vec![WorkerPanic {
-                worker: None,
-                morsel: 2,
-                times: 1,
-                after: false,
-            }],
+        let cfg = ExecConfig::hybrid_default().with_threads(4);
+        let serial = execute_star(&plan, &fact, &cfg.with_threads(1));
+        let engine = Engine::default().with_faults(FaultPlan {
+            worker_panics: vec![WorkerPanic { worker: None, morsel: 2, times: 1, after: false }],
             ..Default::default()
-        };
-        with_plan(faults, || {
-            let (out, report) =
-                try_execute_star_parallel(&plan, &fact, &cfg, 4).expect("recovers");
-            assert_eq!(out, serial, "recovery changed the result");
-            assert_eq!(report.workers_lost, 1);
-            assert!(report.morsels_retried >= 1);
-            assert!(!report.degraded_to_serial);
-            assert!(!report.is_clean());
         });
+        let (out, report) = engine
+            .execute(&plan, Fact::Mem(&fact), &cfg, &CancelToken::new())
+            .expect("recovers");
+        assert_eq!(out, serial, "recovery changed the result");
+        assert_eq!(report.workers_lost, 1);
+        assert!(report.morsels_retried >= 1);
+        assert!(!report.degraded_to_serial);
+        assert!(!report.is_clean());
     }
 
     #[test]
     fn clean_run_reports_clean() {
         let (fact, plan) = toy(10_000);
-        let cfg = ExecConfig::hybrid_default();
-        let (_, report) = try_execute_star_parallel(&plan, &fact, &cfg, 3).unwrap();
+        let cfg = ExecConfig::hybrid_default().with_threads(3);
+        let (_, report) = try_execute_star(&plan, &fact, &cfg).unwrap();
         assert!(report.is_clean());
         assert_eq!(report.threads, 3);
     }
@@ -699,8 +644,8 @@ mod tests {
     #[test]
     fn threads_config_routes_execute_star() {
         let (fact, plan) = toy(10_000);
-        let serial = crate::execute_star(&plan, &fact, &ExecConfig::scalar().with_threads(1));
-        let par = crate::execute_star(&plan, &fact, &ExecConfig::scalar().with_threads(4));
+        let serial = execute_star(&plan, &fact, &ExecConfig::scalar().with_threads(1));
+        let par = execute_star(&plan, &fact, &ExecConfig::scalar().with_threads(4));
         assert_eq!(par, serial);
     }
 }

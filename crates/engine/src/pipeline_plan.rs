@@ -1,5 +1,5 @@
-//! Per-query pipeline plans: stable plan fingerprints and `HEF_PIPELINE`
-//! resolution.
+//! Per-query pipeline plans: stable plan fingerprints and the overlay of a
+//! tuned pipeline row onto an execution config.
 //!
 //! The whole-pipeline joint tuner (`hef_core::pipeline`) persists its
 //! results as registry v3 rows keyed by a **plan fingerprint** — a hash of
@@ -7,20 +7,18 @@
 //! deliberately excluding anything scale-dependent (table sizes, row
 //! counts) so a plan tuned at one scale factor resolves at every other.
 //!
-//! At execution time, `HEF_PIPELINE=<registry file>` makes
-//! [`crate::try_execute_star`] look the executing plan's fingerprint up in
-//! that file and overlay the matching joint configuration onto the caller's
-//! [`ExecConfig`]. The lookup degrades, never fails: an unreadable or torn
-//! file, a missing row, or a stale-ISA registry all leave the caller's
-//! config (typically per-op tuned via `HEF_REGISTRY`) untouched — one rung
-//! down the ladder, identical results either way. Explicit `HEF_PREFETCH` /
-//! `HEF_PARTITION` overrides are applied *after* the pipeline row, so they
-//! still win.
+//! An [`Engine`](crate::Engine) built with a pipeline registry (loaded once,
+//! from `HEF_PIPELINE` in `Engine::from_env`) looks each executing plan's
+//! fingerprint up and overlays the matching row onto the caller's
+//! [`ExecConfig`] with [`apply_pipeline_entry`]. The lookup degrades, never
+//! fails: an unreadable or torn file, a missing row, or a stale-ISA
+//! registry all leave the caller's config (typically per-op tuned)
+//! untouched — one rung down the ladder, identical results either way. The
+//! engine's prefetch and partition overrides apply *after* the row, so
+//! they still win, and a plan the engine's governor degraded runs without
+//! its row.
 
-use std::path::Path;
-use std::sync::Mutex;
-
-use hef_core::{PipelineEntry, Registry};
+use hef_core::PipelineEntry;
 use hef_kernels::{Family, HybridConfig};
 
 use crate::star::{ExecConfig, Measure, StarPlan};
@@ -186,68 +184,19 @@ pub fn apply_pipeline_entry(mut cfg: ExecConfig, entry: &PipelineEntry) -> ExecC
     cfg
 }
 
-/// One-slot cache of the last `HEF_PIPELINE` registry, keyed by path. The
-/// env var is re-read per execution (like `HEF_PREFETCH`), but the file is
-/// only re-parsed when the path changes — repeat queries pay one load.
-static PIPELINE_CACHE: Mutex<Option<(String, Registry)>> = Mutex::new(None);
-
-/// Drop the one-slot registry cache. The governor calls this when it
-/// degrades a plan (e.g. drops partitioning): the cached overlay was tuned
-/// for the un-degraded execution shape, and re-applying its `p`/`f`
-/// settings from the cache to the next query with the same fingerprint
-/// would silently resurrect what degradation turned off.
-pub(crate) fn invalidate_cache() {
-    let mut cache = PIPELINE_CACHE.lock().unwrap_or_else(|e| e.into_inner());
-    *cache = None;
-}
-
-/// Resolve the `HEF_PIPELINE` override for `plan`: when the variable names
-/// a registry file containing a v3 row for the plan's fingerprint, return
-/// `cfg` with that row applied; otherwise return `cfg` unchanged. Load
-/// failures go through the registry degradation ladder (lenient parse,
-/// stale-ISA clearing), so a damaged file costs the pipeline row, never the
-/// query. Plans the governor degraded are exempt from the overlay entirely
-/// (see [`crate::govern::Governor::fingerprint_degraded`]).
-pub(crate) fn resolve_pipeline_env(plan: &StarPlan, cfg: ExecConfig) -> ExecConfig {
-    let Ok(path) = std::env::var("HEF_PIPELINE") else {
-        return cfg;
-    };
-    let path = path.trim();
-    if path.is_empty() {
-        return cfg;
-    }
-    if crate::govern::Governor::current().fingerprint_degraded(plan.fingerprint()) {
-        return cfg;
-    }
-    let mut cache = PIPELINE_CACHE.lock().unwrap_or_else(|e| e.into_inner());
-    let fresh = !matches!(&*cache, Some((p, _)) if p == path);
-    if fresh {
-        let (reg, report) = Registry::load_degraded(Path::new(path));
-        if !report.issues.is_empty() {
-            hef_obs::diag::warn_once(
-                "pipeline-registry-issues",
-                format!(
-                    "HEF_PIPELINE={path}: {} issue(s) degraded during load",
-                    report.issues.len()
-                ),
-            );
-        }
-        *cache = Some((path.to_string(), reg));
-    }
-    match &*cache {
-        Some((_, reg)) => match reg.get_pipeline(plan.fingerprint()) {
-            Some(entry) => apply_pipeline_entry(cfg, entry),
-            None => cfg,
-        },
-        None => cfg,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::star::{build_dimension, RangeFilter};
+    use crate::Engine;
+    use hef_core::Registry;
     use hef_storage::{Column, Table};
+
+    /// The engine `HEF_PIPELINE=<path>` describes.
+    fn pipeline_engine(path: &std::path::Path) -> Engine {
+        let path = path.display().to_string();
+        Engine::from_vars(move |k| (k == "HEF_PIPELINE").then(|| path.clone()))
+    }
 
     fn toy_plan() -> (Table, StarPlan) {
         let n = 4096u64;
@@ -387,13 +336,8 @@ mod tests {
         assert_eq!(cfg.probe_prefetch, 8);
     }
 
-    /// Serializes the tests that mutate the process-wide `HEF_PIPELINE`
-    /// variable (they would otherwise race each other's paths).
-    static ENV_GUARD: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn hef_pipeline_resolves_and_damaged_files_degrade() {
-        let _env = ENV_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         let (fact, plan) = toy_plan();
         let dir = std::env::temp_dir().join(format!("hef-pipe-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -413,22 +357,23 @@ mod tests {
         reg.save(&path).unwrap();
 
         let base = ExecConfig::hybrid_default();
-        std::env::set_var("HEF_PIPELINE", &path);
-        let resolved = resolve_pipeline_env(&plan, base);
+        let engine = pipeline_engine(&path);
+        let resolved = engine.configure(&plan, base);
         assert_eq!(resolved.filter, HybridConfig::new(2, 2, 2));
         assert_eq!(resolved.probe_prefetch, 8);
 
         // A plan without a row keeps the caller's config.
         let mut other = plan.clone();
         other.name = "other".into();
-        let kept = resolve_pipeline_env(&other, base);
+        let kept = engine.configure(&other, base);
         assert_eq!(kept.filter, base.filter);
         assert_eq!(kept.probe_prefetch, base.probe_prefetch);
 
         // End to end: the pipeline-configured run is bit-identical to the
         // unconfigured one (grid nodes only change speed, never results).
-        let with = crate::execute_star(&plan, &fact, &base.with_threads(1));
-        std::env::remove_var("HEF_PIPELINE");
+        let cancel = crate::CancelToken::new();
+        let (with, _) =
+            engine.execute(&plan, crate::Fact::Mem(&fact), &base.with_threads(1), &cancel).unwrap();
         let without = crate::execute_star(&plan, &fact, &base.with_threads(1));
         assert_eq!(with, without);
 
@@ -438,25 +383,20 @@ mod tests {
         let cut = text.rfind("probe").map(|i| i + 3).unwrap_or(text.len());
         let torn = dir.join("torn.txt");
         std::fs::write(&torn, &text[..cut]).unwrap();
-        std::env::set_var("HEF_PIPELINE", &torn);
-        let degraded = resolve_pipeline_env(&plan, base);
+        let degraded = pipeline_engine(&torn).configure(&plan, base);
         assert_eq!(degraded.filter, base.filter);
         assert_eq!(degraded.probe_prefetch, base.probe_prefetch);
-        std::env::remove_var("HEF_PIPELINE");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Regression for the ISSUE 8 bugfix: once the governor degrades a plan
-    /// (here: drops its radix partitioning to fit the memory budget), the
-    /// plan's tuned `HEF_PIPELINE` overlay must stop applying — both on a
-    /// fresh load and from the one-slot registry cache, which the
-    /// degradation invalidates. Un-degraded plans keep their overlays.
+    /// Once the governor degrades a plan (here: drops its radix partitioning
+    /// to fit the memory budget), the plan's tuned pipeline overlay must
+    /// stop applying. Un-degraded plans keep their overlays.
     #[test]
     fn governor_degraded_plan_suppresses_stale_pipeline_overlay() {
-        use crate::govern::{with_governor, GovernorConfig};
+        use crate::govern::GovernorConfig;
         use crate::star::Measure;
 
-        let _env = ENV_GUARD.lock().unwrap_or_else(|e| e.into_inner());
         // A dimension big enough to carry a radix-partitioned probe table.
         let n_dim = 200_000u64;
         let mut dim = Table::new("bigdim");
@@ -487,44 +427,41 @@ mod tests {
         reg.insert_pipeline(plan.fingerprint(), entry());
         reg.insert_pipeline(other_plan.fingerprint(), entry());
         reg.save(&path).unwrap();
-        std::env::set_var("HEF_PIPELINE", &path);
 
         let base = ExecConfig::hybrid_default();
         // A budget that fits the flat shape but not the partitioned one, so
         // admission's first ladder rung is exactly DropPartition.
         let mut flat = base;
         flat.partition = false;
-        let budget = crate::govern::estimate_query_bytes(&plan, &fact, &flat, 2);
+        let rows = fact.len();
+        let budget = crate::govern::estimate_query_bytes(&plan, rows, &flat, 2);
         assert!(
-            crate::govern::estimate_query_bytes(&plan, &fact, &base, 2) > budget,
+            crate::govern::estimate_query_bytes(&plan, rows, &base, 2) > budget,
             "partitioned estimate must exceed the flat-shape budget"
         );
 
-        with_governor(GovernorConfig { max_queries: 0, mem_budget: budget }, |gov| {
-            // Overlay applies while the plan is un-degraded (and primes the
-            // one-slot cache).
-            let before = resolve_pipeline_env(&plan, base);
-            assert_eq!(before.filter, HybridConfig::new(2, 2, 2));
+        let engine = pipeline_engine(&path)
+            .with_limits(GovernorConfig { max_queries: 0, mem_budget: budget });
+        let gov = engine.governor();
+        // Overlay applies while the plan is un-degraded.
+        let before = engine.configure(&plan, base);
+        assert_eq!(before.filter, HybridConfig::new(2, 2, 2));
 
-            let mut cfg = base;
-            let mut threads = 2;
-            let adm = gov.admit(&plan, &fact, &mut cfg, &mut threads).expect("admit degraded");
-            assert!(!cfg.partition, "ladder must have dropped partitioning");
-            assert!(gov.fingerprint_degraded(plan.fingerprint()));
+        let mut cfg = base;
+        let mut threads = 2;
+        let adm = gov.admit(&plan, rows, &mut cfg, &mut threads).expect("admit degraded");
+        assert!(!cfg.partition, "ladder must have dropped partitioning");
+        assert!(gov.fingerprint_degraded(plan.fingerprint()));
 
-            // The stale overlay no longer applies — not from the (now
-            // invalidated) cache, not from a fresh load.
-            let after = resolve_pipeline_env(&plan, base);
-            assert_eq!(after.filter, base.filter, "stale overlay re-applied");
-            assert_eq!(after.probe_prefetch, base.probe_prefetch);
+        // The stale overlay no longer applies.
+        let after = engine.configure(&plan, base);
+        assert_eq!(after.filter, base.filter, "stale overlay re-applied");
+        assert_eq!(after.probe_prefetch, base.probe_prefetch);
 
-            // Other plans are unaffected: their overlay still resolves.
-            let other = resolve_pipeline_env(&other_plan, base);
-            assert_eq!(other.filter, HybridConfig::new(2, 2, 2));
-            drop(adm);
-        });
-
-        std::env::remove_var("HEF_PIPELINE");
+        // Other plans are unaffected: their overlay still resolves.
+        let other = engine.configure(&other_plan, base);
+        assert_eq!(other.filter, HybridConfig::new(2, 2, 2));
+        drop(adm);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,6 +9,7 @@ use hef_kernels::{
 };
 use hef_obs::trace::SpanGuard;
 use hef_storage::Table;
+use hef_testutil::fault::EngineFaults;
 
 use crate::govern::QueryCtx;
 use crate::ops::{compact_hits, gather_keys, grouped_accumulate};
@@ -57,20 +58,20 @@ pub struct ExecConfig {
     /// batches; Voila uses 1024).
     pub batch: usize,
     /// Worker threads for the morsel-driven parallel executor. `0` resolves
-    /// at execution time: `HEF_THREADS` if set, else
+    /// at execution time: the engine's thread count if it has one, else
     /// `std::thread::available_parallelism()`.
     pub threads: usize,
     /// Software-prefetch depth `f` for the probe kernel (the tuned fourth
-    /// dimension; `0` = flat loop). Overridable per run via `HEF_PREFETCH`.
+    /// dimension; `0` = flat loop). An engine prefetch override wins.
     pub probe_prefetch: usize,
     /// Allow the radix-partitioned probe path when a dimension carries
     /// cache-sized sub-tables (see [`build_dimension`]) and the batch has
-    /// enough keys per partition. Overridable per run via `HEF_PARTITION`.
+    /// enough keys per partition. An engine partition override wins.
     pub partition: bool,
     /// Per-query deadline in milliseconds (`0` = none). Checked at every
     /// morsel claim and batch boundary; an expired deadline surfaces as
-    /// typed [`crate::parallel::ExecError::DeadlineExceeded`]. Overridable
-    /// per run via `HEF_DEADLINE_MS`.
+    /// typed [`crate::parallel::ExecError::DeadlineExceeded`]. An engine
+    /// deadline override wins.
     pub deadline_ms: u64,
 }
 
@@ -223,32 +224,6 @@ impl ExecConfig {
     /// [`ExecConfig::deadline_ms`]).
     pub fn with_deadline_ms(mut self, deadline_ms: u64) -> ExecConfig {
         self.deadline_ms = deadline_ms;
-        self
-    }
-
-    /// Apply the `HEF_PREFETCH` (depth, `usize`), `HEF_PARTITION`
-    /// (`0/off/false` or `1/on/true`), and `HEF_DEADLINE_MS` (milliseconds,
-    /// `0` = none) environment overrides. Read per execution — not cached —
-    /// so tests and repeated runs in one process can change them between
-    /// queries.
-    pub fn resolved_from_env(mut self) -> ExecConfig {
-        if let Ok(v) = std::env::var("HEF_PREFETCH") {
-            if let Ok(f) = v.trim().parse::<usize>() {
-                self.probe_prefetch = f;
-            }
-        }
-        if let Ok(v) = std::env::var("HEF_PARTITION") {
-            match v.trim() {
-                "0" | "off" | "false" => self.partition = false,
-                "1" | "on" | "true" => self.partition = true,
-                _ => {}
-            }
-        }
-        if let Ok(v) = std::env::var("HEF_DEADLINE_MS") {
-            if let Ok(ms) = v.trim().parse::<u64>() {
-                self.deadline_ms = ms;
-            }
-        }
         self
     }
 }
@@ -429,20 +404,12 @@ pub fn build_dimension(
 }
 
 /// Check a physical plan against the fact table before execution: every
-/// referenced column must exist and explicit group-id strides must be
-/// consistent with the group-cell count. Returns a typed
+/// referenced column must exist (`has_col` answers for the in-memory or
+/// paged table) and explicit group-id strides must be consistent with the
+/// group-cell count. Returns a typed
 /// [`ExecError::BadPlan`](crate::parallel::ExecError) instead of letting a
 /// worker thread hit the inconsistency as a panic mid-query.
-pub fn validate_star_plan(
-    plan: &StarPlan,
-    fact: &Table,
-) -> Result<(), crate::parallel::ExecError> {
-    validate_star_plan_with(plan, fact.name(), |c| fact.column(c).is_some())
-}
-
-/// Table-representation-independent validation core: `has_col` answers
-/// whether the fact table (in-memory or paged) carries a column.
-pub(crate) fn validate_star_plan_with(
+pub(crate) fn validate_star_plan(
     plan: &StarPlan,
     fact_name: &str,
     has_col: impl Fn(&str) -> bool,
@@ -495,119 +462,26 @@ pub(crate) fn validate_star_plan_with(
     Ok(())
 }
 
-/// Execute `plan` against `fact` using `cfg`.
+/// Execute `plan` against `fact` using `cfg` on [`Engine::default`]
+/// (unlimited governor, no tuned rows, no overrides), panicking on a typed
+/// error. Every flavor runs the morsel-driven executor; one worker runs it
+/// serially on the calling thread.
 ///
-/// Resolves the worker-thread count (see [`ExecConfig::threads`]) and routes
-/// every flavor — including Voila — through the morsel-driven parallel
-/// executor when more than one worker is requested; a single worker runs the
-/// serial pipeline directly (identical code either way: the parallel path is
-/// the same per-worker pipeline over morsels instead of the whole table).
+/// [`Engine::default`]: crate::Engine
 pub fn execute_star(plan: &StarPlan, fact: &Table, cfg: &ExecConfig) -> QueryOutput {
     try_execute_star(plan, fact, cfg)
         .map(|(out, _)| out)
         .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Execute `plan` with the full degradation ladder, returning the output
-/// together with the [`ExecReport`] of every recovery action (morsels
-/// retried, workers lost, serial degradation). The output is bit-identical
-/// to a clean run's — recovery can change latency, never results; a typed
-/// [`ExecError`] comes back only when even the serial fallback fails.
-///
-/// [`ExecReport`]: crate::parallel::ExecReport
-/// [`ExecError`]: crate::parallel::ExecError
+/// [`Engine::execute`](crate::Engine::execute) of an in-memory query on
+/// [`Engine::default`](crate::Engine), with a fresh cancel token.
 pub fn try_execute_star(
     plan: &StarPlan,
     fact: &Table,
     cfg: &ExecConfig,
 ) -> Result<(QueryOutput, crate::parallel::ExecReport), crate::parallel::ExecError> {
-    try_execute_star_cancellable(plan, fact, cfg, &crate::govern::CancelToken::new())
-}
-
-/// [`try_execute_star`] with a caller-held [`CancelToken`]: clone the token
-/// into whatever owns the query's lifetime and [`cancel`] it to stop the
-/// query cooperatively at the next morsel/batch boundary, yielding typed
-/// [`ExecError::Cancelled`] with the partial report. This is also the full
-/// governed path: the query is admitted by [`Governor::current`] (possibly
-/// degraded under memory pressure, possibly `Rejected`) and runs under its
-/// deadline (`ExecConfig::deadline_ms` / `HEF_DEADLINE_MS`).
-///
-/// [`cancel`]: crate::govern::CancelToken::cancel
-/// [`Governor::current`]: crate::govern::Governor::current
-/// [`ExecError::Cancelled`]: crate::parallel::ExecError::Cancelled
-/// [`CancelToken`]: crate::govern::CancelToken
-pub fn try_execute_star_cancellable(
-    plan: &StarPlan,
-    fact: &Table,
-    cfg: &ExecConfig,
-    cancel: &crate::govern::CancelToken,
-) -> Result<(QueryOutput, crate::parallel::ExecReport), crate::parallel::ExecError> {
-    // Drop-guard drain: a query ending in a typed error (Rejected /
-    // Cancelled / DeadlineExceeded / Failed) — or unwinding — flushes the
-    // partially-filled trace buffers to the session's file via
-    // `trace::checkpoint`, so `HEF_TRACE` output survives non-success
-    // paths. A successful query disarms and leaves the single write to the
-    // session's `finish()`.
-    struct TraceDrain {
-        armed: bool,
-    }
-    impl Drop for TraceDrain {
-        fn drop(&mut self) {
-            if self.armed {
-                hef_obs::trace::checkpoint();
-            }
-        }
-    }
-    let mut drain = TraceDrain {
-        armed: hef_obs::trace::enabled(),
-    };
-    validate_star_plan(plan, fact)?;
-    // Overlay a tuned per-query pipeline plan (registry v3 via
-    // `HEF_PIPELINE`) first, then the explicit per-knob env overrides, so
-    // `HEF_PREFETCH`/`HEF_PARTITION` still win over the joint plan.
-    let mut cfg = crate::pipeline_plan::resolve_pipeline_env(plan, *cfg).resolved_from_env();
-    let resolved_threads = crate::parallel::resolve_threads(cfg.threads);
-    // Admission: may degrade `cfg`/`threads` under memory pressure (the
-    // one-slot pipeline cache is invalidated when it does) or reject. The
-    // guard's Drop releases the charge on every path out of this function.
-    let mut threads = resolved_threads;
-    let gov = crate::govern::Governor::current();
-    let mut admission = gov.admit(plan, fact, &mut cfg, &mut threads)?;
-    let threads = crate::parallel::resolve_threads_governed(resolved_threads, threads);
-    let ctx = crate::govern::QueryCtx::new(cancel.clone(), cfg.deadline_ms);
-    let cfg = &cfg;
-    let _qspan = if hef_obs::trace::enabled() {
-        hef_obs::trace::span_begin_labeled(
-            "query",
-            &format!("{} [{}]", plan.name, cfg.flavor.name()),
-            &[("rows", fact.len() as i64), ("threads", threads as i64)],
-        )
-    } else {
-        hef_obs::trace::SpanGuard::disabled()
-    };
-    hef_obs::metrics::add(hef_obs::metrics::Metric::QueriesExecuted, 1);
-    let mut result = run_table(plan, fact, cfg, threads, &ctx);
-    // Stamp the admission-time degradations into whichever report the
-    // outcome carries, so callers always see the full attribution.
-    let actions = admission.take_actions();
-    match &mut result {
-        Ok((_, report)) => report.degrade_actions = actions,
-        Err(crate::parallel::ExecError::Cancelled { report, .. })
-        | Err(crate::parallel::ExecError::DeadlineExceeded { report, .. }) => {
-            report.degrade_actions = actions
-        }
-        Err(_) => {}
-    }
-    if result.is_ok() {
-        // How close did a deadlined query come to its budget? Slack feeds
-        // capacity planning (a p1 near 0 means deadlines are about to fire).
-        if let Some(slack) = ctx.remaining_ms() {
-            hef_obs::metrics::observe(hef_obs::metrics::Hist::DeadlineSlackMs, slack);
-        }
-        drain.armed = false;
-    }
-    hef_obs::metrics::maybe_dump();
-    result
+    crate::Engine::default().execute(plan, crate::Fact::Mem(fact), cfg, &crate::CancelToken::new())
 }
 
 /// Run `plan` over the in-memory `fact` on `threads` workers (one worker
@@ -620,6 +494,7 @@ pub(crate) fn run_table(
     cfg: &ExecConfig,
     threads: usize,
     ctx: &QueryCtx,
+    faults: &EngineFaults,
 ) -> Result<(QueryOutput, crate::parallel::ExecReport), crate::parallel::ExecError> {
     let slots = ColumnSlots::of(plan);
     let cols: Vec<&[u64]> = slots.names.iter().map(|c| fact.col(c)).collect();
@@ -632,7 +507,8 @@ pub(crate) fn run_table(
         }
     };
     let morsel = (crate::parallel::MORSEL_BATCHES * cfg.batch).max(1);
-    crate::parallel::run_scan(&Scan { plan, units: fact.len(), morsel, make: &make }, threads, ctx)
+    let scan = Scan { plan, units: fact.len(), morsel, make: &make, faults };
+    crate::parallel::run_scan(&scan, threads, ctx)
 }
 
 /// The fact columns a plan reads, each listed once. Stages name their
@@ -1391,25 +1267,46 @@ mod tests {
     }
 
     #[test]
-    fn env_overrides_apply_per_execution() {
+    fn engine_overrides_apply_over_the_config() {
+        use crate::{CancelToken, Engine, Fact};
         let (fact, plan) = toy();
         let expect = reference(&fact, &plan);
-        // Env mutation: keep this test single-threaded over the vars.
-        std::env::set_var("HEF_PREFETCH", "16");
-        std::env::set_var("HEF_PARTITION", "off");
-        let out = execute_star(&plan, &fact, &ExecConfig::hybrid_default());
-        std::env::remove_var("HEF_PREFETCH");
-        std::env::remove_var("HEF_PARTITION");
+        let vars = |pairs: &'static [(&'static str, &'static str)]| {
+            move |k: &str| pairs.iter().find(|p| p.0 == k).map(|p| p.1.to_string())
+        };
+        let engine = Engine::from_vars(vars(&[("HEF_PREFETCH", "16"), ("HEF_PARTITION", "off")]));
+        let (out, _) = engine
+            .execute(&plan, Fact::Mem(&fact), &ExecConfig::hybrid_default(), &CancelToken::new())
+            .unwrap();
         assert_eq!(out.groups, expect);
         // Resolution itself is visible on the config level too.
-        std::env::set_var("HEF_PREFETCH", "8");
-        let cfg = ExecConfig::hybrid_default().resolved_from_env();
-        std::env::remove_var("HEF_PREFETCH");
+        let cfg = Engine::from_vars(vars(&[("HEF_PREFETCH", "8")]))
+            .configure(&plan, ExecConfig::hybrid_default());
         assert_eq!(cfg.probe_prefetch, 8);
-        std::env::set_var("HEF_PARTITION", "0");
-        let cfg = ExecConfig::hybrid_default().resolved_from_env();
-        std::env::remove_var("HEF_PARTITION");
+        assert!(cfg.partition);
+        let cfg = Engine::from_vars(vars(&[("HEF_PARTITION", "0"), ("HEF_DEADLINE_MS", "250")]))
+            .configure(&plan, ExecConfig::hybrid_default());
         assert!(!cfg.partition);
+        assert_eq!(cfg.deadline_ms, 250);
+        // HEF_THREADS fills only an auto thread count; an explicit one wins.
+        let four = Engine::from_vars(vars(&[("HEF_THREADS", "4")]));
+        assert_eq!(four.configure(&plan, ExecConfig::scalar()).threads, 4);
+        assert_eq!(four.configure(&plan, ExecConfig::scalar().with_threads(2)).threads, 2);
+        let (_, report) = four
+            .execute(&plan, Fact::Mem(&fact), &ExecConfig::scalar(), &CancelToken::new())
+            .unwrap();
+        assert_eq!(report.threads, 4);
+        // Malformed values warn and are ignored; nothing reads the process
+        // environment.
+        let (bad, warnings) = hef_obs::diag::capture(|| {
+            Engine::from_vars(vars(&[("HEF_THREADS", "lots"), ("HEF_PARTITION", "maybe")]))
+        });
+        let cfg = bad.configure(&plan, ExecConfig::scalar());
+        assert_eq!((cfg.threads, cfg.partition), (0, true));
+        assert!(warnings.len() <= 1, "{warnings:?}");
+        let none = Engine::from_vars(|_| None).configure(&plan, ExecConfig::scalar());
+        assert_eq!(none.probe_prefetch, 0);
+        assert_eq!(none.threads, 0);
     }
 
     #[test]
@@ -1472,16 +1369,11 @@ mod tests {
             Err(ExecError::BadPlan { .. })
         ));
 
-        // The parallel entry point rejects up front too — no worker spawns.
+        // A parallel run rejects up front too — no worker spawns.
         let (fact, mut plan) = toy();
         plan.filters.push(RangeFilter { col: "nope".into(), lo: 0, hi: 1 });
         assert!(matches!(
-            crate::parallel::try_execute_star_parallel(
-                &plan,
-                &fact,
-                &ExecConfig::scalar(),
-                4
-            ),
+            try_execute_star(&plan, &fact, &ExecConfig::scalar().with_threads(4)),
             Err(ExecError::BadPlan { .. })
         ));
     }

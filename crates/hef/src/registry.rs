@@ -43,7 +43,7 @@
 //! * [`Registry::parse`] is **strict**: malformed lines, unknown or
 //!   duplicate families, off-grid `(v, s, p)` triples, and
 //!   future-versioned headers are typed [`ParseError`]s.
-//! * [`Registry::warm`] applies the **degradation ladder**: a bad or stale
+//! * [`Registry::load_degraded`] applies the **degradation ladder**: a bad or stale
 //!   registry never panics and never changes query results. Salvageable
 //!   entries are kept; off-grid or stale nodes fall back *per family* to
 //!   the candidate generator's analytical pick (§IV.A, Eq. 1–2); every
@@ -323,8 +323,9 @@ impl Registry {
     }
 
     /// Empty registry stamped with this machine's provenance: `cpu` note
-    /// plus the native backend name as ISA, so a later [`Registry::warm`]
-    /// on different hardware detects the staleness.
+    /// plus the native backend name as ISA, so a later
+    /// [`Registry::load_degraded`] on different hardware detects the
+    /// staleness.
     pub fn with_host_provenance(cpu: impl Into<String>) -> Registry {
         Registry {
             cpu: cpu.into(),
@@ -581,21 +582,9 @@ impl Registry {
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
     }
 
-    /// Process-wide warmed registry, loaded once at first use.
-    ///
-    /// If `HEF_REGISTRY` names a registry file it is loaded through the
-    /// degradation ladder (see [`Registry::warm_report`]); otherwise the
-    /// registry is empty and [`Registry::get_or_default`] serves the
-    /// paper's SSB optimum `(1, 1, 3)` for every family. Engines and
-    /// benches call this at startup so repeat queries never re-tune or
-    /// re-read the file. Every node served by the warmed registry is
-    /// guaranteed to be on the compiled kernel grid.
-    pub fn warm() -> &'static Registry {
-        &Registry::warm_report().0
-    }
-
-    /// [`Registry::warm`] plus the structured [`WarmReport`] of everything
-    /// the degradation ladder did:
+    /// The degradation ladder on one file: never fails, returns the best
+    /// salvageable registry plus the structured [`WarmReport`] of every
+    /// decision:
     ///
     /// 1. unreadable file → empty registry (defaults serve every family);
     /// 2. future-versioned file → same;
@@ -606,21 +595,9 @@ impl Registry {
     ///    → **every** recorded node replaced by the analytical pick.
     ///
     /// Since every grid node computes identical results, none of these
-    /// degradations can change a query's output — only its speed.
-    pub fn warm_report() -> &'static (Registry, WarmReport) {
-        static WARM: std::sync::OnceLock<(Registry, WarmReport)> = std::sync::OnceLock::new();
-        WARM.get_or_init(|| {
-            let _span = hef_obs::span!("registry_warm");
-            let (reg, report) = match std::env::var("HEF_REGISTRY") {
-                Ok(path) if !path.trim().is_empty() => Registry::load_degraded(Path::new(&path)),
-                _ => (Registry::default(), WarmReport::default()),
-            };
-            (reg, report)
-        })
-    }
-
-    /// The degradation ladder on one file: never fails, returns the best
-    /// salvageable registry plus the issue log. Fault injection
+    /// degradations can change a query's output — only its speed. Callers
+    /// load once at startup and pass the registry down; every node it
+    /// serves is on the compiled kernel grid. Fault injection
     /// (`HEF_FAULT=registry:…`) corrupts the text between read and parse.
     pub fn load_degraded(path: &Path) -> (Registry, WarmReport) {
         let _span =
@@ -749,10 +726,11 @@ impl std::fmt::Display for RegistryIssue {
     }
 }
 
-/// Everything [`Registry::warm`] did to arrive at the served registry.
+/// Everything [`Registry::load_degraded`] did to arrive at the served
+/// registry.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WarmReport {
-    /// The `HEF_REGISTRY` path, when one was consulted.
+    /// The registry file, when one was consulted.
     pub source: Option<String>,
     /// Ladder decisions, in occurrence order.
     pub issues: Vec<RegistryIssue>,
@@ -1219,27 +1197,6 @@ mod tests {
         assert_eq!(r.isa, hef_hid::Backend::native().name());
         let parsed = Registry::parse(&r.to_text()).unwrap();
         assert_eq!(parsed.isa, r.isa);
-    }
-
-    #[test]
-    fn warm_is_idempotent() {
-        // Two calls return the same allocation: load happens once.
-        let a = Registry::warm() as *const Registry;
-        let b = Registry::warm() as *const Registry;
-        assert_eq!(a, b);
-        if std::env::var_os("HEF_REGISTRY").is_none() {
-            // Without HEF_REGISTRY every family serves the SSB default.
-            assert_eq!(
-                Registry::warm().get_or_default(Family::Probe),
-                HybridConfig::new(1, 1, 3)
-            );
-            assert!(Registry::warm_report().1.is_clean());
-        }
-        // Whatever the ladder decided, every served node is on-grid.
-        for f in Family::ALL {
-            let n = Registry::warm().get_or_default(f);
-            assert!(on_grid(n.v, n.s, n.p), "{}: {n}", f.name());
-        }
     }
 
     #[test]

@@ -105,19 +105,21 @@ impl Bench {
         }
         let mut stats = summarize(&mut times);
         if cycles.len() == times.len() {
-            cycles.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            stats.median_cycles = Some(median_of_sorted(&cycles));
+            stats.median_cycles = Some(median(cycles));
         }
         stats
     }
 }
 
-fn median_of_sorted(sorted: &[f64]) -> f64 {
-    let n = sorted.len();
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+/// Median of the finite values in `values`: the middle one, or the mean of
+/// the two middle ones for an even count; 0.0 when there are none.
+pub fn median(values: impl IntoIterator<Item = f64>) -> f64 {
+    let mut v: Vec<f64> = values.into_iter().filter(|x| x.is_finite()).collect();
+    v.sort_by(f64::total_cmp);
+    match v.len() {
+        0 => 0.0,
+        n if n % 2 == 1 => v[n / 2],
+        n => (v[n / 2 - 1] + v[n / 2]) / 2.0,
     }
 }
 
@@ -125,12 +127,10 @@ fn median_of_sorted(sorted: &[f64]) -> f64 {
 pub fn summarize(times: &mut [f64]) -> Stats {
     assert!(!times.is_empty(), "no samples");
     times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let median = median_of_sorted(times);
-    let mut devs: Vec<f64> = times.iter().map(|t| (t - median).abs()).collect();
-    devs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let m = median(times.iter().copied());
     Stats {
-        median,
-        mad: median_of_sorted(&devs),
+        median: m,
+        mad: median(times.iter().map(|t| (t - m).abs())),
         min: times[0],
         mean: times.iter().sum::<f64>() / times.len() as f64,
         samples: times.len(),
@@ -315,6 +315,11 @@ mod tests {
     fn even_sample_count_takes_midpoint() {
         let mut t = vec![1.0, 2.0, 3.0, 4.0];
         assert_eq!(summarize(&mut t).median, 2.5);
+        // The free helper: unsorted input, non-finite values skipped, and
+        // nothing to take the median of is 0.
+        assert_eq!(median([4.0, f64::NAN, 1.0, 3.0, 2.0]), 2.5);
+        assert_eq!(median([f64::INFINITY, 7.0]), 7.0);
+        assert_eq!(median([]), 0.0);
     }
 
     #[test]

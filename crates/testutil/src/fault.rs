@@ -6,15 +6,24 @@
 //! module is the harness that *proves* it: a [`FaultPlan`] describes a set
 //! of injection points — registry byte corruption, cost-measurement spikes,
 //! worker panics on chosen morsels — and the production code paths consult
-//! the active plan at cheap, well-defined hooks. With no plan installed
-//! every hook is a single relaxed atomic load.
+//! it at cheap, well-defined hooks.
 //!
-//! Plans come from two places:
+//! The clauses split by where they act:
 //!
-//! * programmatically, via [`with_plan`] (tests) — serialized process-wide
-//!   so concurrent `cargo test` threads never see each other's faults;
-//! * the `HEF_FAULT` environment variable (CI / the differential suite),
-//!   parsed once at first use. The spec is a `;`-separated list of clauses:
+//! * **Engine clauses** (`panic`, `slow_morsel`, `mem_spike`) act inside
+//!   query execution. They are never process-wide: an [`EngineFaults`]
+//!   holds them and the engine value that owns it consults it, so one
+//!   engine's schedule cannot fire in another engine's queries (or in a
+//!   concurrently running test's).
+//! * **I/O and tuner clauses** (`registry`, `torn`, `short`, `spike`) act
+//!   at file reads and cost measurements, which run outside any query. They
+//!   are installed process-wide, programmatically via [`with_plan`]
+//!   (serialized, so concurrent tests never see each other's faults) or
+//!   from the `HEF_FAULT` environment variable, parsed once at first use;
+//!   with neither, every hook is a single relaxed atomic load. `file=`
+//!   scopes the `torn`/`short` clauses to matching paths.
+//!
+//! The `HEF_FAULT` spec is a `;`-separated list of clauses:
 //!
 //! ```text
 //! HEF_FAULT="panic:morsel=2,times=1;spike:trial=5,factor=8;registry:flips=4,seed=9"
@@ -147,6 +156,17 @@ impl FaultPlan {
             && self.short.is_empty()
             && self.slow_morsels.is_empty()
             && self.mem_spikes.is_empty()
+    }
+
+    /// Move the engine clauses into a plan of their own, leaving the I/O
+    /// and tuner clauses in `self`.
+    pub fn take_engine_clauses(&mut self) -> FaultPlan {
+        FaultPlan {
+            worker_panics: std::mem::take(&mut self.worker_panics),
+            slow_morsels: std::mem::take(&mut self.slow_morsels),
+            mem_spikes: std::mem::take(&mut self.mem_spikes),
+            ..FaultPlan::default()
+        }
     }
 
     /// Parse a `HEF_FAULT` spec. Malformed clauses are returned as warnings
@@ -316,24 +336,16 @@ fn parse_clause(clause: &str, plan: &mut FaultPlan) -> Result<(), String> {
 // Active-plan state.
 // ---------------------------------------------------------------------------
 
+/// The process-wide I/O and tuner clauses.
 struct ActivePlan {
     plan: FaultPlan,
-    /// Remaining firings per `worker_panics` entry.
-    panic_left: Vec<u32>,
     /// Global `CostEvaluator::cost` call counter.
     cost_calls: usize,
-    /// Remaining firings per `slow_morsels` entry.
-    slow_left: Vec<u32>,
-    /// Remaining firings per `mem_spikes` entry.
-    spike_left: Vec<u32>,
 }
 
 impl ActivePlan {
     fn new(plan: FaultPlan) -> ActivePlan {
-        let panic_left = plan.worker_panics.iter().map(|p| p.times).collect();
-        let slow_left = plan.slow_morsels.iter().map(|s| s.times).collect();
-        let spike_left = plan.mem_spikes.iter().map(|s| s.times).collect();
-        ActivePlan { plan, panic_left, cost_calls: 0, slow_left, spike_left }
+        ActivePlan { plan, cost_calls: 0 }
     }
 }
 
@@ -352,7 +364,9 @@ fn lock_state() -> MutexGuard<'static, Option<ActivePlan>> {
 }
 
 /// One-time arming from the environment: if no plan was installed
-/// programmatically and `HEF_FAULT` is set, parse and install it.
+/// programmatically and `HEF_FAULT` is set, parse it and install its I/O
+/// and tuner clauses (the engine reads its own clauses from the same
+/// variable when it is built).
 fn arm_from_env() {
     static ENV_ONCE: OnceLock<()> = OnceLock::new();
     ENV_ONCE.get_or_init(|| {
@@ -360,10 +374,11 @@ fn arm_from_env() {
         if spec.trim().is_empty() {
             return;
         }
-        let (plan, warnings) = FaultPlan::parse(&spec);
+        let (mut plan, warnings) = FaultPlan::parse(&spec);
         for w in &warnings {
             hef_obs::diag::warn(format!("{w} (ignored)"));
         }
+        plan.take_engine_clauses();
         if !plan.is_empty() {
             let mut s = lock_state();
             if s.is_none() {
@@ -374,16 +389,27 @@ fn arm_from_env() {
     });
 }
 
-/// `true` when any fault plan is active (env or programmatic).
+/// `true` when process-wide I/O or tuner clauses are installed (env or
+/// programmatic).
 pub fn active() -> bool {
     arm_from_env();
     ARMED.load(Ordering::Acquire)
 }
 
-/// Install `plan`, run `f`, then restore the previous plan — holding a
-/// process-wide guard so concurrently running tests cannot interleave their
-/// fault schedules. Panics from `f` propagate after cleanup.
+/// Install `plan`'s I/O and tuner clauses, run `f`, then restore the
+/// previous plan — holding a process-wide guard so concurrently running
+/// tests cannot interleave their fault schedules. Panics from `f` propagate
+/// after cleanup.
+///
+/// # Panics
+///
+/// If `plan` carries engine clauses: those belong to an engine's own
+/// [`EngineFaults`], never to the process.
 pub fn with_plan<R>(plan: FaultPlan, f: impl FnOnce() -> R) -> R {
+    assert!(
+        plan.clone().take_engine_clauses().is_empty(),
+        "panic/slow_morsel/mem_spike clauses are per engine; give them to an engine"
+    );
     static GUARD: Mutex<()> = Mutex::new(());
     let _guard = GUARD.lock().unwrap_or_else(|e| e.into_inner());
     {
@@ -415,80 +441,82 @@ pub enum Phase {
 /// Worker index used by the serial executor when consulting panic faults.
 pub const SERIAL_WORKER: usize = usize::MAX;
 
-/// Injection hook for parallel workers: panics if the active plan schedules
-/// a panic for (`worker`, `morsel`) in this `phase`. No-op without a plan.
-pub fn maybe_panic_worker(worker: usize, morsel: usize, phase: Phase) {
-    if !active() {
-        return;
-    }
-    let fire = {
-        let mut s = lock_state();
-        let Some(active) = s.as_mut() else { return };
-        let mut fire = false;
-        for (i, p) in active.plan.worker_panics.iter().enumerate() {
-            let phase_ok = (phase == Phase::After) == p.after;
-            let worker_ok = p.worker.is_none_or(|w| w == worker);
-            if phase_ok && worker_ok && p.morsel == morsel && active.panic_left[i] > 0 {
-                active.panic_left[i] -= 1;
-                fire = true;
-                break;
-            }
-        }
-        fire
-    };
-    if fire {
-        hef_obs::metrics::add(hef_obs::metrics::Metric::FaultsInjected, 1);
-        panic!("hef-fault: injected panic (worker {worker}, morsel {morsel}, {phase:?})");
-    }
+/// An engine's own fault schedule: the engine clauses of a [`FaultPlan`]
+/// with their remaining firings, consulted by that engine's scheduler and
+/// governor only. Empty by default, when every hook returns at once.
+#[derive(Debug, Default)]
+pub struct EngineFaults {
+    plan: FaultPlan,
+    left: Mutex<Firings>,
 }
 
-/// Injection hook for the parallel scheduler: returns how long the worker
-/// claiming (`worker`, `morsel`) should stall, or `None`. The *caller*
-/// performs the sleep (in interruptible slices) — the hook only consumes
-/// the schedule entry. No-op without a plan.
-pub fn next_slow_morsel(worker: usize, morsel: usize) -> Option<std::time::Duration> {
-    if !active() {
-        return None;
-    }
-    let ms = {
-        let mut s = lock_state();
-        let active = s.as_mut()?;
-        let mut hit = None;
-        for (i, sm) in active.plan.slow_morsels.iter().enumerate() {
-            let worker_ok = sm.worker.is_none_or(|w| w == worker);
-            if worker_ok && sm.morsel == morsel && active.slow_left[i] > 0 {
-                active.slow_left[i] -= 1;
-                hit = Some(sm.ms);
-                break;
-            }
-        }
-        hit?
-    };
-    hef_obs::metrics::add(hef_obs::metrics::Metric::FaultsInjected, 1);
-    Some(std::time::Duration::from_millis(ms))
+/// Remaining firings per clause, aligned with the plan's vectors.
+#[derive(Debug, Default)]
+struct Firings {
+    panics: Vec<u32>,
+    slow: Vec<u32>,
+    spikes: Vec<u32>,
 }
 
-/// Injection hook for the query governor: returns extra bytes to add to the
-/// admission-time memory estimate, or `None`. Consumed once per admission.
-pub fn next_mem_spike() -> Option<u64> {
-    if !active() {
-        return None;
-    }
-    let bytes = {
-        let mut s = lock_state();
-        let active = s.as_mut()?;
-        let mut hit = None;
-        for (i, sp) in active.plan.mem_spikes.iter().enumerate() {
-            if active.spike_left[i] > 0 {
-                active.spike_left[i] -= 1;
-                hit = Some(sp.bytes);
-                break;
-            }
-        }
-        hit?
-    };
+/// Consume one firing of the first clause `hit` selects that has any left.
+fn fire<T>(clauses: &[T], left: &mut [u32], hit: impl Fn(&T) -> bool) -> Option<usize> {
+    let i = (0..clauses.len()).find(|&i| left[i] > 0 && hit(&clauses[i]))?;
+    left[i] -= 1;
     hef_obs::metrics::add(hef_obs::metrics::Metric::FaultsInjected, 1);
-    Some(bytes)
+    Some(i)
+}
+
+impl EngineFaults {
+    /// The schedule of `plan`'s engine clauses (its other clauses are
+    /// ignored).
+    pub fn new(mut plan: FaultPlan) -> EngineFaults {
+        let plan = plan.take_engine_clauses();
+        let left = Firings {
+            panics: plan.worker_panics.iter().map(|p| p.times).collect(),
+            slow: plan.slow_morsels.iter().map(|s| s.times).collect(),
+            spikes: plan.mem_spikes.iter().map(|s| s.times).collect(),
+        };
+        EngineFaults { plan, left: Mutex::new(left) }
+    }
+
+    fn left(&self) -> Option<MutexGuard<'_, Firings>> {
+        // A worker panic while a hook holds the lock poisons it; the poison
+        // carries no invariant here, so recover the guard.
+        (!self.plan.is_empty()).then(|| self.left.lock().unwrap_or_else(|e| e.into_inner()))
+    }
+
+    /// Panic if the schedule has a panic for (`worker`, `morsel`) in this
+    /// `phase`.
+    pub fn maybe_panic_worker(&self, worker: usize, morsel: usize, phase: Phase) {
+        let Some(mut left) = self.left() else { return };
+        let hit = fire(&self.plan.worker_panics, &mut left.panics, |p| {
+            (phase == Phase::After) == p.after
+                && p.worker.is_none_or(|w| w == worker)
+                && p.morsel == morsel
+        });
+        drop(left);
+        if hit.is_some() {
+            panic!("hef-fault: injected panic (worker {worker}, morsel {morsel}, {phase:?})");
+        }
+    }
+
+    /// How long the worker claiming (`worker`, `morsel`) should stall, or
+    /// `None`. The *caller* sleeps (in interruptible slices); the hook only
+    /// consumes the schedule entry.
+    pub fn next_slow_morsel(&self, worker: usize, morsel: usize) -> Option<std::time::Duration> {
+        let mut left = self.left()?;
+        let i = fire(&self.plan.slow_morsels, &mut left.slow, |s| {
+            s.worker.is_none_or(|w| w == worker) && s.morsel == morsel
+        })?;
+        Some(std::time::Duration::from_millis(self.plan.slow_morsels[i].ms))
+    }
+
+    /// Extra bytes to add to one admission-time memory estimate, or `None`.
+    pub fn next_mem_spike(&self) -> Option<u64> {
+        let mut left = self.left()?;
+        let i = fire(&self.plan.mem_spikes, &mut left.spikes, |_| true)?;
+        Some(self.plan.mem_spikes[i].bytes)
+    }
 }
 
 /// Injection hook for cost evaluators: returns the multiplier for this
@@ -674,21 +702,24 @@ mod tests {
     }
 
     #[test]
-    fn with_plan_fires_and_restores() {
+    fn engine_faults_fire_only_as_scheduled() {
         let plan = FaultPlan {
             worker_panics: vec![WorkerPanic { worker: None, morsel: 3, times: 1, after: false }],
             ..Default::default()
         };
-        with_plan(plan, || {
-            assert!(active());
-            // Wrong morsel / phase: no fire.
-            maybe_panic_worker(0, 2, Phase::Before);
-            maybe_panic_worker(0, 3, Phase::After);
-            let caught = std::panic::catch_unwind(|| maybe_panic_worker(1, 3, Phase::Before));
-            assert!(caught.is_err());
-            // `times = 1` exhausted.
-            maybe_panic_worker(1, 3, Phase::Before);
-        });
+        let faults = EngineFaults::new(plan.clone());
+        // Wrong morsel / phase: no fire.
+        faults.maybe_panic_worker(0, 2, Phase::Before);
+        faults.maybe_panic_worker(0, 3, Phase::After);
+        let caught = std::panic::catch_unwind(|| faults.maybe_panic_worker(1, 3, Phase::Before));
+        assert!(caught.is_err());
+        // `times = 1` exhausted.
+        faults.maybe_panic_worker(1, 3, Phase::Before);
+        // A second schedule from the same plan has its own firings.
+        let other = EngineFaults::new(plan.clone());
+        assert!(std::panic::catch_unwind(|| other.maybe_panic_worker(0, 3, Phase::Before)).is_err());
+        // Engine clauses are never process-wide.
+        assert!(std::panic::catch_unwind(|| with_plan(plan, || ())).is_err());
     }
 
     #[test]
@@ -755,21 +786,21 @@ mod tests {
         );
         assert_eq!(plan.mem_spikes, vec![MemSpike { bytes: 4096, times: 1 }]);
 
-        with_plan(plan, || {
-            // Wrong worker / wrong morsel: no fire.
-            assert_eq!(next_slow_morsel(0, 2), None);
-            assert_eq!(next_slow_morsel(1, 3), None);
-            // Fires twice (times=2), then exhausted.
-            assert_eq!(next_slow_morsel(1, 2), Some(std::time::Duration::from_millis(10)));
-            assert_eq!(next_slow_morsel(1, 2), Some(std::time::Duration::from_millis(10)));
-            assert_eq!(next_slow_morsel(1, 2), None);
-            // Mem spike fires once.
-            assert_eq!(next_mem_spike(), Some(4096));
-            assert_eq!(next_mem_spike(), None);
-        });
-        // No plan: hooks are inert.
-        assert_eq!(next_slow_morsel(1, 2), None);
-        assert_eq!(next_mem_spike(), None);
+        let faults = EngineFaults::new(plan);
+        // Wrong worker / wrong morsel: no fire.
+        assert_eq!(faults.next_slow_morsel(0, 2), None);
+        assert_eq!(faults.next_slow_morsel(1, 3), None);
+        // Fires twice (times=2), then exhausted.
+        assert_eq!(faults.next_slow_morsel(1, 2), Some(std::time::Duration::from_millis(10)));
+        assert_eq!(faults.next_slow_morsel(1, 2), Some(std::time::Duration::from_millis(10)));
+        assert_eq!(faults.next_slow_morsel(1, 2), None);
+        // Mem spike fires once.
+        assert_eq!(faults.next_mem_spike(), Some(4096));
+        assert_eq!(faults.next_mem_spike(), None);
+        // No clauses: hooks are inert.
+        let none = EngineFaults::default();
+        assert_eq!(none.next_slow_morsel(1, 2), None);
+        assert_eq!(none.next_mem_spike(), None);
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! Run with: `cargo run --release --example tuned_pipeline`
 
 use hef::core::{tune_measured, Family, Registry};
-use hef::engine::{execute_star, execute_star_dynamic, ExecConfig};
+use hef::engine::{execute_star, CancelToken, Engine, ExecConfig};
 use hef::ssb::{build_plan, generate, QueryId};
 
 fn main() {
@@ -48,7 +48,13 @@ fn main() {
     let scalar_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(tuned_out.groups, scalar_out.groups);
 
-    let (dyn_out, selection) = execute_star_dynamic(&plan, &data.lineorder, 0.05);
+    // Sample 5% of the fact table, then run the full query on the winner.
+    let engine = Engine::default();
+    let sample_rows = data.lineorder.len() / 20;
+    let selection = engine
+        .choose_flavor(&plan, &data.lineorder, sample_rows, &CancelToken::new())
+        .expect("flavor selection");
+    let dyn_out = execute_star(&plan, &data.lineorder, &ExecConfig::for_flavor(selection.flavor));
     assert_eq!(dyn_out.groups, scalar_out.groups);
 
     println!("scalar engine:          {scalar_ms:8.2} ms");

@@ -15,18 +15,17 @@
 //!   abort the process (`governance_*` tests, filterable with
 //!   `cargo test --test fault_injection governance`).
 //!
-//! Every faulted section runs inside `fault::with_plan`, which serializes
-//! process-wide so concurrent tests in this binary cannot observe each
-//! other's fault schedules; clean reference runs take the same guard with
-//! an empty plan.
+//! Query faults (worker panics, slow morsels, memory spikes) and governor
+//! limits belong to a private [`Engine`] per test, so tests run in
+//! parallel without seeing each other's schedules or budgets. Registry,
+//! file and cost-spike faults act outside query execution and run inside
+//! `fault::with_plan`, which serializes them process-wide.
 
 use hef::core::{initial_candidate, on_grid, optimize, templates, Registry, RegistryIssue};
 use hef::core::optimizer::{SimulatedCost, SpikedCost};
 use hef::engine::{
-    build_dimension, estimate_query_bytes, execute_star, try_execute_star,
-    try_execute_star_cancellable, try_execute_star_parallel, try_execute_star_with_retry,
-    with_governor, CancelToken, ExecConfig, ExecError, GovernorConfig, Measure, QueryOutput,
-    StarPlan, MIN_BATCH,
+    build_dimension, estimate_query_bytes, execute_star, CancelToken, Engine, ExecConfig,
+    ExecError, ExecReport, Fact, GovernorConfig, Measure, QueryOutput, StarPlan, MIN_BATCH,
 };
 use hef::kernels::{Family, HybridConfig, P_AXIS, S_AXIS, V_AXIS};
 use hef::storage::{Column, Table};
@@ -64,10 +63,24 @@ fn spec(s: &str) -> FaultPlan {
     plan
 }
 
-/// A clean serial reference, run under the fault guard (empty plan) so a
-/// concurrently armed schedule can never leak into the reference run.
+/// A clean serial reference.
 fn serial_reference(plan: &StarPlan, fact: &Table, cfg: &ExecConfig) -> QueryOutput {
-    with_plan(FaultPlan::default(), || execute_star(plan, fact, &cfg.with_threads(1)))
+    execute_star(plan, fact, &cfg.with_threads(1))
+}
+
+/// A private engine injecting the faults of `s`.
+fn faulted(s: &str) -> Engine {
+    Engine::default().with_faults(spec(s))
+}
+
+/// Run `plan` over the in-memory `fact` on `engine`.
+fn run(
+    engine: &Engine,
+    plan: &StarPlan,
+    fact: &Table,
+    cfg: &ExecConfig,
+) -> Result<(QueryOutput, ExecReport), ExecError> {
+    engine.execute(plan, Fact::Mem(fact), cfg, &CancelToken::new())
 }
 
 // ---------------------------------------------------------------- worker panics
@@ -77,14 +90,12 @@ fn one_worker_panic_is_retried_bit_identical() {
     let (fact, plan) = toy();
     let cfg = ExecConfig::hybrid_default();
     let serial = serial_reference(&plan, &fact, &cfg);
-    with_plan(spec("panic:morsel=2,times=1"), || {
-        let (out, report) = try_execute_star_parallel(&plan, &fact, &cfg, 4)
-            .expect("one lost worker must be recoverable");
-        assert_eq!(out, serial, "recovery changed the result");
-        assert_eq!(report.workers_lost, 1);
-        assert!(report.morsels_retried >= 1);
-        assert!(!report.degraded_to_serial);
-    });
+    let (out, report) = run(&faulted("panic:morsel=2,times=1"), &plan, &fact, &cfg.with_threads(4))
+        .expect("one lost worker must be recoverable");
+    assert_eq!(out, serial, "recovery changed the result");
+    assert_eq!(report.workers_lost, 1);
+    assert!(report.morsels_retried >= 1);
+    assert!(!report.degraded_to_serial);
 }
 
 #[test]
@@ -95,13 +106,12 @@ fn after_phase_panic_discards_poisoned_worker_state() {
     let (fact, plan) = toy();
     let cfg = ExecConfig::hybrid_default();
     let serial = serial_reference(&plan, &fact, &cfg);
-    with_plan(spec("panic:morsel=1,times=1,after"), || {
-        let (out, report) = try_execute_star_parallel(&plan, &fact, &cfg, 4)
-            .expect("poisoned state must be replayable");
-        assert_eq!(out, serial, "poisoned accumulator leaked into the result");
-        assert_eq!(report.workers_lost, 1);
-        assert!(report.morsels_retried >= 1);
-    });
+    let engine = faulted("panic:morsel=1,times=1,after");
+    let (out, report) =
+        run(&engine, &plan, &fact, &cfg.with_threads(4)).expect("poisoned state must be replayable");
+    assert_eq!(out, serial, "poisoned accumulator leaked into the result");
+    assert_eq!(report.workers_lost, 1);
+    assert!(report.morsels_retried >= 1);
 }
 
 #[test]
@@ -111,13 +121,12 @@ fn persistent_morsel_failure_degrades_to_serial() {
     let (fact, plan) = toy();
     let cfg = ExecConfig::hybrid_default();
     let serial = serial_reference(&plan, &fact, &cfg);
-    with_plan(spec("panic:morsel=1,times=99"), || {
-        let (out, report) = try_execute_star_parallel(&plan, &fact, &cfg, 4)
-            .expect("serial fallback must complete");
-        assert_eq!(out, serial, "serial fallback changed the result");
-        assert!(report.degraded_to_serial);
-        assert!(report.workers_lost >= 1);
-    });
+    let engine = faulted("panic:morsel=1,times=99");
+    let (out, report) =
+        run(&engine, &plan, &fact, &cfg.with_threads(4)).expect("serial fallback must complete");
+    assert_eq!(out, serial, "serial fallback changed the result");
+    assert!(report.degraded_to_serial);
+    assert!(report.workers_lost >= 1);
 }
 
 #[test]
@@ -127,16 +136,17 @@ fn exhausted_ladder_is_a_typed_error_not_an_abort() {
     // rung of the ladder is exhausted and the caller gets a typed error.
     let (fact, plan) = toy();
     let cfg = ExecConfig::hybrid_default();
-    with_plan(spec("panic:morsel=0,times=99"), || {
-        let err = try_execute_star_parallel(&plan, &fact, &cfg, 4)
-            .expect_err("nothing can run morsel 0; this must be an error");
-        let msg = err.to_string();
-        assert!(msg.contains("toy"), "error names the query: {msg}");
-        assert!(msg.contains("injected panic"), "error carries the panic payload: {msg}");
+    let engine = faulted("panic:morsel=0,times=99");
+    let err = run(&engine, &plan, &fact, &cfg.with_threads(4))
+        .expect_err("nothing can run morsel 0; this must be an error");
+    let msg = err.to_string();
+    assert!(msg.contains("toy"), "error names the query: {msg}");
+    assert!(msg.contains("injected panic"), "error carries the panic payload: {msg}");
 
-        // The same contract through the public entry point.
-        assert!(try_execute_star(&plan, &fact, &cfg.with_threads(4)).is_err());
-    });
+    // The same contract on the serial path, and again while the schedule
+    // still has firings left.
+    assert!(run(&engine, &plan, &fact, &cfg.with_threads(1)).is_err());
+    assert!(run(&engine, &plan, &fact, &cfg.with_threads(4)).is_err());
 }
 
 #[test]
@@ -144,13 +154,15 @@ fn faulted_run_through_public_entry_point_reports_recovery() {
     let (fact, plan) = toy();
     let cfg = ExecConfig::hybrid_default();
     let serial = serial_reference(&plan, &fact, &cfg);
-    with_plan(spec("panic:morsel=3,times=1"), || {
-        let (out, report) =
-            try_execute_star(&plan, &fact, &cfg.with_threads(4)).expect("recovers");
-        assert_eq!(out, serial);
-        assert_eq!(report.threads, 4);
-        assert!(!report.is_clean());
-    });
+    let engine = faulted("panic:morsel=3,times=1");
+    let (out, report) = run(&engine, &plan, &fact, &cfg.with_threads(4)).expect("recovers");
+    assert_eq!(out, serial);
+    assert_eq!(report.threads, 4);
+    assert!(!report.is_clean());
+    // The schedule is spent: the engine's next query is clean.
+    let (out, report) = run(&engine, &plan, &fact, &cfg.with_threads(4)).expect("clean");
+    assert_eq!(out, serial);
+    assert!(report.is_clean(), "{report:?}");
 }
 
 // ---------------------------------------------------------------- registry faults
@@ -399,41 +411,35 @@ fn partitioned() -> (Table, StarPlan) {
 #[test]
 fn governance_deadline_mid_morsel_is_typed_and_workers_joined() {
     let (fact, plan) = toy();
-    // Every morsel stalls 500ms (interruptibly); the 15ms deadline fires
-    // *inside* a stall, not between morsels.
+    // Morsel 0 stalls 500ms (interruptibly); the 15ms deadline fires
+    // *inside* the stall, not between morsels.
     let cfg = ExecConfig::hybrid_default().with_threads(4).with_deadline_ms(15);
-    with_governor(GovernorConfig { max_queries: 0, mem_budget: 0 }, |gov| {
-        with_plan(spec("slow_morsel:morsel=0,ms=500,times=8"), || {
-            let start = std::time::Instant::now();
-            let err = try_execute_star(&plan, &fact, &cfg)
-                .expect_err("a 15ms deadline cannot survive 500ms stalls");
-            match err {
-                ExecError::DeadlineExceeded { query, deadline_ms, .. } => {
-                    assert_eq!(query, "toy");
-                    assert_eq!(deadline_ms, 15);
-                }
-                other => panic!("expected DeadlineExceeded, got {other}"),
-            }
-            // Returning at all proves every worker joined (`thread::scope`);
-            // returning fast proves the stall was interrupted mid-sleep.
-            assert!(
-                start.elapsed() < std::time::Duration::from_millis(2000),
-                "deadline took {:?} to surface",
-                start.elapsed()
-            );
-        });
-        assert_eq!(gov.budget().used(), 0, "budget must return to zero");
-        assert_eq!(gov.active_queries(), 0);
-        // The governor is not poisoned: the same plan completes clean.
-        // (`with_plan` is not re-entrant — compute the clean run and the
-        // reference inside ONE guard scope.)
-        with_plan(FaultPlan::default(), || {
-            let (out, _) = try_execute_star(&plan, &fact, &ExecConfig::hybrid_default())
-                .expect("clean run after a deadline");
-            let reference = execute_star(&plan, &fact, &ExecConfig::hybrid_default().with_threads(1));
-            assert_eq!(out, reference);
-        });
-    });
+    let engine = faulted("slow_morsel:morsel=0,ms=500,times=8");
+    let start = std::time::Instant::now();
+    let err = run(&engine, &plan, &fact, &cfg)
+        .expect_err("a 15ms deadline cannot survive 500ms stalls");
+    match err {
+        ExecError::DeadlineExceeded { query, deadline_ms, .. } => {
+            assert_eq!(query, "toy");
+            assert_eq!(deadline_ms, 15);
+        }
+        other => panic!("expected DeadlineExceeded, got {other}"),
+    }
+    // Returning at all proves every worker joined (`thread::scope`);
+    // returning fast proves the stall was interrupted mid-sleep.
+    assert!(
+        start.elapsed() < std::time::Duration::from_millis(2000),
+        "deadline took {:?} to surface",
+        start.elapsed()
+    );
+    let gov = engine.governor();
+    assert_eq!(gov.budget().used(), 0, "budget must return to zero");
+    assert_eq!(gov.active_queries(), 0);
+    // The governor is not poisoned: the same plan completes on the same
+    // engine once no deadline is in force.
+    let (out, _) =
+        run(&engine, &plan, &fact, &ExecConfig::hybrid_default()).expect("run after a deadline");
+    assert_eq!(out, serial_reference(&plan, &fact, &ExecConfig::hybrid_default()));
 }
 
 #[test]
@@ -441,27 +447,27 @@ fn governance_cancel_during_partition_build_returns_budget_to_zero() {
     let (fact, plan) = partitioned();
     let cfg = ExecConfig::hybrid_default().with_threads(4);
     // A finite budget so the admission actually charges bytes.
-    let budget = estimate_query_bytes(&plan, &fact, &cfg, 4) * 4;
-    with_governor(GovernorConfig { max_queries: 0, mem_budget: budget }, |gov| {
-        with_plan(spec("slow_morsel:morsel=1,ms=500,times=8"), || {
-            let cancel = CancelToken::new();
-            let canceller = cancel.clone();
-            std::thread::scope(|s| {
-                s.spawn(move || {
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    canceller.cancel();
-                });
-                let err = try_execute_star_cancellable(&plan, &fact, &cfg, &cancel)
-                    .expect_err("cancel must surface");
-                match err {
-                    ExecError::Cancelled { query, .. } => assert_eq!(query, "bigjoin"),
-                    other => panic!("expected Cancelled, got {other}"),
-                }
-            });
+    let budget = estimate_query_bytes(&plan, fact.len(), &cfg, 4) * 4;
+    let engine = faulted("slow_morsel:morsel=1,ms=500,times=8")
+        .with_limits(GovernorConfig { max_queries: 0, mem_budget: budget });
+    let cancel = CancelToken::new();
+    let canceller = cancel.clone();
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(10));
+            canceller.cancel();
         });
-        assert_eq!(gov.budget().used(), 0, "budget must return to zero after cancel");
-        assert_eq!(gov.active_queries(), 0);
+        let err = engine
+            .execute(&plan, Fact::Mem(&fact), &cfg, &cancel)
+            .expect_err("cancel must surface");
+        match err {
+            ExecError::Cancelled { query, .. } => assert_eq!(query, "bigjoin"),
+            other => panic!("expected Cancelled, got {other}"),
+        }
     });
+    let gov = engine.governor();
+    assert_eq!(gov.budget().used(), 0, "budget must return to zero after cancel");
+    assert_eq!(gov.active_queries(), 0);
 }
 
 #[test]
@@ -473,62 +479,91 @@ fn governance_degraded_run_completes_bit_identical() {
     let reference = serial_reference(&plan, &fact, &ExecConfig::scalar());
     let minimal = estimate_query_bytes(
         &plan,
-        &fact,
+        fact.len(),
         &ExecConfig::hybrid_default().with_batch(MIN_BATCH),
         1,
     );
-    with_governor(GovernorConfig { max_queries: 0, mem_budget: minimal }, |gov| {
-        with_plan(FaultPlan::default(), || {
-            let (out, report) =
-                try_execute_star(&plan, &fact, &ExecConfig::hybrid_default().with_threads(4))
-                    .expect("degraded admission must still execute");
-            assert_eq!(out.groups, reference.groups, "degradation changed the result");
-            assert!(!report.degrade_actions.is_empty(), "ladder must have engaged");
-            assert!(!report.is_clean(), "a degraded run must not report clean");
-        });
-        assert_eq!(gov.budget().used(), 0);
-        assert_eq!(gov.active_queries(), 0);
-    });
+    let engine =
+        Engine::default().with_limits(GovernorConfig { max_queries: 0, mem_budget: minimal });
+    let (out, report) =
+        run(&engine, &plan, &fact, &ExecConfig::hybrid_default().with_threads(4))
+            .expect("degraded admission must still execute");
+    assert_eq!(out.groups, reference.groups, "degradation changed the result");
+    assert!(!report.degrade_actions.is_empty(), "ladder must have engaged");
+    assert!(!report.is_clean(), "a degraded run must not report clean");
+    assert_eq!(engine.governor().budget().used(), 0);
+    assert_eq!(engine.governor().active_queries(), 0);
 }
 
 #[test]
 fn governance_rejected_admission_retries_with_backoff_until_slot_frees() {
     let (fact, plan) = toy();
     let cfg = ExecConfig::hybrid_default().with_threads(2);
-    with_governor(GovernorConfig { max_queries: 1, mem_budget: 0 }, |gov| {
-        with_plan(FaultPlan::default(), || {
-            // Occupy the only slot, then free it from another thread while
-            // the governed call sits in its backoff sleeps.
-            let mut held_cfg = cfg;
-            let mut held_threads = 2;
-            let held =
-                gov.admit(&plan, &fact, &mut held_cfg, &mut held_threads).expect("first admit");
-            std::thread::scope(|s| {
-                s.spawn(move || {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                    drop(held);
-                });
-                let (out, _) =
-                    try_execute_star_with_retry(&plan, &fact, &cfg, &CancelToken::new(), 8)
-                        .expect("retry must succeed once the slot frees");
-                // `with_plan` is not re-entrant: compute the reference here,
-                // inside the same guard scope.
-                assert_eq!(out, execute_star(&plan, &fact, &cfg.with_threads(1)));
-            });
-            // With no retries, a held slot is an immediate typed rejection.
-            let mut held_cfg = cfg;
-            let mut held_threads = 2;
-            let held2 =
-                gov.admit(&plan, &fact, &mut held_cfg, &mut held_threads).expect("re-admit");
-            let err = try_execute_star_with_retry(&plan, &fact, &cfg, &CancelToken::new(), 0)
-                .expect_err("no retries, full queue");
-            match err {
-                ExecError::Rejected { retry_after_ms, .. } => assert!(retry_after_ms >= 1),
-                other => panic!("expected Rejected, got {other}"),
-            }
-            drop(held2);
+    let engine = Engine::default().with_limits(GovernorConfig { max_queries: 1, mem_budget: 0 });
+    let gov = engine.governor();
+    let retry = |retries| {
+        engine.execute_with_retry(&plan, Fact::Mem(&fact), &cfg, &CancelToken::new(), retries)
+    };
+    // Occupy the only slot, then free it from another thread while the
+    // governed call sits in its backoff sleeps.
+    let (mut held_cfg, mut held_threads) = (cfg, 2);
+    let held = gov.admit(&plan, fact.len(), &mut held_cfg, &mut held_threads).expect("first admit");
+    std::thread::scope(|s| {
+        s.spawn(move || {
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            drop(held);
         });
-        assert_eq!(gov.active_queries(), 0);
+        let (out, _) = retry(8).expect("retry must succeed once the slot frees");
+        assert_eq!(out, serial_reference(&plan, &fact, &cfg));
+    });
+    // With no retries, a held slot is an immediate typed rejection.
+    let (mut held_cfg, mut held_threads) = (cfg, 2);
+    let held2 = gov.admit(&plan, fact.len(), &mut held_cfg, &mut held_threads).expect("re-admit");
+    match retry(0).expect_err("no retries, full queue") {
+        ExecError::Rejected { retry_after_ms, .. } => assert!(retry_after_ms >= 1),
+        other => panic!("expected Rejected, got {other}"),
+    }
+    drop(held2);
+    assert_eq!(gov.active_queries(), 0);
+}
+
+#[test]
+fn concurrent_engines_never_share_state() {
+    // Regression for the process-wide governor and fault slots: three
+    // engines run side by side, 50 queries each, and none may observe
+    // another's admission cap, fault schedule or budget.
+    let (fact, plan) = toy();
+    let cfg = ExecConfig::hybrid_default().with_threads(4);
+    let serial = serial_reference(&plan, &fact, &cfg);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            let capped =
+                Engine::default().with_limits(GovernorConfig { max_queries: 1, mem_budget: 0 });
+            let (mut held_cfg, mut held_threads) = (cfg, 4);
+            let _held = capped
+                .governor()
+                .admit(&plan, fact.len(), &mut held_cfg, &mut held_threads)
+                .expect("the only slot");
+            for i in 0..50 {
+                let r = run(&capped, &plan, &fact, &cfg);
+                assert!(matches!(r, Err(ExecError::Rejected { .. })), "run {i}: {r:?}");
+            }
+        });
+        s.spawn(|| {
+            for i in 0..50 {
+                let engine = faulted("panic:morsel=2,times=1");
+                let (out, report) = run(&engine, &plan, &fact, &cfg).expect("recovers");
+                assert_eq!(report.workers_lost, 1, "run {i}: {report:?}");
+                assert_eq!(out, serial, "run {i}");
+            }
+        });
+        s.spawn(|| {
+            for i in 0..50 {
+                let (out, report) = run(&Engine::default(), &plan, &fact, &cfg).expect("clean");
+                assert!(report.is_clean(), "run {i}: {report:?}");
+                assert_eq!(out, serial, "run {i}");
+            }
+        });
     });
 }
 
@@ -582,35 +617,29 @@ fn governance_any_fault_schedule_is_typed_never_hung() {
                 let cfg = ExecConfig::hybrid_default()
                     .with_threads(threads)
                     .with_deadline_ms(deadline_ms);
-                let budget = estimate_query_bytes(&plan, &fact, &cfg, threads) * 2;
-                let verdict =
-                    with_governor(GovernorConfig { max_queries: 2, mem_budget: budget }, |gov| {
-                        let faults = if spec_str.is_empty() {
-                            FaultPlan::default()
-                        } else {
-                            spec(&spec_str)
-                        };
-                        let outcome = with_plan(faults, || {
-                            let cancel = CancelToken::new();
-                            let canceller = cancel.clone();
-                            std::thread::scope(|s| {
-                                if cancel_mid {
-                                    s.spawn(move || {
-                                        std::thread::sleep(
-                                            std::time::Duration::from_millis(3),
-                                        );
-                                        canceller.cancel();
-                                    });
-                                }
-                                try_execute_star_with_retry(
-                                    &plan, &fact, &cfg, &cancel, retries,
-                                )
-                            })
+                let budget = estimate_query_bytes(&plan, fact.len(), &cfg, threads) * 2;
+                let faults = if spec_str.is_empty() {
+                    FaultPlan::default()
+                } else {
+                    spec(&spec_str)
+                };
+                let engine = Engine::default()
+                    .with_limits(GovernorConfig { max_queries: 2, mem_budget: budget })
+                    .with_faults(faults);
+                let cancel = CancelToken::new();
+                let canceller = cancel.clone();
+                let outcome = std::thread::scope(|s| {
+                    if cancel_mid {
+                        s.spawn(move || {
+                            std::thread::sleep(std::time::Duration::from_millis(3));
+                            canceller.cancel();
                         });
-                        let leak = (gov.budget().used(), gov.active_queries());
-                        (outcome.map(|(out, _)| out), leak)
-                    });
-                tx.send(verdict).ok();
+                    }
+                    engine.execute_with_retry(&plan, Fact::Mem(&fact), &cfg, &cancel, retries)
+                });
+                let gov = engine.governor();
+                let leak = (gov.budget().used(), gov.active_queries());
+                tx.send((outcome.map(|(out, _)| out), leak)).ok();
             });
             let (outcome, (budget_used, active)) = rx
                 .recv_timeout(std::time::Duration::from_secs(30))

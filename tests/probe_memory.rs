@@ -129,15 +129,20 @@ fn engine_query_results_are_invariant_under_memory_knobs() {
         for flavor in [Flavor::Scalar, Flavor::Simd, Flavor::Hybrid] {
             for f in [0usize, 8, 32] {
                 for partition in [false, true] {
-                    let mut cfg = ExecConfig::for_flavor(flavor).with_probe_prefetch(f);
-                    cfg.partition = partition;
-                    let out = execute_star(&plan, &data.lineorder, &cfg);
-                    assert_eq!(
-                        out.groups, baseline.groups,
-                        "{} {} f={f} partition={partition}",
-                        q.name(),
-                        flavor.name()
-                    );
+                    // The serial path and the morsel-driven parallel path.
+                    for threads in [1usize, 4] {
+                        let mut cfg = ExecConfig::for_flavor(flavor)
+                            .with_probe_prefetch(f)
+                            .with_threads(threads);
+                        cfg.partition = partition;
+                        let out = execute_star(&plan, &data.lineorder, &cfg);
+                        assert_eq!(
+                            out.groups, baseline.groups,
+                            "{} {} f={f} partition={partition} threads={threads}",
+                            q.name(),
+                            flavor.name()
+                        );
+                    }
                 }
             }
         }
