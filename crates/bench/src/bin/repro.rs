@@ -17,15 +17,16 @@
 //!   tune                     run the measured HEF tuner on this machine
 //!   tune-pipeline            per-query pipeline rows picked by a measured
 //!                            playoff (default sf 1, in memory with a paged
-//!                            check) among the baseline, the per-op rows and
-//!                            the modeled Xeons' joint winners; writes the
+//!                            check) among the baseline, the per-op rows, a
+//!                            prefetch-depth sweep and one neighbour step,
+//!                            ≤16 candidates and no cost model; writes the
 //!                            rows to --out (default results/tuned.txt) and
 //!                            a baseline-vs-shipped snapshot (--query qNN
-//!                            for one query, --model silver-4110|gold-6240r
-//!                            for one model's proposal)
+//!                            for one query)
 //!   paged                    out-of-core sweep: lineorder as paged
 //!                            compressed columns behind the bounded page
-//!                            cache (HEF_PAGE_CACHE, default 25% of raw),
+//!                            cache (HEF_PAGE_CACHE, default 25% of raw;
+//!                            HEF_PAGE_BYTES sets the page size),
 //!                            all queries checked bit-identical to the
 //!                            in-memory executor at 1 and 4 threads
 //!   qNN (e.g. q21, Q2.1)     one traced SSB query end to end (offline tune,
@@ -35,9 +36,11 @@
 //!   plan <file.plan | qNN>   parse → optimize → lower → execute a logical
 //!                            plan (text file or canned SSB query), checking
 //!                            the optimized lowering bit-identical to naive
-//!   flame [qNN]              one profiled query (default q21): in-terminal
+//!   flame [qNN] [--paged]    one profiled query (default q21): in-terminal
 //!                            flamegraph of per-worker self time, governance
-//!                            events inline, reconciled against ExecReport
+//!                            events inline, reconciled against ExecReport;
+//!                            --paged scans pages behind a HEF_PAGE_CACHE
+//!                            cache (default 64 MiB)
 //!   trend [--strict]         sparkline trend of every archived snapshot row
 //!                            (results/history/ + results/bench_*.json);
 //!                            --strict exits non-zero on significant
@@ -85,7 +88,6 @@ struct Opts {
     repeats: usize,
     trace: Option<String>,
     query: Option<String>,
-    model: Option<String>,
     deadline_ms: Option<u64>,
     mem_budget: Option<String>,
     paged: bool,
@@ -103,7 +105,6 @@ fn parse_opts(args: &[String]) -> Opts {
         repeats: 2,
         trace: None,
         query: None,
-        model: None,
         deadline_ms: None,
         mem_budget: None,
         paged: false,
@@ -120,10 +121,6 @@ fn parse_opts(args: &[String]) -> Opts {
             }
             "--query" => {
                 o.query = Some(args[i + 1].clone());
-                i += 2;
-            }
-            "--model" => {
-                o.model = Some(args[i + 1].clone());
                 i += 2;
             }
             "--n" => {
@@ -571,19 +568,6 @@ fn tune(opts: &Opts) {
 
 // ------------------------------------------------------------ pipeline tuning
 
-/// `silver-4110` / `gold-6240r` (or any string containing the family or
-/// model number) → the modeled Xeon.
-fn model_by_name(name: &str) -> CpuModel {
-    let n = name.to_ascii_lowercase();
-    if n.contains("silver") || n.contains("4110") {
-        CpuModel::silver_4110()
-    } else if n.contains("gold") || n.contains("6240") {
-        CpuModel::gold_6240r()
-    } else {
-        panic!("unknown --model {name} (try silver-4110 or gold-6240r)")
-    }
-}
-
 /// Candidates one query's playoff may measure, baseline included. Bounds
 /// the neighbour step so `tune-pipeline --sf 1` stays under 5 minutes on a
 /// 2-vCPU host.
@@ -597,16 +581,6 @@ const PLAYOFF_DEPTHS: [usize; 4] = [0, 8, 16, 64];
 const PLAYOFF_PAGE_ROWS: u32 = (256 << 10) / 8;
 const PLAYOFF_CACHE_BYTES: usize = 48 << 20;
 
-/// One model's joint winner on one query: its joint/baseline cost ratio as
-/// the model prices it and as the clock measures it.
-struct Gap {
-    /// SSB query family digit (`'1'` for Q1.x).
-    family: char,
-    model: String,
-    sim: f64,
-    meas: f64,
-}
-
 /// One measured pipeline candidate: where it came from and the row it runs.
 struct Candidate {
     source: String,
@@ -614,24 +588,23 @@ struct Candidate {
 }
 
 /// Whole-pipeline tuning decided on this host's clock (paper Alg. 2 is
-/// test-based; the simulator only proposes). Per query, candidates are the
-/// baseline — the paper's n113 node everywhere with `f = 0` — the per-op
-/// composition of the registry's rows, and the simulated joint winner on
-/// each modeled Xeon, reduced to the shape that executes (one probe node
-/// for every join). A drift-cancelling playoff ([`hef_bench::playoff`])
-/// times them on SF 1 data at the host's thread count, in memory with a
-/// paged check; then the prefetch depths [`PLAYOFF_DEPTHS`] on the best so
-/// far; then one Alg. 2 neighbour step around it. The winner — the
+/// test-based; no cost model proposes or ranks a row). Per query,
+/// candidates are the baseline — the paper's n113 node everywhere with
+/// `f = 0` — and the per-op composition of the registry's rows; then the
+/// prefetch depths [`PLAYOFF_DEPTHS`] on the best so far; then one Alg. 2
+/// neighbour step around it ([`hef_bench::neighbour_rows`]), cut to
+/// [`PLAYOFF_CANDIDATES`]. Each stage is a drift-cancelling playoff
+/// ([`hef_bench::playoff`]) on SF 1 data at the host's thread count, in
+/// memory with a paged check. The winner — the
 /// baseline itself when nothing wins beyond noise — is written for every
 /// query as a registry v3 row to `--out` (default `results/tuned.txt`),
 /// layered on that registry's per-op rows, and a final baseline-vs-shipped
 /// playoff per query is archived as `results/bench_pipeline.json`.
 fn tune_pipeline(opts: &Opts) {
-    use hef_bench::pipeline::{pipeline_row, pipeline_spec};
+    use hef_bench::pipeline::{neighbour_rows, pipeline_row};
     use hef_bench::playoff::{playoff, run_rounds, MIN_ROUNDS};
     use hef_bench::BenchSnapshot;
-    use hef_core::{PipelineNode, PipelineSpec};
-    use hef_engine::{apply_pipeline_entry, first_per_slot};
+    use hef_engine::apply_pipeline_entry;
 
     let sf = opts.sf.unwrap_or(1.0);
     let rounds = opts.repeats.max(MIN_ROUNDS);
@@ -643,12 +616,8 @@ fn tune_pipeline(opts: &Opts) {
         }
         None => QueryId::ALL.to_vec(),
     };
-    let models: Vec<CpuModel> = match &opts.model {
-        Some(m) => vec![model_by_name(m)],
-        None => vec![CpuModel::silver_4110(), CpuModel::gold_6240r()],
-    };
     println!(
-        "\n=== whole-pipeline tuning: simulated proposals, measured playoff \
+        "\n=== whole-pipeline tuning: measured playoff \
          (sf {sf}, {} queries, {threads} threads, {rounds} rounds) ===\n",
         queries.len()
     );
@@ -686,29 +655,10 @@ fn tune_pipeline(opts: &Opts) {
         t.elapsed().as_secs_f64() * 1e3
     };
 
-    // Per-op simulated registries, one per model: the joint search's seed.
-    let seed_regs: Vec<Registry> = models
-        .iter()
-        .map(|model| {
-            let mut r = Registry::default();
-            let families =
-                [Family::Filter, Family::Probe, Family::Gather, Family::AggSum, Family::AggDot];
-            for family in families {
-                r.insert_tuned(&tune_simulated(family, model));
-            }
-            r
-        })
-        .collect();
-
-    let mut sim_table = TableWriter::new(vec![
-        "query", "model", "per-op ns/row", "joint ns/row", "gain %", "joint plan",
-    ]);
     let mut table = TableWriter::new(vec![
         "query", "candidates", "winner", "baseline ms", "shipped ms", "shipped/base",
         "paged base ms", "paged shipped ms", "shipped row",
     ]);
-    // Per query and model: how far the model's gain is from the clock's.
-    let mut gaps: Vec<Gap> = Vec::new();
     let mut snap =
         BenchSnapshot::new(if opts.query.is_some() { "pipeline_smoke" } else { "pipeline" });
     snap.config("sf", sf)
@@ -724,62 +674,8 @@ fn tune_pipeline(opts: &Opts) {
 
     for &q in &queries {
         let plan = build_plan(&data, q);
-        let stats_cfg = ExecConfig::scalar().with_threads(1);
-        let out = hef_engine::execute_star(&plan, &data.lineorder, &stats_cfg);
-        let spec = pipeline_spec(&plan, &out.stats);
-        let max_ws = spec.stages.iter().map(|s| s.working_set).max().unwrap_or(0);
         let row_of = |cfg: &ExecConfig| pipeline_row(&plan, cfg);
         let config_of = |row: &hef_core::PipelineEntry| apply_pipeline_entry(per_op, row);
-        // A one-node-per-slot row as a node of the spec's stage chain, so
-        // the simulator can price it.
-        let spec_node = |row: &hef_core::PipelineEntry, spec: &PipelineSpec| PipelineNode {
-            cfgs: spec
-                .stages
-                .iter()
-                .map(|s| row.stage(s.family).unwrap_or(HybridConfig::new(1, 1, 3)))
-                .collect(),
-            f: row.f,
-        };
-
-        let mut cands = vec![
-            Candidate { source: "baseline".into(), row: row_of(&baseline) },
-            Candidate { source: "per-op".into(), row: row_of(&per_op) },
-        ];
-        // The simulated searches, one thread per model: pure model
-        // arithmetic, and nothing is timed while they run.
-        let searches: Vec<(f64, hef_core::TunedPipeline)> = std::thread::scope(|s| {
-            let spec = &spec;
-            let handles: Vec<_> = models
-                .iter()
-                .zip(&seed_regs)
-                .map(|(model, seed)| {
-                    s.spawn(move || {
-                        let mut r = seed.clone();
-                        if max_ws > 0 {
-                            r.insert_tuned_probe(&hef_core::tune_probe_simulated(model, max_ws));
-                        }
-                        let per_op_node = hef_core::compose_per_op(model, spec, &r);
-                        let per_op_cost = hef_core::pipeline_cost(model, spec, &per_op_node);
-                        (per_op_cost, hef_core::tune_pipeline_simulated(model, spec, &r))
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("simulated search panicked")).collect()
-        });
-        for (model, (per_op_cost, joint)) in models.iter().zip(searches) {
-            let joint_cost = joint.outcome.best_cost;
-            sim_table.row(vec![
-                q.name().to_string(),
-                model.name.to_string(),
-                format!("{per_op_cost:.3}"),
-                format!("{joint_cost:.3}"),
-                format!("{:.1}", (1.0 - joint_cost / per_op_cost) * 100.0),
-                joint.node.to_string(),
-            ]);
-            let row = row_of(&config_of(&first_per_slot(&joint.entry(&spec))));
-            cands.push(Candidate { source: short_model(model), row });
-        }
-        dedup_candidates(&mut cands);
 
         // One playoff among `entrants`; entrants[0] is the baseline.
         let mut run = |entrants: &[&Candidate]| {
@@ -789,21 +685,10 @@ fn tune_pipeline(opts: &Opts) {
         };
         time_mem(&plan, &baseline); // warm the allocator and the fact columns
 
-        // Stage 1: baseline, per-op, simulated winners.
-        let first = run(&cands.iter().collect::<Vec<_>>());
-        for (c, s) in cands.iter().zip(&first.mem) {
-            let Some(model) = models.iter().find(|m| short_model(m) == c.source) else {
-                continue;
-            };
-            let price = |row| hef_core::pipeline_cost(model, &spec, &spec_node(row, &spec));
-            gaps.push(Gap {
-                family: q.name().chars().nth(1).unwrap_or('?'),
-                model: c.source.clone(),
-                sim: price(&c.row) / price(&cands[0].row),
-                meas: s.median / first.mem[0].median,
-            });
-        }
-        let mut best = first.winner;
+        // Stage 1: the baseline and the per-op composition.
+        let mut cands = vec![Candidate { source: "baseline".into(), row: row_of(&baseline) }];
+        let per_op_row = vec![Candidate { source: "per-op".into(), row: row_of(&per_op) }];
+        let mut best = next_stage(&mut cands, 0, per_op_row, &mut run);
 
         // Stage 2: the prefetch depths on the best so far.
         let depth_rows: Vec<Candidate> = PLAYOFF_DEPTHS
@@ -818,36 +703,14 @@ fn tune_pipeline(opts: &Opts) {
 
         // Stage 3: one Alg. 2 neighbour step around the winner. Only the
         // winner is expanded (losers and their variants are never
-        // generated); the depth axis was swept above, and the decode node
-        // has no effect in memory, so neither is stepped; the rest are
-        // ranked by the first model's simulated cost to fit the budget.
+        // generated), each stage in turn until the budget is spent.
         let w = &cands[best];
-        let stepped: Vec<usize> =
-            (0..w.row.stages.len()).filter(|&i| w.row.stages[i].0 != Family::Decode).collect();
-        let node = PipelineNode {
-            cfgs: stepped.iter().map(|&i| w.row.stages[i].1).collect(),
-            f: w.row.f,
-        };
-        let mut neighbours: Vec<(f64, Candidate)> = hef_core::try_pipeline_neighbors(&node)
-            .unwrap_or_default()
+        let existing: Vec<hef_core::PipelineEntry> = cands.iter().map(|c| c.row.clone()).collect();
+        let budget = PLAYOFF_CANDIDATES.saturating_sub(cands.len());
+        let step = neighbour_rows(&w.row, &existing, budget)
             .into_iter()
-            .filter(|n| n.f == node.f)
-            .map(|n| {
-                let mut row = w.row.clone();
-                for (&i, &c) in stepped.iter().zip(&n.cfgs) {
-                    row.stages[i].1 = c;
-                }
-                row
-            })
-            .filter(|row| cands.iter().all(|c| &c.row != row))
-            .map(|row| {
-                let cost = hef_core::pipeline_cost(&models[0], &spec, &spec_node(&row, &spec));
-                (cost, Candidate { source: format!("{}~step", w.source), row })
-            })
+            .map(|row| Candidate { source: format!("{}~step", w.source), row })
             .collect();
-        neighbours.sort_by(|a, b| a.0.total_cmp(&b.0));
-        neighbours.truncate(PLAYOFF_CANDIDATES.saturating_sub(cands.len()));
-        let step = neighbours.into_iter().map(|(_, c)| c).collect();
         best = next_stage(&mut cands, best, step, &mut run);
 
         // Confirmation: a fresh baseline-vs-shipped playoff on both layers,
@@ -884,35 +747,8 @@ fn tune_pipeline(opts: &Opts) {
     }
     std::fs::remove_dir_all(&dir).ok();
 
-    println!("simulated proposals (ns per fact row on the modeled Xeons):\n");
-    sim_table.print();
-    println!("\nmeasured playoff on this machine (medians of {rounds} rounds, t{threads}):\n");
+    println!("measured playoff on this machine (medians of {rounds} rounds, t{threads}):\n");
     table.print();
-    println!("\nsimulated ÷ measured gain of each model's joint winner over the baseline");
-    println!("(geomean per query family; < 1 means the model over-credits the joint plan):\n");
-    let mut gap_table =
-        TableWriter::new(vec!["family", "model", "simulated", "measured", "sim ÷ meas"]);
-    for fam in ['1', '2', '3', '4'] {
-        for model in &models {
-            let m = short_model(model);
-            let xs: Vec<&Gap> = gaps.iter().filter(|g| g.family == fam && g.model == m).collect();
-            if xs.is_empty() {
-                continue;
-            }
-            let geo = |f: fn(&Gap) -> f64| {
-                (xs.iter().map(|g| f(g).ln()).sum::<f64>() / xs.len() as f64).exp()
-            };
-            let (sim, meas) = (geo(|g| g.sim), geo(|g| g.meas));
-            gap_table.row(vec![
-                format!("Q{fam}.x"),
-                m.clone(),
-                format!("{sim:.3}"),
-                format!("{meas:.3}"),
-                format!("{:.3}", sim / meas),
-            ]);
-        }
-    }
-    gap_table.print();
     println!("\ntuned in {:.1}s", start.elapsed().as_secs_f64());
 
     if let Some(parent) = out_path.parent() {
@@ -936,11 +772,6 @@ fn tune_pipeline(opts: &Opts) {
         Ok(p) => println!("snapshot: {}", p.display()),
         Err(e) => eprintln!("snapshot write failed: {e}"),
     }
-}
-
-/// `silver-4110` / `gold-6240r`: a model's short name for reports.
-fn short_model(model: &CpuModel) -> String {
-    if model.name.contains("4110") { "silver-4110" } else { "gold-6240r" }.to_string()
 }
 
 /// Drop candidates whose row an earlier candidate already runs, keeping
@@ -982,6 +813,33 @@ fn next_stage(
 
 // ---------------------------------------------------------------- out-of-core
 
+/// Page geometry and cache capacity for a paged run, read from the
+/// environment: rows per page from `HEF_PAGE_BYTES` (default
+/// [`hef_storage::page::DEFAULT_PAGE_BYTES`], 8 bytes per uncompressed row,
+/// clamped to `[64, 2^21]`), and the cache bytes `HEF_PAGE_CACHE` sets, if
+/// any — each command picks its own default. Both take `k`/`m`/`g`
+/// suffixes; an unparsable value warns once and counts as unset.
+fn page_env() -> (u32, Option<usize>) {
+    use hef_storage::page::{parse_byte_size, DEFAULT_PAGE_BYTES};
+    let bytes = |var: &'static str| {
+        let s = std::env::var(var).ok()?;
+        let n = parse_byte_size(&s);
+        if n.is_none() {
+            hef_obs::diag::warn_once(var, format!("{var}={s:?} is not a byte count; using the default"));
+        }
+        n
+    };
+    let page = bytes("HEF_PAGE_BYTES").unwrap_or(DEFAULT_PAGE_BYTES);
+    let rows_per_page = (page / 8).clamp(64, 1 << 21) as u32;
+    (rows_per_page, bytes("HEF_PAGE_CACHE").map(|n| n as usize))
+}
+
+/// Decoded rows per scanned fact row above which `repro paged` fails. Only
+/// the first filter column decodes every row of a page; every other column
+/// decodes just the rows that reach it, so the SSB sweep stays near 1.2.
+/// Full-page decode of every read column lands near 4.5.
+const MAX_DECODE_ROWS_PER_FACT_ROW: f64 = 2.0;
+
 /// Run every SSB query out-of-core: the lineorder fact streamed to paged
 /// compressed column files, scanned through the bounded page cache, checked
 /// bit-identical to the in-memory executor at 1 and 4 threads. The cache
@@ -991,12 +849,6 @@ fn next_stage(
 /// evicted (the out-of-core claim would be vacuous), and on more than
 /// [`MAX_DECODE_ROWS_PER_FACT_ROW`] decoded rows per scanned fact row (a
 /// silent fallback to full-page decode past the first filter).
-/// Decoded rows per scanned fact row above which `repro paged` fails. Only
-/// the first filter column decodes every row of a page; every other column
-/// decodes just the rows that reach it, so the SSB sweep stays near 1.2.
-/// Full-page decode of every read column lands near 4.5.
-const MAX_DECODE_ROWS_PER_FACT_ROW: f64 = 2.0;
-
 fn paged_cmd(opts: &Opts) {
     use hef_engine::PagedTable;
     use hef_storage::PageCache;
@@ -1008,7 +860,7 @@ fn paged_cmd(opts: &Opts) {
     let dir = std::env::temp_dir().join(format!("hef-repro-paged-sf{sf}"));
     std::fs::remove_dir_all(&dir).ok();
     eprintln!("[gen] paged lineorder → {}", dir.display());
-    let rows_per_page = hef_storage::page::rows_per_page_from_env();
+    let (rows_per_page, cache_bytes) = page_env();
     hef_ssb::generate_paged(sf, 0x55B, &dir, rows_per_page)
         .expect("paged generation failed");
     let table = PagedTable::open_dir(&dir, "lineorder").expect("paged open failed");
@@ -1016,10 +868,7 @@ fn paged_cmd(opts: &Opts) {
     let disk: u64 = std::fs::read_dir(&dir)
         .map(|rd| rd.filter_map(|e| Some(e.ok()?.metadata().ok()?.len())).sum())
         .unwrap_or(0);
-    let cache = match std::env::var("HEF_PAGE_CACHE") {
-        Ok(_) => PageCache::from_env(),
-        Err(_) => PageCache::new((raw / 4) as usize),
-    };
+    let cache = PageCache::new(cache_bytes.unwrap_or((raw / 4) as usize));
     println!(
         "raw {:.1} MiB, on disk {:.1} MiB ({:.2}x), page cache {:.1} MiB ({:.0}% of raw)\n",
         raw as f64 / (1 << 20) as f64,
@@ -1244,11 +1093,12 @@ fn flame_cmd(q: QueryId, opts: &Opts) {
     let (out, reconcile) = if opts.paged {
         let dir = std::env::temp_dir().join(format!("hef-flame-paged-sf{sf}"));
         std::fs::remove_dir_all(&dir).ok();
-        hef_ssb::generate_paged(sf, 0x55B, &dir, hef_storage::page::rows_per_page_from_env())
-            .expect("paged generation failed");
+        let (rows_per_page, cache_bytes) = page_env();
+        hef_ssb::generate_paged(sf, 0x55B, &dir, rows_per_page).expect("paged generation failed");
         let table = hef_engine::PagedTable::open_dir(&dir, "lineorder").expect("paged open");
         let pages = table.page_count() as u64;
-        let cache = hef_storage::PageCache::from_env();
+        let default_cache = hef_storage::cache::DEFAULT_CACHE_BYTES as usize;
+        let cache = hef_storage::PageCache::new(cache_bytes.unwrap_or(default_cache));
         match execute(opts, &plan, Fact::Paged(&table, &cache), &cfg) {
             Ok((out, _)) => (out, ("page", pages, format!("{pages} page(s)"))),
             Err(e) => {
@@ -1613,7 +1463,7 @@ fn main() {
                 );
                 println!("experiments: fig8 fig9 fig10 table3..table9 fig11..fig14");
                 println!("             ablation-search ablation-pack ablation-bloom ablation-dynamic tune all");
-                println!("             tune-pipeline [--query qNN] [--model silver-4110|gold-6240r] [--out file]");
+                println!("             tune-pipeline [--query qNN] [--out file]");
                 println!("             paged [--sf f] (out-of-core sweep: paged columns + page cache,");
                 println!("                             checked bit-identical to in-memory at 1 and 4 threads)");
                 println!("             qNN (traced single query, e.g. q21)   report <trace.json>");

@@ -23,7 +23,7 @@ pub mod trend;
 pub use config::{exec_config, registry_from_env, tuned_hybrid};
 pub use counters::{model_kernel, model_query, QueryCounters};
 pub use measure::{measure_kernel, measure_query, Measured};
-pub use pipeline::{pipeline_row, pipeline_spec};
+pub use pipeline::{neighbour_rows, pipeline_row};
 pub use report::TableWriter;
 pub use snapshot::BenchSnapshot;
 pub use trend::{TrendReport, TrendSeries};

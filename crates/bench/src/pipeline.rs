@@ -1,55 +1,14 @@
-//! Lower a [`StarPlan`] into the joint tuner's [`PipelineSpec`].
+//! Pipeline rows for the measured pipeline tuner (`repro tune-pipeline`).
 //!
-//! The whole-pipeline tuner (`hef_core::pipeline`) prices a chain of
-//! co-resident operator stages; this module derives that chain from an
-//! executed query: one cheap stats run ([`ExecStats`] rides every
-//! [`hef_engine::QueryOutput`]) yields per-stage reach fractions
-//! (selectivity of everything upstream) and per-dimension probe-table
-//! working sets — exactly the quantities the co-residency cost model
-//! weighs. The resulting spec is scale-invariant in the same sense as the
-//! plan fingerprint: fractions, not row counts.
+//! A registry v3 pipeline row names one node per stage slot a plan runs,
+//! plus the shared prefetch depth. [`pipeline_row`] builds the row that
+//! reproduces an execution config on a plan; [`neighbour_rows`] proposes
+//! the rows one Alg. 2 step away from it. Neither prices anything: the
+//! playoff (`crate::playoff`) times the candidates and the clock decides.
 
-use hef_core::{PipelineEntry, PipelineSpec, PipelineStage};
-use hef_engine::{ExecConfig, ExecStats, Measure, StarPlan};
+use hef_core::{try_neighbors, PipelineEntry};
+use hef_engine::{ExecConfig, Measure, StarPlan};
 use hef_kernels::Family;
-
-/// Derive the joint tuner's pipeline spec from a plan and the stats of one
-/// (any-flavor) execution of it.
-///
-/// Stage chain mirrors the engine's lowered order: filter → one probe per
-/// dimension (bloom checks are priced inside the probe stage they guard) →
-/// gather → aggregate. Weights are reach fractions of the fact scan;
-/// working sets are the probe tables' resident bytes. `streams` counts the
-/// sequential column streams co-resident with the probes (filter columns,
-/// one fk take per dimension, the measure columns) — each occupies
-/// line-fill buffers the probe prefetches cannot use.
-pub fn pipeline_spec(plan: &StarPlan, stats: &ExecStats) -> PipelineSpec {
-    let rows = stats.rows_scanned.max(1) as f64;
-    let mut stages = Vec::new();
-    if !plan.filters.is_empty() {
-        stages.push(PipelineStage::new(Family::Filter, 1.0, 0));
-    }
-    for (i, _) in plan.dims.iter().enumerate() {
-        let probed = stats.probes.get(i).copied().unwrap_or(0) as f64;
-        let ws = stats.table_bytes.get(i).copied().unwrap_or(0) as u64;
-        stages.push(PipelineStage::new(Family::Probe, probed / rows, ws));
-    }
-    let tail = stats.rows_aggregated as f64 / rows;
-    stages.push(PipelineStage::new(Family::Gather, tail, 0));
-    let agg = match plan.measure {
-        Measure::Sum(_) | Measure::SumDiff(_, _) => Family::AggSum,
-        Measure::SumProduct(_, _) => Family::AggDot,
-    };
-    stages.push(PipelineStage::new(agg, tail, 0));
-    let measure_cols = match plan.measure {
-        Measure::Sum(_) => 1,
-        Measure::SumProduct(_, _) | Measure::SumDiff(_, _) => 2,
-    };
-    PipelineSpec {
-        stages,
-        streams: plan.filters.len() + plan.dims.len() + measure_cols,
-    }
-}
 
 /// The pipeline row that runs a plan exactly as `cfg` does: one node per
 /// stage slot the plan dispatches on either storage layer (the filter slot
@@ -77,42 +36,53 @@ pub fn pipeline_row(plan: &StarPlan, cfg: &ExecConfig) -> PipelineEntry {
     PipelineEntry { stages, f: cfg.probe_prefetch }
 }
 
+/// One Alg. 2 neighbour step around `row`, with no cost model: each
+/// stepped row moves one stage one `(v, s, p)` axis step
+/// ([`hef_core::try_neighbors`]). Decode is never stepped (it has no
+/// effect in memory), nor is the prefetch depth (the playoff sweeps it on
+/// its own). Stages take turns in pipeline order, one fresh neighbour each
+/// per round, so every steppable stage is stepped once before any stage is
+/// stepped twice. Rows in `existing`, and repeats, are skipped; at most
+/// `budget` rows come back.
+pub fn neighbour_rows(
+    row: &PipelineEntry,
+    existing: &[PipelineEntry],
+    budget: usize,
+) -> Vec<PipelineEntry> {
+    // Per stepped stage: its stage index and the neighbours not yet taken.
+    let mut queues: Vec<(usize, std::vec::IntoIter<_>)> = row
+        .stages
+        .iter()
+        .enumerate()
+        .filter(|(_, (family, _))| *family != Family::Decode)
+        .map(|(i, &(_, node))| (i, try_neighbors(node).unwrap_or_default().into_iter()))
+        .collect();
+    let mut out: Vec<PipelineEntry> = Vec::new();
+    while out.len() < budget && !queues.is_empty() {
+        queues.retain_mut(|(i, queue)| {
+            if out.len() >= budget {
+                return true;
+            }
+            for node in queue.by_ref() {
+                let mut next = row.clone();
+                next.stages[*i].1 = node;
+                if !existing.contains(&next) && !out.contains(&next) {
+                    out.push(next);
+                    return true;
+                }
+            }
+            false
+        });
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use hef_core::Registry;
-    use hef_engine::{apply_pipeline_entry, execute_star};
+    use hef_engine::apply_pipeline_entry;
     use hef_ssb::{build_plan, generate, QueryId};
-
-    #[test]
-    fn spec_mirrors_the_lowered_chain() {
-        let data = generate(0.002, 42);
-        let plan = build_plan(&data, QueryId::Q2_1);
-        let out = execute_star(&plan, &data.lineorder, &ExecConfig::scalar().with_threads(1));
-        let spec = pipeline_spec(&plan, &out.stats);
-
-        // filter? + probes + gather + agg
-        let probes = plan.dims.len();
-        let filters = usize::from(!plan.filters.is_empty());
-        assert_eq!(spec.stages.len(), filters + probes + 2);
-        let probe_stages: Vec<_> =
-            spec.stages.iter().filter(|s| s.family == Family::Probe).collect();
-        assert_eq!(probe_stages.len(), probes);
-        // Weights are reach fractions: in (0, 1], monotone non-increasing
-        // along the probe chain, and the tail stages match rows_aggregated.
-        let mut last = 1.0f64;
-        for s in &probe_stages {
-            assert!(s.weight > 0.0 && s.weight <= last + 1e-12, "{:?}", s);
-            last = s.weight;
-        }
-        let tail = out.stats.rows_aggregated as f64 / out.stats.rows_scanned as f64;
-        let gather = spec.stages.iter().find(|s| s.family == Family::Gather).unwrap();
-        assert!((gather.weight - tail).abs() < 1e-12);
-        // Probe stages carry the table working sets; streaming stages do not.
-        assert!(probe_stages.iter().any(|s| s.working_set > 0));
-        assert!(spec.stages.iter().filter(|s| s.family != Family::Probe).all(|s| s.working_set == 0));
-        assert_eq!(spec.streams, plan.filters.len() + probes + 1);
-    }
 
     #[test]
     fn row_reproduces_the_config_it_was_built_from() {
@@ -137,5 +107,57 @@ mod tests {
                 assert_eq!(applied.filter, cfg.filter);
             }
         }
+    }
+
+    #[test]
+    fn neighbour_step_is_round_robin_and_bounded() {
+        let n = hef_kernels::HybridConfig::new;
+        let row = PipelineEntry {
+            stages: vec![
+                (Family::Filter, n(1, 1, 3)),
+                (Family::Probe, n(1, 1, 3)),
+                (Family::Gather, n(1, 1, 3)),
+                (Family::AggSum, n(1, 1, 3)),
+                (Family::Decode, n(1, 1, 3)),
+            ],
+            f: 8,
+        };
+        // The stage a neighbour moved; exactly one moves, never decode or f.
+        let moved = |r: &PipelineEntry| {
+            assert_eq!(r.f, row.f, "{r}");
+            assert_eq!(r.stages.len(), row.stages.len());
+            let diffs: Vec<usize> =
+                (0..r.stages.len()).filter(|&i| r.stages[i] != row.stages[i]).collect();
+            assert_eq!(diffs.len(), 1, "{r}");
+            assert_eq!(r.stages[diffs[0]].0, row.stages[diffs[0]].0);
+            assert_ne!(r.stages[diffs[0]].0, Family::Decode, "{r}");
+            diffs[0]
+        };
+
+        let all = neighbour_rows(&row, &[], usize::MAX);
+        assert_eq!(all, neighbour_rows(&row, &[], usize::MAX), "deterministic");
+        let per_stage = try_neighbors(n(1, 1, 3)).unwrap().len();
+        assert_eq!(all.len(), 4 * per_stage);
+        // Round-robin in pipeline order: stages 0..4, then again.
+        let order: Vec<usize> = all.iter().map(moved).collect();
+        for (k, &i) in order.iter().enumerate() {
+            assert_eq!(i, k % 4, "{order:?}");
+        }
+        for (k, r) in all.iter().enumerate() {
+            assert!(!all[..k].contains(r), "repeated {r}");
+        }
+
+        // A budget cuts the tail, never the round-robin head.
+        assert_eq!(neighbour_rows(&row, &[], 6), all[..6]);
+        assert!(neighbour_rows(&row, &[], 0).is_empty());
+
+        // Existing candidates are skipped; the stage they came from still
+        // gets its turn with its next neighbour.
+        let existing = vec![row.clone(), all[0].clone(), all[5].clone()];
+        let fresh = neighbour_rows(&row, &existing, 4);
+        assert_eq!(fresh.len(), 4);
+        assert!(fresh.iter().all(|r| !existing.contains(r)));
+        assert_eq!(fresh.iter().map(moved).collect::<Vec<_>>(), [0, 1, 2, 3]);
+        assert_eq!(fresh[0], all[4]);
     }
 }

@@ -1,9 +1,9 @@
 //! The measured playoff that picks each shipped pipeline row.
 //!
 //! The paper's optimizer (Algorithm 2) is test-based: a candidate ships only
-//! if it wins on the clock. The joint tuner's simulated search
-//! (`hef_core::pipeline`) therefore only *proposes* configurations; this
-//! module times them on the host and decides.
+//! if it wins on the clock. `repro tune-pipeline` proposes candidate rows
+//! with no cost model (`crate::pipeline`); this module times them on the
+//! host and decides.
 //!
 //! * **Drift cancelling.** A playoff runs `rounds` rounds; each round times
 //!   every candidate once, starting one position later than the round

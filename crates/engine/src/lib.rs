@@ -47,7 +47,7 @@ pub use govern::{
 pub use ops::{gather_keys, grouped_accumulate};
 pub use paged::{try_execute_star_paged_ctx, PagedTable, PagedTableError};
 pub use parallel::{resolve_threads, resolve_threads_governed, ExecError, ExecReport};
-pub use pipeline_plan::{apply_pipeline_entry, conflicting_stages, first_per_slot};
+pub use pipeline_plan::{apply_pipeline_entry, conflicting_stages};
 pub use plan::{
     lower, optimize, parse_plan, render_plan, Catalog, GroupBy, JoinBuilder, JoinSpec, KeyExpr,
     LogicalPlan, Node, OptReport, PlanBuilder, PlanError, Pred,

@@ -175,8 +175,8 @@ impl PagedTable {
     pub fn column(&self, name: &str) -> Option<&PagedColumn> {
         self.by_name.get(name).map(|&i| &self.cols[i])
     }
-    /// Bytes the table would occupy fully decoded in memory (the number the
-    /// `HEF_PAGE_CACHE` gate is compared against).
+    /// Bytes the table would occupy fully decoded in memory (the number a
+    /// page cache's capacity is compared against).
     pub fn raw_bytes(&self) -> u64 {
         self.rows * 8 * self.cols.len() as u64
     }

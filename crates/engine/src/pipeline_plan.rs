@@ -1,8 +1,8 @@
 //! Per-query pipeline plans: stable plan fingerprints and the overlay of a
 //! tuned pipeline row onto an execution config.
 //!
-//! The whole-pipeline joint tuner (`hef_core::pipeline`) persists its
-//! results as registry v3 rows keyed by a **plan fingerprint** — a hash of
+//! The pipeline tuner (`repro tune-pipeline`, a measured playoff) persists
+//! its picks as registry v3 rows keyed by a **plan fingerprint** — a hash of
 //! the query's *structure* (filters, join chain, measure, group strides),
 //! deliberately excluding anything scale-dependent (table sizes, row
 //! counts) so a plan tuned at one scale factor resolves at every other.
@@ -127,26 +127,6 @@ pub fn conflicting_stages(
         }
     }
     None
-}
-
-/// `entry` reduced to a shape a config can execute: for each slot, only
-/// the first stage that names it (along a lowered chain, the stage the most
-/// rows reach). Stages without a slot are dropped.
-pub fn first_per_slot(entry: &PipelineEntry) -> PipelineEntry {
-    let mut seen = [false; 5];
-    let stages = entry
-        .stages
-        .iter()
-        .copied()
-        .filter(|&(family, _)| match slot(family) {
-            Some(i) if !seen[i] => {
-                seen[i] = true;
-                true
-            }
-            _ => false,
-        })
-        .collect();
-    PipelineEntry { stages, f: entry.f }
 }
 
 /// Overlay a registry v3 pipeline row onto an execution config: each stage's
@@ -326,10 +306,6 @@ mod tests {
             f: 8,
         };
         assert!(conflicting_stages(&agreeing).is_none());
-        let collapsed = first_per_slot(&conflicting);
-        assert!(conflicting_stages(&collapsed).is_none());
-        assert_eq!(collapsed.stages[0], (Family::Probe, HybridConfig::new(1, 2, 3)));
-        assert_eq!(collapsed.stages.len(), 2);
         let cfg = apply_pipeline_entry(base, &agreeing);
         assert_eq!(cfg.probe, HybridConfig::new(1, 1, 4));
         assert_eq!(cfg.gather, HybridConfig::new(2, 0, 4));

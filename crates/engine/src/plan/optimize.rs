@@ -182,7 +182,7 @@ pub fn optimize(
         reordered,
         scan_columns: (before, columns.len()),
     };
-    // `HEF_PLAN_OPT` decisions, as counters (ISSUE 9): how many predicates
+    // The optimizer's decisions, as counters: how many predicates
     // landed in the scan, whether this plan's joins moved, and how many scan
     // columns projection analysis dropped.
     {

@@ -25,9 +25,6 @@
 //!   search with winner/loser classification and monotone pruning, over a
 //!   pluggable [`optimizer::CostEvaluator`] (measured on this machine, or
 //!   simulated on a modeled CPU).
-//! * [`pipeline`] — whole-pipeline joint tuning: the Algorithm-2 search
-//!   lifted to the product grid of a lowered star pipeline's stages, over a
-//!   co-resident cost model (shared ports, registers, line-fill buffers).
 //! * [`space`] — the search-space size of §II.C (Eq. 1–2) and the pruning
 //!   accounting used by the ablation benchmarks.
 //! * [`tuner`] — the offline-phase facade: template + CPU → tuned
@@ -43,7 +40,6 @@ pub mod error;
 pub mod ir;
 pub mod optimizer;
 pub mod parse;
-pub mod pipeline;
 pub mod registry;
 pub mod space;
 pub mod templates;
@@ -59,11 +55,6 @@ pub use optimizer::{
     SearchOutcome, SimulatedCost, SimulatedProbeCost, SpikedCost,
 };
 pub use parse::{parse_file, parse_template, render_template};
-pub use pipeline::{
-    compose_per_op, optimize_pipeline, pipeline_cost, try_pipeline_neighbors,
-    tune_pipeline_simulated, PipelineCostEvaluator, PipelineNode, PipelineSearchOutcome,
-    PipelineSpec, PipelineStage, SimulatedPipelineCost, TunedPipeline,
-};
 pub use registry::{PipelineEntry, Registry, RegistryIssue, WarmReport};
 pub use translate::{translate, to_loop_body, try_to_loop_body, try_translate, TargetCode};
 pub use tuner::{

@@ -115,12 +115,20 @@ fn sanitize(c: f64) -> f64 {
     }
 }
 
+/// Median of `first` and two fresh samples. The shared median helper counts
+/// only finite values, so an infinite sample enters clamped to the finite
+/// range: it still ranks at its end, and comes back infinite when it is the
+/// median.
 fn median_of_3(sample: &mut dyn FnMut() -> f64, first: f64) -> f64 {
     hef_obs::metrics::add(hef_obs::metrics::Metric::TunerRemeasurements, 1);
     hef_obs::metrics::add(hef_obs::metrics::Metric::TunerTrials, 2);
-    let mut xs = [first, sanitize(sample()), sanitize(sample())];
-    xs.sort_by(f64::total_cmp);
-    xs[1]
+    let xs = [first, sanitize(sample()), sanitize(sample())];
+    let m = hef_testutil::bench::median(xs.map(|x| x.clamp(f64::MIN, f64::MAX)));
+    if m.abs() == f64::MAX {
+        m.signum() * f64::INFINITY
+    } else {
+        m
+    }
 }
 
 /// One robust measurement: a single sample, re-measured (median of 3) when
@@ -720,6 +728,27 @@ mod tests {
             let sd = (cfg.s as f64 - self.opt.s as f64).abs();
             let pd = (cfg.p as f64 - self.opt.p as f64).abs();
             1.0 + vd + sd + pd
+        }
+    }
+
+    #[test]
+    fn median_of_3_is_the_middle_sample_even_when_unaffordable() {
+        let inf = f64::INFINITY;
+        let cases = [
+            (2.0, [1.0, 3.0]),
+            (2.0, [2.0, 2.0]),
+            (1.0, [inf, 0.5]),
+            (1.0, [inf, inf]),
+            (1.0, [-inf, inf]),
+            (1.0, [f64::NAN, f64::NAN]),
+            (1.0, [-inf, -inf]),
+        ];
+        for (first, [a, b]) in cases {
+            let mut sorted = [first, sanitize(a), sanitize(b)];
+            sorted.sort_by(f64::total_cmp);
+            let mut next = [a, b].into_iter();
+            let got = median_of_3(&mut || next.next().unwrap(), first);
+            assert_eq!(got, sorted[1], "{first} {a} {b}");
         }
     }
 

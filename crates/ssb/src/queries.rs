@@ -8,8 +8,7 @@
 //! selectivity-ordered join reordering, projection pruning) and lowers it,
 //! while [`build_plan_naive`] lowers the declared-order plan unoptimized —
 //! the two are bit-identical by construction (group-id encoding follows the
-//! declared join order via `StarPlan::strides`). Set `HEF_PLAN_OPT=0` (or
-//! `off`/`false`) to make [`build_plan`] use the naive lowering.
+//! declared join order via `StarPlan::strides`).
 
 use hef_engine::{
     lower, optimize, Catalog, JoinBuilder, KeyExpr, LogicalPlan, Measure, PlanBuilder, Pred,
@@ -280,21 +279,10 @@ pub fn logical_plan(q: QueryId) -> LogicalPlan {
     }
 }
 
-/// `true` unless `HEF_PLAN_OPT` is set to `0`, `off`, or `false`.
-fn plan_opt_enabled() -> bool {
-    !matches!(
-        std::env::var("HEF_PLAN_OPT").as_deref().map(str::trim),
-        Ok("0") | Ok("off") | Ok("false")
-    )
-}
-
 /// Build the (optimized) physical star plan for `q` against `d`. The 13
 /// canned queries always lower successfully; a failure here is a bug in
 /// the planner itself.
 pub fn build_plan(d: &SsbData, q: QueryId) -> StarPlan {
-    if !plan_opt_enabled() {
-        return build_plan_naive(d, q);
-    }
     let cat = catalog(d);
     let logical = logical_plan(q);
     optimize(&logical, &cat)
@@ -376,20 +364,6 @@ mod tests {
         let opt = build_plan(&d, QueryId::Q4_1);
         let fk: Vec<&str> = opt.dims.iter().map(|j| j.fk_col.as_str()).collect();
         assert_eq!(fk, ["lo_custkey", "lo_suppkey", "lo_partkey", "lo_orderdate"]);
-    }
-
-    #[test]
-    fn plan_opt_env_knob_selects_naive_lowering() {
-        // Env mutation: keep this test single-threaded over the var.
-        let d = data();
-        std::env::set_var("HEF_PLAN_OPT", "off");
-        let gated = build_plan(&d, QueryId::Q4_1);
-        std::env::remove_var("HEF_PLAN_OPT");
-        let naive = build_plan_naive(&d, QueryId::Q4_1);
-        let fks = |p: &hef_engine::StarPlan| {
-            p.dims.iter().map(|j| j.fk_col.clone()).collect::<Vec<_>>()
-        };
-        assert_eq!(fks(&gated), fks(&naive));
     }
 
     #[test]

@@ -2,10 +2,11 @@
 //! lock-light enough to sit between morsel workers and the paged column
 //! reader.
 //!
-//! Capacity comes from `HEF_PAGE_CACHE` (bytes, `k`/`m`/`g` suffixes;
-//! default 64 MiB) and is split evenly across shards; each shard is an
-//! independent clock so the only synchronization between workers touching
-//! different pages is a shard-local mutex with O(1) critical sections.
+//! The caller picks the capacity (the storage crate reads no environment;
+//! `repro` takes it from `HEF_PAGE_CACHE`). It is split evenly across
+//! shards; each shard is an independent clock so the only synchronization
+//! between workers touching different pages is a shard-local mutex with
+//! O(1) critical sections.
 //! Hits, misses, and evictions are counted in the metrics registry
 //! (`storage.page_cache_*`).
 
@@ -15,9 +16,9 @@ use std::sync::{Arc, Mutex};
 use hef_obs::metrics::{self, Metric};
 
 use crate::file::ColumnFileError;
-use crate::page::{parse_byte_size, Page, PagedColumn};
+use crate::page::{Page, PagedColumn};
 
-/// Default capacity when `HEF_PAGE_CACHE` is unset: 64 MiB.
+/// Default cache capacity: 64 MiB.
 pub const DEFAULT_CACHE_BYTES: u64 = 64 * 1024 * 1024;
 
 const SHARDS: usize = 8;
@@ -125,15 +126,6 @@ impl PageCache {
             shards: (0..shards).map(|_| Mutex::new(Shard::default())).collect(),
             shard_cap: (capacity / shards).max(1),
         }
-    }
-
-    /// Capacity from `HEF_PAGE_CACHE` (default 64 MiB).
-    pub fn from_env() -> PageCache {
-        let cap = std::env::var("HEF_PAGE_CACHE")
-            .ok()
-            .and_then(|s| parse_byte_size(&s))
-            .unwrap_or(DEFAULT_CACHE_BYTES);
-        PageCache::new(cap as usize)
     }
 
     /// Total byte capacity.

@@ -84,7 +84,7 @@ const DICT_MAX: usize = 4096;
 /// allocate unbounded memory).
 const MAX_PAGE_ROWS: u32 = 1 << 22;
 
-/// Default page size when `HEF_PAGE_BYTES` is unset: 256 KiB.
+/// Default page size: 256 KiB.
 pub const DEFAULT_PAGE_BYTES: u64 = 256 * 1024;
 
 /// Parse a byte-size spec: plain bytes or `k`/`m`/`g` suffix (binary units,
@@ -99,17 +99,6 @@ pub fn parse_byte_size(s: &str) -> Option<u64> {
     };
     let n: u64 = num.trim().parse().ok()?;
     n.checked_mul(mult)
-}
-
-/// Rows per page implied by `HEF_PAGE_BYTES` (default 256 KiB): the page
-/// byte budget divided by the 8-byte uncompressed row, clamped to
-/// `[64, 2^21]`.
-pub fn rows_per_page_from_env() -> u32 {
-    let bytes = std::env::var("HEF_PAGE_BYTES")
-        .ok()
-        .and_then(|s| parse_byte_size(&s))
-        .unwrap_or(DEFAULT_PAGE_BYTES);
-    ((bytes / 8).clamp(64, 1 << 21)) as u32
 }
 
 /// Per-page encoding scheme.

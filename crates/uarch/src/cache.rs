@@ -118,23 +118,6 @@ impl<'a> CacheSim<'a> {
     pub fn prefetch_stall_cycles(&self, m: &MissCounts, f: usize) -> u64 {
         self.stall_cycles(m, self.effective_mlp(f))
     }
-
-    /// MLP available to a probe loop when `background` line-fill buffers are
-    /// held by co-resident streaming stages (column scans, gathered takes).
-    /// A fused pipeline shares one LFB pool, so each concurrent stream
-    /// shaves a buffer off the cap the probe's prefetches can fill; the
-    /// floor of 1 keeps the model sane when streams oversubscribe the pool.
-    pub fn shared_mlp(&self, f: usize, background: usize) -> f64 {
-        let cap = (self.model.mem_parallelism - background as f64).max(1.0);
-        ((1 + f) as f64).clamp(1.0, cap)
-    }
-
-    /// Stall cycles of `m` at prefetch depth `f` with `background` LFBs
-    /// occupied by co-resident streams — the memory term of the pipeline
-    /// co-tuning cost model.
-    pub fn coresident_stall_cycles(&self, m: &MissCounts, f: usize, background: usize) -> u64 {
-        self.stall_cycles(m, self.shared_mlp(f, background))
-    }
 }
 
 #[cfg(test)]
@@ -215,37 +198,6 @@ mod tests {
             c.prefetch_stall_cycles(&misses, 64),
             c.prefetch_stall_cycles(&misses, 4096)
         );
-    }
-
-    #[test]
-    fn shared_mlp_loses_to_background_streams_but_never_goes_below_one() {
-        let m = CpuModel::silver_4110();
-        let c = CacheSim::new(&m);
-        // No background: identical to the solo model.
-        assert_eq!(c.shared_mlp(16, 0), c.effective_mlp(16));
-        // Background streams shrink the cap monotonically.
-        let mut last = f64::INFINITY;
-        for bg in 0..16 {
-            let mlp = c.shared_mlp(64, bg);
-            assert!(mlp <= last, "cap must not grow with background");
-            assert!(mlp >= 1.0);
-            last = mlp;
-        }
-        // Oversubscribed pool floors at 1.
-        assert_eq!(c.shared_mlp(64, 1000), 1.0);
-    }
-
-    #[test]
-    fn coresident_stalls_exceed_solo_stalls() {
-        let m = CpuModel::silver_4110();
-        let c = CacheSim::new(&m);
-        let misses = c.misses(AccessPattern::RandomProbe {
-            count: 1_000_000,
-            working_set: 64 << 20,
-        });
-        let solo = c.prefetch_stall_cycles(&misses, 16);
-        let shared = c.coresident_stall_cycles(&misses, 16, 6);
-        assert!(shared > solo, "{shared} vs {solo}");
     }
 
     #[test]

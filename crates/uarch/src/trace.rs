@@ -83,26 +83,6 @@ impl LoopBody {
         v as f64 / self.uops.len() as f64
     }
 
-    /// Concatenate `other`'s µops onto this body, rebasing every dependency
-    /// edge by the current length so the edges still point at the producers
-    /// they named in `other`. This is the co-residency composition used by
-    /// the pipeline tuner: the steady state of a fused operator chain is the
-    /// interleaving of its member loops, and scheduling the concatenated
-    /// body exposes the port and issue-slot contention the operators exert
-    /// on each other. The two fragments stay dependence-independent (no
-    /// cross-fragment edges), matching distinct batches in flight.
-    pub fn append(&mut self, other: &LoopBody) {
-        let offset = self.uops.len();
-        for u in &other.uops {
-            let deps = u
-                .deps
-                .iter()
-                .map(|d| Dep { uop: d.uop + offset, back: d.back })
-                .collect();
-            self.uops.push(Uop::new(u.class, deps));
-        }
-    }
-
     /// Serialize to the trace text format (the same comment-and-`=`-line
     /// idiom as `hef-core::registry`, which replaced the serde derives):
     ///
@@ -253,29 +233,6 @@ mod tests {
         assert!(LoopBody::parse("junk").is_err());
         // Comments and blanks are fine.
         assert!(LoopBody::parse("# hi\n\n0 = SAlu\n").unwrap().len() == 1);
-    }
-
-    #[test]
-    fn append_rebases_dependency_edges() {
-        let mut a = LoopBody::new();
-        let l = a.push(SLoad, vec![]);
-        a.push(SMul, vec![Dep::same(l)]);
-        let mut b = LoopBody::new();
-        let vl = b.push(VLoad, vec![]);
-        b.push(VMul, vec![Dep::same(vl), Dep::carried(1)]);
-        a.append(&b);
-        assert_eq!(a.len(), 4);
-        assert_eq!(a.uops[3].deps, vec![Dep { uop: 2, back: 0 }, Dep { uop: 3, back: 1 }]);
-        assert!(a.validate().is_ok());
-    }
-
-    #[test]
-    fn append_onto_empty_is_a_copy() {
-        let mut b = LoopBody::new();
-        b.push(SAlu, vec![Dep::carried(0)]);
-        let mut empty = LoopBody::new();
-        empty.append(&b);
-        assert_eq!(empty, b);
     }
 
     #[test]

@@ -16,15 +16,21 @@ cargo test -q --offline
 cargo bench -p hef-bench --no-run --offline
 
 # No process-global query configuration: nothing under the engine, the
-# bench harness or the integration tests mutates the environment, and the
-# engine reads it in exactly one place, `Engine::from_env`.
-if grep -rn 'set_var\|remove_var' crates/engine crates/bench tests --include='*.rs'; then
+# bench harness, the SSB planner, the storage layer or the integration tests
+# mutates the environment; the engine reads it in exactly one place,
+# `Engine::from_env`, and the SSB planner and the storage layer not at all.
+if grep -rn 'set_var\|remove_var' crates/engine crates/bench crates/ssb/src crates/storage/src tests \
+    --include='*.rs'; then
     echo "verify: FAIL — environment mutation; build an Engine instead" >&2
     exit 1
 fi
 if grep -rn 'env::var' crates/engine/src --include='*.rs' |
     grep -v 'crates/engine/src/engine.rs:.*Engine::from_vars(|k| std::env::var(k).ok())'; then
     echo "verify: FAIL — crates/engine/src reads the environment outside Engine::from_env" >&2
+    exit 1
+fi
+if grep -rn 'env::var' crates/ssb/src crates/storage/src --include='*.rs'; then
+    echo "verify: FAIL — the SSB planner or the storage layer reads the environment" >&2
     exit 1
 fi
 
@@ -98,13 +104,13 @@ cargo run --release --offline -q -p hef-bench --bin repro -- report target/trace
 cargo bench -p hef-bench --bench obs_overhead --offline -- --assert
 
 # Pipeline-tuning smoke: pick one query's pipeline row by the measured
-# playoff (Silver 4110 proposal only), writing the registry to target/ so
+# playoff, writing the registry to target/ so
 # the committed results/tuned.txt is never rewritten, then reload the row
 # through HEF_PIPELINE end to end. A mid-row truncated copy must degrade
 # down the ladder (per-op v2 → analytic) and still run the query.
 mkdir -p target
 cargo run --release --offline -q -p hef-bench --bin repro -- \
-    tune-pipeline --sf 0.002 --query q21 --model silver-4110 --out target/tuned-smoke.txt
+    tune-pipeline --sf 0.002 --query q21 --out target/tuned-smoke.txt
 grep -q '^# hef tuned-operator registry v3$' target/tuned-smoke.txt
 grep -q '^pipeline [0-9a-f]\{16\} = ' target/tuned-smoke.txt
 HEF_PIPELINE=target/tuned-smoke.txt cargo run --release --offline -q -p hef-bench --bin repro -- \
