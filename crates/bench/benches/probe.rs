@@ -15,10 +15,19 @@
 //!
 //! The expected crossover: in-cache tables gain nothing (flat wins or
 //! ties), DRAM-resident tables gain >1.3× from either memory-parallel
-//! strategy. The run is persisted to `results/bench_probe.json`
-//! (see `hef_bench::BenchSnapshot`); `--smoke` shrinks sizes and samples
-//! for CI; `--compare` prints a trend table against the previously archived
-//! snapshot (advisory only — never fails the run) before overwriting it.
+//! strategy.
+//!
+//! A second group backs the build-side sizing rule (`probe_slots` in
+//! `hef-engine`'s `star`): one SSB-sized build side probed flat at
+//! load factor 1/2, 1/4 and 1/8 with a miss-heavy key stream (≈80% misses,
+//! as a selective dimension sees), all three tables within the half-L2
+//! budget (`hef_engine::join_table_budget`).
+//!
+//! The run is persisted to `results/bench_probe.json` (crossover) and
+//! `results/bench_probe_load.json` (load factor; see
+//! `hef_bench::BenchSnapshot`); `--smoke` shrinks sizes and samples for
+//! CI; `--compare` prints a trend table against the previously archived
+//! snapshots (advisory only — never fails the run) before overwriting them.
 
 use hef_bench::BenchSnapshot;
 use hef_kernels::{
@@ -62,7 +71,7 @@ fn main() {
         .config("depths", format!("{depths:?}"));
 
     let mut rng = Rng::seed_from_u64(11);
-    let l2_target = hef_uarch::CpuModel::host().l2.bytes / 2;
+    let l2_target = hef_engine::join_table_budget();
     // (working-set bytes, best flat, best memory-parallel) per size.
     let mut crossover: Vec<(usize, f64, f64)> = Vec::new();
 
@@ -136,6 +145,41 @@ fn main() {
         crossover.push((table.working_set_bytes(), best_flat, best_mem));
     }
 
+    // Load-factor rows: 4096 entries (a filtered SSB dimension) in 8k, 16k
+    // and 32k slots; one key in five is in the table.
+    let entries = 4096usize;
+    let mut load_snap = BenchSnapshot::new(if smoke { "probe_load_smoke" } else { "probe_load" });
+    load_snap
+        .config("nkeys", nkeys)
+        .config("smoke", smoke)
+        .config("samples", samples)
+        .config("entries", entries)
+        .config("budget_bytes", l2_target);
+    let group = format!("probe_load_n{entries}_miss80");
+    let keys: Vec<u64> = (0..nkeys).map(|_| rng.gen_range(0..entries as u64 * 5)).collect();
+    let mut out = vec![0u64; nkeys];
+    let mut g = Group::new(group.clone()).throughput_elems(nkeys as u64).samples(samples);
+    for load in [2usize, 4, 8] {
+        let mut table = ProbeTable::with_slots(entries * load);
+        for k in 0..entries as u64 {
+            table.insert(k, k % 1000);
+        }
+        assert!(table.working_set_bytes() <= l2_target, "load 1/{load} table over budget");
+        for (name, cfg) in [
+            ("scalar", HybridConfig::SCALAR),
+            ("simd", HybridConfig::SIMD),
+            ("hybrid_n113", HybridConfig::new(1, 1, 3)),
+        ] {
+            let label = format!("{name}_load{load}");
+            let s = g.bench(label.clone(), || {
+                let mut io = KernelIo::Probe { keys: &keys, table: &table, out: &mut out, prefetch: 0 };
+                assert!(run(Family::Probe, cfg, &mut io));
+            });
+            load_snap.row(&group, &label, s, Some(nkeys as u64));
+        }
+    }
+    g.finish();
+
     // The crossover summary: memory-parallel speedup over the best flat
     // config at each working-set size.
     println!("memory-parallel speedup by working set:");
@@ -148,7 +192,13 @@ fn main() {
         snap.derived("dram_working_set_bytes", ws as f64);
         snap.derived("dram_speedup", flat / mem);
     }
-    // Trend against the archived run, before write_default replaces it.
+    persist(&snap, compare);
+    persist(&load_snap, compare);
+}
+
+/// Print the advisory trend against the archived run (with `--compare`),
+/// then write the snapshot, which archives the one it replaces.
+fn persist(snap: &BenchSnapshot, compare: bool) {
     if compare {
         match snap.compare_default() {
             Some(report) => print!("{}", report.render()),

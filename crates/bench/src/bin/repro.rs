@@ -159,7 +159,9 @@ fn parse_opts(args: &[String]) -> Opts {
         engine = engine.with_deadline_ms(ms);
     }
     if let Some(budget) = &o.mem_budget {
-        let bytes = hef_engine::parse_bytes(budget).expect("--mem-budget <bytes>[k|m|g]");
+        let bytes = hef_storage::page::parse_byte_size(budget)
+            .and_then(|n| usize::try_from(n).ok())
+            .expect("--mem-budget <bytes>[k|m|g]");
         let limits = GovernorConfig { mem_budget: bytes, ..engine.governor().config() };
         engine = engine.with_limits(limits);
     }

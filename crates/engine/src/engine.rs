@@ -28,13 +28,13 @@ use std::time::{Duration, Instant};
 
 use hef_core::Registry;
 use hef_storage::cache::PageCache;
+use hef_storage::page::parse_byte_size;
 use hef_storage::Table;
 use hef_testutil::fault::{EngineFaults, FaultPlan};
 
 use crate::dynamic::{fastest, Selection};
 use crate::govern::{
-    interrupt_error, parse_bytes, sleep_checked, CancelToken, Governor, GovernorConfig,
-    QueryCtx, MAX_BACKOFF_MS,
+    interrupt_error, sleep_checked, CancelToken, Governor, GovernorConfig, QueryCtx, MAX_BACKOFF_MS,
 };
 use crate::paged::PagedTable;
 use crate::parallel::{resolve_threads, resolve_threads_governed, ExecError, ExecReport};
@@ -122,6 +122,7 @@ impl Engine {
             n
         };
         let count = |v: &str| v.parse().ok();
+        let bytes = |v: &str| parse_byte_size(v).and_then(|n| usize::try_from(n).ok());
         let switch = |v: &str| match v {
             "0" | "off" | "false" => Some(0),
             "1" | "on" | "true" => Some(1),
@@ -130,7 +131,7 @@ impl Engine {
         let mut engine = Engine {
             governor: Governor::new(GovernorConfig {
                 max_queries: parsed("HEF_MAX_QUERIES", count).unwrap_or(0),
-                mem_budget: parsed("HEF_MEM_BUDGET", parse_bytes).unwrap_or(0),
+                mem_budget: parsed("HEF_MEM_BUDGET", bytes).unwrap_or(0),
             }),
             threads: parsed("HEF_THREADS", |v| v.parse().ok().filter(|&n| n > 0)).unwrap_or(0),
             prefetch: parsed("HEF_PREFETCH", count),

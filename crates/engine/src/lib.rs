@@ -41,7 +41,7 @@ pub mod voila;
 pub use dynamic::Selection;
 pub use engine::{Engine, Fact};
 pub use govern::{
-    estimate_query_bytes, parse_bytes, BudgetTracker, CancelToken, DegradeAction, Governor,
+    estimate_query_bytes, BudgetTracker, CancelToken, DegradeAction, Governor,
     GovernorConfig, Interrupt, QueryCtx, MIN_BATCH,
 };
 pub use ops::{gather_keys, grouped_accumulate};
@@ -53,8 +53,8 @@ pub use plan::{
     LogicalPlan, Node, OptReport, PlanBuilder, PlanError, Pred,
 };
 pub use star::{
-    build_dimension, execute_star, try_execute_star, DimJoin, ExecConfig, ExecStats, Flavor,
-    Measure, QueryOutput, RangeFilter, StarPlan,
+    build_dimension, execute_star, join_table_budget, try_execute_star, DimJoin, ExecConfig,
+    ExecStats, Flavor, Measure, QueryOutput, RangeFilter, StarPlan,
 };
 
 pub use hef_kernels::{HybridConfig, ProbeTable, MISS};

@@ -36,6 +36,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use hef_obs::metrics::{Hist, Metric, Tally};
 use hef_testutil::fault::{self, EngineFaults};
 
 use crate::govern::{DegradeAction, Interrupt, QueryCtx};
@@ -365,12 +366,15 @@ fn worker_loop(wid: usize, sched: &Scheduler, scan: &Scan<'_>, ctx: &QueryCtx) -
         hef_obs::trace::set_thread_name(&format!("worker-{wid}"));
     }
     let _wspan = hef_obs::span!("worker", wid = wid);
+    // Per-morsel metrics stay local until the loop ends (the tally
+    // publishes when dropped, on every return).
+    let mut tally = Tally::default();
     let mut w = (scan.make)();
     let mut done: Vec<(usize, usize)> = Vec::new();
     while let Some((lo, hi, attempts)) = sched.claim() {
         let morsel_idx = lo / sched.morsel;
-        hef_obs::metrics::add(hef_obs::metrics::Metric::MorselsClaimed, 1);
-        hef_obs::metrics::observe(hef_obs::metrics::Hist::MorselRows, (hi - lo) as u64);
+        tally.add(Metric::MorselsClaimed, 1);
+        tally.observe(Hist::MorselRows, (hi - lo) as u64);
         // The `slow_morsel:` fault stalls here, in interruptible slices, so
         // a deadline/cancel fires *mid*-morsel and still comes back typed.
         if let Some(stall) = scan.faults.next_slow_morsel(wid, morsel_idx) {
@@ -393,10 +397,7 @@ fn worker_loop(wid: usize, sched: &Scheduler, scan: &Scan<'_>, ctx: &QueryCtx) -
         match run {
             Ok(Ok(())) => {
                 if let Some(t0) = t0 {
-                    hef_obs::metrics::observe(
-                        hef_obs::metrics::Hist::MorselLatencyUs,
-                        t0.elapsed().as_micros() as u64,
-                    );
+                    tally.observe(Hist::MorselLatencyUs, t0.elapsed().as_micros() as u64);
                 }
                 done.push((lo, hi));
                 sched.completed.fetch_add(1, Ordering::AcqRel);

@@ -7,12 +7,13 @@ use hef_kernels::{
     plan_partition_bits, Family, HybridConfig, Kernel, KernelIo, PartitionScratch,
     PartitionedProbeTable, ProbeTable,
 };
+use hef_obs::metrics::{self, Hist, Metric, Tally};
 use hef_obs::trace::SpanGuard;
 use hef_storage::Table;
 use hef_testutil::fault::EngineFaults;
 
 use crate::govern::QueryCtx;
-use crate::ops::{compact_hits, gather_keys, grouped_accumulate};
+use crate::ops::{compact_hits, compact_maybe, gather_keys, grouped_accumulate};
 use crate::parallel::{MorselWorker, Scan, Stop};
 
 /// Execution flavor (the four bars of the paper's Figs. 8–10).
@@ -242,13 +243,15 @@ pub struct RangeFilter {
 pub struct DimJoin {
     /// Fact-table foreign-key column name.
     pub fk_col: String,
-    /// Hash table over the (filtered) dimension keys.
+    /// Hash table over the (filtered) dimension keys, `probe_slots`
+    /// slots.
     pub table: ProbeTable,
     /// Bloom filter over the same keys (for semi-join pre-filtering).
     pub bloom: hef_kernels::BloomFilter,
     /// Radix-partitioned copy of the same table, built only when the flat
-    /// table spills the host's L2 (see [`build_dimension`]); each sub-table
-    /// is cache-sized so sub-probes stay resident. `None` for small tables.
+    /// table spills [`join_table_budget`] (see [`build_dimension`]); each
+    /// sub-table fits it, so sub-probes stay resident. `None` for small
+    /// tables.
     pub parts: Option<PartitionedProbeTable>,
     /// Number of distinct group codes this dimension contributes
     /// (1 = pure filter, payload 0).
@@ -361,9 +364,36 @@ impl QueryOutput {
     }
 }
 
+/// Bytes one probe table — a flat dimension table or one radix sub-table —
+/// may fill: half the L2 of the `host` CPU model, the other half left to
+/// the probe stream.
+/// Table growth (`probe_slots`) and radix partitioning
+/// ([`plan_partition_bits`]) share it.
+pub fn join_table_budget() -> usize {
+    hef_uarch::CpuModel::host().l2.bytes / 2
+}
+
+/// Slots of the flat table for a build side of `n` entries: the fewest at
+/// load factor ≤ 1/2 ([`ProbeTable::min_slots`]), doubled at most twice —
+/// to load ≤ 1/8 — while the table (16 B a slot) stays within `budget`.
+/// The paper's "large linear hash table … to reduce the conflicts" (§V): in
+/// a sparser table more probes, and most misses, end at the home slot. A
+/// table already over `budget` keeps its size and is radix-partitioned.
+pub(crate) fn probe_slots(n: usize, budget: usize) -> usize {
+    let mut slots = ProbeTable::min_slots(n);
+    for _ in 0..2 {
+        if slots * 2 * 16 > budget {
+            break;
+        }
+        slots *= 2;
+    }
+    slots
+}
+
 /// Build a [`DimJoin`] from a dimension table: rows passing `predicate` are
 /// inserted as `key → group code` where the code is produced by `payload`
-/// (must return values `< groups`).
+/// (must return values `< groups`). The flat table has
+/// `probe_slots` slots under [`join_table_budget`].
 pub fn build_dimension(
     dim: &Table,
     key_col: &str,
@@ -374,7 +404,8 @@ pub fn build_dimension(
 ) -> DimJoin {
     let keys = dim.col(key_col);
     let selected: Vec<usize> = (0..dim.len()).filter(|&r| predicate(r)).collect();
-    let mut table = ProbeTable::with_capacity(selected.len());
+    let budget = join_table_budget();
+    let mut table = ProbeTable::with_slots(probe_slots(selected.len(), budget));
     let mut bloom = hef_kernels::BloomFilter::with_capacity(selected.len());
     let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(selected.len());
     for r in selected {
@@ -387,11 +418,10 @@ pub fn build_dimension(
         bloom.insert(keys[r]);
         pairs.push((keys[r], code));
     }
-    // Planner rule: partition only when the flat table spills the host's
-    // L2 (target = half of L2, leaving room for the probe stream); then
-    // each of the 2^b sub-tables is L2-resident and sub-probes hit cache.
-    let target = hef_uarch::CpuModel::host().l2.bytes / 2;
-    let bits = plan_partition_bits(table.working_set_bytes(), target);
+    // Planner rule: partition only when the flat table spills the budget;
+    // then each of the 2^b sub-tables fits it and sub-probes hit cache.
+    // Growth never crosses the budget, so it never changes this decision.
+    let bits = plan_partition_bits(table.working_set_bytes(), budget);
     let parts = (bits > 0).then(|| PartitionedProbeTable::from_pairs(&pairs, bits));
     DimJoin {
         fk_col: fk_col.to_string(),
@@ -636,10 +666,14 @@ pub(crate) struct PipelineWorker<'a, S> {
     // Reusable batch buffers (workhorse allocations).
     sel: Vec<u64>,
     keys: Vec<u64>,
-    probe_out: Vec<u64>,
+    /// Per dimension: the probe's payloads at the surviving rows (and,
+    /// until that probe runs, its Bloom check's output).
+    pays: Vec<Vec<u64>>,
     gids: Vec<u64>,
     vals: Vec<u64>,
     part_scratch: PartitionScratch,
+    /// Per-batch metric updates, published once per morsel.
+    tally: Tally,
 }
 
 impl<'a, S: BatchSource> PipelineWorker<'a, S> {
@@ -667,16 +701,29 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
             strides: plan.gid_strides(),
             sel: Vec::new(),
             keys: Vec::new(),
-            probe_out: Vec::new(),
+            pays: vec![Vec::new(); ndims],
             gids: Vec::new(),
             vals: Vec::new(),
             part_scratch: PartitionScratch::default(),
+            tally: Tally::default(),
         }
+    }
+
+    fn run_range(&mut self, lo: usize, hi: usize, ctx: &QueryCtx) -> Result<(), Stop> {
+        let mut start = lo;
+        while start < hi {
+            ctx.check()?;
+            let (end, rows) = self.src.begin(start, hi);
+            self.stats.rows_scanned += rows as u64;
+            let _span = self.src.span(rows);
+            self.run_batch(rows)?;
+            start = end;
+        }
+        Ok(())
     }
 
     fn run_batch(&mut self, rows: usize) -> Result<(), Stop> {
         let (plan, cfg, kernels) = (self.plan, self.cfg, &self.kernels);
-        let ndims = plan.dims.len();
 
         // 1. Fact-table filters. The first runs as a kernel over the
         // contiguous batch (in code space when the source can); later ones
@@ -699,114 +746,95 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
             }
         }
         self.stats.rows_after_filter += self.sel.len() as u64;
-        if hef_obs::metrics::enabled() {
-            use hef_obs::metrics::{add, observe, Hist, Metric};
-            add(Metric::FilterRowsIn, rows as u64);
-            add(Metric::FilterRowsOut, self.sel.len() as u64);
-            observe(Hist::FilterBatchRowsOut, self.sel.len() as u64);
+        if metrics::enabled() {
+            self.tally.add(Metric::FilterRowsIn, rows as u64);
+            self.tally.add(Metric::FilterRowsOut, self.sel.len() as u64);
+            self.tally.observe(Hist::FilterBatchRowsOut, self.sel.len() as u64);
         }
 
         // 2. Dimension probes, most selective first; selection vector
         // shrinks after each (VIP pipeline, no full materialization). Join
         // and measure columns are read only at the surviving rows, so a
-        // batch the filters emptied never reads them at all.
-        let mut pays: Vec<Vec<u64>> = Vec::with_capacity(ndims);
+        // batch the filters emptied never reads them at all. With no fact
+        // filter the first probe's selection is every row, so it reads the
+        // key column itself: no gather (on pages, one whole-page decode).
         for (di, dim) in plan.dims.iter().enumerate() {
+            let (earlier, rest) = self.pays.split_at_mut(di);
+            let out = &mut rest[0];
+            out.clear();
             if self.sel.is_empty() {
-                pays.push(Vec::new());
                 continue;
             }
-            self.src.take(self.slots.fks[di], &self.sel, &mut self.keys, kernels)?;
-            if cfg.use_bloom {
-                // Semi-join pre-filter: drop definite misses before the
-                // (more expensive) table probe.
-                self.probe_out.clear();
-                self.probe_out.resize(self.keys.len(), 0);
-                kernels.bloom(&mut KernelIo::Bloom {
-                    keys: &self.keys,
-                    filter: &dim.bloom,
-                    out: &mut self.probe_out,
-                    prefetch: cfg.probe_prefetch,
-                });
-                let mut k = 0usize;
-                for j in 0..self.sel.len() {
-                    if self.probe_out[j] != 0 {
-                        self.sel[k] = self.sel[j];
-                        self.keys[k] = self.keys[j];
-                        for ps in pays.iter_mut() {
-                            ps[k] = ps[j];
-                        }
-                        k += 1;
+            let slot = self.slots.fks[di];
+            let keys: &[u64] = if di == 0 && plan.filters.is_empty() && !cfg.use_bloom {
+                self.src.values(slot, kernels)?
+            } else {
+                self.src.take(slot, &self.sel, &mut self.keys, kernels)?;
+                if cfg.use_bloom {
+                    // Semi-join pre-filter: drop definite misses before the
+                    // (more expensive) table probe. The check writes into
+                    // this dimension's payload buffer, free until the probe.
+                    out.resize(self.keys.len(), 0);
+                    kernels.bloom(&mut KernelIo::Bloom {
+                        keys: &self.keys,
+                        filter: &dim.bloom,
+                        out,
+                        prefetch: cfg.probe_prefetch,
+                    });
+                    let k = compact_maybe(&mut self.sel, &mut self.keys, earlier, out);
+                    self.tally.add(Metric::BloomKeys, out.len() as u64);
+                    self.tally.add(Metric::BloomDrops, (out.len() - k) as u64);
+                    out.clear();
+                    if k == 0 {
+                        continue;
                     }
                 }
-                self.sel.truncate(k);
-                self.keys.truncate(k);
-                for ps in pays.iter_mut() {
-                    ps.truncate(k);
-                }
-                if hef_obs::metrics::enabled() {
-                    use hef_obs::metrics::{add, Metric};
-                    add(Metric::BloomKeys, self.probe_out.len() as u64);
-                    add(Metric::BloomDrops, (self.probe_out.len() - k) as u64);
-                }
-                if self.sel.is_empty() {
-                    pays.push(Vec::new());
-                    continue;
-                }
-            }
-            self.probe_out.clear();
-            self.probe_out.resize(self.keys.len(), 0);
-            self.stats.probes[di] += self.keys.len() as u64;
+                &self.keys
+            };
+            out.resize(keys.len(), 0);
+            self.stats.probes[di] += keys.len() as u64;
             // Partitioned path: only when the planner built sub-tables AND
             // the batch carries enough keys per partition for the bucketing
             // pass to pay for itself (≥ 64 keys per sub-table on average —
             // pipeline batches are small, so this mostly serves large-batch
             // callers like the probe bench and page-sized batches).
             let parts = if cfg.partition {
-                dim.parts
-                    .as_ref()
-                    .filter(|p| self.keys.len() >= (1usize << p.bits()) * 64)
+                dim.parts.as_ref().filter(|p| keys.len() >= (1usize << p.bits()) * 64)
             } else {
                 None
             };
             let partitioned = parts.is_some();
             let mut sub_probes = 0u64;
             if let Some(parts) = parts {
-                parts.probe_with(
-                    &self.keys,
-                    &mut self.probe_out,
-                    &mut self.part_scratch,
-                    |table, keys, out| {
-                        sub_probes += 1;
-                        kernels.probe(&mut KernelIo::Probe {
-                            keys,
-                            table,
-                            out,
-                            prefetch: cfg.probe_prefetch,
-                        });
-                    },
-                );
+                parts.probe_with(keys, out, &mut self.part_scratch, |table, keys, out| {
+                    sub_probes += 1;
+                    kernels.probe(&mut KernelIo::Probe {
+                        keys,
+                        table,
+                        out,
+                        prefetch: cfg.probe_prefetch,
+                    });
+                });
             } else {
                 kernels.probe(&mut KernelIo::Probe {
-                    keys: &self.keys,
+                    keys,
                     table: &dim.table,
-                    out: &mut self.probe_out,
+                    out,
                     prefetch: cfg.probe_prefetch,
                 });
             }
-            let k = compact_hits(&mut self.sel, &mut pays, &mut self.probe_out);
+            let k = compact_hits(&mut self.sel, earlier, out);
             self.stats.hits[di] += k as u64;
-            if hef_obs::metrics::enabled() {
-                use hef_obs::metrics::{add, observe, Hist, Metric};
-                add(Metric::ProbeKeys, self.keys.len() as u64);
-                add(Metric::ProbeHits, k as u64);
-                observe(Hist::ProbeBatchHits, k as u64);
+            if metrics::enabled() {
+                self.tally.add(Metric::ProbeKeys, keys.len() as u64);
+                self.tally.add(Metric::ProbeHits, k as u64);
+                self.tally.observe(Hist::ProbeBatchHits, k as u64);
                 if cfg.probe_prefetch > 0 {
-                    add(Metric::ProbePrefetchedKeys, self.keys.len() as u64);
+                    self.tally.add(Metric::ProbePrefetchedKeys, keys.len() as u64);
                 }
                 if partitioned {
-                    add(Metric::ProbePartitionedKeys, self.keys.len() as u64);
-                    add(Metric::ProbeSubProbes, sub_probes);
+                    self.tally.add(Metric::ProbePartitionedKeys, keys.len() as u64);
+                    self.tally.add(Metric::ProbeSubProbes, sub_probes);
                 }
             }
         }
@@ -816,12 +844,10 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
             return Ok(());
         }
         self.stats.rows_aggregated += self.sel.len() as u64;
-        if hef_obs::metrics::enabled() {
-            hef_obs::metrics::add(hef_obs::metrics::Metric::AggRows, self.sel.len() as u64);
-        }
+        self.tally.add(Metric::AggRows, self.sel.len() as u64);
         self.gids.clear();
         self.gids.resize(self.sel.len(), 0);
-        for (pay, &stride) in pays.iter().zip(&self.strides) {
+        for (pay, &stride) in self.pays.iter().zip(&self.strides) {
             for (gid, &p) in self.gids.iter_mut().zip(pay) {
                 *gid = gid.wrapping_add(p.wrapping_mul(stride));
             }
@@ -853,18 +879,13 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
 impl<S: BatchSource> MorselWorker for PipelineWorker<'_, S> {
     /// Process units `lo..hi` batch by batch; the cancel/deadline check
     /// runs before every batch, which also brackets each radix-partition
-    /// bucketing pass (partitioning is per-batch).
+    /// bucketing pass (partitioning is per-batch). The morsel's metric
+    /// tally is published when it ends, stopped or not.
     fn try_run_range(&mut self, lo: usize, hi: usize, ctx: &QueryCtx) -> Result<(), Stop> {
-        let mut start = lo;
-        while start < hi {
-            ctx.check()?;
-            let (end, rows) = self.src.begin(start, hi);
-            self.stats.rows_scanned += rows as u64;
-            let _span = self.src.span(rows);
-            self.run_batch(rows)?;
-            start = end;
-        }
-        Ok(())
+        let done = self.run_range(lo, hi, ctx);
+        self.tally.add(Metric::GatherRows, self.kernels.gathered.take());
+        self.tally.flush();
+        done
     }
 
     fn finish(self: Box<Self>) -> QueryOutput {
@@ -882,6 +903,8 @@ pub(crate) struct Kernels {
     gather: Slot,
     agg: Slot,
     decode: Slot,
+    /// Rows gathered since the owning worker last took the count.
+    gathered: std::cell::Cell<u64>,
 }
 
 /// One family's node and its compiled kernel (`None` when off the grid).
@@ -917,6 +940,7 @@ impl Kernels {
             gather: Slot::new(Family::Gather, cfg.gather, cfg),
             agg: Slot::new(Family::AggSum, cfg.agg, cfg),
             decode: Slot::new(Family::Decode, cfg.decode, cfg),
+            gathered: std::cell::Cell::new(0),
         }
     }
 
@@ -946,9 +970,7 @@ impl Kernels {
     /// the scalar helper for off-grid nodes, which cannot happen for the
     /// shipped flavor configs).
     fn gather(&self, col: &[u64], sel: &[u64], out: &mut Vec<u64>) {
-        if hef_obs::metrics::enabled() {
-            hef_obs::metrics::add(hef_obs::metrics::Metric::GatherRows, sel.len() as u64);
-        }
+        self.gathered.set(self.gathered.get() + sel.len() as u64);
         out.clear();
         out.resize(sel.len(), 0);
         // The index stream is a fresh in-cache selection vector and the
@@ -1224,6 +1246,38 @@ mod tests {
         // The toy dims are a few KiB — far under the L2 threshold.
         for d in &plan.dims {
             assert!(d.parts.is_none(), "{} unexpectedly partitioned", d.name);
+        }
+    }
+
+    #[test]
+    fn tables_grow_to_load_one_eighth_within_the_budget() {
+        let host = join_table_budget();
+        for budget in [0, 64 << 10, host] {
+            for n in 1..=200_000usize {
+                let (min, slots) = (ProbeTable::min_slots(n), probe_slots(n, budget));
+                assert!(slots >= 2 * n, "n {n}: {slots} slots");
+                if ProbeTable::min_slots(4 * n) * 16 <= budget {
+                    assert!(slots >= 8 * n, "n {n}: {slots} slots, budget {budget}");
+                }
+                if slots > min {
+                    assert!(slots * 16 <= budget, "n {n}: {slots} slots over {budget} B");
+                }
+                // The partition decision is the ungrown table's.
+                assert_eq!(
+                    plan_partition_bits(slots * 16, budget) > 0,
+                    plan_partition_bits(min * 16, budget) > 0,
+                    "n {n}, budget {budget}"
+                );
+            }
+        }
+        // build_dimension applies the rule under the host budget.
+        let mut dim = Table::new("dim");
+        dim.add_column(Column::new("key", (0..100_000).collect()));
+        for n in [1u64, 100, 4096, 8192, 16_384, 40_000, 100_000] {
+            let d = build_dimension(&dim, "key", |r| (r as u64) < n, |_| 0, 1, "fk");
+            assert_eq!(d.table.capacity(), probe_slots(n as usize, host), "n {n}");
+            let spills = ProbeTable::min_slots(n as usize) * 16 > host;
+            assert_eq!(d.parts.is_some(), spills, "n {n}");
         }
     }
 

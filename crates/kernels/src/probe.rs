@@ -3,11 +3,13 @@
 //! The hot loop of every SSB join: hash the foreign key, gather the slot,
 //! compare, and fetch the payload. The table is the *large linear-probe*
 //! table the paper uses (§V: "we apply a large linear hash table for hash
-//! join to reduce the conflicts"), sized at 2× the build cardinality rounded
-//! up to a power of two, with 64-bit keys and payloads. The SIMD fast path
-//! resolves a probe in one gather + compare; lanes that land on a collision
-//! (slot occupied by a different key) fall back to a scalar linear-probe
-//! walk, which is rare by construction.
+//! join to reduce the conflicts"), with 64-bit keys and payloads. A table
+//! has at least `next_pow2(2n)` slots for `n` entries (load factor ≤ 1/2);
+//! the engine's build side grows a dimension table to load ≤ 1/8 while it
+//! stays within half the L2 (`probe_slots` in `hef-engine`'s `star`). The
+//! SIMD fast path resolves a probe in one gather + compare; lanes that land
+//! on a collision (slot occupied by a different key) fall back to a scalar
+//! linear-probe walk, which is rare by construction.
 
 use hef_hid::Simd64;
 
@@ -25,9 +27,11 @@ const EMPTY: u64 = u64::MAX;
 
 /// An open-addressing linear-probe hash table with 64-bit keys and payloads.
 ///
-/// Keys are hashed with [`murmur64`]; capacity is a power of two at least
-/// twice the expected number of entries, keeping the load factor ≤ 0.5 so
-/// that single-gather SIMD probes almost always resolve.
+/// Keys are hashed with [`murmur64`]; capacity is a power of two of at
+/// least [`ProbeTable::min_slots`] for the expected entries (load factor
+/// ≤ 0.5), so that single-gather SIMD probes almost always resolve. A
+/// caller may ask for more slots ([`ProbeTable::with_slots`]): a sparser
+/// table ends more probes, hits and misses alike, at the home slot.
 #[derive(Debug, Clone)]
 pub struct ProbeTable {
     keys: Box<[u64]>,
@@ -37,9 +41,22 @@ pub struct ProbeTable {
 }
 
 impl ProbeTable {
-    /// Create a table able to hold `expected` entries at load factor ≤ 0.5.
+    /// Fewest slots for `expected` entries: `next_pow2(2·expected)`, load
+    /// factor ≤ 0.5.
+    pub fn min_slots(expected: usize) -> usize {
+        (expected.max(1) * 2).next_power_of_two()
+    }
+
+    /// Create a table able to hold `expected` entries at load factor ≤ 0.5
+    /// ([`ProbeTable::min_slots`] slots).
     pub fn with_capacity(expected: usize) -> Self {
-        let cap = (expected.max(1) * 2).next_power_of_two();
+        Self::with_slots(Self::min_slots(expected))
+    }
+
+    /// Create a table of `slots` slots, rounded up to a power of two (at
+    /// least 2). It holds up to half that many entries.
+    pub fn with_slots(slots: usize) -> Self {
+        let cap = slots.max(2).next_power_of_two();
         ProbeTable {
             keys: vec![EMPTY; cap].into_boxed_slice(),
             vals: vec![0u64; cap].into_boxed_slice(),
@@ -465,6 +482,23 @@ mod tests {
         t.insert(5, 20);
         assert_eq!(t.len(), 1);
         assert_eq!(t.probe_scalar(5), 20);
+    }
+
+    #[test]
+    fn sparse_tables_round_up_and_probe_alike() {
+        assert_eq!(ProbeTable::min_slots(0), 2);
+        assert_eq!(ProbeTable::min_slots(5), 16);
+        assert_eq!(ProbeTable::with_slots(100).capacity(), 128);
+        let dense = sample_table(300);
+        let mut sparse = ProbeTable::with_slots(8 * dense.capacity());
+        for k in 0..300 {
+            sparse.insert(k * 7 + 1, k + 100);
+        }
+        let keys: Vec<u64> = (0..2500).collect();
+        let mut out = vec![0u64; keys.len()];
+        unsafe { super::body::<Emu, 1, 1, 3>(&keys, &sparse, &mut out) };
+        let expect: Vec<u64> = keys.iter().map(|&k| dense.probe_scalar(k)).collect();
+        assert_eq!(out, expect);
     }
 
     #[test]

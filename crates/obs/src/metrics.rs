@@ -320,6 +320,71 @@ pub fn observe(h: Hist, v: u64) {
     }
 }
 
+/// Counter and histogram updates one thread tallies locally and publishes
+/// with one atomic add per touched counter or bucket ([`Tally::flush`], or
+/// when the tally is dropped).
+/// A loop that updates the shared registry every iteration puts a
+/// contended atomic on each update; the stage loop tallies its per-batch
+/// updates here and flushes once per morsel.
+#[derive(Debug, Clone)]
+pub struct Tally {
+    counters: [u64; N_METRICS],
+    hists: [[u64; HIST_BUCKETS]; N_HISTS],
+    dirty: bool,
+}
+
+impl Default for Tally {
+    fn default() -> Self {
+        Tally { counters: [0; N_METRICS], hists: [[0; HIST_BUCKETS]; N_HISTS], dirty: false }
+    }
+}
+
+impl Tally {
+    /// [`add`], held until the next [`Tally::flush`].
+    #[inline]
+    pub fn add(&mut self, m: Metric, n: u64) {
+        if enabled() {
+            self.counters[m as usize] = self.counters[m as usize].wrapping_add(n);
+            self.dirty = true;
+        }
+    }
+
+    /// [`observe`], held until the next [`Tally::flush`].
+    #[inline]
+    pub fn observe(&mut self, h: Hist, v: u64) {
+        if enabled() {
+            self.hists[h as usize][bucket(v)] += 1;
+            self.dirty = true;
+        }
+    }
+
+    /// Publish the tallied updates to the registry and reset the tally.
+    /// Never panics, so it may run from `Drop`.
+    pub fn flush(&mut self) {
+        if !std::mem::take(&mut self.dirty) {
+            return;
+        }
+        for (c, n) in COUNTERS.iter().zip(&mut self.counters) {
+            if *n != 0 {
+                c.fetch_add(std::mem::take(n), Ordering::Relaxed);
+            }
+        }
+        for (row, ns) in HISTS.iter().zip(&mut self.hists) {
+            for (b, n) in row.iter().zip(ns.iter_mut()) {
+                if *n != 0 {
+                    b.fetch_add(std::mem::take(n), Ordering::Relaxed);
+                }
+            }
+        }
+    }
+}
+
+impl Drop for Tally {
+    fn drop(&mut self) {
+        self.flush();
+    }
+}
+
 /// Representative value of bucket `i`: 0 for the zero bucket, the geometric
 /// midpoint of `[2^(i-1), 2^i)` for interior buckets, and the lower edge for
 /// the saturating top bucket (whose true upper edge is unbounded).
@@ -610,6 +675,25 @@ mod tests {
         let text = d.render();
         assert!(text.contains("tuner.trials"));
         assert!(text.contains("scheduler.morsel_rows"));
+    }
+
+    #[test]
+    fn tally_publishes_on_flush_only() {
+        let _g = lock();
+        enable();
+        let before = snapshot();
+        let mut t = Tally::default();
+        t.add(Metric::PlanProjectionsPruned, 3);
+        t.add(Metric::PlanProjectionsPruned, 4);
+        t.observe(Hist::TunerDriftPermille, 1000);
+        let held = snapshot().delta(&before);
+        assert_eq!(held.get(Metric::PlanProjectionsPruned), 0);
+        assert_eq!(held.hist(Hist::TunerDriftPermille)[bucket(1000)], 0);
+        t.flush();
+        t.flush(); // a second flush publishes nothing more
+        let d = snapshot().delta(&before);
+        assert_eq!(d.get(Metric::PlanProjectionsPruned), 7);
+        assert_eq!(d.hist(Hist::TunerDriftPermille)[bucket(1000)], 1);
     }
 
     #[test]

@@ -1115,6 +1115,10 @@ mod tests {
         assert_eq!(parse_byte_size("256k"), Some(256 << 10));
         assert_eq!(parse_byte_size("64M"), Some(64 << 20));
         assert_eq!(parse_byte_size("2g"), Some(2 << 30));
+        assert_eq!(parse_byte_size(" 1g "), Some(1 << 30));
         assert_eq!(parse_byte_size("nope"), None);
+        assert_eq!(parse_byte_size("k"), None);
+        // An overflowing size is refused, not saturated.
+        assert_eq!(parse_byte_size("99999999999g"), None);
     }
 }

@@ -58,15 +58,17 @@ pub fn atomic_write(path: &Path, contents: &[u8]) -> std::io::Result<()> {
 mod tests {
     use super::*;
 
-    fn tmp_dir() -> std::path::PathBuf {
-        let d = std::env::temp_dir().join(format!("hef-fsio-{}", std::process::id()));
+    /// A directory of the test's own, so no test sees another's staging
+    /// file.
+    fn tmp_dir(test: &str) -> std::path::PathBuf {
+        let d = std::env::temp_dir().join(format!("hef-fsio-{}-{test}", std::process::id()));
         std::fs::create_dir_all(&d).expect("mkdir");
         d
     }
 
     #[test]
     fn writes_and_replaces() {
-        let path = tmp_dir().join("atomic.txt");
+        let path = tmp_dir("writes_and_replaces").join("atomic.txt");
         atomic_write(&path, b"first").expect("write");
         assert_eq!(std::fs::read(&path).expect("read"), b"first");
         atomic_write(&path, b"second, longer contents").expect("rewrite");
@@ -76,7 +78,7 @@ mod tests {
 
     #[test]
     fn no_staging_file_left_behind() {
-        let dir = tmp_dir();
+        let dir = tmp_dir("no_staging_file_left_behind");
         let path = dir.join("clean.txt");
         atomic_write(&path, b"x").expect("write");
         let strays: Vec<_> = std::fs::read_dir(&dir)
