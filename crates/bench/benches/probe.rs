@@ -23,6 +23,11 @@
 //! as a selective dimension sees), all three tables within the half-L2
 //! budget (`hef_engine::join_table_budget`).
 //!
+//! Beside them, the dense join index (`hef_kernels::DenseIndex`, what
+//! `build_dimension` builds for a dense key range): the clamp pass plus the
+//! gather kernel at the same 4096-entry, 80%-miss point, and over a
+//! 200 k-key span (an SF 1 `part` array, 1.6 MB).
+//!
 //! The run is persisted to `results/bench_probe.json` (crossover) and
 //! `results/bench_probe_load.json` (load factor; see
 //! `hef_bench::BenchSnapshot`); `--smoke` shrinks sizes and samples for
@@ -31,7 +36,7 @@
 
 use hef_bench::BenchSnapshot;
 use hef_kernels::{
-    plan_partition_bits, run, Family, HybridConfig, KernelIo, PartitionScratch,
+    plan_partition_bits, run, DenseIndex, Family, HybridConfig, KernelIo, PartitionScratch,
     PartitionedProbeTable, ProbeTable,
 };
 use hef_testutil::bench::Group;
@@ -180,6 +185,23 @@ fn main() {
     }
     g.finish();
 
+    // Dense rows: the same keys against a 4096-key payload array, then a
+    // fully populated 200 k-key span probed with keys from five times the
+    // span (80% misses again).
+    let mut g = Group::new(group.clone()).throughput_elems(nkeys as u64).samples(samples);
+    let pairs: Vec<(u64, u64)> = (0..entries as u64).map(|k| (k, k % 1000)).collect();
+    let dense = DenseIndex::build(&pairs, usize::MAX).expect("dense span");
+    bench_dense(&mut g, &mut load_snap, &group, "span4096", &dense, &keys, nkeys);
+    g.finish();
+    let span = 200_000u64;
+    let group = "probe_dense_span200k_miss80".to_string();
+    let mut g = Group::new(group.clone()).throughput_elems(nkeys as u64).samples(samples);
+    let pairs: Vec<(u64, u64)> = (0..span).map(|k| (k, k % 1000)).collect();
+    let dense = DenseIndex::build(&pairs, usize::MAX).expect("dense span");
+    let keys: Vec<u64> = (0..nkeys).map(|_| rng.gen_range(0..span * 5)).collect();
+    bench_dense(&mut g, &mut load_snap, &group, "span200k", &dense, &keys, nkeys);
+    g.finish();
+
     // The crossover summary: memory-parallel speedup over the best flat
     // config at each working-set size.
     println!("memory-parallel speedup by working set:");
@@ -194,6 +216,34 @@ fn main() {
     }
     persist(&snap, compare);
     persist(&load_snap, compare);
+}
+
+/// One row per node: the clamp pass into a reused index buffer, then the
+/// gather kernel over the payload array — the stage loop's dense probe.
+fn bench_dense(
+    g: &mut Group,
+    snap: &mut BenchSnapshot,
+    group: &str,
+    tag: &str,
+    dense: &DenseIndex,
+    keys: &[u64],
+    nkeys: usize,
+) {
+    let mut idx = Vec::with_capacity(keys.len());
+    let mut out = vec![0u64; keys.len()];
+    for (name, cfg) in [
+        ("scalar", HybridConfig::SCALAR),
+        ("simd", HybridConfig::SIMD),
+        ("hybrid_n113", HybridConfig::new(1, 1, 3)),
+    ] {
+        let label = format!("dense_{name}_{tag}");
+        let s = g.bench(label.clone(), || {
+            dense.clamp(keys, &mut idx);
+            let mut io = KernelIo::Gather { src: dense.pays(), idx: &idx, out: &mut out, prefetch: 0 };
+            assert!(run(Family::Gather, cfg, &mut io));
+        });
+        snap.row(group, &label, s, Some(nkeys as u64));
+    }
 }
 
 /// Print the advisory trend against the archived run (with `--compare`),

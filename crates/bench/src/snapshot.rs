@@ -73,6 +73,21 @@ fn esc(s: &str) -> String {
     out
 }
 
+/// The CPU model name (`model name` in `/proc/cpuinfo`), or `unknown`
+/// where that is not readable.
+fn host_cpu() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|text| {
+            text.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .filter(|v| !v.is_empty())
+        .unwrap_or_else(|| "unknown".to_string())
+}
+
 /// JSON number: finite floats only (NaN/inf have no JSON spelling).
 fn num(x: f64) -> String {
     if x.is_finite() { format!("{x}") } else { "null".to_string() }
@@ -92,6 +107,11 @@ impl BenchSnapshot {
         // version bump.
         snap.config("host_isa", hef_hid::Backend::native().name());
         snap.config("threads", hef_engine::resolve_threads(0));
+        // The host the rows were measured on: `repro trend` threads a
+        // series per host, so a new machine starts a new series instead of
+        // reading as a regression of the old one.
+        snap.config("host_cpu", host_cpu());
+        snap.config("host_nproc", std::thread::available_parallelism().map_or(1, |n| n.get()));
         snap
     }
 
@@ -494,6 +514,14 @@ mod tests {
             .and_then(|t| t.parse().ok())
             .expect("threads stamped");
         assert!(threads >= 1);
+        let cpu = config.get("host_cpu").and_then(Json::as_str).expect("cpu stamped");
+        assert!(!cpu.is_empty());
+        let nproc: usize = config
+            .get("host_nproc")
+            .and_then(Json::as_str)
+            .and_then(|t| t.parse().ok())
+            .expect("nproc stamped");
+        assert!(nproc >= 1);
     }
 
     #[test]

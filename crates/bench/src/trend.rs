@@ -5,9 +5,15 @@
 //! "is a row drifting across the whole committed history?" It scans every
 //! archived `results/bench_*.json` plus the optional dated copies under
 //! `results/history/` (ordered by filename, so `YYYYMMDD_*` names sort
-//! chronologically), threads each `(bench, group, label)` row into a
+//! chronologically), threads each `(bench, host, group, label)` row into a
 //! series, and flags the newest point when it sits outside the history's
 //! noise envelope.
+//!
+//! A snapshot's host is its `host_cpu` and `host_nproc` config stamps:
+//! rows measured on different machines are different series, so a new host
+//! starts its own history rather than reading as a regression of the old
+//! one. Snapshots written before the stamps existed share one
+//! [`UNRECORDED_HOST`] series.
 //!
 //! Significance is the same robust statistic the pairwise compare uses,
 //! generalized to a series: the last median must move against the median of
@@ -55,11 +61,16 @@ pub enum Verdict {
     Regressed,
 }
 
-/// One `(bench, group, label)` row threaded through every archived
+/// The host of snapshots that carry no `host_cpu`/`host_nproc` stamps.
+pub const UNRECORDED_HOST: &str = "unrecorded host";
+
+/// One `(bench, host, group, label)` row threaded through every archived
 /// snapshot, oldest first.
 #[derive(Debug, Clone)]
 pub struct TrendSeries {
     pub bench: String,
+    /// `<cpu model> ×<nproc>`, or [`UNRECORDED_HOST`].
+    pub host: String,
     pub group: String,
     pub label: String,
     pub points: Vec<TrendPoint>,
@@ -69,9 +80,9 @@ pub struct TrendSeries {
 const SPARKS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
 
 impl TrendSeries {
-    /// `bench/group/label`, the series' display key.
+    /// `bench/group/label [host]`, the series' display key.
     pub fn key(&self) -> String {
-        format!("{}/{}/{}", self.bench, self.group, self.label)
+        format!("{}/{}/{} [{}]", self.bench, self.group, self.label, self.host)
     }
 
     /// Advisory series never gate `--strict`. Smoke snapshots (bench names
@@ -238,9 +249,23 @@ fn json_files(dir: &Path, keep: impl Fn(&str) -> bool) -> Vec<PathBuf> {
     files
 }
 
-/// Parse one snapshot file into `(bench, rows)`; `None` when it is not a
-/// readable snapshot document.
-fn load_rows(path: &Path) -> Option<(String, Vec<(String, String, f64, f64)>)> {
+/// One parsed snapshot: bench, host, and `(group, label, median, MAD)`
+/// rows.
+type SnapshotRows = (String, String, Vec<(String, String, f64, f64)>);
+
+/// The host a snapshot's config stamps name (see the module docs).
+fn host_of(doc: &Json) -> String {
+    let config = doc.get("config");
+    let stamp = |key| config.and_then(|c| c.get(key)).and_then(Json::as_str);
+    match (stamp("host_cpu"), stamp("host_nproc")) {
+        (Some(cpu), Some(nproc)) => format!("{cpu} ×{nproc}"),
+        _ => UNRECORDED_HOST.to_string(),
+    }
+}
+
+/// Parse one snapshot file; `None` when it is not a readable snapshot
+/// document.
+fn load_rows(path: &Path) -> Option<SnapshotRows> {
     let text = std::fs::read_to_string(path).ok()?;
     let doc = parse_json(&text).ok()?;
     // Unknown keys (and any schema_version) are ignored: like the pairwise
@@ -263,7 +288,7 @@ fn load_rows(path: &Path) -> Option<(String, Vec<(String, String, f64, f64)>)> {
         let mad = r.get("mad_s").and_then(Json::as_f64).unwrap_or(0.0);
         out.push((group.to_string(), label.to_string(), median, mad));
     }
-    Some((bench, out))
+    Some((bench, host_of(&doc), out))
 }
 
 /// Scan `root/results/history/*.json` (oldest first by filename) then the
@@ -274,10 +299,10 @@ pub fn scan(root: &Path) -> TrendReport {
     let mut files = json_files(&results.join("history"), |_| true);
     files.extend(json_files(&results, |stem| stem.starts_with("bench_")));
 
-    let mut by_key: BTreeMap<(String, String, String), Vec<TrendPoint>> = BTreeMap::new();
+    let mut by_key: BTreeMap<(String, String, String, String), Vec<TrendPoint>> = BTreeMap::new();
     let (mut snapshots, mut skipped) = (0usize, 0usize);
     for path in &files {
-        let Some((bench, rows)) = load_rows(path) else {
+        let Some((bench, host, rows)) = load_rows(path) else {
             skipped += 1;
             continue;
         };
@@ -289,14 +314,14 @@ pub fn scan(root: &Path) -> TrendReport {
             .to_string();
         for (group, label, median_s, mad_s) in rows {
             by_key
-                .entry((bench.clone(), group, label))
+                .entry((bench.clone(), host.clone(), group, label))
                 .or_default()
                 .push(TrendPoint { source: source.clone(), median_s, mad_s });
         }
     }
     let series = by_key
         .into_iter()
-        .map(|((bench, group, label), points)| TrendSeries { bench, group, label, points })
+        .map(|((bench, host, group, label), points)| TrendSeries { bench, host, group, label, points })
         .collect();
     TrendReport { series, snapshots, skipped }
 }
@@ -314,16 +339,50 @@ mod tests {
     use super::*;
 
     fn write_snapshot(path: &Path, bench: &str, median_s: f64, mad_s: f64) {
+        write_snapshot_on(path, bench, "", median_s, mad_s);
+    }
+
+    /// A one-row snapshot; `config` is the body of its config object.
+    fn write_snapshot_on(path: &Path, bench: &str, config: &str, median_s: f64, mad_s: f64) {
         std::fs::create_dir_all(path.parent().expect("parent")).expect("mkdir");
         std::fs::write(
             path,
             format!(
-                r#"{{"schema_version": 2, "bench": "{bench}",
+                r#"{{"schema_version": 2, "bench": "{bench}", "config": {{{config}}},
                     "rows": [{{"group": "g", "label": "l", "median_s": {median_s},
                                "mad_s": {mad_s}, "min_s": {median_s}, "samples": 5}}]}}"#
             ),
         )
         .expect("write");
+    }
+
+    #[test]
+    fn series_are_threaded_per_host() {
+        let root = temp_root("hosts");
+        let slow = r#""host_cpu": "Slow CPU", "host_nproc": "2""#;
+        let fast = r#""host_cpu": "Fast CPU", "host_nproc": "8""#;
+        // An unstamped history at 1 ms, then a stamped slow host at 2 ms:
+        // two series, neither regressed.
+        write_snapshot(&root.join("results/history/a_bench_t.json"), "t", 1.0e-3, 1.0e-5);
+        write_snapshot_on(&root.join("results/history/b_bench_t.json"), "t", slow, 2.0e-3, 1.0e-5);
+        write_snapshot_on(&root.join("results/bench_t.json"), "t", slow, 2.01e-3, 1.0e-5);
+        let report = scan(&root);
+        let hosts: Vec<(&str, usize)> =
+            report.series.iter().map(|s| (s.host.as_str(), s.points.len())).collect();
+        assert_eq!(hosts, [("Slow CPU ×2", 2), (UNRECORDED_HOST, 1)]);
+        assert!(report.regressions().is_empty(), "{}", report.render());
+        assert!(report.render().contains("t/g/l [Slow CPU ×2]"));
+
+        // The same CPU with another core count is another host; within one
+        // host the gate is unchanged.
+        write_snapshot_on(&root.join("results/history/c_bench_t.json"), "t", fast, 1.0e-3, 1.0e-5);
+        write_snapshot_on(&root.join("results/bench_t.json"), "t", slow, 4.0e-3, 1.0e-5);
+        let report = scan(&root);
+        assert_eq!(report.series.len(), 3);
+        let regs = report.regressions();
+        assert_eq!(regs.len(), 1);
+        assert_eq!(regs[0].host, "Slow CPU ×2");
+        std::fs::remove_dir_all(&root).ok();
     }
 
     fn temp_root(tag: &str) -> PathBuf {
@@ -406,6 +465,7 @@ mod tests {
     fn sparkline_spans_the_range() {
         let s = TrendSeries {
             bench: "b".into(),
+            host: UNRECORDED_HOST.into(),
             group: "g".into(),
             label: "l".into(),
             points: [1.0, 4.0, 8.0]

@@ -284,7 +284,8 @@ impl Drop for ByteCharge<'_> {
 
 /// Worst-case bytes a query's execution scratch will allocate: per worker,
 /// the reusable batch buffers (pipeline: sel/keys/probe_out/gids/vals +
-/// measure scratch; Voila: one dense buffer per column + gid/slots/pay),
+/// measure scratch, plus the clamped slots when a dimension is dense;
+/// Voila: one dense buffer per column + gid/slots/pay),
 /// the private group-accumulator array, and — when radix partitioning is
 /// live — the `PartitionScratch` bucketing copy plus per-partition offset
 /// tables. Deliberately a slight over-estimate: admission must never
@@ -303,12 +304,12 @@ pub fn estimate_query_bytes(
         };
         plan.dims.len() + measure_cols + 3
     } else {
-        6
+        6 + plan.dims.iter().any(|d| d.index.is_dense()) as usize
     };
     let mut per_worker = batch * 8 * streams + plan.group_cells() * 8;
     if cfg.partition {
         if let Some(bits) =
-            plan.dims.iter().filter_map(|d| d.parts.as_ref().map(|p| p.bits())).max()
+            plan.dims.iter().filter_map(|d| d.index.parts().map(|p| p.bits())).max()
         {
             // Bucketed (key, index) copy of the batch + offset/count tables.
             per_worker += batch * 16 + (1usize << bits) * 16;
@@ -432,7 +433,7 @@ impl Governor {
                     break;
                 }
                 // Degradation ladder: cheapest-to-lose first.
-                let action = if cfg.partition && plan.dims.iter().any(|d| d.parts.is_some())
+                let action = if cfg.partition && plan.dims.iter().any(|d| d.index.parts().is_some())
                 {
                     cfg.partition = false;
                     self.note_degraded_fingerprint(plan.fingerprint());

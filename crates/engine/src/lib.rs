@@ -54,7 +54,7 @@ pub use plan::{
 };
 pub use star::{
     build_dimension, execute_star, join_table_budget, try_execute_star, DimJoin, ExecConfig,
-    ExecStats, Flavor, Measure, QueryOutput, RangeFilter, StarPlan,
+    ExecStats, Flavor, HashIndex, JoinIndex, Measure, QueryOutput, RangeFilter, StarPlan,
 };
 
-pub use hef_kernels::{HybridConfig, ProbeTable, MISS};
+pub use hef_kernels::{DenseIndex, HybridConfig, ProbeTable, MISS};

@@ -523,7 +523,7 @@ fn merge_outputs(plan: &StarPlan, outputs: Vec<QueryOutput>) -> QueryOutput {
         stats: ExecStats {
             probes: vec![0; ndims],
             hits: vec![0; ndims],
-            table_bytes: plan.dims.iter().map(|d| d.table.working_set_bytes()).collect(),
+            table_bytes: plan.dims.iter().map(|d| d.index.working_set_bytes()).collect(),
             ..Default::default()
         },
     };

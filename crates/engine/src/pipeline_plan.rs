@@ -374,13 +374,15 @@ mod tests {
         use crate::star::Measure;
 
         // A dimension big enough to carry a radix-partitioned probe table.
+        // Sparse keys `k × 7919 + 13`, so the dimension is hashed.
         let n_dim = 200_000u64;
+        let key = |k: u64| k * 7919 + 13;
         let mut dim = Table::new("bigdim");
-        dim.add_column(Column::new("key", (0..n_dim).collect()));
-        let d = build_dimension(&dim, "key", |_| true, |r| dim.col("key")[r] % 4, 4, "fk");
-        assert!(d.parts.is_some(), "dimension must partition");
+        dim.add_column(Column::new("key", (0..n_dim).map(key).collect()));
+        let d = build_dimension(&dim, "key", |_| true, |r| r as u64 % 4, 4, "fk");
+        assert!(d.index.parts().is_some(), "dimension must partition");
         let mut fact = Table::new("fact");
-        fact.add_column(Column::new("fk", (0..4096u64).map(|i| i % n_dim).collect()));
+        fact.add_column(Column::new("fk", (0..4096u64).map(|i| key(i % n_dim)).collect()));
         fact.add_column(Column::new("rev", (0..4096u64).map(|i| i % 7 + 1).collect()));
         let plan = StarPlan {
             name: "bigjoin".into(),

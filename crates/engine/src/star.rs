@@ -4,8 +4,8 @@ use std::ops::Range;
 
 use hef_hid::Backend;
 use hef_kernels::{
-    plan_partition_bits, Family, HybridConfig, Kernel, KernelIo, PartitionScratch,
-    PartitionedProbeTable, ProbeTable,
+    plan_partition_bits, BloomFilter, DenseIndex, Family, HybridConfig, Kernel, KernelIo,
+    PartitionScratch, PartitionedProbeTable, ProbeTable,
 };
 use hef_obs::metrics::{self, Hist, Metric, Tally};
 use hef_obs::trace::SpanGuard;
@@ -237,27 +237,128 @@ pub struct RangeFilter {
     pub hi: u64,
 }
 
-/// One dimension join: a pre-built probe table whose payloads are dense
+/// One dimension join: a pre-built join index whose payloads are dense
 /// group codes in `0..groups`.
 #[derive(Debug, Clone)]
 pub struct DimJoin {
     /// Fact-table foreign-key column name.
     pub fk_col: String,
-    /// Hash table over the (filtered) dimension keys, `probe_slots`
-    /// slots.
-    pub table: ProbeTable,
-    /// Bloom filter over the same keys (for semi-join pre-filtering).
-    pub bloom: hef_kernels::BloomFilter,
-    /// Radix-partitioned copy of the same table, built only when the flat
-    /// table spills [`join_table_budget`] (see [`build_dimension`]); each
-    /// sub-table fits it, so sub-probes stay resident. `None` for small
-    /// tables.
-    pub parts: Option<PartitionedProbeTable>,
+    /// The index over the (filtered) dimension keys (see
+    /// [`build_dimension`] for which kind a dimension gets).
+    pub index: JoinIndex,
     /// Number of distinct group codes this dimension contributes
     /// (1 = pure filter, payload 0).
     pub groups: usize,
     /// Dimension name for reports.
     pub name: String,
+}
+
+/// A dimension's join index. Every flavor and every reference probes a
+/// dimension through this one value.
+#[derive(Debug, Clone)]
+pub enum JoinIndex {
+    /// Direct-addressed payloads for a dense key range: the stage loop
+    /// clamps `key − lo` and gathers. No hash table, Bloom filter or radix
+    /// copy exists for it.
+    Dense(DenseIndex),
+    /// A hash table for a wide or sparse key domain.
+    Hashed(HashIndex),
+}
+
+/// The hashed form of a [`JoinIndex`].
+#[derive(Debug, Clone)]
+pub struct HashIndex {
+    /// Hash table over the keys, `probe_slots` slots.
+    pub table: ProbeTable,
+    /// Bloom filter over the same keys (for semi-join pre-filtering).
+    pub bloom: BloomFilter,
+    /// Radix-partitioned copy of the same table, built only when the flat
+    /// table spills [`join_table_budget`] (see [`build_dimension`]); each
+    /// sub-table fits it, so sub-probes stay resident. `None` for small
+    /// tables.
+    pub parts: Option<PartitionedProbeTable>,
+}
+
+impl JoinIndex {
+    /// Payload for `key`, or [`MISS`](hef_kernels::MISS).
+    #[inline(always)]
+    pub fn probe_scalar(&self, key: u64) -> u64 {
+        match self {
+            JoinIndex::Dense(d) => d.probe_scalar(key),
+            JoinIndex::Hashed(h) => h.table.probe_scalar(key),
+        }
+    }
+
+    /// Number of keys with a payload.
+    pub fn len(&self) -> usize {
+        match self {
+            JoinIndex::Dense(d) => d.len(),
+            JoinIndex::Hashed(h) => h.table.len(),
+        }
+    }
+
+    /// `true` when no key has a payload.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes a probe touches: the payload array, or the flat hash table.
+    pub fn working_set_bytes(&self) -> usize {
+        match self {
+            JoinIndex::Dense(d) => d.working_set_bytes(),
+            JoinIndex::Hashed(h) => h.table.working_set_bytes(),
+        }
+    }
+
+    /// The hashed form, `None` for a dense index.
+    pub fn hashed(&self) -> Option<&HashIndex> {
+        match self {
+            JoinIndex::Dense(_) => None,
+            JoinIndex::Hashed(h) => Some(h),
+        }
+    }
+
+    /// The radix-partitioned copy, if the dimension is hashed and spills
+    /// the budget.
+    pub fn parts(&self) -> Option<&PartitionedProbeTable> {
+        self.hashed().and_then(|h| h.parts.as_ref())
+    }
+
+    /// `true` for a direct-addressed index.
+    pub fn is_dense(&self) -> bool {
+        matches!(self, JoinIndex::Dense(_))
+    }
+
+    /// Where the probe of `key` starts: its clamped slot, or its hash
+    /// table's home slot. Pairs with [`JoinIndex::prefetch`] and
+    /// [`JoinIndex::probe_at`], so a prefetching engine splits the probe
+    /// into passes.
+    #[inline(always)]
+    pub fn slot_of(&self, key: u64) -> usize {
+        match self {
+            JoinIndex::Dense(d) => d.slot_of(key),
+            JoinIndex::Hashed(h) => h.table.slot_of(key),
+        }
+    }
+
+    /// Software-prefetch the lines a probe at `slot` reads.
+    #[inline(always)]
+    pub fn prefetch(&self, slot: usize) {
+        match self {
+            JoinIndex::Dense(d) => d.prefetch(slot),
+            JoinIndex::Hashed(h) => h.table.prefetch(slot),
+        }
+    }
+
+    /// Payload for `key` from its [`JoinIndex::slot_of`] slot, or
+    /// [`MISS`](hef_kernels::MISS).
+    #[inline(always)]
+    pub fn probe_at(&self, slot: usize, key: u64) -> u64 {
+        match self {
+            JoinIndex::Dense(d) => d.pays()[slot],
+            JoinIndex::Hashed(h) => h.table.probe_at(slot, key),
+        }
+    }
 }
 
 /// The aggregate of the query.
@@ -391,9 +492,15 @@ pub(crate) fn probe_slots(n: usize, budget: usize) -> usize {
 }
 
 /// Build a [`DimJoin`] from a dimension table: rows passing `predicate` are
-/// inserted as `key → group code` where the code is produced by `payload`
-/// (must return values `< groups`). The flat table has
-/// `probe_slots` slots under [`join_table_budget`].
+/// indexed as `key → group code` where the code is produced by `payload`
+/// (must return values `< groups`).
+///
+/// The index rule: when the selected keys span `lo..=hi` and the payload
+/// array, `(hi − lo + 2) × 8` bytes, fits in the larger of the flat hash
+/// table's bytes and 4 × [`join_table_budget`], the dimension gets a
+/// [`JoinIndex::Dense`] array. Otherwise it gets a hash table of
+/// `probe_slots` slots, its Bloom filter, and — when the table spills the
+/// budget — a radix-partitioned copy.
 pub fn build_dimension(
     dim: &Table,
     key_col: &str,
@@ -403,33 +510,48 @@ pub fn build_dimension(
     fk_col: &str,
 ) -> DimJoin {
     let keys = dim.col(key_col);
-    let selected: Vec<usize> = (0..dim.len()).filter(|&r| predicate(r)).collect();
+    let pairs: Vec<(u64, u64)> = (0..dim.len())
+        .filter(|&r| predicate(r))
+        .map(|r| {
+            let code = payload(r);
+            debug_assert!(
+                (code as usize) < groups.max(1),
+                "group code {code} out of range {groups}"
+            );
+            (keys[r], code)
+        })
+        .collect();
     let budget = join_table_budget();
-    let mut table = ProbeTable::with_slots(probe_slots(selected.len(), budget));
-    let mut bloom = hef_kernels::BloomFilter::with_capacity(selected.len());
-    let mut pairs: Vec<(u64, u64)> = Vec::with_capacity(selected.len());
-    for r in selected {
-        let code = payload(r);
-        debug_assert!(
-            (code as usize) < groups.max(1),
-            "group code {code} out of range {groups}"
-        );
-        table.insert(keys[r], code);
-        bloom.insert(keys[r]);
-        pairs.push((keys[r], code));
-    }
-    // Planner rule: partition only when the flat table spills the budget;
-    // then each of the 2^b sub-tables fits it and sub-probes hit cache.
-    // Growth never crosses the budget, so it never changes this decision.
-    let bits = plan_partition_bits(table.working_set_bytes(), budget);
-    let parts = (bits > 0).then(|| PartitionedProbeTable::from_pairs(&pairs, bits));
+    let slots = probe_slots(pairs.len(), budget);
+    let dense_cap = slots.saturating_mul(16).max(budget.saturating_mul(4));
+    let index = match DenseIndex::build(&pairs, dense_cap) {
+        Some(dense) => JoinIndex::Dense(dense),
+        None => JoinIndex::Hashed(HashIndex::build(&pairs, slots, budget)),
+    };
     DimJoin {
         fk_col: fk_col.to_string(),
-        table,
-        bloom,
-        parts,
+        index,
         groups: groups.max(1),
         name: dim.name().to_string(),
+    }
+}
+
+impl HashIndex {
+    /// A `slots`-slot table over `pairs`, its Bloom filter, and the radix
+    /// copy when the table spills `budget`.
+    fn build(pairs: &[(u64, u64)], slots: usize, budget: usize) -> HashIndex {
+        let mut table = ProbeTable::with_slots(slots);
+        let mut bloom = BloomFilter::with_capacity(pairs.len());
+        for &(key, code) in pairs {
+            table.insert(key, code);
+            bloom.insert(key);
+        }
+        // Planner rule: partition only when the flat table spills the budget;
+        // then each of the 2^b sub-tables fits it and sub-probes hit cache.
+        // Growth never crosses the budget, so it never changes this decision.
+        let bits = plan_partition_bits(table.working_set_bytes(), budget);
+        let parts = (bits > 0).then(|| PartitionedProbeTable::from_pairs(pairs, bits));
+        HashIndex { table, bloom, parts }
     }
 }
 
@@ -666,6 +788,8 @@ pub(crate) struct PipelineWorker<'a, S> {
     // Reusable batch buffers (workhorse allocations).
     sel: Vec<u64>,
     keys: Vec<u64>,
+    /// Clamped slots of a dense probe.
+    idx: Vec<u64>,
     /// Per dimension: the probe's payloads at the surviving rows (and,
     /// until that probe runs, its Bloom check's output).
     pays: Vec<Vec<u64>>,
@@ -687,7 +811,7 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
         let stats = ExecStats {
             probes: vec![0; ndims],
             hits: vec![0; ndims],
-            table_bytes: plan.dims.iter().map(|d| d.table.working_set_bytes()).collect(),
+            table_bytes: plan.dims.iter().map(|d| d.index.working_set_bytes()).collect(),
             ..Default::default()
         };
         PipelineWorker {
@@ -701,6 +825,7 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
             strides: plan.gid_strides(),
             sel: Vec::new(),
             keys: Vec::new(),
+            idx: Vec::new(),
             pays: vec![Vec::new(); ndims],
             gids: Vec::new(),
             vals: Vec::new(),
@@ -766,18 +891,21 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
                 continue;
             }
             let slot = self.slots.fks[di];
-            let keys: &[u64] = if di == 0 && plan.filters.is_empty() && !cfg.use_bloom {
+            // A dense lookup is cheaper than a Bloom check: only hashed
+            // dimensions are pre-filtered.
+            let bloom = dim.index.hashed().filter(|_| cfg.use_bloom).map(|h| &h.bloom);
+            let keys: &[u64] = if di == 0 && plan.filters.is_empty() && bloom.is_none() {
                 self.src.values(slot, kernels)?
             } else {
                 self.src.take(slot, &self.sel, &mut self.keys, kernels)?;
-                if cfg.use_bloom {
+                if let Some(filter) = bloom {
                     // Semi-join pre-filter: drop definite misses before the
                     // (more expensive) table probe. The check writes into
                     // this dimension's payload buffer, free until the probe.
                     out.resize(self.keys.len(), 0);
                     kernels.bloom(&mut KernelIo::Bloom {
                         keys: &self.keys,
-                        filter: &dim.bloom,
+                        filter,
                         out,
                         prefetch: cfg.probe_prefetch,
                     });
@@ -793,35 +921,42 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
             };
             out.resize(keys.len(), 0);
             self.stats.probes[di] += keys.len() as u64;
-            // Partitioned path: only when the planner built sub-tables AND
-            // the batch carries enough keys per partition for the bucketing
-            // pass to pay for itself (≥ 64 keys per sub-table on average —
-            // pipeline batches are small, so this mostly serves large-batch
-            // callers like the probe bench and page-sized batches).
-            let parts = if cfg.partition {
-                dim.parts.as_ref().filter(|p| keys.len() >= (1usize << p.bits()) * 64)
-            } else {
-                None
-            };
-            let partitioned = parts.is_some();
-            let mut sub_probes = 0u64;
-            if let Some(parts) = parts {
-                parts.probe_with(keys, out, &mut self.part_scratch, |table, keys, out| {
-                    sub_probes += 1;
-                    kernels.probe(&mut KernelIo::Probe {
+            let mut sub_probes = None;
+            match &dim.index {
+                // Clamp pass, then the tuned gather kernel over the payloads.
+                JoinIndex::Dense(d) => {
+                    d.clamp(keys, &mut self.idx);
+                    kernels.gather_into(d.pays(), &self.idx, out);
+                }
+                // Partitioned path: only when the planner built sub-tables
+                // AND the batch carries enough keys per partition for the
+                // bucketing pass to pay for itself (≥ 64 keys per sub-table
+                // on average — pipeline batches are small, so this mostly
+                // serves large-batch callers like the probe bench and
+                // page-sized batches).
+                JoinIndex::Hashed(h) => match h.parts.as_ref().filter(|p| {
+                    cfg.partition && keys.len() >= (1usize << p.bits()) * 64
+                }) {
+                    Some(parts) => {
+                        let mut n = 0u64;
+                        parts.probe_with(keys, out, &mut self.part_scratch, |table, keys, out| {
+                            n += 1;
+                            kernels.probe(&mut KernelIo::Probe {
+                                keys,
+                                table,
+                                out,
+                                prefetch: cfg.probe_prefetch,
+                            });
+                        });
+                        sub_probes = Some(n);
+                    }
+                    None => kernels.probe(&mut KernelIo::Probe {
                         keys,
-                        table,
+                        table: &h.table,
                         out,
                         prefetch: cfg.probe_prefetch,
-                    });
-                });
-            } else {
-                kernels.probe(&mut KernelIo::Probe {
-                    keys,
-                    table: &dim.table,
-                    out,
-                    prefetch: cfg.probe_prefetch,
-                });
+                    }),
+                },
             }
             let k = compact_hits(&mut self.sel, earlier, out);
             self.stats.hits[di] += k as u64;
@@ -829,12 +964,14 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
                 self.tally.add(Metric::ProbeKeys, keys.len() as u64);
                 self.tally.add(Metric::ProbeHits, k as u64);
                 self.tally.observe(Hist::ProbeBatchHits, k as u64);
-                if cfg.probe_prefetch > 0 {
+                if dim.index.is_dense() {
+                    self.tally.add(Metric::ProbeDenseKeys, keys.len() as u64);
+                } else if cfg.probe_prefetch > 0 {
                     self.tally.add(Metric::ProbePrefetchedKeys, keys.len() as u64);
                 }
-                if partitioned {
+                if let Some(n) = sub_probes {
                     self.tally.add(Metric::ProbePartitionedKeys, keys.len() as u64);
-                    self.tally.add(Metric::ProbeSubProbes, sub_probes);
+                    self.tally.add(Metric::ProbeSubProbes, n);
                 }
             }
         }
@@ -966,19 +1103,28 @@ impl Kernels {
         self.decode.kernel.map(|k| k.run(io)).is_some()
     }
 
-    /// Selective projection through the tuned gather kernel (falls back to
-    /// the scalar helper for off-grid nodes, which cannot happen for the
-    /// shipped flavor configs).
+    /// Selective projection through the tuned gather kernel.
     fn gather(&self, col: &[u64], sel: &[u64], out: &mut Vec<u64>) {
         self.gathered.set(self.gathered.get() + sel.len() as u64);
-        out.clear();
-        out.resize(sel.len(), 0);
-        // The index stream is a fresh in-cache selection vector and the
-        // gather sources are streamed fact columns — hardware prefetch
-        // covers both, so the software-prefetch depth stays probe-only here.
+        self.gather_into(col, sel, out);
+    }
+
+    /// `out = src[idx]` through the gather kernel, uncounted: the dense join
+    /// probe's lookup calls it directly (its keys count as probe keys, not
+    /// gathered rows). Falls back to the scalar helper for off-grid nodes,
+    /// which cannot happen for the shipped flavor configs.
+    fn gather_into(&self, src: &[u64], idx: &[u64], out: &mut Vec<u64>) {
+        // The index stream is a fresh in-cache vector and the sources are
+        // streamed fact columns or a cache-sized payload array — hardware
+        // prefetch covers both, so the software-prefetch depth stays
+        // probe-only here.
         match self.gather.kernel {
-            Some(k) => k.run(&mut KernelIo::Gather { src: col, idx: sel, out, prefetch: 0 }),
-            None => gather_keys(col, sel, out),
+            // The kernel writes every element, so a resize (no refill) suffices.
+            Some(k) => {
+                out.resize(idx.len(), 0);
+                k.run(&mut KernelIo::Gather { src, idx, out, prefetch: 0 })
+            }
+            None => gather_keys(src, idx, out),
         }
     }
 }
@@ -989,39 +1135,32 @@ mod tests {
     use hef_storage::Column;
 
     /// A toy star schema: fact(fk1, fk2, rev, cost), dim1(key, grp),
-    /// dim2(key).
+    /// dim2(key), over the dense keys `0..n` (both dimensions get dense
+    /// indexes).
     fn toy() -> (Table, StarPlan) {
+        toy_keyed(|k| k)
+    }
+
+    /// The toy schema with key `k` stored as `key(k)` on both sides; a
+    /// sparse `key` (e.g. `k × 7919 + 13`) makes both dimensions hashed.
+    fn toy_keyed(key: impl Fn(u64) -> u64) -> (Table, StarPlan) {
         let mut fact = Table::new("fact");
         let n = 5000u64;
-        fact.add_column(Column::new("fk1", (0..n).map(|i| i % 100).collect()));
-        fact.add_column(Column::new("fk2", (0..n).map(|i| i % 50).collect()));
+        fact.add_column(Column::new("fk1", (0..n).map(|i| key(i % 100)).collect()));
+        fact.add_column(Column::new("fk2", (0..n).map(|i| key(i % 50)).collect()));
         fact.add_column(Column::new("rev", (0..n).map(|i| i % 7 + 1).collect()));
         fact.add_column(Column::new("cost", (0..n).map(|_| 1).collect()));
 
         let mut dim1 = Table::new("dim1");
-        dim1.add_column(Column::new("key", (0..100).collect()));
+        dim1.add_column(Column::new("key", (0..100).map(&key).collect()));
         dim1.add_column(Column::new("grp", (0..100).map(|k| k % 4).collect()));
         // Select keys < 40, group by grp (4 groups).
-        let d1 = build_dimension(
-            &dim1,
-            "key",
-            |r| dim1.col("key")[r] < 40,
-            |r| dim1.col("grp")[r],
-            4,
-            "fk1",
-        );
+        let d1 = build_dimension(&dim1, "key", |r| r < 40, |r| dim1.col("grp")[r], 4, "fk1");
 
         let mut dim2 = Table::new("dim2");
-        dim2.add_column(Column::new("key", (0..50).collect()));
+        dim2.add_column(Column::new("key", (0..50).map(&key).collect()));
         // Pure filter: keys divisible by 5.
-        let d2 = build_dimension(
-            &dim2,
-            "key",
-            |r| dim2.col("key")[r].is_multiple_of(5),
-            |_| 0,
-            1,
-            "fk2",
-        );
+        let d2 = build_dimension(&dim2, "key", |r| r % 5 == 0, |_| 0, 1, "fk2");
 
         let plan = StarPlan {
             name: "toy".into(),
@@ -1030,6 +1169,13 @@ mod tests {
             measure: Measure::Sum("rev".into()),
             strides: vec![],
         };
+        (fact, plan)
+    }
+
+    /// The toy schema over sparse keys: both dimensions hashed.
+    fn toy_sparse() -> (Table, StarPlan) {
+        let (fact, plan) = toy_keyed(|k| k * 7919 + 13);
+        assert!(plan.dims.iter().all(|d| d.index.hashed().is_some()));
         (fact, plan)
     }
 
@@ -1046,7 +1192,7 @@ mod tests {
             let mut gid = 0u64;
             for d in &plan.dims {
                 let key = fact.col(&d.fk_col)[r];
-                let pay = d.table.probe_scalar(key);
+                let pay = d.index.probe_scalar(key);
                 if pay == hef_kernels::MISS {
                     continue 'row;
                 }
@@ -1066,23 +1212,43 @@ mod tests {
 
     #[test]
     fn all_flavors_agree_with_reference() {
-        let (fact, plan) = toy();
-        let expect = reference(&fact, &plan);
-        for flavor in Flavor::ALL {
-            let out = execute_star(&plan, &fact, &ExecConfig::for_flavor(flavor));
-            assert_eq!(out.groups, expect, "{}", flavor.name());
+        for (fact, plan) in [toy(), toy_sparse()] {
+            let expect = reference(&fact, &plan);
+            for flavor in Flavor::ALL {
+                let out = execute_star(&plan, &fact, &ExecConfig::for_flavor(flavor));
+                assert_eq!(out.groups, expect, "{}", flavor.name());
+            }
         }
     }
 
     #[test]
-    fn filters_and_two_column_measures() {
-        let (fact, mut plan) = toy();
-        plan.filters.push(RangeFilter { col: "rev".into(), lo: 2, hi: 5 });
-        plan.measure = Measure::SumDiff("rev".into(), "cost".into());
-        let expect = reference(&fact, &plan);
+    fn dense_and_hashed_indexes_give_identical_answers_and_stats() {
+        let ((dense_fact, dense), (sparse_fact, sparse)) = (toy(), toy_sparse());
+        assert!(dense.dims.iter().all(|d| d.index.is_dense()));
         for flavor in Flavor::ALL {
-            let out = execute_star(&plan, &fact, &ExecConfig::for_flavor(flavor));
-            assert_eq!(out.groups, expect, "{}", flavor.name());
+            let cfg = ExecConfig::for_flavor(flavor);
+            let a = execute_star(&dense, &dense_fact, &cfg);
+            let b = execute_star(&sparse, &sparse_fact, &cfg);
+            assert_eq!(a.groups, b.groups, "{}", flavor.name());
+            assert_eq!((a.stats.probes, a.stats.hits), (b.stats.probes, b.stats.hits));
+        }
+        // Dense arrays: 41 slots for keys 0..=39 (40 + miss slot), 47 for
+        // 0..=45; the hash tables keep their flat-table bytes.
+        let bytes: Vec<usize> = dense.dims.iter().map(|d| d.index.working_set_bytes()).collect();
+        assert_eq!(bytes, [41 * 8, 47 * 8]);
+        assert_eq!(sparse.dims[0].index.working_set_bytes(), probe_slots(40, join_table_budget()) * 16);
+    }
+
+    #[test]
+    fn filters_and_two_column_measures() {
+        for (fact, mut plan) in [toy(), toy_sparse()] {
+            plan.filters.push(RangeFilter { col: "rev".into(), lo: 2, hi: 5 });
+            plan.measure = Measure::SumDiff("rev".into(), "cost".into());
+            let expect = reference(&fact, &plan);
+            for flavor in Flavor::ALL {
+                let out = execute_star(&plan, &fact, &ExecConfig::for_flavor(flavor));
+                assert_eq!(out.groups, expect, "{}", flavor.name());
+            }
         }
     }
 
@@ -1107,14 +1273,7 @@ mod tests {
         // Rebuild dim1 with payload 0 so codes stay < 1.
         let mut dim1 = Table::new("dim1");
         dim1.add_column(Column::new("key", (0..100).collect()));
-        plan.dims[0] = build_dimension(
-            &dim1,
-            "key",
-            |r| dim1.col("key")[r] < 40,
-            |_| 0,
-            1,
-            "fk1",
-        );
+        plan.dims[0] = build_dimension(&dim1, "key", |r| r < 40, |_| 0, 1, "fk1");
         let expect = reference(&fact, &plan);
         assert_eq!(plan.group_cells(), 1);
         for flavor in Flavor::ALL {
@@ -1126,7 +1285,7 @@ mod tests {
 
     #[test]
     fn bloom_prefilter_preserves_results() {
-        let (fact, plan) = toy();
+        let (fact, plan) = toy_sparse();
         let expect = reference(&fact, &plan);
         for flavor in [Flavor::Scalar, Flavor::Simd, Flavor::Hybrid] {
             let mut cfg = ExecConfig::for_flavor(flavor);
@@ -1142,13 +1301,9 @@ mod tests {
         }
     }
 
-    /// Kernels resolved once per worker dispatch exactly what a per-call
-    /// `run_on` lookup does, for every config the engine ships: the four
-    /// flavors and the hybrid configs the committed registry's per-op and
-    /// pipeline rows produce.
-    #[test]
-    fn resolved_kernels_match_per_call_dispatch() {
-        use hef_kernels::{run_on, BloomFilter};
+    /// Every config the engine ships: the four flavors and the hybrid
+    /// configs the committed registry's per-op and pipeline rows produce.
+    fn shipped_configs() -> Vec<ExecConfig> {
         let reg = hef_core::Registry::parse(include_str!("../../../results/tuned.txt"))
             .expect("committed registry parses");
         let per_op = ExecConfig::hybrid_tuned(
@@ -1165,6 +1320,66 @@ mod tests {
             reg.pipelines().map(|(_, e)| crate::pipeline_plan::apply_pipeline_entry(per_op, e)),
         );
         assert!(shipped.len() > 5, "the committed registry ships pipeline rows");
+        shipped
+    }
+
+    /// The key `u64::MAX` (the hash table's empty-slot sentinel) misses on
+    /// every backend, at every probe and gather node the shipped configs
+    /// name, flat and prefetched, through the radix-partitioned table, and
+    /// through a dense index's clamp and gather.
+    #[test]
+    fn sentinel_key_misses_on_every_backend_and_shipped_node() {
+        use hef_hid::Backend;
+        use hef_kernels::MISS;
+        let pairs: Vec<(u64, u64)> = (0..3000u64).map(|k| (k * 3, k % 7)).collect();
+        let mut table = ProbeTable::with_capacity(pairs.len());
+        for &(k, v) in &pairs {
+            table.insert(k, v);
+        }
+        let parts = PartitionedProbeTable::from_pairs(&pairs, 2);
+        let dense = DenseIndex::build(&pairs, usize::MAX).unwrap();
+        // Whole vectors of the sentinel, then the sentinel between hits and
+        // misses, so it reaches SIMD lanes, scalar statements and the tail.
+        let mut keys = vec![u64::MAX; 64];
+        keys.extend((0..1000u64).map(|i| if i % 3 == 0 { u64::MAX } else { i * 5 }));
+        let expect: Vec<u64> = keys
+            .iter()
+            .map(|&k| if k != u64::MAX && k % 3 == 0 && k < 9000 { (k / 3) % 7 } else { MISS })
+            .collect();
+        let backends = [Backend::Emu, Backend::Avx2, Backend::Avx512];
+        let mut scratch = PartitionScratch::default();
+        let mut idx = Vec::new();
+        dense.clamp(&keys, &mut idx);
+        for cfg in &shipped_configs() {
+            for backend in backends.into_iter().filter(|b| b.is_available()) {
+                let probe = Kernel::resolve(Family::Probe, cfg.probe, backend).unwrap();
+                for f in [0, cfg.probe_prefetch, 16] {
+                    let mut out = vec![0; keys.len()];
+                    probe.run(&mut KernelIo::Probe { keys: &keys, table: &table, out: &mut out, prefetch: f });
+                    assert_eq!(out, expect, "probe {} f={f} on {}", cfg.probe, backend.name());
+                    out.fill(0);
+                    parts.probe_with(&keys, &mut out, &mut scratch, |table, keys, out| {
+                        probe.run(&mut KernelIo::Probe { keys, table, out, prefetch: f });
+                    });
+                    assert_eq!(out, expect, "partitioned {} f={f} on {}", cfg.probe, backend.name());
+                }
+                let gather = Kernel::resolve(Family::Gather, cfg.gather, backend).unwrap();
+                let mut out = vec![0; keys.len()];
+                gather.run(&mut KernelIo::Gather { src: dense.pays(), idx: &idx, out: &mut out, prefetch: 0 });
+                assert_eq!(out, expect, "dense gather {} on {}", cfg.gather, backend.name());
+            }
+        }
+        assert_eq!(table.probe_scalar(u64::MAX), MISS);
+        assert_eq!(parts.probe_scalar(u64::MAX), MISS);
+        assert_eq!(dense.probe_scalar(u64::MAX), MISS);
+    }
+
+    /// Kernels resolved once per worker dispatch exactly what a per-call
+    /// `run_on` lookup does, for every config the engine ships.
+    #[test]
+    fn resolved_kernels_match_per_call_dispatch() {
+        use hef_kernels::{run_on, BloomFilter};
+        let shipped = shipped_configs();
 
         let vals: Vec<u64> = (0..3000u64).map(|i| (i * 37) % 1000).collect();
         let sel: Vec<u64> = (0..3000u64).filter(|i| i % 3 != 0).collect();
@@ -1229,7 +1444,7 @@ mod tests {
 
     #[test]
     fn prefetched_execution_is_bit_identical() {
-        let (fact, plan) = toy();
+        let (fact, plan) = toy_sparse();
         let expect = reference(&fact, &plan);
         for flavor in [Flavor::Scalar, Flavor::Simd, Flavor::Hybrid] {
             for f in [1usize, 8, 33] {
@@ -1242,10 +1457,10 @@ mod tests {
 
     #[test]
     fn small_dimensions_never_partition() {
-        let (_, plan) = toy();
+        let (_, plan) = toy_sparse();
         // The toy dims are a few KiB — far under the L2 threshold.
         for d in &plan.dims {
-            assert!(d.parts.is_none(), "{} unexpectedly partitioned", d.name);
+            assert!(d.index.parts().is_none(), "{} unexpectedly partitioned", d.name);
         }
     }
 
@@ -1270,14 +1485,18 @@ mod tests {
                 );
             }
         }
-        // build_dimension applies the rule under the host budget.
+        // build_dimension applies the rule under the host budget. Keys are
+        // sparse (`k × 7919 + 13`) and the last row is always selected, so
+        // the keys span the whole domain and every dimension is hashed; a
+        // lone key is a one-slot span, always dense, so `n` starts at 2.
         let mut dim = Table::new("dim");
-        dim.add_column(Column::new("key", (0..100_000).collect()));
-        for n in [1u64, 100, 4096, 8192, 16_384, 40_000, 100_000] {
-            let d = build_dimension(&dim, "key", |r| (r as u64) < n, |_| 0, 1, "fk");
-            assert_eq!(d.table.capacity(), probe_slots(n as usize, host), "n {n}");
+        dim.add_column(Column::new("key", (0..100_000).map(|k| k * 7919 + 13).collect()));
+        for n in [2u64, 100, 4096, 8192, 16_384, 40_000, 100_000] {
+            let d = build_dimension(&dim, "key", |r| r as u64 + 1 < n || r == 99_999, |_| 0, 1, "fk");
+            let table = &d.index.hashed().expect("sparse keys hash").table;
+            assert_eq!(table.capacity(), probe_slots(n as usize, host), "n {n}");
             let spills = ProbeTable::min_slots(n as usize) * 16 > host;
-            assert_eq!(d.parts.is_some(), spills, "n {n}");
+            assert_eq!(d.index.parts().is_some(), spills, "n {n}");
         }
     }
 
@@ -1285,17 +1504,19 @@ mod tests {
     fn partitioned_execution_is_bit_identical() {
         // A dimension big enough to clear the L2 planner threshold, probed
         // with batches large enough to pass the keys-per-partition gate.
+        // Sparse keys `k × 7919 + 13`, so the dimension is hashed.
         let n_dim = 200_000u64;
+        let key = |k: u64| k * 7919 + 13;
         let mut dim = Table::new("bigdim");
-        dim.add_column(Column::new("key", (0..n_dim).collect()));
+        dim.add_column(Column::new("key", (0..n_dim).map(key).collect()));
         dim.add_column(Column::new("grp", (0..n_dim).map(|k| k % 8).collect()));
         let d = build_dimension(&dim, "key", |_| true, |r| dim.col("grp")[r], 8, "fk");
-        assert!(d.parts.is_some(), "{} B must trigger partitioning", d.table.working_set_bytes());
+        assert!(d.index.parts().is_some(), "{} B must trigger partitioning", d.index.working_set_bytes());
 
         let n = 300_000u64;
         let mut fact = Table::new("fact");
         // Every third key misses (beyond the dimension's key domain).
-        fact.add_column(Column::new("fk", (0..n).map(|i| (i * 7919) % (n_dim * 3 / 2)).collect()));
+        fact.add_column(Column::new("fk", (0..n).map(|i| key((i * 7919) % (n_dim * 3 / 2))).collect()));
         fact.add_column(Column::new("rev", (0..n).map(|i| i % 13 + 1).collect()));
         let plan = StarPlan {
             name: "bigjoin".into(),
@@ -1307,7 +1528,7 @@ mod tests {
         let expect = reference(&fact, &plan);
         for flavor in [Flavor::Scalar, Flavor::Simd, Flavor::Hybrid] {
             // Batch >= 2^bits * 64 keys so the partitioned path engages.
-            let bits = plan.dims[0].parts.as_ref().unwrap().bits();
+            let bits = plan.dims[0].index.parts().unwrap().bits();
             let mut on = ExecConfig::for_flavor(flavor);
             on.batch = (1usize << bits) * 64;
             let mut off = on;

@@ -64,7 +64,7 @@ impl<'a> VoilaWorker<'a> {
         let stats = ExecStats {
             probes: vec![0; ndims],
             hits: vec![0; ndims],
-            table_bytes: plan.dims.iter().map(|d| d.table.working_set_bytes()).collect(),
+            table_bytes: plan.dims.iter().map(|d| d.index.working_set_bytes()).collect(),
             ..Default::default()
         };
         // The live column set carried through the pipeline: every fk column
@@ -109,16 +109,16 @@ impl<'a> VoilaWorker<'a> {
             let col = &fact.col(&dim.fk_col)[start..end];
             self.stats.rows_after_filter += col.len() as u64;
             self.stats.probes[0] += col.len() as u64;
-            // Hash pass over the raw column.
+            // Slot pass (hash, or clamp for a dense index) over the raw column.
             self.slots.clear();
-            self.slots.extend(col.iter().map(|&k| dim.table.slot_of(k)));
+            self.slots.extend(col.iter().map(|&k| dim.index.slot_of(k)));
             // Prefetch + probe + selective materialization.
             let g0 = dim.groups as u64;
             for (j, &key) in col.iter().enumerate() {
                 if j + PREFETCH_DIST < col.len() {
-                    dim.table.prefetch(self.slots[j + PREFETCH_DIST]);
+                    dim.index.prefetch(self.slots[j + PREFETCH_DIST]);
                 }
-                let pay0 = dim.table.probe_at(self.slots[j], key);
+                let pay0 = dim.index.probe_at(self.slots[j], key);
                 if pay0 == MISS {
                     continue;
                 }
@@ -166,18 +166,18 @@ impl<'a> VoilaWorker<'a> {
             }
             self.stats.probes[di] += live as u64;
 
-            // Hash pass (dense).
+            // Slot pass (dense buffers).
             self.slots.clear();
-            self.slots.extend(self.bufs[di].iter().map(|&k| dim.table.slot_of(k)));
+            self.slots.extend(self.bufs[di].iter().map(|&k| dim.index.slot_of(k)));
 
             // Prefetch + probe pass.
             self.pay.clear();
             self.pay.resize(live, 0);
             for j in 0..live {
                 if j + PREFETCH_DIST < live {
-                    dim.table.prefetch(self.slots[j + PREFETCH_DIST]);
+                    dim.index.prefetch(self.slots[j + PREFETCH_DIST]);
                 }
-                self.pay[j] = dim.table.probe_at(self.slots[j], self.bufs[di][j]);
+                self.pay[j] = dim.index.probe_at(self.slots[j], self.bufs[di][j]);
             }
 
             // Compaction pass: rebuild every live buffer densely.

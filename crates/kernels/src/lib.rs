@@ -28,6 +28,7 @@ pub mod agg;
 pub mod bloom;
 pub mod crc64;
 pub mod decode;
+pub mod dense;
 pub mod filter;
 pub mod filter32;
 pub mod gather;
@@ -40,6 +41,7 @@ mod dispatch;
 
 pub use dispatch::{grid_for, kernel_for, GridEntry};
 pub use bloom::BloomFilter;
+pub use dense::DenseIndex;
 pub use partition::{
     plan_partition_bits, PartitionScratch, PartitionedProbeTable, MAX_PARTITION_BITS,
 };

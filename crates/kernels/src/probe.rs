@@ -119,11 +119,13 @@ impl ProbeTable {
         let mut slot = (murmur64(key) & self.mask) as usize;
         loop {
             let k = self.keys[slot];
-            if k == key {
-                return self.vals[slot];
-            }
+            // `EMPTY` first: it is also the key `u64::MAX`, which no entry
+            // holds, so that probe must miss, not return an empty payload.
             if k == EMPTY {
                 return MISS;
+            }
+            if k == key {
+                return self.vals[slot];
             }
             slot = (slot + 1) & self.mask as usize;
         }
@@ -153,11 +155,13 @@ impl ProbeTable {
         let mut slot = slot & self.mask as usize;
         loop {
             let k = self.keys[slot];
-            if k == key {
-                return self.vals[slot];
-            }
+            // `EMPTY` first: it is also the key `u64::MAX`, which no entry
+            // holds, so that probe must miss, not return an empty payload.
             if k == EMPTY {
                 return MISS;
+            }
+            if k == key {
+                return self.vals[slot];
             }
             slot = (slot + 1) & self.mask as usize;
         }
@@ -231,8 +235,8 @@ pub unsafe fn body<B: Simd64, const V: usize, const S: usize, const P: usize>(
                 let mut slot = sv[pi][vi];
                 let skey = B::gather(tkeys, slot);
                 let sval = B::gather(tvals, slot);
-                let hit = B::cmpeq(skey, kv[pi][vi]);
                 let empty = B::cmpeq(skey, empty_v);
+                let hit = B::cmpeq(skey, kv[pi][vi]) & !empty;
                 // hit → payload, empty → MISS; collided lanes walk the
                 // chain vectorized below (all lanes re-gather, updates are
                 // masked to the still-unresolved ones).
@@ -243,8 +247,8 @@ pub unsafe fn body<B: Simd64, const V: usize, const S: usize, const P: usize>(
                     slot = B::and(B::add(slot, one_v), mask_v);
                     let skey = B::gather(tkeys, slot);
                     let sval = B::gather(tvals, slot);
-                    let hit = B::cmpeq(skey, kv[pi][vi]) & !resolved;
                     let empty = B::cmpeq(skey, empty_v) & !resolved;
+                    let hit = B::cmpeq(skey, kv[pi][vi]) & !resolved & !empty;
                     res = B::blend(hit, res, sval);
                     resolved |= hit | empty;
                     steps += 1;
@@ -268,10 +272,10 @@ pub unsafe fn body<B: Simd64, const V: usize, const S: usize, const P: usize>(
                 let slot = ss[pi][si] as usize;
                 let skey = *tkeys.add(slot);
                 let o = outp.add(base + V * L + si);
-                if skey == ks[pi][si] {
-                    *o = *tvals.add(slot);
-                } else if skey == EMPTY {
+                if skey == EMPTY {
                     *o = MISS;
+                } else if skey == ks[pi][si] {
+                    *o = *tvals.add(slot);
                 } else {
                     *o = table.probe_scalar(ks[pi][si]);
                 }
@@ -375,8 +379,8 @@ pub unsafe fn body_prefetched<B: Simd64, const V: usize, const S: usize, const P
                     let mut slot = B::loadu(chunk.add(cbase + vi * L));
                     let skey = B::gather(tkeys, slot);
                     let sval = B::gather(tvals, slot);
-                    let hit = B::cmpeq(skey, kv);
                     let empty = B::cmpeq(skey, empty_v);
+                    let hit = B::cmpeq(skey, kv) & !empty;
                     let mut res = B::blend(hit, miss_v, sval);
                     let mut resolved = hit | empty;
                     let mut steps = 0u32;
@@ -384,8 +388,8 @@ pub unsafe fn body_prefetched<B: Simd64, const V: usize, const S: usize, const P
                         slot = B::and(B::add(slot, one_v), mask_v);
                         let skey = B::gather(tkeys, slot);
                         let sval = B::gather(tvals, slot);
-                        let hit = B::cmpeq(skey, kv) & !resolved;
                         let empty = B::cmpeq(skey, empty_v) & !resolved;
+                        let hit = B::cmpeq(skey, kv) & !resolved & !empty;
                         res = B::blend(hit, res, sval);
                         resolved |= hit | empty;
                         steps += 1;
@@ -408,10 +412,10 @@ pub unsafe fn body_prefetched<B: Simd64, const V: usize, const S: usize, const P
                     let slot = *chunk.add(cbase + V * L + si) as usize;
                     let skey = *tkeys.add(slot);
                     let o = outp.add(base + V * L + si);
-                    if skey == k {
-                        *o = *tvals.add(slot);
-                    } else if skey == EMPTY {
+                    if skey == EMPTY {
                         *o = MISS;
+                    } else if skey == k {
+                        *o = *tvals.add(slot);
                     } else {
                         *o = table.probe_scalar(k);
                     }

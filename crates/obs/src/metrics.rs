@@ -33,6 +33,9 @@ pub enum Metric {
     ProbePartitionedKeys,
     /// Sub-table kernel invocations issued by partitioned probes.
     ProbeSubProbes,
+    /// Probe keys answered by a dense (direct-addressed) join index; also
+    /// counted in `ProbeKeys`.
+    ProbeDenseKeys,
     // Tuner (hef-core::optimizer)
     TunerSearches,
     TunerTrials,
@@ -85,7 +88,7 @@ pub enum Metric {
 }
 
 impl Metric {
-    pub const ALL: [Metric; 48] = [
+    pub const ALL: [Metric; 49] = [
         Metric::QueriesExecuted,
         Metric::MorselsClaimed,
         Metric::MorselsRetried,
@@ -103,6 +106,7 @@ impl Metric {
         Metric::ProbePrefetchedKeys,
         Metric::ProbePartitionedKeys,
         Metric::ProbeSubProbes,
+        Metric::ProbeDenseKeys,
         Metric::TunerSearches,
         Metric::TunerTrials,
         Metric::TunerRemeasurements,
@@ -155,6 +159,7 @@ impl Metric {
             Metric::ProbePrefetchedKeys => "kernel.probe_prefetched_keys",
             Metric::ProbePartitionedKeys => "kernel.probe_partitioned_keys",
             Metric::ProbeSubProbes => "kernel.probe_sub_probes",
+            Metric::ProbeDenseKeys => "kernel.probe_dense_keys",
             Metric::TunerSearches => "tuner.searches",
             Metric::TunerTrials => "tuner.trials",
             Metric::TunerRemeasurements => "tuner.remeasurements",

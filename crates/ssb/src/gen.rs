@@ -330,8 +330,14 @@ pub fn generate_paged(
 /// Single-threaded reference path: same per-table seed streams, same
 /// output, no threads. The golden test pins `generate` ≡ `generate_serial`.
 pub fn generate_serial(sf: f64, seed: u64) -> SsbData {
+    generate_serial_rows(sf, seed, cardinalities(sf).0)
+}
+
+/// [`generate_serial`] with `nl` lineorder rows: dimensions at `sf`, for
+/// tests that plan full-scale dimensions without scanning the fact.
+pub(crate) fn generate_serial_rows(sf: f64, seed: u64, nl: usize) -> SsbData {
     assert!(sf > 0.0, "scale factor must be positive");
-    let (nl, nc, ns, np) = cardinalities(sf);
+    let (_, nc, ns, np) = cardinalities(sf);
     let [sc, ss, sp, sl] = table_seeds(seed);
     let date = gen_date();
     let customer = gen_customer(nc, &mut Rng::seed_from_u64(sc));

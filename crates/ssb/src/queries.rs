@@ -412,7 +412,7 @@ mod tests {
                 .iter()
                 .find(|j| j.fk_col == fk)
                 .unwrap_or_else(|| panic!("{} has no dim on {fk}", q.name()));
-            let built = dim.table.len() as f64;
+            let built = dim.index.len() as f64;
             let total = match fk {
                 "lo_partkey" => d.part.len(),
                 "lo_custkey" => d.customer.len(),
@@ -436,6 +436,44 @@ mod tests {
         frac(QueryId::Q3_2, "lo_custkey", 1.0 / 25.0); // one nation
         frac(QueryId::Q3_3, "lo_custkey", 2.0 / 250.0); // two cities
         frac(QueryId::Q4_1, "lo_partkey", 2.0 / 5.0); // two manufacturers
+    }
+
+    /// Which SF 1 dimensions lower to a dense join index, per query. Every
+    /// SSB key is a dense range, and the widest array — `part`, 200 k keys,
+    /// 1.6 MB — fits the cap of 4 × the join-table budget, so every
+    /// dimension of every query is dense, selective filters included.
+    #[test]
+    fn sf1_dimensions_lower_to_dense_indexes() {
+        let d = crate::gen::generate_serial_rows(1.0, 7, 1000);
+        let (c, s, p, t) = ("lo_custkey", "lo_suppkey", "lo_partkey", "lo_orderdate");
+        let expect: [(QueryId, &[&str]); 13] = [
+            (QueryId::Q1_1, &[t]),
+            (QueryId::Q1_2, &[t]),
+            (QueryId::Q1_3, &[t]),
+            (QueryId::Q2_1, &[t, p, s]),
+            (QueryId::Q2_2, &[t, p, s]),
+            (QueryId::Q2_3, &[t, p, s]),
+            (QueryId::Q3_1, &[c, t, s]),
+            (QueryId::Q3_2, &[c, t, s]),
+            (QueryId::Q3_3, &[c, t, s]),
+            (QueryId::Q3_4, &[c, t, s]),
+            (QueryId::Q4_1, &[c, t, p, s]),
+            (QueryId::Q4_2, &[c, t, p, s]),
+            (QueryId::Q4_3, &[c, t, p, s]),
+        ];
+        for (q, fks) in expect {
+            let plan = build_plan(&d, q);
+            let mut dense: Vec<&str> =
+                plan.dims.iter().filter(|j| j.index.is_dense()).map(|j| j.fk_col.as_str()).collect();
+            dense.sort_unstable();
+            let mut want = fks.to_vec();
+            want.sort_unstable();
+            assert_eq!(dense, want, "{}", q.name());
+            assert_eq!(plan.dims.len(), fks.len(), "{}: a dimension stayed hashed", q.name());
+            for j in &plan.dims {
+                assert!(j.index.working_set_bytes() <= 4 * hef_engine::join_table_budget());
+            }
+        }
     }
 
     #[test]

@@ -388,15 +388,17 @@ fn grid_steps(a: HybridConfig, b: HybridConfig) -> usize {
 /// A star plan whose dimension is big enough to trigger radix partitioning,
 /// so cancellation lands while per-batch partition bucketing is live.
 fn partitioned() -> (Table, StarPlan) {
+    // Sparse keys `k × 7919 + 13`, so the dimension is hashed.
     let n_dim = 200_000u64;
+    let key = |k: u64| k * 7919 + 13;
     let mut dim = Table::new("bigdim");
-    dim.add_column(Column::new("key", (0..n_dim).collect()));
+    dim.add_column(Column::new("key", (0..n_dim).map(key).collect()));
     dim.add_column(Column::new("grp", (0..n_dim).map(|k| k % 8).collect()));
     let d = build_dimension(&dim, "key", |_| true, |r| dim.col("grp")[r], 8, "fk");
-    assert!(d.parts.is_some(), "dimension must trigger partitioning");
+    assert!(d.index.parts().is_some(), "dimension must trigger partitioning");
     let n = 200_000u64;
     let mut fact = Table::new("fact");
-    fact.add_column(Column::new("fk", (0..n).map(|i| (i * 7919) % (n_dim * 3 / 2)).collect()));
+    fact.add_column(Column::new("fk", (0..n).map(|i| key((i * 7919) % (n_dim * 3 / 2))).collect()));
     fact.add_column(Column::new("rev", (0..n).map(|i| i % 13 + 1).collect()));
     let plan = StarPlan {
         name: "bigjoin".into(),
