@@ -12,8 +12,6 @@
 //!   fig13 | fig14            µops-per-cycle histogram, crc64 (Silver/Gold)
 //!   ablation-search          candidate generator + pruning effectiveness
 //!   ablation-pack            the pack (latency→throughput) sweep
-//!   ablation-dynamic         per-query best flavor (paper §VII)
-//!   ablation-bloom           Bloom semi-join pre-filtering vs plain probes
 //!   tune                     run the measured HEF tuner on this machine
 //!   tune-pipeline            per-query pipeline rows picked by a measured
 //!                            playoff (default sf 1, in memory with a paged
@@ -452,74 +450,6 @@ fn ablation_pack(opts: &Opts) {
     t.print();
     println!("\nmore independent gathers in flight → inter-issue interval falls from");
     println!("the 26-cycle latency toward the 5-cycle throughput (paper §II.C).");
-}
-
-fn ablation_bloom(opts: &Opts) {
-    let (sf, note) = scale_for("small", opts);
-    println!("\n=== ablation: Bloom semi-join pre-filtering ({note}) ===\n");
-    println!("high-selectivity queries probe mostly-missing keys; a Bloom");
-    println!("pre-filter (hash + word gather + bit test) drops definite");
-    println!("misses before the table probe.\n");
-    let data = gen_data(sf);
-    let mut t = TableWriter::new(vec![
-        "query", "probe ms", "bloom+probe ms", "gain", "probes", "probes after bloom",
-    ]);
-    for q in [hef_ssb::QueryId::Q2_3, hef_ssb::QueryId::Q3_3, hef_ssb::QueryId::Q3_4,
-              hef_ssb::QueryId::Q2_1, hef_ssb::QueryId::Q4_2] {
-        let plan = build_plan(&data, q);
-        let cfg = tuned_hybrid(&opts.registry.0);
-        let (plain, out_plain) =
-            measure_query(&opts.engine, &plan, &data.lineorder, &cfg, opts.repeats);
-        let mut bcfg = cfg;
-        bcfg.use_bloom = true;
-        let (bloom, out_bloom) =
-            measure_query(&opts.engine, &plan, &data.lineorder, &bcfg, opts.repeats);
-        assert_eq!(out_plain.groups, out_bloom.groups, "{}", q.name());
-        t.row(vec![
-            q.name().to_string(),
-            f2(plain.ms()),
-            f2(bloom.ms()),
-            format!("{:.2}x", plain.ms() / bloom.ms()),
-            out_plain.stats.probes.iter().sum::<u64>().to_string(),
-            out_bloom.stats.probes.iter().sum::<u64>().to_string(),
-        ]);
-    }
-    t.print();
-}
-
-fn ablation_dynamic(opts: &Opts) {
-    let (sf, note) = scale_for("small", opts);
-    println!("\n=== ablation: dynamic per-query flavor selection (paper §VII) ({note}) ===\n");
-    let data = gen_data(sf);
-    let mut t = TableWriter::new(vec!["query", "best flavor", "best ms", "hybrid ms", "gain"]);
-    for q in QueryId::PAPER {
-        let plan = build_plan(&data, q);
-        let mut best = (Flavor::Hybrid, f64::INFINITY);
-        let mut hybrid_ms = 0.0;
-        for flavor in Flavor::ALL {
-            let (m, _) = measure_query(
-                &opts.engine,
-                &plan,
-                &data.lineorder,
-                &exec_config(&opts.registry.0, flavor),
-                opts.repeats,
-            );
-            if m.ms() < best.1 {
-                best = (flavor, m.ms());
-            }
-            if flavor == Flavor::Hybrid {
-                hybrid_ms = m.ms();
-            }
-        }
-        t.row(vec![
-            q.name().to_string(),
-            best.0.name().to_string(),
-            f2(best.1),
-            f2(hybrid_ms),
-            format!("{:.2}x", hybrid_ms / best.1),
-        ]);
-    }
-    t.print();
 }
 
 fn tune(opts: &Opts) {
@@ -1371,10 +1301,9 @@ fn plan_cmd(spec: &str, opts: &Opts) {
 }
 
 /// The paper's experiments, in the order `all` runs them.
-const ALL: [&str; 19] = [
+const ALL: [&str; 17] = [
     "fig8", "fig9", "fig10", "table3", "table4", "table5", "table6", "table7", "table8", "table9",
-    "fig11", "fig12", "fig13", "fig14", "ablation-search", "ablation-pack", "ablation-bloom",
-    "ablation-dynamic", "tune",
+    "fig11", "fig12", "fig13", "fig14", "ablation-search", "ablation-pack", "tune",
 ];
 
 /// Run the experiment named `cmd`; `false` when there is none.
@@ -1396,8 +1325,6 @@ fn experiment(cmd: &str, opts: &Opts) -> bool {
         "fig14" => hist_figure("Fig 14", Family::Crc64, HybridConfig::new(8, 0, 1), CpuModel::gold_6240r()),
         "ablation-search" => ablation_search(),
         "ablation-pack" => ablation_pack(opts),
-        "ablation-bloom" => ablation_bloom(opts),
-        "ablation-dynamic" => ablation_dynamic(opts),
         "tune" => tune(opts),
         "tune-pipeline" => tune_pipeline(opts),
         "paged" => paged_cmd(opts),
@@ -1464,7 +1391,7 @@ fn main() {
                      [--deadline-ms ms] [--mem-budget n]"
                 );
                 println!("experiments: fig8 fig9 fig10 table3..table9 fig11..fig14");
-                println!("             ablation-search ablation-pack ablation-bloom ablation-dynamic tune all");
+                println!("             ablation-search ablation-pack tune all");
                 println!("             tune-pipeline [--query qNN] [--out file]");
                 println!("             paged [--sf f] (out-of-core sweep: paged columns + page cache,");
                 println!("                             checked bit-identical to in-memory at 1 and 4 threads)");

@@ -32,14 +32,13 @@ use hef_storage::page::parse_byte_size;
 use hef_storage::Table;
 use hef_testutil::fault::{EngineFaults, FaultPlan};
 
-use crate::dynamic::{fastest, Selection};
 use crate::govern::{
     interrupt_error, sleep_checked, CancelToken, Governor, GovernorConfig, QueryCtx, MAX_BACKOFF_MS,
 };
 use crate::paged::PagedTable;
 use crate::parallel::{resolve_threads, resolve_threads_governed, ExecError, ExecReport};
 use crate::pipeline_plan::apply_pipeline_entry;
-use crate::star::{validate_star_plan, ExecConfig, Flavor, QueryOutput, StarPlan};
+use crate::star::{validate_star_plan, ExecConfig, QueryOutput, StarPlan};
 
 /// The fact table a query scans: resident columns, or paged columns read
 /// through a page cache.
@@ -243,10 +242,15 @@ impl Engine {
         let mut cfg = self.configure(plan, *cfg);
         let requested = resolve_threads(cfg.threads);
         let mut threads = requested;
+        let page_rows = match fact {
+            Fact::Mem(_) => None,
+            Fact::Paged(t, _) => Some(t.max_page_rows()),
+        };
         // The guards release their charges on every path out of here.
         let mut admission = self.governor.admit_spiked(
             plan,
             fact.rows(),
+            page_rows,
             &mut cfg,
             &mut threads,
             || self.faults.next_mem_spike(),
@@ -358,27 +362,5 @@ impl Engine {
                 }
             }
         }
-    }
-
-    /// Dynamic flavor selection: time every flavor on the first
-    /// `sample_rows` rows of `fact` (a warm-up run, then a timed one) and
-    /// rank them; `cancel` is checked inside every sampled run.
-    pub fn choose_flavor(
-        &self,
-        plan: &StarPlan,
-        fact: &Table,
-        sample_rows: usize,
-        cancel: &CancelToken,
-    ) -> Result<Selection, ExecError> {
-        let sample = fact.head(sample_rows.max(1));
-        let mut timings = Vec::with_capacity(Flavor::ALL.len());
-        for flavor in Flavor::ALL {
-            let cfg = ExecConfig::for_flavor(flavor);
-            self.execute(plan, Fact::Mem(&sample), &cfg, cancel)?;
-            let t = Instant::now();
-            self.execute(plan, Fact::Mem(&sample), &cfg, cancel)?;
-            timings.push((flavor, t.elapsed().as_secs_f64()));
-        }
-        Ok(Selection { flavor: fastest(&timings), sample_secs: timings, sample_rows: sample.len() })
     }
 }

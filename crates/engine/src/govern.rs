@@ -7,7 +7,8 @@
 //! concurrent-query cap and a memory budget bound what the scheduler will
 //! take on, and an over-budget query is first **degraded** — drop the
 //! radix-partitioned probe (its sub-table scratch is the largest optional
-//! allocation), shrink morsel batch buffers, shed worker threads — and
+//! allocation), shrink morsel batch buffers (in memory; a paged batch is a
+//! whole page), shed worker threads — and
 //! only **rejected** (typed
 //! [`ExecError::Rejected`] with a retry hint, never an unbounded queue) when
 //! even the minimal shape does not fit. Admitted queries run under a
@@ -17,7 +18,8 @@
 //! partial [`ExecReport`] attached: never a panic, never a hang.
 //!
 //! Accounting is RAII: admission charges the [`BudgetTracker`] once with the
-//! worst-case estimate ([`estimate_query_bytes`]) and the [`Admission`]
+//! worst-case estimate ([`estimate_query_bytes`], or
+//! [`estimate_paged_query_bytes`] for a paged scan) and the [`Admission`]
 //! guard releases exactly that on drop, so the budget returns to zero after
 //! *every* outcome — completion, cancellation, deadline, worker panic, or
 //! serial degradation. Every governance action (admit / degrade / reject /
@@ -282,14 +284,14 @@ impl Drop for ByteCharge<'_> {
     }
 }
 
-/// Worst-case bytes a query's execution scratch will allocate: per worker,
-/// the reusable batch buffers (pipeline: sel/keys/probe_out/gids/vals +
-/// measure scratch, plus the clamped slots when a dimension is dense;
-/// Voila: one dense buffer per column + gid/slots/pay),
-/// the private group-accumulator array, and — when radix partitioning is
-/// live — the `PartitionScratch` bucketing copy plus per-partition offset
-/// tables. Deliberately a slight over-estimate: admission must never
-/// under-charge.
+/// Worst-case bytes an in-memory query's execution scratch will allocate:
+/// per worker, the reusable batch buffers, each `cfg.batch` rows (at most
+/// the fact table) — for the pipeline worker `sel`, `keys`, `gids`,
+/// `vals`, one payload vector per dimension and the clamped slots `idx`
+/// when a dimension is dense; for Voila one dense buffer per column plus
+/// gid/slots/pay — the private group-accumulator array, and, when radix
+/// partitioning is live, the `PartitionScratch` bucketing copy plus
+/// per-partition offset tables. Admission must never under-charge.
 pub fn estimate_query_bytes(
     plan: &StarPlan,
     fact_rows: usize,
@@ -304,8 +306,41 @@ pub fn estimate_query_bytes(
         };
         plan.dims.len() + measure_cols + 3
     } else {
-        6 + plan.dims.iter().any(|d| d.index.is_dense()) as usize
+        pipeline_streams(plan)
     };
+    scratch_bytes(plan, batch, streams, cfg, threads)
+}
+
+/// [`estimate_query_bytes`] for a paged scan. Every flavor runs the
+/// pipeline worker there, and its batch is a whole page — `page_rows`, the
+/// largest page's rows, whatever `cfg.batch` says — so each stream is a
+/// page long. The page source adds two more: its decode buffer and the
+/// secondary filter's kept indices.
+pub fn estimate_paged_query_bytes(
+    plan: &StarPlan,
+    page_rows: usize,
+    cfg: &ExecConfig,
+    threads: usize,
+) -> usize {
+    scratch_bytes(plan, page_rows.max(1), pipeline_streams(plan) + 2, cfg, threads)
+}
+
+/// The pipeline worker's batch-long buffers: `sel`, `keys`, `gids`,
+/// `vals`, one payload vector per dimension, and `idx` when a dimension
+/// is dense.
+fn pipeline_streams(plan: &StarPlan) -> usize {
+    4 + plan.dims.len() + plan.dims.iter().any(|d| d.index.is_dense()) as usize
+}
+
+/// `threads` workers, each holding `streams` buffers of `batch` rows, the
+/// group accumulators, and the partition scratch when it is live.
+fn scratch_bytes(
+    plan: &StarPlan,
+    batch: usize,
+    streams: usize,
+    cfg: &ExecConfig,
+    threads: usize,
+) -> usize {
     let mut per_worker = batch * 8 * streams + plan.group_cells() * 8;
     if cfg.partition {
         if let Some(bits) =
@@ -395,17 +430,21 @@ impl Governor {
         cfg: &mut ExecConfig,
         threads: &mut usize,
     ) -> Result<Admission<'_>, ExecError> {
-        self.admit_spiked(plan, fact_rows, cfg, threads, || None)
+        self.admit_spiked(plan, fact_rows, None, cfg, threads, || None)
     }
 
     /// [`Governor::admit`], with `spike` adding injected bytes to the
     /// estimate (the engine's `mem_spike` fault hook). It is consulted once,
     /// and only when a budget is set: with an unlimited budget a spike has
-    /// nothing to push against.
+    /// nothing to push against. `page_rows` is the largest page's rows for
+    /// a paged scan (`None` in memory): its batches are whole pages, so the
+    /// charge is [`estimate_paged_query_bytes`] and the ladder skips the
+    /// batch step, which cannot shrink a page.
     pub(crate) fn admit_spiked(
         &self,
         plan: &StarPlan,
         fact_rows: usize,
+        page_rows: Option<usize>,
         cfg: &mut ExecConfig,
         threads: &mut usize,
         spike: impl FnOnce() -> Option<u64>,
@@ -426,8 +465,11 @@ impl Governor {
         if self.budget.limit > 0 {
             let spike = spike().unwrap_or(0) as usize;
             loop {
-                let est =
-                    estimate_query_bytes(plan, fact_rows, cfg, *threads).saturating_add(spike);
+                let est = match page_rows {
+                    None => estimate_query_bytes(plan, fact_rows, cfg, *threads),
+                    Some(rows) => estimate_paged_query_bytes(plan, rows, cfg, *threads),
+                }
+                .saturating_add(spike);
                 if self.budget.try_charge(est) {
                     charged = est;
                     break;
@@ -438,7 +480,7 @@ impl Governor {
                     cfg.partition = false;
                     self.note_degraded_fingerprint(plan.fingerprint());
                     DegradeAction::DropPartition
-                } else if cfg.batch > MIN_BATCH {
+                } else if page_rows.is_none() && cfg.batch > MIN_BATCH {
                     let from = cfg.batch;
                     cfg.batch = (cfg.batch / 2).max(MIN_BATCH);
                     DegradeAction::ShrinkBatch { from, to: cfg.batch }
@@ -677,5 +719,39 @@ mod tests {
         assert_eq!(parse_byte_size("123"), Some(123));
         assert_eq!(parse_byte_size("lots"), None);
         assert_eq!(parse_byte_size("k"), None);
+    }
+
+    /// Four dense dimensions, as SSB's Q4.x at SF 1: the estimate covers
+    /// every batch-long buffer the pipeline worker holds, in memory and on
+    /// pages, where a batch is a whole page.
+    #[test]
+    fn estimate_covers_every_worker_buffer() {
+        let mut dim = Table::new("dim");
+        dim.add_column(Column::new("key", (0..16).collect()));
+        let dims: Vec<_> = (0..4)
+            .map(|i| {
+                let fk = format!("fk{i}");
+                build_dimension(&dim, "key", |r| r % 3 != 0, |r| (r % 2) as u64, 2, &fk)
+            })
+            .collect();
+        assert!(dims.iter().all(|d| d.index.is_dense()));
+        let plan = StarPlan {
+            name: "four_dims".into(),
+            filters: vec![],
+            dims,
+            measure: Measure::Sum("rev".into()),
+            strides: vec![],
+        };
+        let cfg = ExecConfig::hybrid_default();
+        // sel, keys, gids, vals, four payload vectors and the clamped slots.
+        let worker = |batch: usize| batch * 8 * 9 + plan.group_cells() * 8;
+        assert!(estimate_query_bytes(&plan, 1 << 20, &cfg, 1) >= worker(cfg.batch));
+        assert!(estimate_query_bytes(&plan, 1 << 20, &cfg, 3) >= 3 * worker(cfg.batch));
+        // A 256 KiB page of 8-byte rows, plus the page source's decode
+        // buffer and kept indices.
+        let page = 32_768;
+        let paged = worker(page) + 2 * page * 8;
+        assert!(estimate_paged_query_bytes(&plan, page, &cfg, 1) >= paged);
+        assert!(estimate_paged_query_bytes(&plan, page, &cfg.with_batch(MIN_BATCH), 2) >= 2 * paged);
     }
 }

@@ -15,11 +15,12 @@
 //!   materialization between operators, software prefetching); see
 //!   [`voila`].
 //!
-//! Star queries ([`StarPlan`]) filter dimension tables into large
-//! linear-probe hash tables keyed by the join key with small *group codes*
-//! as payloads, then pipeline the fact table through the probes batch by
-//! batch with selection vectors, and finish with a dense grouped
-//! aggregation.
+//! Star queries ([`StarPlan`]) filter dimension tables into join indexes
+//! keyed by the join key with small *group codes* as payloads — a
+//! direct-addressed array when the selected keys form a dense range (every
+//! SSB dimension up to SF 1), else a linear-probe hash table — then
+//! pipeline the fact table through the probes batch by batch with
+//! selection vectors, and finish with a dense grouped aggregation.
 //!
 //! Queries run through an [`Engine`] — the value that owns the governor,
 //! the tuned pipeline rows, the run overrides and the fault schedule — via
@@ -27,7 +28,6 @@
 //! [`execute_star`], [`try_execute_star`] and [`try_execute_star_paged_ctx`]
 //! run one query on [`Engine::default`].
 
-pub mod dynamic;
 mod engine;
 pub mod govern;
 pub mod ops;
@@ -38,11 +38,10 @@ pub mod plan;
 pub mod star;
 pub mod voila;
 
-pub use dynamic::Selection;
 pub use engine::{Engine, Fact};
 pub use govern::{
-    estimate_query_bytes, BudgetTracker, CancelToken, DegradeAction, Governor,
-    GovernorConfig, Interrupt, QueryCtx, MIN_BATCH,
+    estimate_paged_query_bytes, estimate_query_bytes, BudgetTracker, CancelToken, DegradeAction,
+    Governor, GovernorConfig, Interrupt, QueryCtx, MIN_BATCH,
 };
 pub use ops::{gather_keys, grouped_accumulate};
 pub use paged::{try_execute_star_paged_ctx, PagedTable, PagedTableError};

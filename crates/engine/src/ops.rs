@@ -35,56 +35,21 @@ pub fn grouped_accumulate(acc: &mut [u64], gids: &[u64], vals: &[u64]) {
 /// place, so the caller's buffers keep their capacity across batches.
 pub fn compact_hits(sel: &mut Vec<u64>, pays: &mut [Vec<u64>], out: &mut Vec<u64>) -> usize {
     debug_assert_eq!(sel.len(), out.len());
-    let k = compact_by(sel, pays, |j, k| {
-        let o = out[j];
-        out[k] = o;
-        o != MISS
-    });
-    out.truncate(k);
-    k
-}
-
-/// Keep, in order, the rows `j` of `sel`, `keys` and every vector of
-/// `pays` whose Bloom check `maybe[j]` is non-zero (the semi-join
-/// pre-filter's compaction, branch-free as [`compact_hits`]). Returns the
-/// new length.
-pub(crate) fn compact_maybe(
-    sel: &mut Vec<u64>,
-    keys: &mut Vec<u64>,
-    pays: &mut [Vec<u64>],
-    maybe: &[u64],
-) -> usize {
-    debug_assert_eq!(sel.len(), maybe.len());
-    let k = compact_by(sel, pays, |j, k| {
-        keys[k] = keys[j];
-        maybe[j] != 0
-    });
-    keys.truncate(k);
-    k
-}
-
-/// The one compaction loop: moves row `j` of `sel` and of every vector of
-/// `cols` to the cursor `k`, then lets `lead(j, k)` move the caller's own
-/// vectors and say whether row `j` stays; the cursor advances by that
-/// answer, never by a branch. Truncates `sel` and `cols` to the kept rows.
-#[inline(always)]
-fn compact_by(
-    sel: &mut Vec<u64>,
-    cols: &mut [Vec<u64>],
-    mut lead: impl FnMut(usize, usize) -> bool,
-) -> usize {
     let mut k = 0usize;
     for j in 0..sel.len() {
         sel[k] = sel[j];
-        for c in cols.iter_mut() {
-            c[k] = c[j];
+        for p in pays.iter_mut() {
+            p[k] = p[j];
         }
-        k += lead(j, k) as usize;
+        let o = out[j];
+        out[k] = o;
+        k += (o != MISS) as usize;
     }
     sel.truncate(k);
-    for c in cols {
-        c.truncate(k);
+    for p in pays {
+        p.truncate(k);
     }
+    out.truncate(k);
     k
 }
 
@@ -128,7 +93,7 @@ mod tests {
         assert!(out.is_empty());
     }
 
-    /// The branchy loop the branch-free compactions replaced: the oracle.
+    /// The branchy loop the branch-free compaction replaced: the oracle.
     fn branchy(sel: &mut Vec<u64>, cols: &mut [Vec<u64>], keep: impl Fn(usize) -> bool) -> usize {
         let mut k = 0usize;
         for j in 0..sel.len() {
@@ -172,7 +137,6 @@ mod tests {
                 let mut draw = |n: usize| -> Vec<u64> { (0..n).map(|_| rng.next_u64() >> 1).collect() };
                 let sel: Vec<u64> = (0..n as u64).map(|j| 2 * j).collect();
                 let cols: Vec<Vec<u64>> = (0..earlier).map(|_| draw(n)).collect();
-                let keys = draw(n);
                 let out: Vec<u64> =
                     mask.iter().zip(draw(n)).map(|(&hit, v)| if hit { v % 1000 } else { MISS }).collect();
 
@@ -180,23 +144,11 @@ mod tests {
                 let (mut want_sel, mut want) = (sel.clone(), cols.clone());
                 want.push(out.clone());
                 let want_k = branchy(&mut want_sel, &mut want, |j| mask[j]);
-                let (mut got_sel, mut got, mut got_out) = (sel.clone(), cols.clone(), out);
+                let (mut got_sel, mut got, mut got_out) = (sel, cols, out);
                 let k = compact_hits(&mut got_sel, &mut got, &mut got_out);
                 got.push(got_out);
                 if (k, &got_sel, &got) != (want_k, &want_sel, &want) {
                     return Err(format!("compact_hits: {k} rows, want {want_k}; mask {mask:?}"));
-                }
-
-                // Bloom pre-filter: a 0/1 mask over sel, keys and payloads.
-                let maybe: Vec<u64> = mask.iter().map(|&m| m as u64).collect();
-                let (mut want_sel, mut want) = (sel.clone(), cols.clone());
-                want.push(keys.clone());
-                branchy(&mut want_sel, &mut want, |j| mask[j]);
-                let want_keys = want.pop().unwrap();
-                let (mut got_sel, mut got_keys, mut got) = (sel, keys, cols);
-                let k = compact_maybe(&mut got_sel, &mut got_keys, &mut got, &maybe);
-                if (k, &got_sel, &got_keys, &got) != (want_k, &want_sel, &want_keys, &want) {
-                    return Err(format!("compact_maybe: {k} rows, want {want_k}; mask {mask:?}"));
                 }
             }
             Ok(())

@@ -169,6 +169,10 @@ impl PagedTable {
     pub fn page_count(&self) -> usize {
         self.page_count
     }
+    /// Rows in the largest page: the batch a paged scan's worker holds.
+    pub fn max_page_rows(&self) -> usize {
+        self.cols[0].pages().iter().map(|p| p.rows as usize).max().unwrap_or(0)
+    }
     pub fn column_names(&self) -> impl Iterator<Item = &str> {
         self.cols.iter().map(|c| c.name())
     }
@@ -696,5 +700,36 @@ mod tests {
         let vals: Vec<u64> = vec![5, u64::MAX - 3, 7, u64::MAX - 1];
         let page = Page::encode(&vals);
         assert!(matches!(fuse_filter(&page, 0, 10), FusedFilter::Values));
+    }
+
+    /// Admission charges a paged scan's workers a whole page per buffer:
+    /// a budget that fits one worker's page-sized scratch beside the cache
+    /// takes a two-thread query down to one thread, and never by shrinking
+    /// the batch, which cannot shrink a page.
+    #[test]
+    fn admission_charges_a_page_per_worker_buffer() {
+        use crate::govern::{estimate_paged_query_bytes, estimate_query_bytes, GovernorConfig};
+        use crate::{CancelToken, DegradeAction, Engine, Fact};
+        let dir = std::env::temp_dir().join(format!("hef-paged-admit-{}", std::process::id()));
+        let (paged, mem, plan) = toy_paged(&dir);
+        let cfg = ExecConfig::hybrid_default().with_batch(256).with_threads(2);
+        // Two pages' worth, smaller than one worker's scratch.
+        let cache = PageCache::with_shards(40 * 1024, 1);
+        let page_rows = paged.max_page_rows();
+        assert_eq!(page_rows, 1024);
+        let one_worker = estimate_paged_query_bytes(&plan, page_rows, &cfg, 1);
+        // An in-memory scan of the same table holds 256-row batches.
+        assert!(estimate_query_bytes(&plan, mem.len(), &cfg, 2) < one_worker);
+        assert!(cache.capacity() < one_worker);
+        let limits =
+            GovernorConfig { max_queries: 0, mem_budget: one_worker + cache.capacity() };
+        let engine = Engine::default().with_limits(limits);
+        let (got, report) = engine
+            .execute(&plan, Fact::Paged(&paged, &cache), &cfg, &CancelToken::new())
+            .expect("one worker fits");
+        assert_eq!(got.groups, execute_star(&plan, &mem, &cfg).groups);
+        assert_eq!(report.degrade_actions, vec![DegradeAction::ReduceWorkers { from: 2, to: 1 }]);
+        assert_eq!(engine.governor().budget().used(), 0);
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

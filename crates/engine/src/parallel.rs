@@ -2,8 +2,8 @@
 //!
 //! SSB is embarrassingly parallel over the fact table: every stage of the
 //! pipeline (filter → probes → grouped aggregation) is a pure function of
-//! the rows it scans plus read-only shared state (the dimension probe
-//! tables and Bloom filters). A query is a [`Scan`] over *units* — fact
+//! the rows it scans plus read-only shared state (the dimension join
+//! indexes). A query is a [`Scan`] over *units* — fact
 //! rows of an in-memory table, or pages of a paged one — split into
 //! *morsels* (HyPer's morsel-driven scheduling): `MORSEL_BATCHES` batches
 //! of rows, or one page. `std::thread::scope` workers claim morsels from a

@@ -97,13 +97,13 @@ impl StarPlan {
     }
 }
 
-/// The [`ExecConfig`] slot a stage family's node lands on: bloom checks ride
-/// the probe slot they guard and both aggregation families share one slot.
+/// The [`ExecConfig`] slot a stage family's node lands on: both aggregation
+/// families share one slot.
 /// The hash micro-kernels have no slot.
 fn slot(family: Family) -> Option<usize> {
     match family {
         Family::Filter => Some(0),
-        Family::Probe | Family::BloomCheck => Some(1),
+        Family::Probe => Some(1),
         Family::Gather => Some(2),
         Family::AggSum | Family::AggDot => Some(3),
         Family::Decode => Some(4),
@@ -153,7 +153,7 @@ pub fn apply_pipeline_entry(mut cfg: ExecConfig, entry: &PipelineEntry) -> ExecC
     for &(family, node) in &entry.stages {
         match family {
             Family::Filter => cfg.filter = node,
-            Family::Probe | Family::BloomCheck => cfg.probe = node,
+            Family::Probe => cfg.probe = node,
             Family::Gather => cfg.gather = node,
             Family::AggSum | Family::AggDot => cfg.agg = node,
             Family::Decode => cfg.decode = node,
@@ -256,7 +256,7 @@ mod tests {
         assert_eq!(cfg.probe_prefetch, 32);
         // Untouched knobs survive the overlay.
         assert_eq!(cfg.batch, base.batch);
-        assert_eq!(cfg.use_bloom, base.use_bloom);
+        assert_eq!(cfg.partition, base.partition);
     }
 
     #[test]
@@ -285,16 +285,6 @@ mod tests {
             apply_pipeline_entry(base, &conflicting)
         });
         assert_eq!(again.len(), 1, "{again:?}");
-
-        // A bloom check guards the probe it rides on: it must agree too.
-        let bloom = PipelineEntry {
-            stages: vec![
-                (Family::BloomCheck, HybridConfig::new(2, 0, 1)),
-                (Family::Probe, HybridConfig::new(1, 1, 3)),
-            ],
-            f: 0,
-        };
-        assert!(conflicting_stages(&bloom).is_some());
 
         // Repeated stages that agree are one shape and apply.
         let agreeing = PipelineEntry {

@@ -4,7 +4,7 @@ use std::ops::Range;
 
 use hef_hid::Backend;
 use hef_kernels::{
-    plan_partition_bits, BloomFilter, DenseIndex, Family, HybridConfig, Kernel, KernelIo,
+    plan_partition_bits, DenseIndex, Family, HybridConfig, Kernel, KernelIo,
     PartitionScratch, PartitionedProbeTable, ProbeTable,
 };
 use hef_obs::metrics::{self, Hist, Metric, Tally};
@@ -13,7 +13,7 @@ use hef_storage::Table;
 use hef_testutil::fault::EngineFaults;
 
 use crate::govern::QueryCtx;
-use crate::ops::{compact_hits, compact_maybe, gather_keys, grouped_accumulate};
+use crate::ops::{compact_hits, gather_keys, grouped_accumulate};
 use crate::parallel::{MorselWorker, Scan, Stop};
 
 /// Execution flavor (the four bars of the paper's Figs. 8–10).
@@ -51,9 +51,6 @@ pub struct ExecConfig {
     /// Node for the compressed-page decode kernel (paged scans only; the
     /// in-memory path never dispatches it).
     pub decode: HybridConfig,
-    /// Pre-filter each probe with the dimension's Bloom filter (semi-join
-    /// pre-filtering; pays off when probes mostly miss).
-    pub use_bloom: bool,
     pub backend: Backend,
     /// Rows per pipeline batch (the paper/VIP use ~vector-register-friendly
     /// batches; Voila uses 1024).
@@ -86,7 +83,6 @@ impl ExecConfig {
             agg: HybridConfig::SCALAR,
             gather: HybridConfig::SCALAR,
             decode: HybridConfig::SCALAR,
-            use_bloom: false,
             backend: Backend::native(),
             batch: 1024,
             threads: 0,
@@ -105,7 +101,6 @@ impl ExecConfig {
             agg: HybridConfig::SIMD,
             gather: HybridConfig::SIMD,
             decode: HybridConfig::SIMD,
-            use_bloom: false,
             backend: Backend::native(),
             batch: 1024,
             threads: 0,
@@ -126,7 +121,6 @@ impl ExecConfig {
             agg: n113,
             gather: n113,
             decode: n113,
-            use_bloom: false,
             backend: Backend::native(),
             batch: 1024,
             threads: 0,
@@ -145,7 +139,6 @@ impl ExecConfig {
             agg,
             gather: probe,
             decode: filter,
-            use_bloom: false,
             backend: Backend::native(),
             batch: 1024,
             threads: 0,
@@ -165,7 +158,6 @@ impl ExecConfig {
             agg: HybridConfig::SCALAR,
             gather: HybridConfig::SCALAR,
             decode: HybridConfig::SCALAR,
-            use_bloom: false,
             backend: Backend::native(),
             batch: 1024,
             threads: 0,
@@ -258,8 +250,8 @@ pub struct DimJoin {
 #[derive(Debug, Clone)]
 pub enum JoinIndex {
     /// Direct-addressed payloads for a dense key range: the stage loop
-    /// clamps `key − lo` and gathers. No hash table, Bloom filter or radix
-    /// copy exists for it.
+    /// clamps `key − lo` and gathers. No hash table or radix copy exists
+    /// for it.
     Dense(DenseIndex),
     /// A hash table for a wide or sparse key domain.
     Hashed(HashIndex),
@@ -270,8 +262,6 @@ pub enum JoinIndex {
 pub struct HashIndex {
     /// Hash table over the keys, `probe_slots` slots.
     pub table: ProbeTable,
-    /// Bloom filter over the same keys (for semi-join pre-filtering).
-    pub bloom: BloomFilter,
     /// Radix-partitioned copy of the same table, built only when the flat
     /// table spills [`join_table_budget`] (see [`build_dimension`]); each
     /// sub-table fits it, so sub-probes stay resident. `None` for small
@@ -499,8 +489,8 @@ pub(crate) fn probe_slots(n: usize, budget: usize) -> usize {
 /// array, `(hi − lo + 2) × 8` bytes, fits in the larger of the flat hash
 /// table's bytes and 4 × [`join_table_budget`], the dimension gets a
 /// [`JoinIndex::Dense`] array. Otherwise it gets a hash table of
-/// `probe_slots` slots, its Bloom filter, and — when the table spills the
-/// budget — a radix-partitioned copy.
+/// `probe_slots` slots and — when the table spills the budget — a
+/// radix-partitioned copy.
 pub fn build_dimension(
     dim: &Table,
     key_col: &str,
@@ -537,21 +527,19 @@ pub fn build_dimension(
 }
 
 impl HashIndex {
-    /// A `slots`-slot table over `pairs`, its Bloom filter, and the radix
-    /// copy when the table spills `budget`.
+    /// A `slots`-slot table over `pairs` and the radix copy when the table
+    /// spills `budget`.
     fn build(pairs: &[(u64, u64)], slots: usize, budget: usize) -> HashIndex {
         let mut table = ProbeTable::with_slots(slots);
-        let mut bloom = BloomFilter::with_capacity(pairs.len());
         for &(key, code) in pairs {
             table.insert(key, code);
-            bloom.insert(key);
         }
         // Planner rule: partition only when the flat table spills the budget;
         // then each of the 2^b sub-tables fits it and sub-probes hit cache.
         // Growth never crosses the budget, so it never changes this decision.
         let bits = plan_partition_bits(table.working_set_bytes(), budget);
         let parts = (bits > 0).then(|| PartitionedProbeTable::from_pairs(pairs, bits));
-        HashIndex { table, bloom, parts }
+        HashIndex { table, parts }
     }
 }
 
@@ -790,8 +778,7 @@ pub(crate) struct PipelineWorker<'a, S> {
     keys: Vec<u64>,
     /// Clamped slots of a dense probe.
     idx: Vec<u64>,
-    /// Per dimension: the probe's payloads at the surviving rows (and,
-    /// until that probe runs, its Bloom check's output).
+    /// Per dimension: the probe's payloads at the surviving rows.
     pays: Vec<Vec<u64>>,
     gids: Vec<u64>,
     vals: Vec<u64>,
@@ -891,32 +878,10 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
                 continue;
             }
             let slot = self.slots.fks[di];
-            // A dense lookup is cheaper than a Bloom check: only hashed
-            // dimensions are pre-filtered.
-            let bloom = dim.index.hashed().filter(|_| cfg.use_bloom).map(|h| &h.bloom);
-            let keys: &[u64] = if di == 0 && plan.filters.is_empty() && bloom.is_none() {
+            let keys: &[u64] = if di == 0 && plan.filters.is_empty() {
                 self.src.values(slot, kernels)?
             } else {
                 self.src.take(slot, &self.sel, &mut self.keys, kernels)?;
-                if let Some(filter) = bloom {
-                    // Semi-join pre-filter: drop definite misses before the
-                    // (more expensive) table probe. The check writes into
-                    // this dimension's payload buffer, free until the probe.
-                    out.resize(self.keys.len(), 0);
-                    kernels.bloom(&mut KernelIo::Bloom {
-                        keys: &self.keys,
-                        filter,
-                        out,
-                        prefetch: cfg.probe_prefetch,
-                    });
-                    let k = compact_maybe(&mut self.sel, &mut self.keys, earlier, out);
-                    self.tally.add(Metric::BloomKeys, out.len() as u64);
-                    self.tally.add(Metric::BloomDrops, (out.len() - k) as u64);
-                    out.clear();
-                    if k == 0 {
-                        continue;
-                    }
-                }
                 &self.keys
             };
             out.resize(keys.len(), 0);
@@ -1036,7 +1001,6 @@ impl<S: BatchSource> MorselWorker for PipelineWorker<'_, S> {
 pub(crate) struct Kernels {
     filter: Slot,
     probe: Slot,
-    bloom: Slot,
     gather: Slot,
     agg: Slot,
     decode: Slot,
@@ -1067,13 +1031,11 @@ impl Slot {
 
 impl Kernels {
     /// Resolve every family `cfg` dispatches on its backend (panics if the
-    /// backend is unavailable on this CPU). Bloom checks run at the probe
-    /// node they guard.
+    /// backend is unavailable on this CPU).
     pub(crate) fn resolve(cfg: &ExecConfig) -> Kernels {
         Kernels {
             filter: Slot::new(Family::Filter, cfg.filter, cfg),
             probe: Slot::new(Family::Probe, cfg.probe, cfg),
-            bloom: Slot::new(Family::BloomCheck, cfg.probe, cfg),
             gather: Slot::new(Family::Gather, cfg.gather, cfg),
             agg: Slot::new(Family::AggSum, cfg.agg, cfg),
             decode: Slot::new(Family::Decode, cfg.decode, cfg),
@@ -1087,10 +1049,6 @@ impl Kernels {
 
     fn probe(&self, io: &mut KernelIo<'_>) {
         self.probe.run(io)
-    }
-
-    fn bloom(&self, io: &mut KernelIo<'_>) {
-        self.bloom.run(io)
     }
 
     fn agg(&self, io: &mut KernelIo<'_>) {
@@ -1283,24 +1241,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bloom_prefilter_preserves_results() {
-        let (fact, plan) = toy_sparse();
-        let expect = reference(&fact, &plan);
-        for flavor in [Flavor::Scalar, Flavor::Simd, Flavor::Hybrid] {
-            let mut cfg = ExecConfig::for_flavor(flavor);
-            cfg.use_bloom = true;
-            let out = execute_star(&plan, &fact, &cfg);
-            assert_eq!(out.groups, expect, "bloom + {}", flavor.name());
-            // Bloom passes only (near-)hits to the probe: probe count must
-            // not exceed the no-bloom probe count and must cover all hits.
-            let no_bloom = execute_star(&plan, &fact, &ExecConfig::for_flavor(flavor));
-            assert!(out.stats.probes[0] <= no_bloom.stats.probes[0]);
-            assert!(out.stats.probes[0] >= no_bloom.stats.hits[0]);
-            assert_eq!(out.stats.hits, no_bloom.stats.hits);
-        }
-    }
-
     /// Every config the engine ships: the four flavors and the hybrid
     /// configs the committed registry's per-op and pipeline rows produce.
     fn shipped_configs() -> Vec<ExecConfig> {
@@ -1378,16 +1318,14 @@ mod tests {
     /// `run_on` lookup does, for every config the engine ships.
     #[test]
     fn resolved_kernels_match_per_call_dispatch() {
-        use hef_kernels::{run_on, BloomFilter};
+        use hef_kernels::run_on;
         let shipped = shipped_configs();
 
         let vals: Vec<u64> = (0..3000u64).map(|i| (i * 37) % 1000).collect();
         let sel: Vec<u64> = (0..3000u64).filter(|i| i % 3 != 0).collect();
         let mut table = ProbeTable::with_capacity(400);
-        let mut bloom = BloomFilter::with_capacity(400);
         for key in (0..1000u64).step_by(3) {
             table.insert(key, key + 7);
-            bloom.insert(key);
         }
         let page = hef_storage::page::Page::encode(&vals);
         for cfg in &shipped {
@@ -1404,12 +1342,6 @@ mod tests {
             let io = &mut KernelIo::Probe { keys: &vals, table: &table, out: &mut b, prefetch: f };
             assert!(run_on(Family::Probe, cfg.probe, cfg.backend, io));
             assert_eq!(a, b, "probe {cfg:?}");
-
-            let (mut a, mut b) = (vec![0; vals.len()], vec![0; vals.len()]);
-            k.bloom(&mut KernelIo::Bloom { keys: &vals, filter: &bloom, out: &mut a, prefetch: f });
-            let io = &mut KernelIo::Bloom { keys: &vals, filter: &bloom, out: &mut b, prefetch: f };
-            assert!(run_on(Family::BloomCheck, cfg.probe, cfg.backend, io));
-            assert_eq!(a, b, "bloom {cfg:?}");
 
             let (mut a, mut b) = (Vec::new(), vec![0; sel.len()]);
             k.gather(&vals, &sel, &mut a);

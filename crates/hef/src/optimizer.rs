@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use hef_kernels::{
-    all_configs, BloomFilter, Family, HybridConfig, KernelIo, ProbeTable, F_AXIS, P_AXIS,
+    all_configs, Family, HybridConfig, KernelIo, ProbeTable, F_AXIS, P_AXIS,
     S_AXIS, V_AXIS,
 };
 use hef_uarch::{AccessPattern, CacheSim, CpuModel};
@@ -456,7 +456,6 @@ pub struct MeasuredCost {
     input2: Vec<u64>,
     output: Vec<u64>,
     table: Option<ProbeTable>,
-    bloom: Option<BloomFilter>,
     /// Packed `MEASURED_DECODE_WIDTH`-bit codes + dictionary (Decode only).
     decode: Option<(Vec<u64>, Vec<u64>)>,
     /// Timing trials per node; the minimum is used.
@@ -486,16 +485,6 @@ impl MeasuredCost {
             }
             _ => None,
         };
-        let bloom = match family {
-            Family::BloomCheck => {
-                let mut f = BloomFilter::with_capacity(n / 16 + 1);
-                for k in 0..(n as u64 / 16) {
-                    f.insert(k * 2 + 1);
-                }
-                Some(f)
-            }
-            _ => None,
-        };
         let decode = match family {
             Family::Decode => {
                 let mask = hef_kernels::decode::code_mask(MEASURED_DECODE_WIDTH);
@@ -514,7 +503,6 @@ impl MeasuredCost {
             input,
             input2,
             table,
-            bloom,
             decode,
             trials: 3,
             last_cycles: None,
@@ -547,12 +535,6 @@ impl MeasuredCost {
                 a: &self.input,
                 b: &self.input2,
                 acc: &mut acc,
-            },
-            Family::BloomCheck => KernelIo::Bloom {
-                keys: &self.input2,
-                filter: self.bloom.as_ref().expect("bloom filter built"),
-                out: &mut self.output,
-                prefetch: 0,
             },
             Family::Gather => KernelIo::Gather {
                 src: &self.input,

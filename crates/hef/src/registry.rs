@@ -238,8 +238,7 @@ enum Line {
     Pipeline(u64, PipelineEntry),
 }
 
-/// Parse one (already `trim`med) line. Shared by the strict and lenient
-/// parsers so they cannot drift.
+/// Parse one (already `trim`med) line.
 fn parse_line(line: &str, line_no: usize) -> Result<Line, ParseError> {
     if let Some(rest) = line.strip_prefix("# hef tuned-operator registry") {
         let version = rest.trim();
@@ -468,40 +467,11 @@ impl Registry {
     /// `# isa:` comments are captured as provenance; CRLF line endings and
     /// trailing whitespace are tolerated.
     pub fn parse(text: &str) -> Result<Registry, ParseError> {
-        let mut reg = Registry::default();
-        for (i, raw) in text.lines().enumerate() {
-            let line_no = i + 1;
-            match parse_line(raw.trim(), line_no)? {
-                Line::Skip => {}
-                Line::Cpu(cpu) => reg.cpu = cpu,
-                Line::Isa(isa) => reg.isa = isa,
-                Line::Drift(family, p, m) => {
-                    reg.drift.insert(family.name(), (p, m));
-                }
-                Line::Entry(family, cfg, pf) => {
-                    if reg.entries.contains_key(family.name()) {
-                        return Err(ParseError::DuplicateFamily {
-                            line: line_no,
-                            name: family.name().to_string(),
-                        });
-                    }
-                    reg.insert(family, cfg);
-                    if let Some(f) = pf {
-                        reg.insert_prefetch(family, f);
-                    }
-                }
-                Line::Pipeline(fp, entry) => {
-                    if reg.pipelines.contains_key(&fp) {
-                        return Err(ParseError::DuplicatePipeline {
-                            line: line_no,
-                            fingerprint: format!("{fp:016x}"),
-                        });
-                    }
-                    reg.insert_pipeline(fp, entry);
-                }
-            }
+        let (reg, errors) = Registry::parse_lines(text);
+        match errors.into_iter().next() {
+            Some(e) => Err(e),
+            None => Ok(reg),
         }
-        Ok(reg)
     }
 
     /// Parse leniently: salvage every valid line, report every bad one.
@@ -509,8 +479,17 @@ impl Registry {
     /// winner). A future-versioned header aborts salvage — the rest of the
     /// file speaks a format this build does not know.
     pub fn parse_lenient(text: &str) -> (Registry, Vec<RegistryIssue>) {
+        let (reg, errors) = Registry::parse_lines(text);
+        (reg, errors.into_iter().map(|error| RegistryIssue::BadLine { error }).collect())
+    }
+
+    /// The one line walk behind both parsers: every valid line lands in
+    /// the registry, every bad one's error is collected in line order. A
+    /// future-versioned header ends the walk with an empty registry and
+    /// the errors found up to and including it.
+    fn parse_lines(text: &str) -> (Registry, Vec<ParseError>) {
         let mut reg = Registry::default();
-        let mut issues = Vec::new();
+        let mut errors = Vec::new();
         for (i, raw) in text.lines().enumerate() {
             let line_no = i + 1;
             match parse_line(raw.trim(), line_no) {
@@ -522,11 +501,9 @@ impl Registry {
                 }
                 Ok(Line::Entry(family, cfg, pf)) => {
                     if reg.entries.contains_key(family.name()) {
-                        issues.push(RegistryIssue::BadLine {
-                            error: ParseError::DuplicateFamily {
-                                line: line_no,
-                                name: family.name().to_string(),
-                            },
+                        errors.push(ParseError::DuplicateFamily {
+                            line: line_no,
+                            name: family.name().to_string(),
                         });
                     } else {
                         reg.insert(family, cfg);
@@ -537,23 +514,22 @@ impl Registry {
                 }
                 Ok(Line::Pipeline(fp, entry)) => {
                     if reg.pipelines.contains_key(&fp) {
-                        issues.push(RegistryIssue::BadLine {
-                            error: ParseError::DuplicatePipeline {
-                                line: line_no,
-                                fingerprint: format!("{fp:016x}"),
-                            },
+                        errors.push(ParseError::DuplicatePipeline {
+                            line: line_no,
+                            fingerprint: format!("{fp:016x}"),
                         });
                     } else {
                         reg.insert_pipeline(fp, entry);
                     }
                 }
                 Err(e @ ParseError::UnsupportedVersion { .. }) => {
-                    return (Registry::default(), vec![RegistryIssue::BadLine { error: e }]);
+                    errors.push(e);
+                    return (Registry::default(), errors);
                 }
-                Err(e) => issues.push(RegistryIssue::BadLine { error: e }),
+                Err(e) => errors.push(e),
             }
         }
-        (reg, issues)
+        (reg, errors)
     }
 
     /// Write to a file, atomically: the text lands in a same-directory
@@ -1146,6 +1122,26 @@ mod tests {
         let (reg, issues) = Registry::parse_lenient("# hef tuned-operator registry v9\nmurmur = 1 3 2\n");
         assert!(reg.is_empty());
         assert_eq!(issues.len(), 1);
+    }
+
+    #[test]
+    fn strict_error_is_the_first_lenient_issue() {
+        for text in [
+            "murmur = 1 3 2\nbogus = 1 1 1\ncrc64 = 3 1 1\n",
+            "murmur = 1 3 2\nmurmur = 2 2 2\n",
+            "junk\n# hef tuned-operator registry v9\nmurmur = 1 3 2\n",
+        ] {
+            let e = Registry::parse(text).unwrap_err();
+            let (_, issues) = Registry::parse_lenient(text);
+            assert!(
+                matches!(issues.first(), Some(RegistryIssue::BadLine { error }) if *error == e),
+                "{text:?}: {e} vs {issues:?}"
+            );
+        }
+        // The abort keeps what was found before the future header.
+        let (reg, issues) = Registry::parse_lenient("junk\n# hef tuned-operator registry v9\n");
+        assert!(reg.is_empty());
+        assert_eq!(issues.len(), 2);
     }
 
     #[test]

@@ -178,65 +178,6 @@ pub fn agg_dot() -> OperatorTemplate {
     }
 }
 
-/// The Bloom membership-check template: two murmur hashes, two word
-/// gathers, two bit tests.
-pub fn bloom() -> OperatorTemplate {
-    use hef_kernels::murmur::{M, R, SEED};
-    let mut stmts = vec![Stmt::new(HidOp::Load, Some("key"), vec![param("keys")])];
-    // Two hash chains (different seeds), each ending in a gather + bit test.
-    for (i, seed) in [SEED ^ M, 0x9e37_79b9_7f4a_7c15 ^ M].into_iter().enumerate() {
-        let sfx = |n: &str| format!("{n}{i}");
-        stmts.extend([
-            Stmt::new(HidOp::Mul, Some(&sfx("k")), vec![var("key"), cst("m", M)]),
-            Stmt::new(HidOp::Srli, Some(&sfx("kr")), vec![var(&sfx("k")), Imm(R)]),
-            Stmt::new(HidOp::Xor, Some(&sfx("k2")), vec![var(&sfx("kr")), var(&sfx("k"))]),
-            Stmt::new(HidOp::Mul, Some(&sfx("k3")), vec![var(&sfx("k2")), cst("m", M)]),
-            Stmt::new(
-                HidOp::Xor,
-                Some(&sfx("h")),
-                vec![cst(if i == 0 { "hseed1" } else { "hseed2" }, seed), var(&sfx("k3"))],
-            ),
-            Stmt::new(HidOp::Mul, Some(&sfx("h2")), vec![var(&sfx("h")), cst("m", M)]),
-            Stmt::new(HidOp::Srli, Some(&sfx("hr")), vec![var(&sfx("h2")), Imm(R)]),
-            Stmt::new(HidOp::Xor, Some(&sfx("hv")), vec![var(&sfx("hr")), var(&sfx("h2"))]),
-            Stmt::new(
-                HidOp::And,
-                Some(&sfx("widx")),
-                vec![var(&sfx("hv")), cst("wmask", 0xffff)],
-            ),
-            Stmt::new(
-                HidOp::Gather,
-                Some(&sfx("word")),
-                vec![param("words"), var(&sfx("widx"))],
-            ),
-            Stmt::new(
-                HidOp::And,
-                Some(&sfx("bpos")),
-                vec![var(&sfx("hv")), cst("c63", 63)],
-            ),
-            Stmt::new(
-                HidOp::Sllv,
-                Some(&sfx("bit")),
-                vec![cst("one", 1), var(&sfx("bpos"))],
-            ),
-            Stmt::new(
-                HidOp::And,
-                Some(&sfx("hit")),
-                vec![var(&sfx("word")), var(&sfx("bit"))],
-            ),
-        ]);
-    }
-    stmts.push(Stmt::new(HidOp::And, Some("both"), vec![var("hit0"), var("hit1")]));
-    stmts.push(Stmt::new(HidOp::Cmp, Some("res"), vec![var("both"), cst("zero", 0)]));
-    stmts.push(Stmt::new(HidOp::Store, None, vec![var("res"), param("out")]));
-    OperatorTemplate {
-        name: "bloom_check".into(),
-        params: vec!["keys".into(), "words".into(), "out".into()],
-        carried: vec![],
-        stmts,
-    }
-}
-
 /// The selective-gather template: load an index vector, gather, store.
 pub fn gather() -> OperatorTemplate {
     OperatorTemplate {
@@ -287,7 +228,6 @@ pub fn for_family(family: Family) -> OperatorTemplate {
         Family::Filter => filter(),
         Family::AggSum => agg_sum(),
         Family::AggDot => agg_dot(),
-        Family::BloomCheck => bloom(),
         Family::Gather => gather(),
         Family::Decode => decode(),
     }

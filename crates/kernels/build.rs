@@ -23,7 +23,6 @@ const FAMILIES: &[(&str, &str, &str)] = &[
     ("Filter", "FILTER_GRID", "crate::filter::run"),
     ("AggSum", "AGG_SUM_GRID", "crate::agg::run_sum"),
     ("AggDot", "AGG_DOT_GRID", "crate::agg::run_dot"),
-    ("BloomCheck", "BLOOM_GRID", "crate::bloom::run"),
     ("Gather", "GATHER_GRID", "crate::gather::run"),
     ("Decode", "DECODE_GRID", "crate::decode::run"),
 ];

@@ -32,7 +32,6 @@ pub fn grid_for(family: Family) -> &'static [GridEntry] {
         Family::Filter => FILTER_GRID,
         Family::AggSum => AGG_SUM_GRID,
         Family::AggDot => AGG_DOT_GRID,
-        Family::BloomCheck => BLOOM_GRID,
         Family::Gather => GATHER_GRID,
         Family::Decode => DECODE_GRID,
     }

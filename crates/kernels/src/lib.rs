@@ -25,7 +25,6 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod agg;
-pub mod bloom;
 pub mod crc64;
 pub mod decode;
 pub mod dense;
@@ -40,7 +39,6 @@ pub mod probe;
 mod dispatch;
 
 pub use dispatch::{grid_for, kernel_for, GridEntry};
-pub use bloom::BloomFilter;
 pub use dense::DenseIndex;
 pub use partition::{
     plan_partition_bits, PartitionScratch, PartitionedProbeTable, MAX_PARTITION_BITS,
@@ -117,8 +115,6 @@ pub enum Family {
     AggSum,
     /// Sum-of-products aggregation (`sum(a*b)`, e.g. revenue columns).
     AggDot,
-    /// Bloom-filter membership check (semi-join pre-filtering).
-    BloomCheck,
     /// Selective gather (`out[i] = src[idx[i]]`, the pipeline "take").
     Gather,
     /// Compressed-page decode: bit-unpack + frame-of-reference add or
@@ -128,14 +124,13 @@ pub enum Family {
 
 impl Family {
     /// All families, in dispatch-table order.
-    pub const ALL: [Family; 9] = [
+    pub const ALL: [Family; 8] = [
         Family::Murmur,
         Family::Crc64,
         Family::Probe,
         Family::Filter,
         Family::AggSum,
         Family::AggDot,
-        Family::BloomCheck,
         Family::Gather,
         Family::Decode,
     ];
@@ -149,7 +144,6 @@ impl Family {
             Family::Filter => "filter",
             Family::AggSum => "agg_sum",
             Family::AggDot => "agg_dot",
-            Family::BloomCheck => "bloom",
             Family::Gather => "gather",
             Family::Decode => "decode",
         }
@@ -205,14 +199,6 @@ pub enum KernelIo<'a> {
         a: &'a [u64],
         b: &'a [u64],
         acc: &'a mut u64,
-    },
-    /// Bloom-filter membership: `out[i] = 1` if `keys[i]` may be present.
-    /// `prefetch` as in [`KernelIo::Probe`] (hash-ahead word prefetch).
-    Bloom {
-        keys: &'a [u64],
-        filter: &'a BloomFilter,
-        out: &'a mut [u64],
-        prefetch: usize,
     },
     /// Selective gather: `out[i] = src[idx[i]]`. All indices must be in
     /// bounds of `src`. `prefetch` as in [`KernelIo::Probe`] (index-ahead

@@ -22,7 +22,10 @@ pub enum Metric {
     FilterRowsOut,
     ProbeKeys,
     ProbeHits,
+    /// Nothing records this counter since the Bloom pre-filter was
+    /// removed; it stays because benchmark reports still name it.
     BloomKeys,
+    /// Nothing records this counter (see [`Metric::BloomKeys`]).
     BloomDrops,
     AggRows,
     GatherRows,

@@ -74,8 +74,7 @@ impl Table {
         self.columns.iter().map(Column::bytes).sum()
     }
 
-    /// A copy of the first `n` rows (used for sampling-based planning,
-    /// e.g. dynamic flavor selection).
+    /// A copy of the first `n` rows.
     pub fn head(&self, n: usize) -> Table {
         let n = n.min(self.len());
         let mut t = Table::new(self.name.clone());

@@ -1,16 +1,15 @@
-//! The deployment loop: tune once, persist, reuse — plus dynamic flavor
-//! selection (the paper's §VII future-work item).
+//! The deployment loop: tune once, persist, reuse.
 //!
 //! 1. Run HEF's offline phase for the engine's kernel families and save the
 //!    winning nodes to a registry file (the artifact a deployment ships).
 //! 2. Reload the registry and build a hybrid engine config from it.
-//! 3. Execute an SSB query with (a) the registry-tuned engine and (b) the
-//!    sampling-based dynamic selector, verifying both against scalar.
+//! 3. Execute an SSB query with the registry-tuned engine, verifying it
+//!    against scalar.
 //!
 //! Run with: `cargo run --release --example tuned_pipeline`
 
 use hef::core::{tune_measured, Family, Registry};
-use hef::engine::{execute_star, CancelToken, Engine, ExecConfig};
+use hef::engine::{execute_star, ExecConfig};
 use hef::ssb::{build_plan, generate, QueryId};
 
 fn main() {
@@ -48,27 +47,10 @@ fn main() {
     let scalar_ms = t.elapsed().as_secs_f64() * 1e3;
     assert_eq!(tuned_out.groups, scalar_out.groups);
 
-    // Sample 5% of the fact table, then run the full query on the winner.
-    let engine = Engine::default();
-    let sample_rows = data.lineorder.len() / 20;
-    let selection = engine
-        .choose_flavor(&plan, &data.lineorder, sample_rows, &CancelToken::new())
-        .expect("flavor selection");
-    let dyn_out = execute_star(&plan, &data.lineorder, &ExecConfig::for_flavor(selection.flavor));
-    assert_eq!(dyn_out.groups, scalar_out.groups);
-
     println!("scalar engine:          {scalar_ms:8.2} ms");
     println!(
         "registry-tuned hybrid:  {tuned_ms:8.2} ms   ({:.2}x)",
         scalar_ms / tuned_ms
     );
-    println!(
-        "dynamic selector chose: {} (sampled {} rows)",
-        selection.flavor.name(),
-        selection.sample_rows
-    );
-    for (flavor, secs) in &selection.sample_secs {
-        println!("    sample {:<7} {:8.3} ms", flavor.name(), secs * 1e3);
-    }
-    println!("\nall engines agree ✓");
+    println!("\nboth engines agree ✓");
 }

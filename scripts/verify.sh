@@ -14,6 +14,11 @@ cargo build --offline
 cargo test -q --offline -- --test-threads=1
 cargo test -q --offline
 cargo bench -p hef-bench --no-run --offline
+# The benchmark (`hefbench/`, a workspace of its own) compiles against the
+# crates' public names: build and test it here, so removing a name it uses
+# fails this gate instead of the benchmark run. It keeps its own target
+# directory: a shared one still compiles hef-kernels a second time.
+cargo test -q --offline --manifest-path hefbench/Cargo.toml
 
 # No process-global query configuration: nothing under the engine, the
 # bench harness, the SSB planner, the storage layer or the integration tests

@@ -5,7 +5,7 @@
 
 use hef::hid::Backend;
 use hef::kernels::{
-    all_configs, run_on, BloomFilter, Family, HybridConfig, KernelIo, ProbeTable,
+    all_configs, run_on, Family, HybridConfig, KernelIo, ProbeTable,
 };
 use hef_testutil::Rng;
 
@@ -171,25 +171,6 @@ fn aggregations_agree_across_backends_with_wraparound() {
             let mut io = KernelIo::AggDot { a: &a, b: &b, acc: &mut acc };
             assert!(run_on(Family::AggDot, cfg, backend, &mut io));
             assert_eq!(acc, dot_ref, "dot {cfg} {backend:?}");
-        }
-    }
-}
-
-#[test]
-fn bloom_agrees_across_backends() {
-    let mut filter = BloomFilter::with_capacity(3000);
-    let mut rng = Rng::seed_from_u64(21);
-    for _ in 0..3000 {
-        filter.insert(rng.gen_range(0..50_000u64));
-    }
-    let keys: Vec<u64> = (0..2345).map(|i| i * 31 % 70_000).collect();
-    let expect: Vec<u64> = keys.iter().map(|&k| u64::from(filter.check_scalar(k))).collect();
-    for backend in backends() {
-        for cfg in sample_nodes() {
-            let mut out = vec![0u64; keys.len()];
-            let mut io = KernelIo::Bloom { keys: &keys, filter: &filter, out: &mut out, prefetch: 0 };
-            assert!(run_on(Family::BloomCheck, cfg, backend, &mut io));
-            assert_eq!(out, expect, "{cfg} {backend:?}");
         }
     }
 }

@@ -12,9 +12,9 @@
 use std::path::PathBuf;
 
 use hef::engine::{
-    estimate_query_bytes, execute_star, try_execute_star_paged_ctx, CancelToken, Engine,
+    estimate_paged_query_bytes, execute_star, try_execute_star_paged_ctx, CancelToken, Engine,
     ExecConfig, ExecError, ExecReport, Fact, Flavor, GovernorConfig, PagedTable, QueryCtx,
-    QueryOutput, StarPlan, MIN_BATCH,
+    QueryOutput, StarPlan,
 };
 use hef::obs::metrics::{self, Metric};
 use hef::ssb::{build_plan, generate, generate_paged, QueryId, SsbData, LINEORDER_COLUMNS};
@@ -233,10 +233,10 @@ fn paged_budget_returns_to_zero_after_success_degradation_and_read_failure() {
     let page_bytes = fx.max_page_bytes();
     let cache = PageCache::with_shards(2 * page_bytes, 1);
     let cfg = ExecConfig::hybrid_default().with_threads(2);
-    let rows = fx.table.rows() as usize;
-    let minimal = estimate_query_bytes(&plan, rows, &cfg.with_batch(MIN_BATCH), 1);
+    let page_rows = fx.table.max_page_rows();
+    let minimal = estimate_paged_query_bytes(&plan, page_rows, &cfg, 1);
     let budget = minimal + cache.capacity();
-    assert!(estimate_query_bytes(&plan, rows, &cfg, 2) + cache.capacity() > budget);
+    assert!(estimate_paged_query_bytes(&plan, page_rows, &cfg, 2) + cache.capacity() > budget);
     let engine =
         Engine::default().with_limits(GovernorConfig { max_queries: 0, mem_budget: budget });
     let gov = engine.governor();
