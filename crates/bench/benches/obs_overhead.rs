@@ -19,9 +19,10 @@
 //! attempts — the budget is an existence claim, and shared-host noise
 //! swings a single median by ±1%). `--assert-enabled` additionally guards
 //! the *enabled* path at query scale: a governed (deadlined) full-pipeline
-//! run with metrics on, a fine in-memory capture live, and a profile tree
-//! built from it every round must stay within 2% of the dark run — the
-//! observatory must be cheap enough to leave on.
+//! Q2.1 at SF 0.2 with metrics on, a fine in-memory capture live, and a
+//! profile tree built from it every round must stay within 2% of the dark
+//! run — the observatory must be cheap enough to leave on. That guard is
+//! one decisive measurement: the median paired ratio of 300 rounds.
 
 use hef_bench::config::{registry_from_env, tuned_hybrid};
 use hef_engine::{CancelToken, Engine, Fact};
@@ -93,7 +94,7 @@ fn main() {
     // paired ratio: a noise spike or frequency drift on this machine then
     // cancels inside a pair or gets discarded by the median, while a real
     // regression shifts every pair.
-    let mut measure_hot = || {
+    let measure_hot = || {
         let (mut base, mut inst) = (f64::INFINITY, f64::INFINITY);
         let mut ratios = Vec::new();
         for round in 0..8 {
@@ -183,13 +184,17 @@ fn main() {
     if enabled_mode {
         // Enabled-path guard at query scale: a governed run (deadline in
         // force, so admission + slack accounting are live) with metrics on,
-        // a fine capture recording, and the profile tree built every round.
-        // Interleaved min-of-k on both sides, same as the hot loop above.
-        // The workload is sized up so per-run scheduler jitter (tens of µs
-        // on a busy host) amortizes below the 2% budget instead of
-        // dominating a sub-millisecond run.
+        // a fine capture recording, and the profile tree built every round,
+        // against the dark run, paired within each round (alternating which
+        // side runs first) and judged on the median paired ratio over
+        // `ROUNDS` rounds. SF 0.2 puts ~290 morsels in each query, so the
+        // per-query fixed costs (thread spawn, admission) no longer dilute
+        // the per-morsel instrumentation, and 300 rounds hold the median's
+        // run-to-run spread to a few tenths of a percent on a 2-vCPU host:
+        // one measurement decides, with no retry attempts.
+        const ROUNDS: usize = 300;
         let governed = Engine::from_env().with_deadline_ms(60_000);
-        let gdata = generate(0.05, 0xB5);
+        let gdata = generate(0.2, 0xB5);
         let gplan = build_plan(&gdata, QueryId::Q2_1);
         let run = || {
             let (_, report) = governed
@@ -197,65 +202,45 @@ fn main() {
                 .expect("governed Q2.1 fits a 60s deadline");
             std::hint::black_box(report.morsels_completed);
         };
-        // Pair lit against dark *within* each round and judge the median
-        // paired ratio: machine-state drift between rounds (frequency,
-        // noisy neighbors on a shared host) cancels inside a pair, and the
-        // median discards spike rounds on either side — a real regression
-        // shifts every pair, so it still moves the median. Alternate which
-        // side runs first so within-round drift doesn't always land on the
-        // same side either. The budget is an existence claim — "the full
-        // observatory fits in 2%" — and invocation-level machine state
-        // still swings a median by ±1% here, so the gate takes up to four
-        // independent measurement attempts and passes on the first one
-        // under budget; a real regression shifts every pair of every
-        // attempt and keeps failing.
-        let mut measure = || {
-            let (mut dark, mut lit) = (f64::INFINITY, f64::INFINITY);
-            let mut ratios = Vec::new();
-            for round in 0..16 {
-                let mut measure_lit = || {
-                    hef_obs::metrics::enable();
-                    hef_obs::trace::start_capture(hef_obs::Level::Fine);
-                    let l = time_best_of(3, run);
-                    let tree = hef_obs::ProfileTree::from_active_session()
-                        .expect("capture session active");
-                    tree.check_nesting().expect("profile nesting invariant");
-                    hef_obs::trace::finish();
-                    hef_obs::metrics::disable();
-                    l
-                };
-                let (d, l) = if round % 2 == 1 {
-                    let l = measure_lit();
-                    (time_best_of(3, run), l)
-                } else {
-                    let d = time_best_of(3, run);
-                    (d, measure_lit())
-                };
-                dark = dark.min(d);
-                lit = lit.min(l);
-                ratios.push(l / d);
-            }
-            ratios.sort_by(f64::total_cmp);
-            let med = (ratios[ratios.len() / 2 - 1] + ratios[ratios.len() / 2]) / 2.0;
-            (dark, lit, med)
-        };
-        let mut eratio = f64::INFINITY;
-        for attempt in 1..=4 {
-            let (dark, lit, med) = measure();
-            eratio = eratio.min(med);
-            println!(
-                "governed Q2.1 @2T (attempt {attempt}): dark {:.3} ms, metrics+capture+profile {:.3} ms, median paired ratio {:.4}",
-                dark * 1e3,
-                lit * 1e3,
-                med
-            );
-            if eratio < 1.02 {
-                break;
-            }
+        let (mut dark, mut lit) = (f64::INFINITY, f64::INFINITY);
+        let mut ratios = Vec::with_capacity(ROUNDS);
+        for round in 0..ROUNDS {
+            let measure_lit = || {
+                hef_obs::metrics::enable();
+                hef_obs::trace::start_capture(hef_obs::Level::Fine);
+                let l = time_best_of(3, run);
+                let tree =
+                    hef_obs::ProfileTree::from_active_session().expect("capture session active");
+                tree.check_nesting().expect("profile nesting invariant");
+                hef_obs::trace::finish();
+                hef_obs::metrics::disable();
+                l
+            };
+            let (d, l) = if round % 2 == 1 {
+                let l = measure_lit();
+                (time_best_of(3, run), l)
+            } else {
+                let d = time_best_of(3, run);
+                (d, measure_lit())
+            };
+            dark = dark.min(d);
+            lit = lit.min(l);
+            ratios.push(l / d);
         }
+        ratios.sort_by(f64::total_cmp);
+        let quantile = |q: f64| ratios[((ratios.len() - 1) as f64 * q).round() as usize];
+        let eratio = quantile(0.5);
+        println!(
+            "governed Q2.1 @2T, SF 0.2, {ROUNDS} rounds: dark {:.3} ms, metrics+capture+profile {:.3} ms, \
+             median paired ratio {eratio:.4} (quartiles {:.4}..{:.4})",
+            dark * 1e3,
+            lit * 1e3,
+            quantile(0.25),
+            quantile(0.75)
+        );
         assert!(
             eratio < 1.02,
-            "enabled-path overhead {:.2}% exceeds the 2% budget in every attempt",
+            "enabled-path overhead {:.2}% exceeds the 2% budget",
             (eratio - 1.0) * 100.0
         );
         println!("enabled-overhead guard passed ({:.2}% <= 2%)", (eratio - 1.0) * 100.0);

@@ -24,9 +24,10 @@
 //! budget (`hef_engine::join_table_budget`).
 //!
 //! Beside them, the dense join index (`hef_kernels::DenseIndex`, what
-//! `build_dimension` builds for a dense key range): the clamp pass plus the
-//! gather kernel at the same 4096-entry, 80%-miss point, and over a
-//! 200 k-key span (an SF 1 `part` array, 1.6 MB).
+//! `build_dimension` builds for a dense key range): the fused probe
+//! (clamp, gather, hit test and compaction of the selection and group ids
+//! in one Gather-grid pass) at the same 4096-entry, 80%-miss point, and over
+//! a 200 k-key span (an SF 1 `part` array, 1.6 MB).
 //!
 //! The run is persisted to `results/bench_probe.json` (crossover) and
 //! `results/bench_probe_load.json` (load factor; see
@@ -218,8 +219,8 @@ fn main() {
     persist(&load_snap, compare);
 }
 
-/// One row per node: the clamp pass into a reused index buffer, then the
-/// gather kernel over the payload array — the stage loop's dense probe.
+/// One row per node: the fused dense probe over a fresh selection of every
+/// key, as the stage loop's first dimension runs it.
 fn bench_dense(
     g: &mut Group,
     snap: &mut BenchSnapshot,
@@ -229,8 +230,7 @@ fn bench_dense(
     keys: &[u64],
     nkeys: usize,
 ) {
-    let mut idx = Vec::with_capacity(keys.len());
-    let mut out = vec![0u64; keys.len()];
+    let (mut sel, mut gids) = (Vec::with_capacity(keys.len()), Vec::with_capacity(keys.len()));
     for (name, cfg) in [
         ("scalar", HybridConfig::SCALAR),
         ("simd", HybridConfig::SIMD),
@@ -238,8 +238,10 @@ fn bench_dense(
     ] {
         let label = format!("dense_{name}_{tag}");
         let s = g.bench(label.clone(), || {
-            dense.clamp(keys, &mut idx);
-            let mut io = KernelIo::Gather { src: dense.pays(), idx: &idx, out: &mut out, prefetch: 0 };
+            sel.clear();
+            sel.extend(0..keys.len() as u64);
+            gids.clear();
+            let mut io = KernelIo::DenseProbe { keys, index: dense, stride: 1, sel: &mut sel, gids: &mut gids };
             assert!(run(Family::Gather, cfg, &mut io));
         });
         snap.row(group, &label, s, Some(nkeys as u64));

@@ -287,9 +287,11 @@ impl Drop for ByteCharge<'_> {
 /// Worst-case bytes an in-memory query's execution scratch will allocate:
 /// per worker, the reusable batch buffers, each `cfg.batch` rows (at most
 /// the fact table) — for the pipeline worker `sel`, `keys`, `gids`,
-/// `vals`, one payload vector per dimension and the clamped slots `idx`
-/// when a dimension is dense; for Voila one dense buffer per column plus
-/// gid/slots/pay — the private group-accumulator array, and, when radix
+/// `vals`, and the probe output `out` when a dimension is hashed (a dense
+/// dimension's fused probe compacts `sel` and `gids` in place), plus the
+/// filter's 8 lanes of compress-store slack on `sel`; for Voila one dense
+/// buffer per column plus gid/slots/pay — the private group-accumulator
+/// array, and, when radix
 /// partitioning is live, the `PartitionScratch` bucketing copy plus
 /// per-partition offset tables. Admission must never under-charge.
 pub fn estimate_query_bytes(
@@ -326,10 +328,9 @@ pub fn estimate_paged_query_bytes(
 }
 
 /// The pipeline worker's batch-long buffers: `sel`, `keys`, `gids`,
-/// `vals`, one payload vector per dimension, and `idx` when a dimension
-/// is dense.
+/// `vals`, and `out` when a dimension is hashed.
 fn pipeline_streams(plan: &StarPlan) -> usize {
-    4 + plan.dims.len() + plan.dims.iter().any(|d| d.index.is_dense()) as usize
+    4 + plan.dims.iter().any(|d| !d.index.is_dense()) as usize
 }
 
 /// `threads` workers, each holding `streams` buffers of `batch` rows, the
@@ -341,7 +342,9 @@ fn scratch_bytes(
     cfg: &ExecConfig,
     threads: usize,
 ) -> usize {
-    let mut per_worker = batch * 8 * streams + plan.group_cells() * 8;
+    // 8 lanes of slack: the filter reserves them past `sel` for its
+    // full-width compress stores.
+    let mut per_worker = (batch * streams + 8) * 8 + plan.group_cells() * 8;
     if cfg.partition {
         if let Some(bits) =
             plan.dims.iter().filter_map(|d| d.index.parts().map(|p| p.bits())).max()
@@ -723,7 +726,8 @@ mod tests {
 
     /// Four dense dimensions, as SSB's Q4.x at SF 1: the estimate covers
     /// every batch-long buffer the pipeline worker holds, in memory and on
-    /// pages, where a batch is a whole page.
+    /// pages, where a batch is a whole page; a hashed dimension adds its
+    /// probe output.
     #[test]
     fn estimate_covers_every_worker_buffer() {
         let mut dim = Table::new("dim");
@@ -743,8 +747,9 @@ mod tests {
             strides: vec![],
         };
         let cfg = ExecConfig::hybrid_default();
-        // sel, keys, gids, vals, four payload vectors and the clamped slots.
-        let worker = |batch: usize| batch * 8 * 9 + plan.group_cells() * 8;
+        // sel (with the filter's 8 lanes of slack), keys, gids and vals;
+        // the dense probes compact sel and gids in place.
+        let worker = |batch: usize| (batch * 4 + 8) * 8 + plan.group_cells() * 8;
         assert!(estimate_query_bytes(&plan, 1 << 20, &cfg, 1) >= worker(cfg.batch));
         assert!(estimate_query_bytes(&plan, 1 << 20, &cfg, 3) >= 3 * worker(cfg.batch));
         // A 256 KiB page of 8-byte rows, plus the page source's decode
@@ -753,5 +758,16 @@ mod tests {
         let paged = worker(page) + 2 * page * 8;
         assert!(estimate_paged_query_bytes(&plan, page, &cfg, 1) >= paged);
         assert!(estimate_paged_query_bytes(&plan, page, &cfg.with_batch(MIN_BATCH), 2) >= 2 * paged);
+
+        // A sparse key domain builds a hash table, whose probe writes one
+        // more batch-long buffer before it folds into the group ids.
+        let mut sparse = Table::new("sparse");
+        sparse.add_column(Column::new("key", (0..16).map(|k| k << 40).collect()));
+        let mut hashed = plan.clone();
+        hashed.dims[3] = build_dimension(&sparse, "key", |_| true, |r| (r % 2) as u64, 2, "fk3");
+        assert!(!hashed.dims[3].index.is_dense());
+        let worker = |batch: usize| (batch * 5 + 8) * 8 + hashed.group_cells() * 8;
+        assert!(estimate_query_bytes(&hashed, 1 << 20, &cfg, 1) >= worker(cfg.batch));
+        assert!(estimate_paged_query_bytes(&hashed, page, &cfg, 1) >= worker(page) + 2 * page * 8);
     }
 }

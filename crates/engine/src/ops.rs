@@ -25,31 +25,30 @@ pub fn grouped_accumulate(acc: &mut [u64], gids: &[u64], vals: &[u64]) {
     }
 }
 
-/// Compact `sel`, the earlier probes' payload vectors `pays` and the
-/// current probe's output `out` down to the rows where `out` is a hit,
-/// keeping their order. Returns the new length.
+/// Fold a hashed probe's output `out` into the selection and the running
+/// group ids: keep, in order, the rows where `out` is a hit, with group id
+/// `gids[j] + out[j] · stride` (`gids` empty: the first dimension, every
+/// incoming id 0). Returns the new length. This is what the fused dense
+/// probe ([`hef_kernels::KernelIo::DenseProbe`]) does in one kernel pass.
 ///
 /// Branch-free: each row is written at the cursor, which then advances by
 /// `(out != MISS)`, so a hit ratio near one half costs no mispredicted
-/// branches. Vectors are compacted in
-/// place, so the caller's buffers keep their capacity across batches.
-pub fn compact_hits(sel: &mut Vec<u64>, pays: &mut [Vec<u64>], out: &mut Vec<u64>) -> usize {
+/// branches. Vectors are compacted in place, so the caller's buffers keep
+/// their capacity across batches.
+pub fn compact_hits(sel: &mut Vec<u64>, gids: &mut Vec<u64>, out: &[u64], stride: u64) -> usize {
     debug_assert_eq!(sel.len(), out.len());
+    if gids.is_empty() {
+        gids.resize(sel.len(), 0);
+    }
+    debug_assert_eq!(gids.len(), sel.len());
     let mut k = 0usize;
-    for j in 0..sel.len() {
+    for (j, &o) in out.iter().enumerate() {
         sel[k] = sel[j];
-        for p in pays.iter_mut() {
-            p[k] = p[j];
-        }
-        let o = out[j];
-        out[k] = o;
+        gids[k] = gids[j].wrapping_add(o.wrapping_mul(stride));
         k += (o != MISS) as usize;
     }
     sel.truncate(k);
-    for p in pays {
-        p.truncate(k);
-    }
-    out.truncate(k);
+    gids.truncate(k);
     k
 }
 
@@ -75,40 +74,38 @@ mod tests {
     #[test]
     fn compact_hits_drops_misses_and_collects_payloads() {
         let mut sel = vec![10, 11, 12, 13];
-        let mut pays: Vec<Vec<u64>> = vec![vec![100, 101, 102, 103]];
-        let mut out = vec![7, MISS, 9, MISS];
-        let k = compact_hits(&mut sel, &mut pays, &mut out);
+        let mut gids = vec![100, 101, 102, 103];
+        let out = vec![7, MISS, 9, MISS];
+        let k = compact_hits(&mut sel, &mut gids, &out, 10);
         assert_eq!(k, 2);
         assert_eq!(sel, vec![10, 12]);
-        assert_eq!(pays[0], vec![100, 102]); // earlier payloads compacted
-        assert_eq!(out, vec![7, 9]); // current probe's payloads kept
+        assert_eq!(gids, vec![170, 192]); // incoming ids plus payload × stride
     }
 
     #[test]
     fn compact_all_misses_empties_everything() {
         let mut sel = vec![1, 2];
-        let mut out = vec![MISS, MISS];
-        assert_eq!(compact_hits(&mut sel, &mut [], &mut out), 0);
+        let mut gids = Vec::new();
+        assert_eq!(compact_hits(&mut sel, &mut gids, &[MISS, MISS], 1), 0);
         assert!(sel.is_empty());
-        assert!(out.is_empty());
+        assert!(gids.is_empty());
     }
 
     /// The branchy loop the branch-free compaction replaced: the oracle.
-    fn branchy(sel: &mut Vec<u64>, cols: &mut [Vec<u64>], keep: impl Fn(usize) -> bool) -> usize {
+    fn branchy(sel: &mut Vec<u64>, gids: &mut Vec<u64>, out: &[u64], stride: u64) -> usize {
+        if gids.is_empty() {
+            gids.resize(sel.len(), 0);
+        }
         let mut k = 0usize;
         for j in 0..sel.len() {
-            if keep(j) {
+            if out[j] != MISS {
                 sel[k] = sel[j];
-                for c in cols.iter_mut() {
-                    c[k] = c[j];
-                }
+                gids[k] = gids[j] + out[j] * stride;
                 k += 1;
             }
         }
         sel.truncate(k);
-        for c in cols.iter_mut() {
-            c.truncate(k);
-        }
+        gids.truncate(k);
         k
     }
 
@@ -129,25 +126,24 @@ mod tests {
     fn property_branch_free_compaction_matches_the_branchy_loop() {
         let gen = |rng: &mut hef_testutil::Rng| {
             let n = [0usize, 1, 7, 64, 1024][rng.gen_range(0..5usize)];
-            (n, rng.gen_range(0..4usize), rng.next_u64())
+            (n, rng.gen_range(0..2usize) == 1, rng.next_u64())
         };
-        hef_testutil::prop::check("compaction matches the branchy loop", gen, |&(n, earlier, seed)| {
+        hef_testutil::prop::check("compaction matches the branchy loop", gen, |&(n, later, seed)| {
             let mut rng = hef_testutil::Rng::seed_from_u64(seed);
             for mask in masks(&mut rng, n) {
-                let mut draw = |n: usize| -> Vec<u64> { (0..n).map(|_| rng.next_u64() >> 1).collect() };
                 let sel: Vec<u64> = (0..n as u64).map(|j| 2 * j).collect();
-                let cols: Vec<Vec<u64>> = (0..earlier).map(|_| draw(n)).collect();
-                let out: Vec<u64> =
-                    mask.iter().zip(draw(n)).map(|(&hit, v)| if hit { v % 1000 } else { MISS }).collect();
-
-                // Probe hits: the probe output is compacted with the rest.
-                let (mut want_sel, mut want) = (sel.clone(), cols.clone());
-                want.push(out.clone());
-                let want_k = branchy(&mut want_sel, &mut want, |j| mask[j]);
-                let (mut got_sel, mut got, mut got_out) = (sel, cols, out);
-                let k = compact_hits(&mut got_sel, &mut got, &mut got_out);
-                got.push(got_out);
-                if (k, &got_sel, &got) != (want_k, &want_sel, &want) {
+                let gids: Vec<u64> =
+                    if later { (0..n).map(|_| rng.gen_range(0..1000u64)).collect() } else { Vec::new() };
+                let out: Vec<u64> = mask
+                    .iter()
+                    .map(|&hit| if hit { rng.gen_range(0..1000u64) } else { MISS })
+                    .collect();
+                let stride = rng.gen_range(1..100u64);
+                let (mut want_sel, mut want_gids) = (sel.clone(), gids.clone());
+                let want_k = branchy(&mut want_sel, &mut want_gids, &out, stride);
+                let (mut got_sel, mut got_gids) = (sel, gids);
+                let k = compact_hits(&mut got_sel, &mut got_gids, &out, stride);
+                if (k, &got_sel, &got_gids) != (want_k, &want_sel, &want_gids) {
                     return Err(format!("compact_hits: {k} rows, want {want_k}; mask {mask:?}"));
                 }
             }

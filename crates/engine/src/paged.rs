@@ -718,6 +718,11 @@ mod tests {
         let page_rows = paged.max_page_rows();
         assert_eq!(page_rows, 1024);
         let one_worker = estimate_paged_query_bytes(&plan, page_rows, &cfg, 1);
+        // A page each for sel, keys, gids and vals (the toy dimensions are
+        // dense, so no probe output), the decode buffer and the kept
+        // indices, plus the accumulators and the filter's 8-lane slack.
+        assert!(plan.dims.iter().all(|d| d.index.is_dense()));
+        assert_eq!(one_worker, (6 * page_rows + 8) * 8 + plan.group_cells() * 8);
         // An in-memory scan of the same table holds 256-row batches.
         assert!(estimate_query_bytes(&plan, mem.len(), &cfg, 2) < one_worker);
         assert!(cache.capacity() < one_worker);

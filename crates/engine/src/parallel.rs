@@ -371,6 +371,13 @@ fn worker_loop(wid: usize, sched: &Scheduler, scan: &Scan<'_>, ctx: &QueryCtx) -
     let mut tally = Tally::default();
     let mut w = (scan.make)();
     let mut done: Vec<(usize, usize)> = Vec::new();
+    // One clock read per morsel, at its end, serves the morsel's span end,
+    // the next morsel's span start and its latency: morsels are a few
+    // batches, so four reads a morsel were a visible share of a traced
+    // query. The mark restarts after a stall or a discarded worker.
+    let timed = hef_obs::metrics::enabled() || hef_obs::trace::enabled_fine();
+    let stamp = || if timed { hef_obs::trace::now_ns() } else { 0 };
+    let mut mark = stamp();
     while let Some((lo, hi, attempts)) = sched.claim() {
         let morsel_idx = lo / sched.morsel;
         tally.add(Metric::MorselsClaimed, 1);
@@ -383,27 +390,33 @@ fn worker_loop(wid: usize, sched: &Scheduler, scan: &Scan<'_>, ctx: &QueryCtx) -
                 sched.complete();
                 return None;
             }
+            mark = stamp();
         }
         // The span guard lives inside the catch_unwind closure so a panic
         // still closes the morsel span on unwind.
-        let t0 = hef_obs::metrics::enabled().then(std::time::Instant::now);
         let run = catch_unwind(AssertUnwindSafe(|| {
-            let _mspan = hef_obs::span_fine!("morsel", lo = lo, hi = hi, attempt = attempts);
+            let mspan = if timed && hef_obs::trace::enabled_fine() {
+                let args = [("lo", lo as i64), ("hi", hi as i64), ("attempt", attempts as i64)];
+                hef_obs::trace::span_begin_at("morsel", mark, &args)
+            } else {
+                hef_obs::trace::SpanGuard::disabled()
+            };
             scan.faults.maybe_panic_worker(wid, morsel_idx, fault::Phase::Before);
             let r = w.try_run_range(lo, hi, ctx);
             scan.faults.maybe_panic_worker(wid, morsel_idx, fault::Phase::After);
-            r
+            let end = stamp();
+            mspan.end_at(end);
+            (r, end)
         }));
         match run {
-            Ok(Ok(())) => {
-                if let Some(t0) = t0 {
-                    tally.observe(Hist::MorselLatencyUs, t0.elapsed().as_micros() as u64);
-                }
+            Ok((Ok(()), end)) => {
+                tally.observe(Hist::MorselLatencyUs, end.saturating_sub(mark) / 1000);
+                mark = end;
                 done.push((lo, hi));
                 sched.completed.fetch_add(1, Ordering::AcqRel);
                 sched.complete();
             }
-            Ok(Err(cause)) => {
+            Ok((Err(cause), _)) => {
                 // Stopped mid-morsel: this worker's partial output is
                 // unusable, and the whole query is ending anyway.
                 sched.stop(cause);
@@ -414,6 +427,7 @@ fn worker_loop(wid: usize, sched: &Scheduler, scan: &Scan<'_>, ctx: &QueryCtx) -
                 sched.requeue((lo, hi, attempts), &done);
                 w = (scan.make)();
                 done.clear();
+                mark = stamp();
             }
         }
     }

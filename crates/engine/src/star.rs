@@ -7,7 +7,7 @@ use hef_kernels::{
     plan_partition_bits, DenseIndex, Family, HybridConfig, Kernel, KernelIo,
     PartitionScratch, PartitionedProbeTable, ProbeTable,
 };
-use hef_obs::metrics::{self, Hist, Metric, Tally};
+use hef_obs::metrics::{Hist, Metric, Tally};
 use hef_obs::trace::SpanGuard;
 use hef_storage::Table;
 use hef_testutil::fault::EngineFaults;
@@ -250,8 +250,9 @@ pub struct DimJoin {
 #[derive(Debug, Clone)]
 pub enum JoinIndex {
     /// Direct-addressed payloads for a dense key range: the stage loop
-    /// clamps `key − lo` and gathers. No hash table or radix copy exists
-    /// for it.
+    /// probes it with the fused clamp-gather-compact kernel
+    /// ([`KernelIo::DenseProbe`]). No hash table or radix copy exists for
+    /// it.
     Dense(DenseIndex),
     /// A hash table for a wide or sparse key domain.
     Hashed(HashIndex),
@@ -776,14 +777,15 @@ pub(crate) struct PipelineWorker<'a, S> {
     // Reusable batch buffers (workhorse allocations).
     sel: Vec<u64>,
     keys: Vec<u64>,
-    /// Clamped slots of a dense probe.
-    idx: Vec<u64>,
-    /// Per dimension: the probe's payloads at the surviving rows.
-    pays: Vec<Vec<u64>>,
+    /// Running group ids of the surviving rows: `Σ payload · stride` over
+    /// the dimensions probed so far.
     gids: Vec<u64>,
     vals: Vec<u64>,
+    /// A hashed probe's payloads, before they fold into `gids`.
+    out: Vec<u64>,
     part_scratch: PartitionScratch,
-    /// Per-batch metric updates, published once per morsel.
+    /// Per-batch histogram updates, published with the counters that
+    /// [`PipelineWorker::publish`] derives from `stats`.
     tally: Tally,
 }
 
@@ -812,10 +814,9 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
             strides: plan.gid_strides(),
             sel: Vec::new(),
             keys: Vec::new(),
-            idx: Vec::new(),
-            pays: vec![Vec::new(); ndims],
             gids: Vec::new(),
             vals: Vec::new(),
+            out: Vec::new(),
             part_scratch: PartitionScratch::default(),
             tally: Tally::default(),
         }
@@ -858,24 +859,19 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
             }
         }
         self.stats.rows_after_filter += self.sel.len() as u64;
-        if metrics::enabled() {
-            self.tally.add(Metric::FilterRowsIn, rows as u64);
-            self.tally.add(Metric::FilterRowsOut, self.sel.len() as u64);
-            self.tally.observe(Hist::FilterBatchRowsOut, self.sel.len() as u64);
-        }
+        self.tally.observe(Hist::FilterBatchRowsOut, self.sel.len() as u64);
 
         // 2. Dimension probes, most selective first; selection vector
-        // shrinks after each (VIP pipeline, no full materialization). Join
+        // shrinks after each (VIP pipeline, no full materialization), and
+        // each probe folds its payload into the running group ids. Join
         // and measure columns are read only at the surviving rows, so a
         // batch the filters emptied never reads them at all. With no fact
         // filter the first probe's selection is every row, so it reads the
         // key column itself: no gather (on pages, one whole-page decode).
+        self.gids.clear();
         for (di, dim) in plan.dims.iter().enumerate() {
-            let (earlier, rest) = self.pays.split_at_mut(di);
-            let out = &mut rest[0];
-            out.clear();
             if self.sel.is_empty() {
-                continue;
+                break;
             }
             let slot = self.slots.fks[di];
             let keys: &[u64] = if di == 0 && plan.filters.is_empty() {
@@ -884,76 +880,68 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
                 self.src.take(slot, &self.sel, &mut self.keys, kernels)?;
                 &self.keys
             };
-            out.resize(keys.len(), 0);
-            self.stats.probes[di] += keys.len() as u64;
+            let nkeys = keys.len();
+            self.stats.probes[di] += nkeys as u64;
+            let stride = self.strides[di];
             let mut sub_probes = None;
             match &dim.index {
-                // Clamp pass, then the tuned gather kernel over the payloads.
-                JoinIndex::Dense(d) => {
-                    d.clamp(keys, &mut self.idx);
-                    kernels.gather_into(d.pays(), &self.idx, out);
-                }
+                // One fused pass on the Gather grid: clamp, gather, hit
+                // test, and in-place compaction of `sel` and `gids`.
+                JoinIndex::Dense(index) => kernels.dense_probe(&mut KernelIo::DenseProbe {
+                    keys,
+                    index,
+                    stride,
+                    sel: &mut self.sel,
+                    gids: &mut self.gids,
+                }),
                 // Partitioned path: only when the planner built sub-tables
                 // AND the batch carries enough keys per partition for the
                 // bucketing pass to pay for itself (≥ 64 keys per sub-table
                 // on average — pipeline batches are small, so this mostly
                 // serves large-batch callers like the probe bench and
                 // page-sized batches).
-                JoinIndex::Hashed(h) => match h.parts.as_ref().filter(|p| {
-                    cfg.partition && keys.len() >= (1usize << p.bits()) * 64
-                }) {
-                    Some(parts) => {
-                        let mut n = 0u64;
-                        parts.probe_with(keys, out, &mut self.part_scratch, |table, keys, out| {
-                            n += 1;
-                            kernels.probe(&mut KernelIo::Probe {
-                                keys,
-                                table,
-                                out,
-                                prefetch: cfg.probe_prefetch,
+                JoinIndex::Hashed(h) => {
+                    let out = &mut self.out;
+                    out.resize(nkeys, 0);
+                    match h.parts.as_ref().filter(|p| cfg.partition && nkeys >= (1usize << p.bits()) * 64) {
+                        Some(parts) => {
+                            let mut n = 0u64;
+                            parts.probe_with(keys, out, &mut self.part_scratch, |table, keys, out| {
+                                n += 1;
+                                kernels.probe(&mut KernelIo::Probe {
+                                    keys,
+                                    table,
+                                    out,
+                                    prefetch: cfg.probe_prefetch,
+                                });
                             });
-                        });
-                        sub_probes = Some(n);
+                            sub_probes = Some(n);
+                        }
+                        None => kernels.probe(&mut KernelIo::Probe {
+                            keys,
+                            table: &h.table,
+                            out,
+                            prefetch: cfg.probe_prefetch,
+                        }),
                     }
-                    None => kernels.probe(&mut KernelIo::Probe {
-                        keys,
-                        table: &h.table,
-                        out,
-                        prefetch: cfg.probe_prefetch,
-                    }),
-                },
+                    compact_hits(&mut self.sel, &mut self.gids, out, stride);
+                }
             }
-            let k = compact_hits(&mut self.sel, earlier, out);
+            let k = self.sel.len();
             self.stats.hits[di] += k as u64;
-            if metrics::enabled() {
-                self.tally.add(Metric::ProbeKeys, keys.len() as u64);
-                self.tally.add(Metric::ProbeHits, k as u64);
-                self.tally.observe(Hist::ProbeBatchHits, k as u64);
-                if dim.index.is_dense() {
-                    self.tally.add(Metric::ProbeDenseKeys, keys.len() as u64);
-                } else if cfg.probe_prefetch > 0 {
-                    self.tally.add(Metric::ProbePrefetchedKeys, keys.len() as u64);
-                }
-                if let Some(n) = sub_probes {
-                    self.tally.add(Metric::ProbePartitionedKeys, keys.len() as u64);
-                    self.tally.add(Metric::ProbeSubProbes, n);
-                }
+            self.tally.observe(Hist::ProbeBatchHits, k as u64);
+            if let Some(n) = sub_probes {
+                self.tally.add(Metric::ProbePartitionedKeys, nkeys as u64);
+                self.tally.add(Metric::ProbeSubProbes, n);
             }
         }
 
-        // 3. Group ids, the measure, and aggregation.
+        // 3. The measure and aggregation over the surviving rows, whose
+        // group ids the probes left in `gids`.
         if self.sel.is_empty() {
             return Ok(());
         }
         self.stats.rows_aggregated += self.sel.len() as u64;
-        self.tally.add(Metric::AggRows, self.sel.len() as u64);
-        self.gids.clear();
-        self.gids.resize(self.sel.len(), 0);
-        for (pay, &stride) in self.pays.iter().zip(&self.strides) {
-            for (gid, &p) in self.gids.iter_mut().zip(pay) {
-                *gid = gid.wrapping_add(p.wrapping_mul(stride));
-            }
-        }
         let m = &self.slots.measure;
         self.src.take(m[0], &self.sel, &mut self.vals, kernels)?;
         if let Some(&b) = m.get(1) {
@@ -972,26 +960,59 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
             kernels.agg(&mut KernelIo::AggSum { a: &self.vals, acc: &mut total });
             self.acc[0] = self.acc[0].wrapping_add(total);
         } else {
+            // More than one group cell means at least one dimension, so
+            // every surviving row has its id.
             grouped_accumulate(&mut self.acc, &self.gids, &self.vals);
         }
         Ok(())
     }
 }
 
+impl<S> PipelineWorker<'_, S> {
+    /// Publish the worker's metrics: the row and key counters, derived from
+    /// its [`ExecStats`] (which count the same rows), the gather kernel's
+    /// row count, and the per-batch histograms. The stage loop then does no
+    /// counter work per batch, and the shared registry sees one round of
+    /// atomic adds per worker. Runs when the worker is dropped — after
+    /// `finish`, on a stop, or when a panic discards it — and counts
+    /// nothing twice: `finish` empties the stats it hands on.
+    fn publish(&mut self) {
+        let stats = &self.stats;
+        let probed: u64 = stats.probes.iter().sum();
+        let dense: u64 =
+            self.plan.dims.iter().zip(&stats.probes).filter(|(d, _)| d.index.is_dense()).map(|(_, &n)| n).sum();
+        let t = &mut self.tally;
+        t.add(Metric::FilterRowsIn, stats.rows_scanned);
+        t.add(Metric::FilterRowsOut, stats.rows_after_filter);
+        t.add(Metric::ProbeKeys, probed);
+        t.add(Metric::ProbeHits, stats.hits.iter().sum());
+        t.add(Metric::ProbeDenseKeys, dense);
+        if self.cfg.probe_prefetch > 0 {
+            t.add(Metric::ProbePrefetchedKeys, probed - dense);
+        }
+        t.add(Metric::AggRows, stats.rows_aggregated);
+        t.add(Metric::GatherRows, self.kernels.gathered.take());
+        t.flush();
+    }
+}
+
+impl<S> Drop for PipelineWorker<'_, S> {
+    fn drop(&mut self) {
+        self.publish();
+    }
+}
+
 impl<S: BatchSource> MorselWorker for PipelineWorker<'_, S> {
     /// Process units `lo..hi` batch by batch; the cancel/deadline check
     /// runs before every batch, which also brackets each radix-partition
-    /// bucketing pass (partitioning is per-batch). The morsel's metric
-    /// tally is published when it ends, stopped or not.
+    /// bucketing pass (partitioning is per-batch).
     fn try_run_range(&mut self, lo: usize, hi: usize, ctx: &QueryCtx) -> Result<(), Stop> {
-        let done = self.run_range(lo, hi, ctx);
-        self.tally.add(Metric::GatherRows, self.kernels.gathered.take());
-        self.tally.flush();
-        done
+        self.run_range(lo, hi, ctx)
     }
 
-    fn finish(self: Box<Self>) -> QueryOutput {
-        QueryOutput { groups: self.acc, stats: self.stats }
+    fn finish(mut self: Box<Self>) -> QueryOutput {
+        self.publish();
+        QueryOutput { groups: std::mem::take(&mut self.acc), stats: std::mem::take(&mut self.stats) }
     }
 }
 
@@ -1061,28 +1082,27 @@ impl Kernels {
         self.decode.kernel.map(|k| k.run(io)).is_some()
     }
 
-    /// Selective projection through the tuned gather kernel.
-    fn gather(&self, col: &[u64], sel: &[u64], out: &mut Vec<u64>) {
-        self.gathered.set(self.gathered.get() + sel.len() as u64);
-        self.gather_into(col, sel, out);
+    /// The fused dense join probe ([`KernelIo::DenseProbe`]) on the gather
+    /// node; its keys count as probe keys, not gathered rows.
+    fn dense_probe(&self, io: &mut KernelIo<'_>) {
+        self.gather.run(io)
     }
 
-    /// `out = src[idx]` through the gather kernel, uncounted: the dense join
-    /// probe's lookup calls it directly (its keys count as probe keys, not
-    /// gathered rows). Falls back to the scalar helper for off-grid nodes,
-    /// which cannot happen for the shipped flavor configs.
-    fn gather_into(&self, src: &[u64], idx: &[u64], out: &mut Vec<u64>) {
+    /// `out = col[sel]`, the selective projection, through the tuned gather
+    /// kernel. Falls back to the scalar helper for off-grid nodes, which
+    /// cannot happen for the shipped flavor configs.
+    fn gather(&self, col: &[u64], sel: &[u64], out: &mut Vec<u64>) {
+        self.gathered.set(self.gathered.get() + sel.len() as u64);
         // The index stream is a fresh in-cache vector and the sources are
-        // streamed fact columns or a cache-sized payload array — hardware
-        // prefetch covers both, so the software-prefetch depth stays
-        // probe-only here.
+        // streamed fact columns — hardware prefetch covers both, so the
+        // software-prefetch depth stays probe-only here.
         match self.gather.kernel {
             // The kernel writes every element, so a resize (no refill) suffices.
             Some(k) => {
-                out.resize(idx.len(), 0);
-                k.run(&mut KernelIo::Gather { src, idx, out, prefetch: 0 })
+                out.resize(sel.len(), 0);
+                k.run(&mut KernelIo::Gather { src: col, idx: sel, out, prefetch: 0 })
             }
-            None => gather_keys(src, idx, out),
+            None => gather_keys(col, sel, out),
         }
     }
 }
@@ -1266,7 +1286,7 @@ mod tests {
     /// The key `u64::MAX` (the hash table's empty-slot sentinel) misses on
     /// every backend, at every probe and gather node the shipped configs
     /// name, flat and prefetched, through the radix-partitioned table, and
-    /// through a dense index's clamp and gather.
+    /// through a dense index's fused probe at every shipped gather node.
     #[test]
     fn sentinel_key_misses_on_every_backend_and_shipped_node() {
         use hef_hid::Backend;
@@ -1288,8 +1308,8 @@ mod tests {
             .collect();
         let backends = [Backend::Emu, Backend::Avx2, Backend::Avx512];
         let mut scratch = PartitionScratch::default();
-        let mut idx = Vec::new();
-        dense.clamp(&keys, &mut idx);
+        let hit_rows: Vec<u64> = (0..keys.len() as u64).filter(|&i| expect[i as usize] != MISS).collect();
+        let hit_pays: Vec<u64> = expect.iter().copied().filter(|&p| p != MISS).collect();
         for cfg in &shipped_configs() {
             for backend in backends.into_iter().filter(|b| b.is_available()) {
                 let probe = Kernel::resolve(Family::Probe, cfg.probe, backend).unwrap();
@@ -1304,9 +1324,10 @@ mod tests {
                     assert_eq!(out, expect, "partitioned {} f={f} on {}", cfg.probe, backend.name());
                 }
                 let gather = Kernel::resolve(Family::Gather, cfg.gather, backend).unwrap();
-                let mut out = vec![0; keys.len()];
-                gather.run(&mut KernelIo::Gather { src: dense.pays(), idx: &idx, out: &mut out, prefetch: 0 });
-                assert_eq!(out, expect, "dense gather {} on {}", cfg.gather, backend.name());
+                let (mut sel, mut gids) = ((0..keys.len() as u64).collect::<Vec<u64>>(), Vec::new());
+                let index = &dense;
+                gather.run(&mut KernelIo::DenseProbe { keys: &keys, index, stride: 1, sel: &mut sel, gids: &mut gids });
+                assert_eq!((&sel, &gids), (&hit_rows, &hit_pays), "dense probe {} on {}", cfg.gather, backend.name());
             }
         }
         assert_eq!(table.probe_scalar(u64::MAX), MISS);
@@ -1327,6 +1348,8 @@ mod tests {
         for key in (0..1000u64).step_by(3) {
             table.insert(key, key + 7);
         }
+        let pairs: Vec<(u64, u64)> = (100..800u64).step_by(2).map(|k| (k, k % 5)).collect();
+        let dense = DenseIndex::build(&pairs, usize::MAX).unwrap();
         let page = hef_storage::page::Page::encode(&vals);
         for cfg in &shipped {
             let k = Kernels::resolve(cfg);
@@ -1348,6 +1371,14 @@ mod tests {
             let io = &mut KernelIo::Gather { src: &vals, idx: &sel, out: &mut b, prefetch: 0 };
             assert!(run_on(Family::Gather, cfg.gather, cfg.backend, io));
             assert_eq!(a, b, "gather {cfg:?}");
+
+            let (mut a, mut b) = ((sel.clone(), Vec::new()), (sel.clone(), Vec::new()));
+            let keys = &vals[..sel.len()];
+            let index = &dense;
+            k.dense_probe(&mut KernelIo::DenseProbe { keys, index, stride: 3, sel: &mut a.0, gids: &mut a.1 });
+            let io = &mut KernelIo::DenseProbe { keys, index, stride: 3, sel: &mut b.0, gids: &mut b.1 };
+            assert!(run_on(Family::Gather, cfg.gather, cfg.backend, io));
+            assert_eq!(a, b, "dense probe {cfg:?}");
 
             let (mut a, mut b) = (0u64, 0u64);
             k.agg(&mut KernelIo::AggSum { a: &vals, acc: &mut a });

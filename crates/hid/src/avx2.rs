@@ -13,7 +13,9 @@
 //! * mask ops (`vpcmpq`/`vpblendmq` are AVX-512): compares produce vector
 //!   masks that are reduced with `vmovmskpd`, and blends re-expand the bit
 //!   mask through a 16-entry lane-mask table;
-//! * `compress_storeu` (`vpcompressq` is AVX-512F): a scalar loop.
+//! * `minu` (`vpminuq` is AVX-512F): a sign-biased `vpcmpgtq` and a blend;
+//! * `compress_storeu` (`vpcompressq` is AVX-512F): a scalar loop that
+//!   writes only the selected lanes.
 //!
 //! Requirement: AVX2 (runtime-checked via [`crate::avx2_available`]).
 
@@ -62,6 +64,15 @@ unsafe fn mullo64(a: __m256i, b: __m256i) -> __m256i {
     let b_hi = _mm256_srli_epi64::<32>(b);
     let cross = _mm256_add_epi64(_mm256_mul_epu32(a_hi, b), _mm256_mul_epu32(a, b_hi));
     _mm256_add_epi64(lo, _mm256_slli_epi64::<32>(cross))
+}
+
+/// Unsigned 64-bit minimum: flip the sign bits so the signed `vpcmpgtq`
+/// orders unsigned values, then blend.
+#[inline(always)]
+unsafe fn minu64(a: __m256i, b: __m256i) -> __m256i {
+    let bias = _mm256_set1_epi64x(i64::MIN);
+    let a_gt_b = _mm256_cmpgt_epi64(_mm256_xor_si256(a, bias), _mm256_xor_si256(b, bias));
+    _mm256_blendv_epi8(a, b, a_gt_b)
 }
 
 #[inline(always)]
@@ -119,6 +130,11 @@ impl Simd64 for Avx2 {
     #[inline(always)]
     unsafe fn mullo(a: Self::V, b: Self::V) -> Self::V {
         (mullo64(a.0, b.0), mullo64(a.1, b.1))
+    }
+
+    #[inline(always)]
+    unsafe fn minu(a: Self::V, b: Self::V) -> Self::V {
+        (minu64(a.0, b.0), minu64(a.1, b.1))
     }
 
     #[inline(always)]
@@ -236,6 +252,32 @@ mod tests {
             let n1 = Avx2::compress_storeu(o1.as_mut_ptr(), m, Avx2::from_array(a));
             let n2 = Emu::compress_storeu(o2.as_mut_ptr(), m, a);
             assert_eq!((n1, o1), (n2, o2));
+        });
+    }
+
+    /// The scalar compress loop writes only the selected lanes.
+    #[test]
+    fn compress_store_writes_only_selected_lanes() {
+        with_avx2(|| unsafe {
+            let a: [u64; 8] = core::array::from_fn(|i| i as u64);
+            for m in [0u8, 1, 0b1000_0000, 0b0110_0101, 0xff] {
+                let mut out = [u64::MAX; 8];
+                let n = Avx2::compress_storeu(out.as_mut_ptr(), m, Avx2::from_array(a));
+                assert_eq!(n, m.count_ones() as usize);
+                assert!(out[n..].iter().all(|&x| x == u64::MAX), "mask {m:#b} wrote past n");
+            }
+        });
+    }
+
+    #[test]
+    fn synthesized_unsigned_min_matches_emu() {
+        with_avx2(|| unsafe {
+            let a: [u64; 8] = [0, 5, u64::MAX, 1 << 63, 7, (1 << 63) - 1, 3, u64::MAX - 1];
+            for b in [6u64, 0, u64::MAX, 1 << 63, (1 << 63) - 1] {
+                let b = [b; 8];
+                let got = Avx2::minu(Avx2::from_array(a), Avx2::from_array(b));
+                assert_eq!(Avx2::to_array(got), Emu::minu(a, b));
+            }
         });
     }
 

@@ -47,6 +47,11 @@ impl Simd64 for Emu {
     }
 
     #[inline(always)]
+    unsafe fn minu(a: [u64; 8], b: [u64; 8]) -> [u64; 8] {
+        core::array::from_fn(|i| a[i].min(b[i]))
+    }
+
+    #[inline(always)]
     unsafe fn and(a: [u64; 8], b: [u64; 8]) -> [u64; 8] {
         core::array::from_fn(|i| a[i] & b[i])
     }
@@ -189,6 +194,32 @@ mod tests {
             let n = Emu::compress_storeu(out.as_mut_ptr(), m, a);
             assert_eq!(n, 4);
             assert_eq!(&out[..4], &[5, 5, 5, 5]);
+        }
+    }
+
+    /// The emulated compress store writes only the selected lanes, well
+    /// inside the 8 lanes the trait lets a backend overwrite.
+    #[test]
+    fn compress_store_writes_only_selected_lanes() {
+        unsafe {
+            let a = Emu::from_array(core::array::from_fn(|i| i as u64));
+            for m in [0u8, 1, 0b1000_0000, 0b0110_0101, 0xff] {
+                let mut out = [u64::MAX; 8];
+                let n = Emu::compress_storeu(out.as_mut_ptr(), m, a);
+                assert_eq!(n, m.count_ones() as usize);
+                let want: Vec<u64> = (0..8).filter(|i| m & (1 << i) != 0).collect();
+                assert_eq!(&out[..n], &want[..], "mask {m:#b}");
+                assert!(out[n..].iter().all(|&x| x == u64::MAX), "mask {m:#b} wrote past n");
+            }
+        }
+    }
+
+    #[test]
+    fn unsigned_min() {
+        unsafe {
+            let a = Emu::from_array([0, 5, u64::MAX, 1 << 63, 7, 7, 3, u64::MAX - 1]);
+            let b = Emu::splat(6);
+            assert_eq!(Emu::minu(a, b), [0, 5, 6, 6, 6, 6, 3, 6]);
         }
     }
 

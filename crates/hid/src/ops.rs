@@ -70,6 +70,9 @@ pub trait Simd64: Copy + 'static {
     /// Lane-wise wrapping low-64 multiplication (`vpmullq`, AVX-512DQ).
     unsafe fn mullo(a: Self::V, b: Self::V) -> Self::V;
 
+    /// Lane-wise unsigned minimum (`vpminuq`, AVX-512F).
+    unsafe fn minu(a: Self::V, b: Self::V) -> Self::V;
+
     /// Lane-wise bitwise AND (`vpandq`).
     unsafe fn and(a: Self::V, b: Self::V) -> Self::V;
 
@@ -112,9 +115,14 @@ pub trait Simd64: Copy + 'static {
     unsafe fn blend(mask: u8, a: Self::V, b: Self::V) -> Self::V;
 
     /// Contiguously store the lanes selected by `mask` to `ptr`
-    /// (`vpcompressq` + store). Returns the number of lanes written.
+    /// (`vpcompressq` into a register, then one full-width store). Returns
+    /// the number of selected lanes, `mask.count_ones()`.
     ///
-    /// `ptr` must be valid for writes of `mask.count_ones()` `u64`s.
+    /// `ptr` must be valid for writes of **8** `u64`s, whatever the mask:
+    /// a backend may store the whole compressed register, so the 8 − n
+    /// lanes past the selected ones may be overwritten with unspecified
+    /// values. Callers keep 8 lanes of slack past their write cursor (or
+    /// compact in place with the cursor trailing loads already made).
     unsafe fn compress_storeu(ptr: *mut u64, mask: u8, v: Self::V) -> usize;
 
     /// Extract the lanes to an array (for tests, tails, and scalar

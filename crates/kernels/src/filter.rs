@@ -34,7 +34,9 @@ pub unsafe fn body<B: Simd64, const V: usize, const S: usize, const P: usize>(
     const L: usize = hef_hid::LANES;
     let step = P * (V * L + S);
     let main = if step == 0 { 0 } else { input.len() - input.len() % step };
-    sel.reserve(input.len());
+    // Every row may pass, and a compress store writes 8 lanes at the
+    // cursor: reserve 8 lanes of slack past the worst case.
+    sel.reserve(input.len() + L);
     let inp = input.as_ptr();
 
     let lo_v = B::splat(lo);
@@ -53,8 +55,9 @@ pub unsafe fn body<B: Simd64, const V: usize, const S: usize, const P: usize>(
                 if m != 0 {
                     let ids = B::add(iota, B::splat(base + off as u64));
                     let old = sel.len();
-                    // Reserve done above covers the worst case; write the
-                    // compressed ids straight into the spare capacity.
+                    // The reserve above covers the worst case plus the
+                    // store's 8 lanes; write the compressed ids straight
+                    // into the spare capacity.
                     let n = B::compress_storeu(sel.as_mut_ptr().add(old), m, ids);
                     sel.set_len(old + n);
                 }
@@ -81,7 +84,8 @@ pub unsafe fn body<B: Simd64, const V: usize, const S: usize, const P: usize>(
 /// preserving their order. The SIMD statements gather the selected values
 /// (`vpgatherqq`), mask-compare, and compress-store the surviving row ids
 /// over the already-consumed prefix of `sel`; the write cursor always
-/// trails the read cursor, so the in-place compaction is sound.
+/// trails the read cursor, so the in-place compaction is sound, and the
+/// store's 8 lanes end at most at `off + 8`, inside the vector just loaded.
 ///
 /// # Safety
 /// Backend ISA must be available; every entry of `sel` must be a valid

@@ -5,7 +5,9 @@
 //! values). The SIMD form is a raw `vpgatherqq` stream — the instruction
 //! whose 26-cycle latency vs 5-cycle throughput motivates the paper's pack
 //! optimization — so the family is both an engine building block and a
-//! microbenchmark of the gather pipeline itself.
+//! microbenchmark of the gather pipeline itself. The family's grid also
+//! runs the fused dense join probe ([`crate::dense::body_probe`]), the
+//! way the selection-refining filter rides the filter grid.
 
 use hef_hid::Simd64;
 
@@ -129,7 +131,7 @@ pub unsafe fn body_prefetched<B: Simd64, const V: usize, const S: usize, const P
 ///
 /// # Safety
 /// Backend ISA must be available; `io` must be [`KernelIo::Gather`] with
-/// in-bounds indices.
+/// in-bounds indices, or [`KernelIo::DenseProbe`].
 #[inline(always)]
 pub unsafe fn run<B: Simd64, const V: usize, const S: usize, const P: usize>(
     io: &mut KernelIo<'_>,
@@ -139,7 +141,10 @@ pub unsafe fn run<B: Simd64, const V: usize, const S: usize, const P: usize>(
         KernelIo::Gather { src, idx, out, prefetch } => {
             body_prefetched::<B, V, S, P>(src, idx, out, *prefetch)
         }
-        _ => panic!("gather kernel requires KernelIo::Gather"),
+        KernelIo::DenseProbe { keys, index, stride, sel, gids } => {
+            crate::dense::body_probe::<B, V, S, P>(index, keys, *stride, sel, gids);
+        }
+        _ => panic!("gather kernel requires KernelIo::Gather or KernelIo::DenseProbe"),
     }
 }
 

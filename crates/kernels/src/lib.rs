@@ -115,7 +115,9 @@ pub enum Family {
     AggSum,
     /// Sum-of-products aggregation (`sum(a*b)`, e.g. revenue columns).
     AggDot,
-    /// Selective gather (`out[i] = src[idx[i]]`, the pipeline "take").
+    /// Selective gather (`out[i] = src[idx[i]]`, the pipeline "take"); the
+    /// same grid runs the fused dense join probe
+    /// ([`KernelIo::DenseProbe`]).
     Gather,
     /// Compressed-page decode: bit-unpack + frame-of-reference add or
     /// dictionary gather (the hot loop of paged column scans).
@@ -208,6 +210,19 @@ pub enum KernelIo<'a> {
         idx: &'a [u64],
         out: &'a mut [u64],
         prefetch: usize,
+    },
+    /// Fused dense join probe, on the [`Family::Gather`] grid: keeps, in
+    /// place and in order, the rows of `sel` whose key (`keys[i]` is row
+    /// `sel[i]`'s) has a payload `p` in `index`, and sets their group id to
+    /// `gids[i] + p · stride`. `gids` is empty for the first dimension
+    /// (incoming ids 0) or one id per row of `sel` (see
+    /// [`dense::body_probe`]).
+    DenseProbe {
+        keys: &'a [u64],
+        index: &'a DenseIndex,
+        stride: u64,
+        sel: &'a mut Vec<u64>,
+        gids: &'a mut Vec<u64>,
     },
     /// Compressed decode: `out[j] = dict[code]` or `code + reference` for
     /// the `width`-bit code at element `start + j` of the packed stream, or

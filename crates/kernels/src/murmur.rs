@@ -38,22 +38,6 @@ pub fn murmur64(x: u64) -> u64 {
     h
 }
 
-/// Hash `x` with an explicit seed lane (used by the probe family so each
-/// table can salt its hash).
-#[inline(always)]
-pub fn murmur64_seeded(x: u64, seed: u64) -> u64 {
-    let mut k = x.wrapping_mul(M);
-    k ^= k >> R;
-    k = k.wrapping_mul(M);
-    let mut h = seed ^ M;
-    h ^= k;
-    h = h.wrapping_mul(M);
-    h ^= h >> R;
-    h = h.wrapping_mul(M);
-    h ^= h >> R;
-    h
-}
-
 /// SIMD form of [`murmur64`] over one vector of 8 lanes, given pre-broadcast
 /// constants. `#[inline(always)]` so it folds into `#[target_feature]` shims.
 ///
@@ -223,12 +207,6 @@ mod tests {
         // Avalanche sanity: flipping one input bit flips ~half the output.
         let flips = (murmur64(0x1234) ^ murmur64(0x1235)).count_ones();
         assert!((16..=48).contains(&flips), "poor avalanche: {flips}");
-    }
-
-    #[test]
-    fn seeded_variant_differs_by_seed() {
-        assert_ne!(murmur64_seeded(42, 1), murmur64_seeded(42, 2));
-        assert_eq!(murmur64_seeded(42, SEED), murmur64(42));
     }
 
     #[test]

@@ -337,6 +337,16 @@ impl SpanGuard {
     pub fn disabled() -> Self {
         SpanGuard { name: None }
     }
+
+    /// Close the span with the end stamped `ts_ns`, a [`now_ns`] reading
+    /// the caller already holds (see [`span_begin_at`]).
+    pub fn end_at(mut self, ts_ns: u64) {
+        if let Some(name) = self.name.take() {
+            if enabled() {
+                emit_at(Kind::End, name, "", &[], ts_ns);
+            }
+        }
+    }
 }
 
 impl Drop for SpanGuard {
@@ -370,6 +380,18 @@ pub fn span_begin_labeled(
     SpanGuard { name: Some(name) }
 }
 
+/// [`span_begin`] stamped `ts_ns`, a [`now_ns`] reading the caller
+/// already holds: a loop of short spans (the scheduler's morsels) shares
+/// one clock read between one span's end, the next span's start and its
+/// latency metric instead of reading the clock for each.
+pub fn span_begin_at(name: &'static str, ts_ns: u64, args: &[(&'static str, i64)]) -> SpanGuard {
+    if !enabled() {
+        return SpanGuard::disabled();
+    }
+    emit_at(Kind::Begin, name, "", args, ts_ns);
+    SpanGuard { name: Some(name) }
+}
+
 /// Record an instant event.
 pub fn instant(name: &'static str, args: &[(&'static str, i64)]) {
     instant_labeled(name, "", args);
@@ -384,7 +406,10 @@ pub fn instant_labeled(name: &'static str, label: &str, args: &[(&'static str, i
 }
 
 fn emit(kind: Kind, name: &'static str, label: &str, args: &[(&'static str, i64)]) {
-    let ts_ns = now_ns();
+    emit_at(kind, name, label, args, now_ns());
+}
+
+fn emit_at(kind: Kind, name: &'static str, label: &str, args: &[(&'static str, i64)], ts_ns: u64) {
     let mut rec = Record {
         kind,
         name,
