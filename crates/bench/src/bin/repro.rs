@@ -15,9 +15,9 @@
 //!   tune                     run the measured HEF tuner on this machine
 //!   tune-pipeline            per-query pipeline rows picked by a measured
 //!                            playoff (default sf 1, in memory with a paged
-//!                            check) among the baseline, the per-op rows, a
-//!                            prefetch-depth sweep and one neighbour step,
-//!                            ≤16 candidates and no cost model; writes the
+//!                            check) among the baseline, the per-op rows
+//!                            and one neighbour step, ≤16 candidates and
+//!                            no cost model; writes the
 //!                            rows to --out (default results/tuned.txt) and
 //!                            a baseline-vs-shipped snapshot (--query qNN
 //!                            for one query)
@@ -463,13 +463,6 @@ fn tune(opts: &Opts) {
         println!("  {}", t.describe());
         reg.insert_tuned(&t);
     }
-    // The probe family gets a second, four-dimensional pass: `(v, s, p)`
-    // plus the prefetch depth `f`, against a DRAM-resident build side so
-    // the depth axis has misses to hide. Writing it through
-    // `insert_tuned_probe` upgrades the saved registry to the v2 format.
-    let tp = hef_core::tune_probe_measured(1 << 21, n.min(1 << 18));
-    println!("  {}", tp.describe());
-    reg.insert_tuned_probe(&tp);
     std::fs::create_dir_all("results").ok();
     let path = std::path::Path::new("results/tuned.txt");
     // Keep the pipeline rows `tune-pipeline` picked: each names every slot
@@ -505,9 +498,6 @@ fn tune(opts: &Opts) {
 /// 2-vCPU host.
 const PLAYOFF_CANDIDATES: usize = 16;
 
-/// Prefetch depths the playoff sweeps on the best candidate so far.
-const PLAYOFF_DEPTHS: [usize; 4] = [0, 8, 16, 64];
-
 /// Rows per page and page-cache bytes of the paged copy the playoff
 /// measures on: the geometry the SSB benchmark's paged workload runs.
 const PLAYOFF_PAGE_ROWS: u32 = (256 << 10) / 8;
@@ -521,14 +511,13 @@ struct Candidate {
 
 /// Whole-pipeline tuning decided on this host's clock (paper Alg. 2 is
 /// test-based; no cost model proposes or ranks a row). Per query,
-/// candidates are the baseline — the paper's n113 node everywhere with
-/// `f = 0` — and the per-op composition of the registry's rows; then the
-/// prefetch depths [`PLAYOFF_DEPTHS`] on the best so far; then one Alg. 2
-/// neighbour step around it ([`hef_bench::neighbour_rows`]), cut to
-/// [`PLAYOFF_CANDIDATES`]. Each stage is a drift-cancelling playoff
-/// ([`hef_bench::playoff`]) on SF 1 data at the host's thread count, in
-/// memory with a paged check. The winner — the
-/// baseline itself when nothing wins beyond noise — is written for every
+/// candidates are the baseline — the paper's n113 node everywhere — and
+/// the per-op composition of the registry's rows; then one Alg. 2
+/// neighbour step around the better of the two
+/// ([`hef_bench::neighbour_rows`]), cut to [`PLAYOFF_CANDIDATES`]. Each
+/// stage is a drift-cancelling playoff ([`hef_bench::playoff`]) on SF 1
+/// data at the host's thread count, in memory with a paged check. The
+/// winner — the baseline itself when nothing wins beyond noise — is written for every
 /// query as a registry v3 row to `--out` (default `results/tuned.txt`),
 /// layered on that registry's per-op rows, and a final baseline-vs-shipped
 /// playoff per query is archived as `results/bench_pipeline.json`.
@@ -597,7 +586,7 @@ fn tune_pipeline(opts: &Opts) {
         .config("seed", "0x55B")
         .config("rounds", rounds)
         .config("lineorder_rows", data.lineorder.len())
-        .config("baseline", "n113 f0")
+        .config("baseline", "n113")
         .config("page_rows", PLAYOFF_PAGE_ROWS)
         .config("page_cache_bytes", PLAYOFF_CACHE_BYTES);
     let rows = data.lineorder.len() as u64;
@@ -622,18 +611,7 @@ fn tune_pipeline(opts: &Opts) {
         let per_op_row = vec![Candidate { source: "per-op".into(), row: row_of(&per_op) }];
         let mut best = next_stage(&mut cands, 0, per_op_row, &mut run);
 
-        // Stage 2: the prefetch depths on the best so far.
-        let depth_rows: Vec<Candidate> = PLAYOFF_DEPTHS
-            .iter()
-            .filter(|f| hef_kernels::F_AXIS.contains(f))
-            .map(|&f| Candidate {
-                source: format!("{}+f{f}", cands[best].source),
-                row: hef_core::PipelineEntry { f, ..cands[best].row.clone() },
-            })
-            .collect();
-        best = next_stage(&mut cands, best, depth_rows, &mut run);
-
-        // Stage 3: one Alg. 2 neighbour step around the winner. Only the
+        // Stage 2: one Alg. 2 neighbour step around the winner. Only the
         // winner is expanded (losers and their variants are never
         // generated), each stage in turn until the budget is spent.
         let w = &cands[best];

@@ -24,22 +24,17 @@ pub fn registry_from_env() -> (Registry, WarmReport) {
 }
 
 /// Hybrid config with per-family nodes from `reg` (falling back to the
-/// paper's SSB optimum `(1, 1, 3)` for untuned families). A registry
-/// carrying a tuned probe prefetch depth (`f`, the v2 column) flows into
-/// [`ExecConfig::with_probe_prefetch`]. This is also the per-op candidate
-/// of the pipeline playoff, the config its rows are applied onto.
+/// paper's SSB optimum `(1, 1, 3)` for untuned families). This is also
+/// the per-op candidate of the pipeline playoff, the config its rows are
+/// applied onto.
 pub fn tuned_hybrid(reg: &Registry) -> ExecConfig {
-    let cfg = ExecConfig::hybrid_tuned(
+    ExecConfig::hybrid_tuned(
         reg.get_or_default(Family::Filter),
         reg.get_or_default(Family::Probe),
         reg.get_or_default(Family::AggSum),
         reg.get_or_default(Family::Gather),
     )
-    .with_decode(reg.get_or_default(Family::Decode));
-    match reg.get_prefetch(Family::Probe) {
-        Some(f) => cfg.with_probe_prefetch(f),
-        None => cfg,
-    }
+    .with_decode(reg.get_or_default(Family::Decode))
 }
 
 /// The config benches run for a flavor: `reg`-tuned nodes for Hybrid, the
@@ -66,7 +61,6 @@ mod tests {
         assert_eq!(cfg.probe, HybridConfig::new(2, 1, 2));
         assert_eq!(cfg.agg, reg.get_or_default(Family::AggSum));
         assert_eq!(cfg.gather, reg.get_or_default(Family::Gather));
-        assert_eq!(cfg.probe_prefetch, reg.get_prefetch(Family::Probe).unwrap_or(0));
     }
 
     #[test]

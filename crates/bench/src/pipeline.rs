@@ -1,9 +1,9 @@
 //! Pipeline rows for the measured pipeline tuner (`repro tune-pipeline`).
 //!
-//! A registry v3 pipeline row names one node per stage slot a plan runs,
-//! plus the shared prefetch depth. [`pipeline_row`] builds the row that
-//! reproduces an execution config on a plan; [`neighbour_rows`] proposes
-//! the rows one Alg. 2 step away from it. Neither prices anything: the
+//! A registry v3 pipeline row names one node per stage slot a plan runs.
+//! [`pipeline_row`] builds the row that reproduces an execution config on
+//! a plan; [`neighbour_rows`] proposes the rows one Alg. 2 step away from
+//! it. Neither prices anything: the
 //! playoff (`crate::playoff`) times the candidates and the clock decides.
 
 use hef_core::{try_neighbors, PipelineEntry};
@@ -13,11 +13,10 @@ use hef_kernels::Family;
 /// The pipeline row that runs a plan exactly as `cfg` does: one node per
 /// stage slot the plan dispatches on either storage layer (the filter slot
 /// only when it has filters, one probe node for every join, gather, the
-/// measure's aggregation family, and page decode) plus `cfg`'s prefetch
-/// depth. Applied onto any config with [`hef_engine::apply_pipeline_entry`],
-/// it reproduces `cfg` on every slot the plan touches, whatever the per-op
-/// rows underneath say — the shape the playoff measures is the shape that
-/// ships.
+/// measure's aggregation family, and page decode). Applied onto any config
+/// with [`hef_engine::apply_pipeline_entry`], it reproduces `cfg` on every
+/// slot the plan touches, whatever the per-op rows underneath say — the
+/// shape the playoff measures is the shape that ships.
 pub fn pipeline_row(plan: &StarPlan, cfg: &ExecConfig) -> PipelineEntry {
     let mut stages = Vec::new();
     if !plan.filters.is_empty() {
@@ -33,16 +32,15 @@ pub fn pipeline_row(plan: &StarPlan, cfg: &ExecConfig) -> PipelineEntry {
     };
     stages.push((agg, cfg.agg));
     stages.push((Family::Decode, cfg.decode));
-    PipelineEntry { stages, f: cfg.probe_prefetch }
+    PipelineEntry { stages }
 }
 
 /// One Alg. 2 neighbour step around `row`, with no cost model: each
 /// stepped row moves one stage one `(v, s, p)` axis step
 /// ([`hef_core::try_neighbors`]). Decode is never stepped (it has no
-/// effect in memory), nor is the prefetch depth (the playoff sweeps it on
-/// its own). Stages take turns in pipeline order, one fresh neighbour each
-/// per round, so every steppable stage is stepped once before any stage is
-/// stepped twice. Rows in `existing`, and repeats, are skipped; at most
+/// effect in memory). Stages take turns in pipeline order, one fresh
+/// neighbour each per round, so every steppable stage is stepped once
+/// before any stage is stepped twice. Rows in `existing`, and repeats, are skipped; at most
 /// `budget` rows come back.
 pub fn neighbour_rows(
     row: &PipelineEntry,
@@ -90,8 +88,7 @@ mod tests {
         let reg = Registry::default();
         let n = hef_kernels::HybridConfig::new;
         let cfg = ExecConfig::hybrid_tuned(n(2, 2, 1), n(1, 2, 3), n(4, 3, 1), n(8, 1, 4))
-            .with_decode(n(0, 2, 2))
-            .with_probe_prefetch(8);
+            .with_decode(n(0, 2, 2));
         for q in QueryId::ALL {
             let plan = build_plan(&data, q);
             let row = pipeline_row(&plan, &cfg);
@@ -102,7 +99,6 @@ mod tests {
             assert_eq!(applied.gather, cfg.gather);
             assert_eq!(applied.agg, cfg.agg);
             assert_eq!(applied.decode, cfg.decode);
-            assert_eq!(applied.probe_prefetch, 8);
             if !plan.filters.is_empty() {
                 assert_eq!(applied.filter, cfg.filter);
             }
@@ -120,11 +116,9 @@ mod tests {
                 (Family::AggSum, n(1, 1, 3)),
                 (Family::Decode, n(1, 1, 3)),
             ],
-            f: 8,
         };
-        // The stage a neighbour moved; exactly one moves, never decode or f.
+        // The stage a neighbour moved; exactly one moves, never decode.
         let moved = |r: &PipelineEntry| {
-            assert_eq!(r.f, row.f, "{r}");
             assert_eq!(r.stages.len(), row.stages.len());
             let diffs: Vec<usize> =
                 (0..r.stages.len()).filter(|&i| r.stages[i] != row.stages[i]).collect();

@@ -17,7 +17,7 @@
 //!               "mad_s": 1e-5, "min_s": 9e-4, "samples": 10,
 //!               "melem_per_s": 250.0, "mcycles": 3.2 }, ... ],
 //!   "derived": { "dram_speedup": 1.42, ... },
-//!   "counters": { "kernel.probe_prefetched_keys": 123, ... }
+//!   "counters": { "kernel.probe_keys": 123, ... }
 //! }
 //! ```
 //!

@@ -3,13 +3,12 @@
 //!
 //! An engine owns
 //!
-//! * its [`Governor`] — the concurrent-query cap, the memory budget and the
-//!   memo of plans whose tuned overlay degradation invalidated;
+//! * its [`Governor`] — the concurrent-query cap and the memory budget;
 //! * the tuned pipeline registry (registry v3 rows, keyed by plan
 //!   fingerprint), loaded once when the engine is built;
-//! * the run overrides — worker threads, probe prefetch depth, radix
-//!   partitioning, deadline — applied over the caller's [`ExecConfig`]
-//!   after the pipeline row, so an explicit override wins over a tuned row;
+//! * the run overrides — worker threads, deadline — applied over the
+//!   caller's [`ExecConfig`] after the pipeline row, so an explicit override
+//!   wins over a tuned row;
 //! * its fault schedule ([`EngineFaults`]): injected worker panics, slow
 //!   morsels and admission memory spikes.
 //!
@@ -79,8 +78,6 @@ pub struct Engine {
     /// Worker threads for a config that leaves `threads` at 0 (auto); 0
     /// here too means available parallelism.
     threads: usize,
-    prefetch: Option<usize>,
-    partition: Option<bool>,
     deadline_ms: Option<u64>,
     faults: EngineFaults,
 }
@@ -100,8 +97,6 @@ impl Engine {
     /// | `HEF_MEM_BUDGET` | memory budget (`k`/`m`/`g` suffixes) |
     /// | `HEF_PIPELINE` | tuned pipeline registry file, loaded now |
     /// | `HEF_THREADS` | worker threads for auto-threaded configs |
-    /// | `HEF_PREFETCH` | probe prefetch depth |
-    /// | `HEF_PARTITION` | `0/off/false` or `1/on/true` |
     /// | `HEF_DEADLINE_MS` | per-query deadline (`0` = none) |
     /// | `HEF_FAULT` | the engine clauses of a fault spec |
     ///
@@ -122,19 +117,12 @@ impl Engine {
         };
         let count = |v: &str| v.parse().ok();
         let bytes = |v: &str| parse_byte_size(v).and_then(|n| usize::try_from(n).ok());
-        let switch = |v: &str| match v {
-            "0" | "off" | "false" => Some(0),
-            "1" | "on" | "true" => Some(1),
-            _ => None,
-        };
         let mut engine = Engine {
             governor: Governor::new(GovernorConfig {
                 max_queries: parsed("HEF_MAX_QUERIES", count).unwrap_or(0),
                 mem_budget: parsed("HEF_MEM_BUDGET", bytes).unwrap_or(0),
             }),
             threads: parsed("HEF_THREADS", |v| v.parse().ok().filter(|&n| n > 0)).unwrap_or(0),
-            prefetch: parsed("HEF_PREFETCH", count),
-            partition: parsed("HEF_PARTITION", switch).map(|on| on == 1),
             deadline_ms: parsed("HEF_DEADLINE_MS", count).map(|ms| ms as u64),
             ..Engine::default()
         };
@@ -184,25 +172,15 @@ impl Engine {
         &self.governor
     }
 
-    /// `cfg` as this engine runs `plan`: the plan's pipeline row (unless
-    /// degradation invalidated it), then the run overrides.
+    /// `cfg` as this engine runs `plan`: the plan's pipeline row, then the
+    /// run overrides.
     pub(crate) fn configure(&self, plan: &StarPlan, mut cfg: ExecConfig) -> ExecConfig {
-        if let Some(reg) = &self.pipeline {
-            let fp = plan.fingerprint();
-            if let Some(entry) = reg.get_pipeline(fp) {
-                if !self.governor.fingerprint_degraded(fp) {
-                    cfg = apply_pipeline_entry(cfg, entry);
-                }
-            }
+        let entry = self.pipeline.as_ref().and_then(|r| r.get_pipeline(plan.fingerprint()));
+        if let Some(entry) = entry {
+            cfg = apply_pipeline_entry(cfg, entry);
         }
         if cfg.threads == 0 {
             cfg.threads = self.threads;
-        }
-        if let Some(f) = self.prefetch {
-            cfg.probe_prefetch = f;
-        }
-        if let Some(on) = self.partition {
-            cfg.partition = on;
         }
         if let Some(ms) = self.deadline_ms {
             cfg.deadline_ms = ms;

@@ -5,11 +5,9 @@
 //! robustness substrate it stands on. Before a query executes, the
 //! [`Governor`] of the [`Engine`](crate::Engine) running it *admits* it: a
 //! concurrent-query cap and a memory budget bound what the scheduler will
-//! take on, and an over-budget query is first **degraded** — drop the
-//! radix-partitioned probe (its sub-table scratch is the largest optional
-//! allocation), shrink morsel batch buffers (in memory; a paged batch is a
-//! whole page), shed worker threads — and
-//! only **rejected** (typed
+//! take on, and an over-budget query is first **degraded** — shrink morsel
+//! batch buffers (in memory; a paged batch is a whole page), shed worker
+//! threads — and only **rejected** (typed
 //! [`ExecError::Rejected`] with a retry hint, never an unbounded queue) when
 //! even the minimal shape does not fit. Admitted queries run under a
 //! [`QueryCtx`] — an `Arc`-shared [`CancelToken`] plus an optional deadline
@@ -33,7 +31,7 @@
 //! engine's queries can reach its budget.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::parallel::{ExecError, ExecReport};
@@ -52,9 +50,6 @@ pub enum Interrupt {
 /// budget, recorded in [`ExecReport::degrade_actions`] in the order taken.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeAction {
-    /// Radix-partitioned probes disabled; the flat table is probed instead
-    /// (drops the per-worker `PartitionScratch` and sub-table bucketing).
-    DropPartition,
     /// Morsel batch buffers halved (floor [`MIN_BATCH`]).
     ShrinkBatch { from: usize, to: usize },
     /// Worker threads halved (floor 1).
@@ -290,10 +285,8 @@ impl Drop for ByteCharge<'_> {
 /// `vals`, and the probe output `out` when a dimension is hashed (a dense
 /// dimension's fused probe compacts `sel` and `gids` in place), plus the
 /// filter's 8 lanes of compress-store slack on `sel`; for Voila one dense
-/// buffer per column plus gid/slots/pay — the private group-accumulator
-/// array, and, when radix
-/// partitioning is live, the `PartitionScratch` bucketing copy plus
-/// per-partition offset tables. Admission must never under-charge.
+/// buffer per column plus gid/slots/pay/vals — and the private
+/// group-accumulator array. Admission must never under-charge.
 pub fn estimate_query_bytes(
     plan: &StarPlan,
     fact_rows: usize,
@@ -306,25 +299,20 @@ pub fn estimate_query_bytes(
             Measure::Sum(_) => 1,
             Measure::SumProduct(..) | Measure::SumDiff(..) => 2,
         };
-        plan.dims.len() + measure_cols + 3
+        plan.dims.len() + measure_cols + 4
     } else {
         pipeline_streams(plan)
     };
-    scratch_bytes(plan, batch, streams, cfg, threads)
+    scratch_bytes(plan, batch, streams, threads)
 }
 
 /// [`estimate_query_bytes`] for a paged scan. Every flavor runs the
 /// pipeline worker there, and its batch is a whole page — `page_rows`, the
-/// largest page's rows, whatever `cfg.batch` says — so each stream is a
-/// page long. The page source adds two more: its decode buffer and the
+/// largest page's rows, whatever the config's batch says — so each stream
+/// is a page long. The page source adds two more: its decode buffer and the
 /// secondary filter's kept indices.
-pub fn estimate_paged_query_bytes(
-    plan: &StarPlan,
-    page_rows: usize,
-    cfg: &ExecConfig,
-    threads: usize,
-) -> usize {
-    scratch_bytes(plan, page_rows.max(1), pipeline_streams(plan) + 2, cfg, threads)
+pub fn estimate_paged_query_bytes(plan: &StarPlan, page_rows: usize, threads: usize) -> usize {
+    scratch_bytes(plan, page_rows.max(1), pipeline_streams(plan) + 2, threads)
 }
 
 /// The pipeline worker's batch-long buffers: `sel`, `keys`, `gids`,
@@ -333,27 +321,12 @@ fn pipeline_streams(plan: &StarPlan) -> usize {
     4 + plan.dims.iter().any(|d| !d.index.is_dense()) as usize
 }
 
-/// `threads` workers, each holding `streams` buffers of `batch` rows, the
-/// group accumulators, and the partition scratch when it is live.
-fn scratch_bytes(
-    plan: &StarPlan,
-    batch: usize,
-    streams: usize,
-    cfg: &ExecConfig,
-    threads: usize,
-) -> usize {
+/// `threads` workers, each holding `streams` buffers of `batch` rows and
+/// the group accumulators.
+fn scratch_bytes(plan: &StarPlan, batch: usize, streams: usize, threads: usize) -> usize {
     // 8 lanes of slack: the filter reserves them past `sel` for its
     // full-width compress stores.
-    let mut per_worker = (batch * streams + 8) * 8 + plan.group_cells() * 8;
-    if cfg.partition {
-        if let Some(bits) =
-            plan.dims.iter().filter_map(|d| d.index.parts().map(|p| p.bits())).max()
-        {
-            // Bucketed (key, index) copy of the batch + offset/count tables.
-            per_worker += batch * 16 + (1usize << bits) * 16;
-        }
-    }
-    threads.max(1) * per_worker
+    threads.max(1) * ((batch * streams + 8) * 8 + plan.group_cells() * 8)
 }
 
 // ---------------------------------------------------------------------------
@@ -369,15 +342,12 @@ pub struct GovernorConfig {
     pub mem_budget: usize,
 }
 
-/// An engine's query governor: admission control, the memory budget, and
-/// the memo of plan fingerprints whose tuned pipeline overlay was
-/// invalidated by degradation.
+/// An engine's query governor: admission control and the memory budget.
 #[derive(Debug, Default)]
 pub struct Governor {
     cfg: GovernorConfig,
     budget: BudgetTracker,
     active: AtomicUsize,
-    degraded_fps: Mutex<Vec<u64>>,
 }
 
 impl Default for BudgetTracker {
@@ -404,22 +374,6 @@ impl Governor {
     /// Queries currently admitted and not yet finished.
     pub fn active_queries(&self) -> usize {
         self.active.load(Ordering::Acquire)
-    }
-
-    /// Record that `fp`'s plan was degraded: its tuned pipeline overlay is
-    /// no longer valid (it was tuned for the un-degraded shape), so the
-    /// engine stops applying it.
-    fn note_degraded_fingerprint(&self, fp: u64) {
-        let mut fps = self.degraded_fps.lock().unwrap_or_else(|e| e.into_inner());
-        if !fps.contains(&fp) {
-            fps.push(fp);
-        }
-    }
-
-    /// `true` when `fp`'s tuned pipeline overlay was invalidated by a
-    /// governance degradation.
-    pub fn fingerprint_degraded(&self, fp: u64) -> bool {
-        self.degraded_fps.lock().unwrap_or_else(|e| e.into_inner()).contains(&fp)
     }
 
     /// Admit a query over `fact_rows` rows, degrading `cfg`/`threads` under
@@ -470,7 +424,7 @@ impl Governor {
             loop {
                 let est = match page_rows {
                     None => estimate_query_bytes(plan, fact_rows, cfg, *threads),
-                    Some(rows) => estimate_paged_query_bytes(plan, rows, cfg, *threads),
+                    Some(rows) => estimate_paged_query_bytes(plan, rows, *threads),
                 }
                 .saturating_add(spike);
                 if self.budget.try_charge(est) {
@@ -478,12 +432,7 @@ impl Governor {
                     break;
                 }
                 // Degradation ladder: cheapest-to-lose first.
-                let action = if cfg.partition && plan.dims.iter().any(|d| d.index.parts().is_some())
-                {
-                    cfg.partition = false;
-                    self.note_degraded_fingerprint(plan.fingerprint());
-                    DegradeAction::DropPartition
-                } else if page_rows.is_none() && cfg.batch > MIN_BATCH {
+                let action = if page_rows.is_none() && cfg.batch > MIN_BATCH {
                     let from = cfg.batch;
                     cfg.batch = (cfg.batch / 2).max(MIN_BATCH);
                     DegradeAction::ShrinkBatch { from, to: cfg.batch }
@@ -513,7 +462,6 @@ impl Governor {
                 hef_obs::event!(
                     "govern_degrade",
                     kind = match action {
-                        DegradeAction::DropPartition => 0,
                         DegradeAction::ShrinkBatch { .. } => 1,
                         DegradeAction::ReduceWorkers { .. } => 2,
                     },
@@ -628,8 +576,8 @@ mod tests {
     fn ladder_degrades_batch_then_threads_then_rejects() {
         let (fact, plan) = toy(20_000);
         let rows = fact.len();
-        // No partitioned dim in the toy plan, so the ladder starts at
-        // batch shrinking. Budget fits exactly one minimal worker shape.
+        // The ladder starts at batch shrinking. Budget fits exactly one
+        // minimal worker shape.
         let minimal =
             estimate_query_bytes(&plan, rows, &ExecConfig::hybrid_default().with_batch(MIN_BATCH), 1);
         let gov = Governor::new(GovernorConfig { max_queries: 0, mem_budget: minimal });
@@ -638,7 +586,6 @@ mod tests {
         let mut adm = gov.admit(&plan, rows, &mut cfg, &mut threads).expect("fits");
         let actions = adm.take_actions();
         assert!(!actions.is_empty(), "budget pressure must degrade");
-        assert!(actions.iter().all(|a| !matches!(a, DegradeAction::DropPartition)));
         assert_eq!(cfg.batch, MIN_BATCH);
         assert_eq!(threads, 1);
         assert!(gov.budget().used() > 0);
@@ -703,16 +650,6 @@ mod tests {
     }
 
     #[test]
-    fn degraded_fingerprint_is_memoized() {
-        let gov = Governor::new(GovernorConfig::default());
-        assert!(!gov.fingerprint_degraded(42));
-        gov.note_degraded_fingerprint(42);
-        gov.note_degraded_fingerprint(42);
-        assert!(gov.fingerprint_degraded(42));
-        assert!(!gov.fingerprint_degraded(43));
-    }
-
-    #[test]
     fn byte_counts_take_suffixes() {
         // `HEF_MEM_BUDGET` is read through the storage byte-size parser.
         use hef_storage::page::parse_byte_size;
@@ -756,8 +693,8 @@ mod tests {
         // buffer and kept indices.
         let page = 32_768;
         let paged = worker(page) + 2 * page * 8;
-        assert!(estimate_paged_query_bytes(&plan, page, &cfg, 1) >= paged);
-        assert!(estimate_paged_query_bytes(&plan, page, &cfg.with_batch(MIN_BATCH), 2) >= 2 * paged);
+        assert!(estimate_paged_query_bytes(&plan, page, 1) >= paged);
+        assert!(estimate_paged_query_bytes(&plan, page, 2) >= 2 * paged);
 
         // A sparse key domain builds a hash table, whose probe writes one
         // more batch-long buffer before it folds into the group ids.
@@ -768,6 +705,6 @@ mod tests {
         assert!(!hashed.dims[3].index.is_dense());
         let worker = |batch: usize| (batch * 5 + 8) * 8 + hashed.group_cells() * 8;
         assert!(estimate_query_bytes(&hashed, 1 << 20, &cfg, 1) >= worker(cfg.batch));
-        assert!(estimate_paged_query_bytes(&hashed, page, &cfg, 1) >= worker(page) + 2 * page * 8);
+        assert!(estimate_paged_query_bytes(&hashed, page, 1) >= worker(page) + 2 * page * 8);
     }
 }

@@ -53,7 +53,7 @@ pub use plan::{
 };
 pub use star::{
     build_dimension, execute_star, join_table_budget, try_execute_star, DimJoin, ExecConfig,
-    ExecStats, Flavor, HashIndex, JoinIndex, Measure, QueryOutput, RangeFilter, StarPlan,
+    ExecStats, Flavor, JoinIndex, Measure, QueryOutput, RangeFilter, StarPlan,
 };
 
 pub use hef_kernels::{DenseIndex, HybridConfig, ProbeTable, MISS};

@@ -717,7 +717,7 @@ mod tests {
         let cache = PageCache::with_shards(40 * 1024, 1);
         let page_rows = paged.max_page_rows();
         assert_eq!(page_rows, 1024);
-        let one_worker = estimate_paged_query_bytes(&plan, page_rows, &cfg, 1);
+        let one_worker = estimate_paged_query_bytes(&plan, page_rows, 1);
         // A page each for sel, keys, gids and vals (the toy dimensions are
         // dense, so no probe output), the decode buffer and the kept
         // indices, plus the accumulators and the filter's 8-lane slack.

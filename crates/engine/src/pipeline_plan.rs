@@ -14,9 +14,7 @@
 //! fails: an unreadable or torn file, a missing row, or a stale-ISA
 //! registry all leave the caller's config (typically per-op tuned)
 //! untouched — one rung down the ladder, identical results either way. The
-//! engine's prefetch and partition overrides apply *after* the row, so
-//! they still win, and a plan the engine's governor degraded runs without
-//! its row.
+//! engine's thread and deadline overrides apply *after* the row.
 
 use hef_core::PipelineEntry;
 use hef_kernels::{Family, HybridConfig};
@@ -130,8 +128,7 @@ pub fn conflicting_stages(
 }
 
 /// Overlay a registry v3 pipeline row onto an execution config: each stage's
-/// node lands on its family's slot (see [`slot`]), and the row's shared
-/// prefetch depth replaces the per-op one. Stage families with no
+/// node lands on its family's slot (see [`slot`]). Stage families with no
 /// `ExecConfig` slot (the hash micro-kernels) are ignored.
 ///
 /// A row whose stages disagree on one slot (say, two probe nodes) is
@@ -160,7 +157,6 @@ pub fn apply_pipeline_entry(mut cfg: ExecConfig, entry: &PipelineEntry) -> ExecC
             Family::Murmur | Family::Crc64 => {}
         }
     }
-    cfg.probe_prefetch = entry.f;
     cfg
 }
 
@@ -237,7 +233,7 @@ mod tests {
     }
 
     #[test]
-    fn entry_overlays_family_slots_and_depth() {
+    fn entry_overlays_family_slots() {
         let base = ExecConfig::hybrid_default();
         let entry = PipelineEntry {
             stages: vec![
@@ -246,22 +242,20 @@ mod tests {
                 (Family::Gather, HybridConfig::new(0, 2, 1)),
                 (Family::AggSum, HybridConfig::new(1, 3, 1)),
             ],
-            f: 32,
         };
         let cfg = apply_pipeline_entry(base, &entry);
         assert_eq!(cfg.filter, HybridConfig::new(2, 2, 2));
         assert_eq!(cfg.probe, HybridConfig::new(4, 0, 1));
         assert_eq!(cfg.gather, HybridConfig::new(0, 2, 1));
         assert_eq!(cfg.agg, HybridConfig::new(1, 3, 1));
-        assert_eq!(cfg.probe_prefetch, 32);
         // Untouched knobs survive the overlay.
         assert_eq!(cfg.batch, base.batch);
-        assert_eq!(cfg.partition, base.partition);
+        assert_eq!(cfg.decode, base.decode);
     }
 
     #[test]
     fn row_with_disagreeing_probe_stages_is_refused() {
-        let base = ExecConfig::hybrid_default().with_probe_prefetch(4);
+        let base = ExecConfig::hybrid_default();
         let conflicting = PipelineEntry {
             stages: vec![
                 (Family::Probe, HybridConfig::new(1, 2, 3)),
@@ -269,14 +263,12 @@ mod tests {
                 (Family::Probe, HybridConfig::new(1, 1, 4)),
                 (Family::Gather, HybridConfig::new(2, 0, 4)),
             ],
-            f: 16,
         };
         let (cfg, warnings) =
             hef_obs::diag::capture(|| apply_pipeline_entry(base, &conflicting));
-        // Nothing of the row applies: not the gather node, not the depth.
+        // Nothing of the row applies, not even the gather node.
         assert_eq!(cfg.probe, base.probe);
         assert_eq!(cfg.gather, base.gather);
-        assert_eq!(cfg.probe_prefetch, 4);
         assert_eq!(warnings.len(), 1, "{warnings:?}");
         assert!(warnings[0].contains("refused"), "{warnings:?}");
         // Once per process, not once per query.
@@ -293,13 +285,11 @@ mod tests {
                 (Family::Probe, HybridConfig::new(1, 1, 4)),
                 (Family::Gather, HybridConfig::new(2, 0, 4)),
             ],
-            f: 8,
         };
         assert!(conflicting_stages(&agreeing).is_none());
         let cfg = apply_pipeline_entry(base, &agreeing);
         assert_eq!(cfg.probe, HybridConfig::new(1, 1, 4));
         assert_eq!(cfg.gather, HybridConfig::new(2, 0, 4));
-        assert_eq!(cfg.probe_prefetch, 8);
     }
 
     #[test]
@@ -317,7 +307,6 @@ mod tests {
                     (Family::Filter, HybridConfig::new(2, 2, 2)),
                     (Family::Probe, HybridConfig::new(1, 1, 3)),
                 ],
-                f: 8,
             },
         );
         reg.save(&path).unwrap();
@@ -326,14 +315,12 @@ mod tests {
         let engine = pipeline_engine(&path);
         let resolved = engine.configure(&plan, base);
         assert_eq!(resolved.filter, HybridConfig::new(2, 2, 2));
-        assert_eq!(resolved.probe_prefetch, 8);
 
         // A plan without a row keeps the caller's config.
         let mut other = plan.clone();
         other.name = "other".into();
         let kept = engine.configure(&other, base);
         assert_eq!(kept.filter, base.filter);
-        assert_eq!(kept.probe_prefetch, base.probe_prefetch);
 
         // End to end: the pipeline-configured run is bit-identical to the
         // unconfigured one (grid nodes only change speed, never results).
@@ -351,85 +338,6 @@ mod tests {
         std::fs::write(&torn, &text[..cut]).unwrap();
         let degraded = pipeline_engine(&torn).configure(&plan, base);
         assert_eq!(degraded.filter, base.filter);
-        assert_eq!(degraded.probe_prefetch, base.probe_prefetch);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// Once the governor degrades a plan (here: drops its radix partitioning
-    /// to fit the memory budget), the plan's tuned pipeline overlay must
-    /// stop applying. Un-degraded plans keep their overlays.
-    #[test]
-    fn governor_degraded_plan_suppresses_stale_pipeline_overlay() {
-        use crate::govern::GovernorConfig;
-        use crate::star::Measure;
-
-        // A dimension big enough to carry a radix-partitioned probe table.
-        // Sparse keys `k × 7919 + 13`, so the dimension is hashed.
-        let n_dim = 200_000u64;
-        let key = |k: u64| k * 7919 + 13;
-        let mut dim = Table::new("bigdim");
-        dim.add_column(Column::new("key", (0..n_dim).map(key).collect()));
-        let d = build_dimension(&dim, "key", |_| true, |r| r as u64 % 4, 4, "fk");
-        assert!(d.index.parts().is_some(), "dimension must partition");
-        let mut fact = Table::new("fact");
-        fact.add_column(Column::new("fk", (0..4096u64).map(|i| key(i % n_dim)).collect()));
-        fact.add_column(Column::new("rev", (0..4096u64).map(|i| i % 7 + 1).collect()));
-        let plan = StarPlan {
-            name: "bigjoin".into(),
-            filters: vec![],
-            dims: vec![d],
-            measure: Measure::Sum("rev".into()),
-            strides: vec![],
-        };
-        let (_, other_plan) = toy_plan();
-
-        // Pipeline rows for both plans.
-        let dir = std::env::temp_dir().join(format!("hef-pipe-gov-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("tuned.txt");
-        let entry = || PipelineEntry {
-            stages: vec![(Family::Filter, HybridConfig::new(2, 2, 2))],
-            f: 16,
-        };
-        let mut reg = Registry::default();
-        reg.insert_pipeline(plan.fingerprint(), entry());
-        reg.insert_pipeline(other_plan.fingerprint(), entry());
-        reg.save(&path).unwrap();
-
-        let base = ExecConfig::hybrid_default();
-        // A budget that fits the flat shape but not the partitioned one, so
-        // admission's first ladder rung is exactly DropPartition.
-        let mut flat = base;
-        flat.partition = false;
-        let rows = fact.len();
-        let budget = crate::govern::estimate_query_bytes(&plan, rows, &flat, 2);
-        assert!(
-            crate::govern::estimate_query_bytes(&plan, rows, &base, 2) > budget,
-            "partitioned estimate must exceed the flat-shape budget"
-        );
-
-        let engine = pipeline_engine(&path)
-            .with_limits(GovernorConfig { max_queries: 0, mem_budget: budget });
-        let gov = engine.governor();
-        // Overlay applies while the plan is un-degraded.
-        let before = engine.configure(&plan, base);
-        assert_eq!(before.filter, HybridConfig::new(2, 2, 2));
-
-        let mut cfg = base;
-        let mut threads = 2;
-        let adm = gov.admit(&plan, rows, &mut cfg, &mut threads).expect("admit degraded");
-        assert!(!cfg.partition, "ladder must have dropped partitioning");
-        assert!(gov.fingerprint_degraded(plan.fingerprint()));
-
-        // The stale overlay no longer applies.
-        let after = engine.configure(&plan, base);
-        assert_eq!(after.filter, base.filter, "stale overlay re-applied");
-        assert_eq!(after.probe_prefetch, base.probe_prefetch);
-
-        // Other plans are unaffected: their overlay still resolves.
-        let other = engine.configure(&other_plan, base);
-        assert_eq!(other.filter, HybridConfig::new(2, 2, 2));
-        drop(adm);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

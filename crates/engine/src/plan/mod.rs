@@ -7,7 +7,7 @@
 //! text form ([`text`]), a statistics catalog ([`catalog`]), a rewrite
 //! optimizer ([`optimize`]), and a lowering step ([`lower`]) that compiles
 //! the logical plan onto the existing pipelines — so arbitrary star queries
-//! reuse every tuned `(v, s, p, f)` registry node, the morsel scheduler, and
+//! reuse every tuned `(v, s, p)` registry node, the morsel scheduler, and
 //! the obs spans unchanged.
 //!
 //! The optimizer applies three rewrite rules (in the spirit of lightweight

@@ -3,10 +3,7 @@
 use std::ops::Range;
 
 use hef_hid::Backend;
-use hef_kernels::{
-    plan_partition_bits, DenseIndex, Family, HybridConfig, Kernel, KernelIo,
-    PartitionScratch, PartitionedProbeTable, ProbeTable,
-};
+use hef_kernels::{DenseIndex, Family, HybridConfig, Kernel, KernelIo, ProbeTable};
 use hef_obs::metrics::{Hist, Metric, Tally};
 use hef_obs::trace::SpanGuard;
 use hef_storage::Table;
@@ -59,13 +56,6 @@ pub struct ExecConfig {
     /// at execution time: the engine's thread count if it has one, else
     /// `std::thread::available_parallelism()`.
     pub threads: usize,
-    /// Software-prefetch depth `f` for the probe kernel (the tuned fourth
-    /// dimension; `0` = flat loop). An engine prefetch override wins.
-    pub probe_prefetch: usize,
-    /// Allow the radix-partitioned probe path when a dimension carries
-    /// cache-sized sub-tables (see [`build_dimension`]) and the batch has
-    /// enough keys per partition. An engine partition override wins.
-    pub partition: bool,
     /// Per-query deadline in milliseconds (`0` = none). Checked at every
     /// morsel claim and batch boundary; an expired deadline surfaces as
     /// typed [`crate::parallel::ExecError::DeadlineExceeded`]. An engine
@@ -86,8 +76,6 @@ impl ExecConfig {
             backend: Backend::native(),
             batch: 1024,
             threads: 0,
-            probe_prefetch: 0,
-            partition: true,
             deadline_ms: 0,
         }
     }
@@ -104,8 +92,6 @@ impl ExecConfig {
             backend: Backend::native(),
             batch: 1024,
             threads: 0,
-            probe_prefetch: 0,
-            partition: true,
             deadline_ms: 0,
         }
     }
@@ -124,8 +110,6 @@ impl ExecConfig {
             backend: Backend::native(),
             batch: 1024,
             threads: 0,
-            probe_prefetch: 0,
-            partition: true,
             deadline_ms: 0,
         }
     }
@@ -142,8 +126,6 @@ impl ExecConfig {
             backend: Backend::native(),
             batch: 1024,
             threads: 0,
-            probe_prefetch: 0,
-            partition: true,
             deadline_ms: 0,
         }
     }
@@ -161,8 +143,6 @@ impl ExecConfig {
             backend: Backend::native(),
             batch: 1024,
             threads: 0,
-            probe_prefetch: 0,
-            partition: true,
             deadline_ms: 0,
         }
     }
@@ -201,9 +181,9 @@ impl ExecConfig {
         self
     }
 
-    /// Builder-style probe-prefetch-depth override.
-    pub fn with_probe_prefetch(mut self, f: usize) -> ExecConfig {
-        self.probe_prefetch = f;
+    /// Returns `self` unchanged: there is no prefetch depth to set. Kept
+    /// for `hefbench/src/workload.rs`, which still passes one.
+    pub fn with_probe_prefetch(self, _f: usize) -> ExecConfig {
         self
     }
 
@@ -251,23 +231,11 @@ pub struct DimJoin {
 pub enum JoinIndex {
     /// Direct-addressed payloads for a dense key range: the stage loop
     /// probes it with the fused clamp-gather-compact kernel
-    /// ([`KernelIo::DenseProbe`]). No hash table or radix copy exists for
-    /// it.
+    /// ([`KernelIo::DenseProbe`]). No hash table exists for it.
     Dense(DenseIndex),
-    /// A hash table for a wide or sparse key domain.
-    Hashed(HashIndex),
-}
-
-/// The hashed form of a [`JoinIndex`].
-#[derive(Debug, Clone)]
-pub struct HashIndex {
-    /// Hash table over the keys, `probe_slots` slots.
-    pub table: ProbeTable,
-    /// Radix-partitioned copy of the same table, built only when the flat
-    /// table spills [`join_table_budget`] (see [`build_dimension`]); each
-    /// sub-table fits it, so sub-probes stay resident. `None` for small
-    /// tables.
-    pub parts: Option<PartitionedProbeTable>,
+    /// A hash table over the keys, `probe_slots` slots, for a wide or
+    /// sparse key domain.
+    Hashed(ProbeTable),
 }
 
 impl JoinIndex {
@@ -276,7 +244,7 @@ impl JoinIndex {
     pub fn probe_scalar(&self, key: u64) -> u64 {
         match self {
             JoinIndex::Dense(d) => d.probe_scalar(key),
-            JoinIndex::Hashed(h) => h.table.probe_scalar(key),
+            JoinIndex::Hashed(h) => h.probe_scalar(key),
         }
     }
 
@@ -284,7 +252,7 @@ impl JoinIndex {
     pub fn len(&self) -> usize {
         match self {
             JoinIndex::Dense(d) => d.len(),
-            JoinIndex::Hashed(h) => h.table.len(),
+            JoinIndex::Hashed(h) => h.len(),
         }
     }
 
@@ -297,22 +265,16 @@ impl JoinIndex {
     pub fn working_set_bytes(&self) -> usize {
         match self {
             JoinIndex::Dense(d) => d.working_set_bytes(),
-            JoinIndex::Hashed(h) => h.table.working_set_bytes(),
+            JoinIndex::Hashed(h) => h.working_set_bytes(),
         }
     }
 
-    /// The hashed form, `None` for a dense index.
-    pub fn hashed(&self) -> Option<&HashIndex> {
+    /// The hash table, `None` for a dense index.
+    pub fn hashed(&self) -> Option<&ProbeTable> {
         match self {
             JoinIndex::Dense(_) => None,
             JoinIndex::Hashed(h) => Some(h),
         }
-    }
-
-    /// The radix-partitioned copy, if the dimension is hashed and spills
-    /// the budget.
-    pub fn parts(&self) -> Option<&PartitionedProbeTable> {
-        self.hashed().and_then(|h| h.parts.as_ref())
     }
 
     /// `true` for a direct-addressed index.
@@ -328,7 +290,7 @@ impl JoinIndex {
     pub fn slot_of(&self, key: u64) -> usize {
         match self {
             JoinIndex::Dense(d) => d.slot_of(key),
-            JoinIndex::Hashed(h) => h.table.slot_of(key),
+            JoinIndex::Hashed(h) => h.slot_of(key),
         }
     }
 
@@ -337,7 +299,7 @@ impl JoinIndex {
     pub fn prefetch(&self, slot: usize) {
         match self {
             JoinIndex::Dense(d) => d.prefetch(slot),
-            JoinIndex::Hashed(h) => h.table.prefetch(slot),
+            JoinIndex::Hashed(h) => h.prefetch(slot),
         }
     }
 
@@ -347,7 +309,7 @@ impl JoinIndex {
     pub fn probe_at(&self, slot: usize, key: u64) -> u64 {
         match self {
             JoinIndex::Dense(d) => d.pays()[slot],
-            JoinIndex::Hashed(h) => h.table.probe_at(slot, key),
+            JoinIndex::Hashed(h) => h.probe_at(slot, key),
         }
     }
 }
@@ -456,11 +418,8 @@ impl QueryOutput {
     }
 }
 
-/// Bytes one probe table — a flat dimension table or one radix sub-table —
-/// may fill: half the L2 of the `host` CPU model, the other half left to
-/// the probe stream.
-/// Table growth (`probe_slots`) and radix partitioning
-/// ([`plan_partition_bits`]) share it.
+/// Bytes a dimension's hash table may grow to: half the L2 of the `host`
+/// CPU model, the other half left to the probe stream.
 pub fn join_table_budget() -> usize {
     hef_uarch::CpuModel::host().l2.bytes / 2
 }
@@ -470,7 +429,7 @@ pub fn join_table_budget() -> usize {
 /// to load ≤ 1/8 — while the table (16 B a slot) stays within `budget`.
 /// The paper's "large linear hash table … to reduce the conflicts" (§V): in
 /// a sparser table more probes, and most misses, end at the home slot. A
-/// table already over `budget` keeps its size and is radix-partitioned.
+/// table already over `budget` keeps its size.
 pub(crate) fn probe_slots(n: usize, budget: usize) -> usize {
     let mut slots = ProbeTable::min_slots(n);
     for _ in 0..2 {
@@ -490,8 +449,7 @@ pub(crate) fn probe_slots(n: usize, budget: usize) -> usize {
 /// array, `(hi − lo + 2) × 8` bytes, fits in the larger of the flat hash
 /// table's bytes and 4 × [`join_table_budget`], the dimension gets a
 /// [`JoinIndex::Dense`] array. Otherwise it gets a hash table of
-/// `probe_slots` slots and — when the table spills the budget — a
-/// radix-partitioned copy.
+/// `probe_slots` slots.
 pub fn build_dimension(
     dim: &Table,
     key_col: &str,
@@ -517,30 +475,19 @@ pub fn build_dimension(
     let dense_cap = slots.saturating_mul(16).max(budget.saturating_mul(4));
     let index = match DenseIndex::build(&pairs, dense_cap) {
         Some(dense) => JoinIndex::Dense(dense),
-        None => JoinIndex::Hashed(HashIndex::build(&pairs, slots, budget)),
+        None => {
+            let mut table = ProbeTable::with_slots(slots);
+            for &(key, code) in &pairs {
+                table.insert(key, code);
+            }
+            JoinIndex::Hashed(table)
+        }
     };
     DimJoin {
         fk_col: fk_col.to_string(),
         index,
         groups: groups.max(1),
         name: dim.name().to_string(),
-    }
-}
-
-impl HashIndex {
-    /// A `slots`-slot table over `pairs` and the radix copy when the table
-    /// spills `budget`.
-    fn build(pairs: &[(u64, u64)], slots: usize, budget: usize) -> HashIndex {
-        let mut table = ProbeTable::with_slots(slots);
-        for &(key, code) in pairs {
-            table.insert(key, code);
-        }
-        // Planner rule: partition only when the flat table spills the budget;
-        // then each of the 2^b sub-tables fits it and sub-probes hit cache.
-        // Growth never crosses the budget, so it never changes this decision.
-        let bits = plan_partition_bits(table.working_set_bytes(), budget);
-        let parts = (bits > 0).then(|| PartitionedProbeTable::from_pairs(pairs, bits));
-        HashIndex { table, parts }
     }
 }
 
@@ -766,7 +713,6 @@ impl BatchSource for TableSource<'_> {
 /// `crate::parallel` hands it morsels and merges the workers at the end.
 pub(crate) struct PipelineWorker<'a, S> {
     plan: &'a StarPlan,
-    cfg: &'a ExecConfig,
     kernels: Kernels,
     slots: &'a ColumnSlots<'a>,
     src: S,
@@ -783,7 +729,6 @@ pub(crate) struct PipelineWorker<'a, S> {
     vals: Vec<u64>,
     /// A hashed probe's payloads, before they fold into `gids`.
     out: Vec<u64>,
-    part_scratch: PartitionScratch,
     /// Per-batch histogram updates, published with the counters that
     /// [`PipelineWorker::publish`] derives from `stats`.
     tally: Tally,
@@ -792,7 +737,7 @@ pub(crate) struct PipelineWorker<'a, S> {
 impl<'a, S: BatchSource> PipelineWorker<'a, S> {
     pub(crate) fn new(
         plan: &'a StarPlan,
-        cfg: &'a ExecConfig,
+        cfg: &ExecConfig,
         slots: &'a ColumnSlots<'a>,
         src: S,
     ) -> Self {
@@ -805,7 +750,6 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
         };
         PipelineWorker {
             plan,
-            cfg,
             kernels: Kernels::resolve(cfg),
             slots,
             src,
@@ -817,7 +761,6 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
             gids: Vec::new(),
             vals: Vec::new(),
             out: Vec::new(),
-            part_scratch: PartitionScratch::default(),
             tally: Tally::default(),
         }
     }
@@ -836,7 +779,7 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
     }
 
     fn run_batch(&mut self, rows: usize) -> Result<(), Stop> {
-        let (plan, cfg, kernels) = (self.plan, self.cfg, &self.kernels);
+        let (plan, kernels) = (self.plan, &self.kernels);
 
         // 1. Fact-table filters. The first runs as a kernel over the
         // contiguous batch (in code space when the source can); later ones
@@ -880,10 +823,8 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
                 self.src.take(slot, &self.sel, &mut self.keys, kernels)?;
                 &self.keys
             };
-            let nkeys = keys.len();
-            self.stats.probes[di] += nkeys as u64;
+            self.stats.probes[di] += keys.len() as u64;
             let stride = self.strides[di];
-            let mut sub_probes = None;
             match &dim.index {
                 // One fused pass on the Gather grid: clamp, gather, hit
                 // test, and in-place compaction of `sel` and `gids`.
@@ -894,46 +835,17 @@ impl<'a, S: BatchSource> PipelineWorker<'a, S> {
                     sel: &mut self.sel,
                     gids: &mut self.gids,
                 }),
-                // Partitioned path: only when the planner built sub-tables
-                // AND the batch carries enough keys per partition for the
-                // bucketing pass to pay for itself (≥ 64 keys per sub-table
-                // on average — pipeline batches are small, so this mostly
-                // serves large-batch callers like the probe bench and
-                // page-sized batches).
-                JoinIndex::Hashed(h) => {
-                    let out = &mut self.out;
-                    out.resize(nkeys, 0);
-                    match h.parts.as_ref().filter(|p| cfg.partition && nkeys >= (1usize << p.bits()) * 64) {
-                        Some(parts) => {
-                            let mut n = 0u64;
-                            parts.probe_with(keys, out, &mut self.part_scratch, |table, keys, out| {
-                                n += 1;
-                                kernels.probe(&mut KernelIo::Probe {
-                                    keys,
-                                    table,
-                                    out,
-                                    prefetch: cfg.probe_prefetch,
-                                });
-                            });
-                            sub_probes = Some(n);
-                        }
-                        None => kernels.probe(&mut KernelIo::Probe {
-                            keys,
-                            table: &h.table,
-                            out,
-                            prefetch: cfg.probe_prefetch,
-                        }),
-                    }
-                    compact_hits(&mut self.sel, &mut self.gids, out, stride);
+                // Sparse keys: one flat hash probe into `out`, whose hits
+                // then compact `sel` and fold into `gids`.
+                JoinIndex::Hashed(table) => {
+                    self.out.resize(keys.len(), 0);
+                    kernels.probe(&mut KernelIo::Probe { keys, table, out: &mut self.out });
+                    compact_hits(&mut self.sel, &mut self.gids, &self.out, stride);
                 }
             }
             let k = self.sel.len();
             self.stats.hits[di] += k as u64;
             self.tally.observe(Hist::ProbeBatchHits, k as u64);
-            if let Some(n) = sub_probes {
-                self.tally.add(Metric::ProbePartitionedKeys, nkeys as u64);
-                self.tally.add(Metric::ProbeSubProbes, n);
-            }
         }
 
         // 3. The measure and aggregation over the surviving rows, whose
@@ -987,9 +899,6 @@ impl<S> PipelineWorker<'_, S> {
         t.add(Metric::ProbeKeys, probed);
         t.add(Metric::ProbeHits, stats.hits.iter().sum());
         t.add(Metric::ProbeDenseKeys, dense);
-        if self.cfg.probe_prefetch > 0 {
-            t.add(Metric::ProbePrefetchedKeys, probed - dense);
-        }
         t.add(Metric::AggRows, stats.rows_aggregated);
         t.add(Metric::GatherRows, self.kernels.gathered.take());
         t.flush();
@@ -1004,8 +913,7 @@ impl<S> Drop for PipelineWorker<'_, S> {
 
 impl<S: BatchSource> MorselWorker for PipelineWorker<'_, S> {
     /// Process units `lo..hi` batch by batch; the cancel/deadline check
-    /// runs before every batch, which also brackets each radix-partition
-    /// bucketing pass (partitioning is per-batch).
+    /// runs before every batch.
     fn try_run_range(&mut self, lo: usize, hi: usize, ctx: &QueryCtx) -> Result<(), Stop> {
         self.run_range(lo, hi, ctx)
     }
@@ -1093,14 +1001,11 @@ impl Kernels {
     /// cannot happen for the shipped flavor configs.
     fn gather(&self, col: &[u64], sel: &[u64], out: &mut Vec<u64>) {
         self.gathered.set(self.gathered.get() + sel.len() as u64);
-        // The index stream is a fresh in-cache vector and the sources are
-        // streamed fact columns — hardware prefetch covers both, so the
-        // software-prefetch depth stays probe-only here.
         match self.gather.kernel {
             // The kernel writes every element, so a resize (no refill) suffices.
             Some(k) => {
                 out.resize(sel.len(), 0);
-                k.run(&mut KernelIo::Gather { src: col, idx: sel, out, prefetch: 0 })
+                k.run(&mut KernelIo::Gather { src: col, idx: sel, out })
             }
             None => gather_keys(col, sel, out),
         }
@@ -1272,8 +1177,7 @@ mod tests {
             reg.get_or_default(Family::AggSum),
             reg.get_or_default(Family::Gather),
         )
-        .with_decode(reg.get_or_default(Family::Decode))
-        .with_probe_prefetch(reg.get_prefetch(Family::Probe).unwrap_or(0));
+        .with_decode(reg.get_or_default(Family::Decode));
         let mut shipped: Vec<ExecConfig> = Flavor::ALL.map(ExecConfig::for_flavor).to_vec();
         shipped.push(per_op);
         shipped.extend(
@@ -1284,8 +1188,7 @@ mod tests {
     }
 
     /// The key `u64::MAX` (the hash table's empty-slot sentinel) misses on
-    /// every backend, at every probe and gather node the shipped configs
-    /// name, flat and prefetched, through the radix-partitioned table, and
+    /// every backend, at every probe node the shipped configs name, and
     /// through a dense index's fused probe at every shipped gather node.
     #[test]
     fn sentinel_key_misses_on_every_backend_and_shipped_node() {
@@ -1296,7 +1199,6 @@ mod tests {
         for &(k, v) in &pairs {
             table.insert(k, v);
         }
-        let parts = PartitionedProbeTable::from_pairs(&pairs, 2);
         let dense = DenseIndex::build(&pairs, usize::MAX).unwrap();
         // Whole vectors of the sentinel, then the sentinel between hits and
         // misses, so it reaches SIMD lanes, scalar statements and the tail.
@@ -1307,22 +1209,14 @@ mod tests {
             .map(|&k| if k != u64::MAX && k % 3 == 0 && k < 9000 { (k / 3) % 7 } else { MISS })
             .collect();
         let backends = [Backend::Emu, Backend::Avx2, Backend::Avx512];
-        let mut scratch = PartitionScratch::default();
         let hit_rows: Vec<u64> = (0..keys.len() as u64).filter(|&i| expect[i as usize] != MISS).collect();
         let hit_pays: Vec<u64> = expect.iter().copied().filter(|&p| p != MISS).collect();
         for cfg in &shipped_configs() {
             for backend in backends.into_iter().filter(|b| b.is_available()) {
                 let probe = Kernel::resolve(Family::Probe, cfg.probe, backend).unwrap();
-                for f in [0, cfg.probe_prefetch, 16] {
-                    let mut out = vec![0; keys.len()];
-                    probe.run(&mut KernelIo::Probe { keys: &keys, table: &table, out: &mut out, prefetch: f });
-                    assert_eq!(out, expect, "probe {} f={f} on {}", cfg.probe, backend.name());
-                    out.fill(0);
-                    parts.probe_with(&keys, &mut out, &mut scratch, |table, keys, out| {
-                        probe.run(&mut KernelIo::Probe { keys, table, out, prefetch: f });
-                    });
-                    assert_eq!(out, expect, "partitioned {} f={f} on {}", cfg.probe, backend.name());
-                }
+                let mut out = vec![0; keys.len()];
+                probe.run(&mut KernelIo::Probe { keys: &keys, table: &table, out: &mut out });
+                assert_eq!(out, expect, "probe {} on {}", cfg.probe, backend.name());
                 let gather = Kernel::resolve(Family::Gather, cfg.gather, backend).unwrap();
                 let (mut sel, mut gids) = ((0..keys.len() as u64).collect::<Vec<u64>>(), Vec::new());
                 let index = &dense;
@@ -1331,7 +1225,6 @@ mod tests {
             }
         }
         assert_eq!(table.probe_scalar(u64::MAX), MISS);
-        assert_eq!(parts.probe_scalar(u64::MAX), MISS);
         assert_eq!(dense.probe_scalar(u64::MAX), MISS);
     }
 
@@ -1360,15 +1253,14 @@ mod tests {
             assert_eq!(a, b, "filter {cfg:?}");
 
             let (mut a, mut b) = (vec![0; vals.len()], vec![0; vals.len()]);
-            let f = cfg.probe_prefetch;
-            k.probe(&mut KernelIo::Probe { keys: &vals, table: &table, out: &mut a, prefetch: f });
-            let io = &mut KernelIo::Probe { keys: &vals, table: &table, out: &mut b, prefetch: f };
+            k.probe(&mut KernelIo::Probe { keys: &vals, table: &table, out: &mut a });
+            let io = &mut KernelIo::Probe { keys: &vals, table: &table, out: &mut b };
             assert!(run_on(Family::Probe, cfg.probe, cfg.backend, io));
             assert_eq!(a, b, "probe {cfg:?}");
 
             let (mut a, mut b) = (Vec::new(), vec![0; sel.len()]);
             k.gather(&vals, &sel, &mut a);
-            let io = &mut KernelIo::Gather { src: &vals, idx: &sel, out: &mut b, prefetch: 0 };
+            let io = &mut KernelIo::Gather { src: &vals, idx: &sel, out: &mut b };
             assert!(run_on(Family::Gather, cfg.gather, cfg.backend, io));
             assert_eq!(a, b, "gather {cfg:?}");
 
@@ -1406,28 +1298,6 @@ mod tests {
     }
 
     #[test]
-    fn prefetched_execution_is_bit_identical() {
-        let (fact, plan) = toy_sparse();
-        let expect = reference(&fact, &plan);
-        for flavor in [Flavor::Scalar, Flavor::Simd, Flavor::Hybrid] {
-            for f in [1usize, 8, 33] {
-                let cfg = ExecConfig::for_flavor(flavor).with_probe_prefetch(f);
-                let out = execute_star(&plan, &fact, &cfg);
-                assert_eq!(out.groups, expect, "{} f={f}", flavor.name());
-            }
-        }
-    }
-
-    #[test]
-    fn small_dimensions_never_partition() {
-        let (_, plan) = toy_sparse();
-        // The toy dims are a few KiB — far under the L2 threshold.
-        for d in &plan.dims {
-            assert!(d.index.parts().is_none(), "{} unexpectedly partitioned", d.name);
-        }
-    }
-
-    #[test]
     fn tables_grow_to_load_one_eighth_within_the_budget() {
         let host = join_table_budget();
         for budget in [0, 64 << 10, host] {
@@ -1440,12 +1310,6 @@ mod tests {
                 if slots > min {
                     assert!(slots * 16 <= budget, "n {n}: {slots} slots over {budget} B");
                 }
-                // The partition decision is the ungrown table's.
-                assert_eq!(
-                    plan_partition_bits(slots * 16, budget) > 0,
-                    plan_partition_bits(min * 16, budget) > 0,
-                    "n {n}, budget {budget}"
-                );
             }
         }
         // build_dimension applies the rule under the host budget. Keys are
@@ -1456,17 +1320,14 @@ mod tests {
         dim.add_column(Column::new("key", (0..100_000).map(|k| k * 7919 + 13).collect()));
         for n in [2u64, 100, 4096, 8192, 16_384, 40_000, 100_000] {
             let d = build_dimension(&dim, "key", |r| r as u64 + 1 < n || r == 99_999, |_| 0, 1, "fk");
-            let table = &d.index.hashed().expect("sparse keys hash").table;
+            let table = d.index.hashed().expect("sparse keys hash");
             assert_eq!(table.capacity(), probe_slots(n as usize, host), "n {n}");
-            let spills = ProbeTable::min_slots(n as usize) * 16 > host;
-            assert_eq!(d.index.parts().is_some(), spills, "n {n}");
         }
     }
 
     #[test]
-    fn partitioned_execution_is_bit_identical() {
-        // A dimension big enough to clear the L2 planner threshold, probed
-        // with batches large enough to pass the keys-per-partition gate.
+    fn spilling_hash_table_execution_is_bit_identical() {
+        // A hash table far past the L2 budget, probed flat by every flavor.
         // Sparse keys `k × 7919 + 13`, so the dimension is hashed.
         let n_dim = 200_000u64;
         let key = |k: u64| k * 7919 + 13;
@@ -1474,7 +1335,8 @@ mod tests {
         dim.add_column(Column::new("key", (0..n_dim).map(key).collect()));
         dim.add_column(Column::new("grp", (0..n_dim).map(|k| k % 8).collect()));
         let d = build_dimension(&dim, "key", |_| true, |r| dim.col("grp")[r], 8, "fk");
-        assert!(d.index.parts().is_some(), "{} B must trigger partitioning", d.index.working_set_bytes());
+        let bytes = d.index.hashed().expect("sparse keys hash").working_set_bytes();
+        assert!(bytes > join_table_budget(), "{bytes} B must spill the budget");
 
         let n = 300_000u64;
         let mut fact = Table::new("fact");
@@ -1489,18 +1351,12 @@ mod tests {
             strides: vec![],
         };
         let expect = reference(&fact, &plan);
-        for flavor in [Flavor::Scalar, Flavor::Simd, Flavor::Hybrid] {
-            // Batch >= 2^bits * 64 keys so the partitioned path engages.
-            let bits = plan.dims[0].index.parts().unwrap().bits();
-            let mut on = ExecConfig::for_flavor(flavor);
-            on.batch = (1usize << bits) * 64;
-            let mut off = on;
-            off.partition = false;
-            let got_on = execute_star(&plan, &fact, &on);
-            let got_off = execute_star(&plan, &fact, &off);
-            assert_eq!(got_on.groups, expect, "partitioned {}", flavor.name());
-            assert_eq!(got_off.groups, expect, "flat {}", flavor.name());
-            assert_eq!(got_on.stats, got_off.stats, "{}", flavor.name());
+        let scalar = execute_star(&plan, &fact, &ExecConfig::scalar());
+        assert_eq!(scalar.groups, expect);
+        for flavor in [Flavor::Simd, Flavor::Voila, Flavor::Hybrid] {
+            let got = execute_star(&plan, &fact, &ExecConfig::for_flavor(flavor));
+            assert_eq!(got.groups, expect, "{}", flavor.name());
+            assert_eq!(got.stats.hits, scalar.stats.hits, "{}", flavor.name());
         }
     }
 
@@ -1512,19 +1368,14 @@ mod tests {
         let vars = |pairs: &'static [(&'static str, &'static str)]| {
             move |k: &str| pairs.iter().find(|p| p.0 == k).map(|p| p.1.to_string())
         };
-        let engine = Engine::from_vars(vars(&[("HEF_PREFETCH", "16"), ("HEF_PARTITION", "off")]));
+        let engine = Engine::from_vars(vars(&[("HEF_DEADLINE_MS", "60000")]));
         let (out, _) = engine
             .execute(&plan, Fact::Mem(&fact), &ExecConfig::hybrid_default(), &CancelToken::new())
             .unwrap();
         assert_eq!(out.groups, expect);
         // Resolution itself is visible on the config level too.
-        let cfg = Engine::from_vars(vars(&[("HEF_PREFETCH", "8")]))
+        let cfg = Engine::from_vars(vars(&[("HEF_DEADLINE_MS", "250")]))
             .configure(&plan, ExecConfig::hybrid_default());
-        assert_eq!(cfg.probe_prefetch, 8);
-        assert!(cfg.partition);
-        let cfg = Engine::from_vars(vars(&[("HEF_PARTITION", "0"), ("HEF_DEADLINE_MS", "250")]))
-            .configure(&plan, ExecConfig::hybrid_default());
-        assert!(!cfg.partition);
         assert_eq!(cfg.deadline_ms, 250);
         // HEF_THREADS fills only an auto thread count; an explicit one wins.
         let four = Engine::from_vars(vars(&[("HEF_THREADS", "4")]));
@@ -1537,14 +1388,13 @@ mod tests {
         // Malformed values warn and are ignored; nothing reads the process
         // environment.
         let (bad, warnings) = hef_obs::diag::capture(|| {
-            Engine::from_vars(vars(&[("HEF_THREADS", "lots"), ("HEF_PARTITION", "maybe")]))
+            Engine::from_vars(vars(&[("HEF_THREADS", "lots"), ("HEF_DEADLINE_MS", "soon")]))
         });
         let cfg = bad.configure(&plan, ExecConfig::scalar());
-        assert_eq!((cfg.threads, cfg.partition), (0, true));
+        assert_eq!((cfg.threads, cfg.deadline_ms), (0, 0));
         assert!(warnings.len() <= 1, "{warnings:?}");
         let none = Engine::from_vars(|_| None).configure(&plan, ExecConfig::scalar());
-        assert_eq!(none.probe_prefetch, 0);
-        assert_eq!(none.threads, 0);
+        assert_eq!((none.threads, none.deadline_ms), (0, 0));
     }
 
     #[test]

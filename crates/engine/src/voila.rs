@@ -56,6 +56,8 @@ pub(crate) struct VoilaWorker<'a> {
     gid: Vec<u64>,
     slots: Vec<usize>,
     pay: Vec<u64>,
+    /// The measure per surviving row.
+    vals: Vec<u64>,
 }
 
 impl<'a> VoilaWorker<'a> {
@@ -85,6 +87,7 @@ impl<'a> VoilaWorker<'a> {
             gid: Vec::with_capacity(buf_cap),
             slots: Vec::with_capacity(buf_cap),
             pay: Vec::with_capacity(buf_cap),
+            vals: Vec::with_capacity(buf_cap),
         }
     }
 
@@ -212,16 +215,18 @@ impl<'a> VoilaWorker<'a> {
         let live = self.gid.len();
         if live > 0 {
             self.stats.rows_aggregated += live as u64;
-            let vals: Vec<u64> = match &plan.measure {
-                Measure::Sum(_) => self.bufs[ndims][..live].to_vec(),
-                Measure::SumProduct(_, _) => (0..live)
-                    .map(|j| self.bufs[ndims][j].wrapping_mul(self.bufs[ndims + 1][j]))
-                    .collect(),
-                Measure::SumDiff(_, _) => (0..live)
-                    .map(|j| self.bufs[ndims][j].wrapping_sub(self.bufs[ndims + 1][j]))
-                    .collect(),
-            };
-            grouped_accumulate(&mut self.acc, &self.gid[..live], &vals);
+            let bufs = &self.bufs;
+            self.vals.clear();
+            match &plan.measure {
+                Measure::Sum(_) => self.vals.extend_from_slice(&bufs[ndims][..live]),
+                Measure::SumProduct(_, _) => self.vals.extend(
+                    (0..live).map(|j| bufs[ndims][j].wrapping_mul(bufs[ndims + 1][j])),
+                ),
+                Measure::SumDiff(_, _) => self.vals.extend(
+                    (0..live).map(|j| bufs[ndims][j].wrapping_sub(bufs[ndims + 1][j])),
+                ),
+            }
+            grouped_accumulate(&mut self.acc, &self.gid[..live], &self.vals);
         }
         if hef_obs::metrics::enabled() {
             hef_obs::metrics::add(
@@ -313,6 +318,32 @@ mod tests {
         // The selection-vector pipeline materializes nothing.
         let pipe = execute_star(&plan_lo, &fact, &ExecConfig::scalar());
         assert_eq!(pipe.stats.materialized, 0);
+    }
+
+    /// Admission must never under-charge: after a batch in which every row
+    /// survives, every batch-long buffer of the worker is full, and their
+    /// bytes stay within the one-thread estimate.
+    #[test]
+    fn worker_buffers_fit_the_admission_estimate() {
+        use crate::govern::estimate_query_bytes;
+        let (mut fact, mut plan) = toy(false);
+        fact.add_column(Column::new("cost", (0..fact.len() as u64).map(|i| i % 5).collect()));
+        let mut dim = Table::new("dim");
+        dim.add_column(Column::new("key", (0..200).collect()));
+        plan.dims[0] = build_dimension(&dim, "key", |_| true, |r| (r % 2) as u64, 2, "fk");
+        plan.measure = Measure::SumProduct("rev".into(), "cost".into());
+        let cfg = ExecConfig::voila().with_batch(1024);
+        let mut w = VoilaWorker::new(&plan, &fact, cfg.batch);
+        w.run_batch(0, cfg.batch);
+        assert_eq!(w.vals.len(), cfg.batch, "every row survives");
+        let bytes = w.bufs.iter().map(Vec::capacity).sum::<usize>()
+            + w.gid.capacity()
+            + w.slots.capacity()
+            + w.pay.capacity()
+            + w.vals.capacity()
+            + w.acc.len();
+        let estimate = estimate_query_bytes(&plan, fact.len(), &cfg, 1);
+        assert!(bytes * 8 <= estimate, "{} B of buffers, {estimate} B charged", bytes * 8);
     }
 
     #[test]

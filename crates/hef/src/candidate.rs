@@ -17,8 +17,8 @@
 //!   argument count among the template's SIMD instructions. The rationale:
 //!   pack as deep as possible without spilling registers.
 
-use hef_kernels::{HybridConfig, F_AXIS, P_AXIS, S_AXIS, V_AXIS};
-use hef_uarch::{uop_cost, AccessPattern, CacheSim, CpuModel};
+use hef_kernels::{HybridConfig, P_AXIS, S_AXIS, V_AXIS};
+use hef_uarch::{uop_cost, CpuModel};
 
 use crate::ir::OperatorTemplate;
 use crate::translate::to_loop_body;
@@ -83,33 +83,6 @@ pub fn initial_candidate(model: &CpuModel, template: &OperatorTemplate) -> Hybri
     snap(HybridConfig { v: v.max(1), s, p })
 }
 
-/// Analytic seed for the probe prefetch depth `f`: the number of loop
-/// iterations one serialized cache miss spans. With per-probe stall `M`
-/// cycles (cache model at MLP 1) and a per-element loop body of `C` cycles
-/// (µop simulator at the minimal mixed node), issuing the prefetch `M / C`
-/// elements ahead gives the line just enough time to arrive — the same
-/// latency ÷ throughput reasoning as stage 2, applied to the memory system.
-/// Cache-resident working sets seed `f = 0` (nothing to hide). Snapped to
-/// [`hef_kernels::F_AXIS`] so the optimizer can take axis steps from it.
-pub fn seed_prefetch(model: &CpuModel, template: &OperatorTemplate, working_set: u64) -> usize {
-    let cache = CacheSim::new(model);
-    // Price a batch, not one probe, so integer miss counts don't truncate
-    // the expectation to zero.
-    const BATCH: u64 = 4096;
-    let misses = cache.misses(AccessPattern::RandomProbe { count: BATCH, working_set });
-    let stall_per_probe = cache.stall_cycles(&misses, 1.0) as f64 / BATCH as f64;
-    if stall_per_probe < 1.0 {
-        return 0;
-    }
-    let cfg = HybridConfig::new(1, 1, 1);
-    let iterations = 32;
-    let body = to_loop_body(template, cfg);
-    let r = hef_uarch::simulate(model, &body, iterations);
-    let loop_per_elem = (r.cycles as f64 / (cfg.step() * iterations) as f64).max(1.0);
-    let f = (stall_per_probe / loop_per_elem).round() as usize;
-    snap_to_axis(f.max(1), F_AXIS)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,22 +127,6 @@ mod tests {
         assert_eq!(snap_to_axis(7, V_AXIS), 8);
         assert_eq!(snap_to_axis(0, V_AXIS), 0);
         assert_eq!(snap_to_axis(100, P_AXIS), 4);
-    }
-
-    #[test]
-    fn seed_prefetch_scales_with_working_set() {
-        let m = CpuModel::silver_4110();
-        let t = templates::probe();
-        // L1-resident: nothing to hide.
-        assert_eq!(seed_prefetch(&m, &t, 16 << 10), 0);
-        // DRAM-resident: a meaningful depth, on the axis.
-        let dram = seed_prefetch(&m, &t, 64 << 20);
-        assert!(dram >= 4, "DRAM seed {dram}");
-        assert!(F_AXIS.contains(&dram), "seed {dram} must be on F_AXIS");
-        // Deeper memory (higher latency share) never seeds shallower than
-        // a mostly-L2-resident set.
-        let l2ish = seed_prefetch(&m, &t, 600 << 10);
-        assert!(dram >= l2ish, "{dram} vs {l2ish}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! `to_loop_body`, `tune_*`) still exist for infallible inputs; they are
 //! thin shells over the `try_*` functions defined next to them.
 
-use hef_kernels::{F_AXIS, P_AXIS, S_AXIS, V_AXIS};
+use hef_kernels::{P_AXIS, S_AXIS, V_AXIS};
 
 /// Any error the offline phase can produce.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,10 +27,6 @@ pub enum HefError {
     /// A `(v, s, p)` node is not on the compiled kernel grid, so no kernel
     /// exists for it and the optimizer cannot take axis steps from it.
     OffGrid { v: usize, s: usize, p: usize },
-    /// A prefetch depth is not on the tuner's `f` search axis
-    /// ([`hef_kernels::F_AXIS`]). Any runtime depth executes fine; only the
-    /// probe search needs an axis position to take steps from.
-    OffAxisPrefetch { f: usize },
     /// An I/O failure, with the offending path attached.
     Io { path: String, message: String },
 }
@@ -53,10 +49,6 @@ impl std::fmt::Display for HefError {
             HefError::OffGrid { v, s, p } => write!(
                 f,
                 "node ({v}, {s}, {p}) is off the compiled grid (v ∈ {V_AXIS:?}, s ∈ {S_AXIS:?}, p ∈ {P_AXIS:?})"
-            ),
-            HefError::OffAxisPrefetch { f: depth } => write!(
-                f,
-                "prefetch depth {depth} is off the search axis (f ∈ {F_AXIS:?})"
             ),
             HefError::Io { path, message } => write!(f, "{path}: {message}"),
         }

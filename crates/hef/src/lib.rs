@@ -46,21 +46,19 @@ pub mod templates;
 pub mod translate;
 pub mod tuner;
 
-pub use candidate::{initial_candidate, seed_prefetch};
+pub use candidate::initial_candidate;
 pub use error::{on_grid, HefError};
 pub use ir::{Operand, OperatorTemplate, Stmt};
 pub use optimizer::{
-    optimize, optimize_probe, try_neighbors, try_probe_neighbors, CostEvaluator,
-    MeasuredCost, MeasuredProbeCost, ProbeCostEvaluator, ProbeNode, ProbeSearchOutcome,
-    SearchOutcome, SimulatedCost, SimulatedProbeCost, SpikedCost,
+    optimize, try_neighbors, CostEvaluator, MeasuredCost, SearchOutcome, SimulatedCost,
+    SpikedCost,
 };
 pub use parse::{parse_file, parse_template, render_template};
 pub use registry::{PipelineEntry, Registry, RegistryIssue, WarmReport};
 pub use translate::{translate, to_loop_body, try_to_loop_body, try_translate, TargetCode};
 pub use tuner::{
     measure_drift, predicted_cycles_per_row, try_tune_source, try_tune_template, tune_measured,
-    tune_probe_measured, tune_probe_simulated, tune_simulated, DriftRecord, TunedOperator,
-    TunedProbe,
+    tune_simulated, DriftRecord, TunedOperator,
 };
 
 pub use hef_kernels::{Family, HybridConfig};

@@ -13,13 +13,9 @@
 //! the best tested node is the grid optimum for monotone cost surfaces.
 
 use std::collections::HashMap;
-use std::fmt;
 
-use hef_kernels::{
-    all_configs, Family, HybridConfig, KernelIo, ProbeTable, F_AXIS, P_AXIS,
-    S_AXIS, V_AXIS,
-};
-use hef_uarch::{AccessPattern, CacheSim, CpuModel};
+use hef_kernels::{all_configs, Family, HybridConfig, KernelIo, ProbeTable, P_AXIS, S_AXIS, V_AXIS};
+use hef_uarch::CpuModel;
 
 use crate::error::HefError;
 use crate::ir::OperatorTemplate;
@@ -52,7 +48,7 @@ impl SearchOutcome {
     }
 }
 
-pub(crate) fn axis_neighbors(x: usize, axis: &[usize]) -> Option<Vec<usize>> {
+fn axis_neighbors(x: usize, axis: &[usize]) -> Option<Vec<usize>> {
     let i = axis.iter().position(|&a| a == x)?;
     let mut out = Vec::new();
     if i > 0 {
@@ -137,10 +133,7 @@ fn median_of_3(sample: &mut dyn FnMut() -> f64, first: f64) -> f64 {
 /// single noisy sample from steering the search: winners/losers separated
 /// by a clear margin are accepted on one sample, but anything that would
 /// flip a classification or the final answer gets confirmed.
-///
-/// Node-agnostic (the node is baked into `sample`), so the `(v,s,p)` and
-/// `(v,s,p,f)` searches share one measurement policy.
-pub(crate) fn robust_cost(
+fn robust_cost(
     sample: &mut dyn FnMut() -> f64,
     reference: Option<f64>,
     running_best: f64,
@@ -247,143 +240,6 @@ pub fn exhaustive(eval: &mut dyn CostEvaluator) -> SearchOutcome {
     SearchOutcome { best, best_cost, tested: order, end_list: Vec::new() }
 }
 
-/// A probe-family search node: the hybrid shape plus the software-prefetch
-/// depth `f` (elements kept in flight by the AMAC ring). `f` is a runtime
-/// parameter of the compiled kernels, so the search axis
-/// ([`hef_kernels::F_AXIS`]) bounds only what the tuner *tries*, not what
-/// can execute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ProbeNode {
-    pub cfg: HybridConfig,
-    pub f: usize,
-}
-
-impl ProbeNode {
-    pub fn new(v: usize, s: usize, p: usize, f: usize) -> Self {
-        ProbeNode { cfg: HybridConfig::new(v, s, p), f }
-    }
-}
-
-impl fmt::Display for ProbeNode {
-    fn fmt(&self, w: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(w, "n{}{}{}f{}", self.cfg.v, self.cfg.s, self.cfg.p, self.f)
-    }
-}
-
-/// Something that can price a probe node (lower is better).
-pub trait ProbeCostEvaluator {
-    fn probe_cost(&mut self, node: ProbeNode) -> f64;
-}
-
-/// The result of a probe `(v,s,p,f)` search.
-#[derive(Debug, Clone)]
-pub struct ProbeSearchOutcome {
-    pub best: ProbeNode,
-    pub best_cost: f64,
-    pub tested: Vec<(ProbeNode, f64)>,
-    pub end_list: Vec<ProbeNode>,
-}
-
-impl ProbeSearchOutcome {
-    /// Grid nodes (config × prefetch-axis points) never generated or tested.
-    pub fn pruned(&self) -> usize {
-        all_configs().count() * F_AXIS.len() - self.tested.len()
-    }
-}
-
-/// Neighbours of a probe node: one axis step in `v`, `s`, or `p` at the
-/// same depth, plus one step along the `f` axis at the same shape. The
-/// pruning along `f` leans on the same monotonicity assumption as the
-/// hybrid axes — modeled as the LFB-capped, non-decreasing
-/// `CacheSim::effective_mlp`, so cost is convex-ish in `f` (too shallow
-/// serializes misses, too deep evicts its own prefetches).
-pub fn try_probe_neighbors(node: ProbeNode) -> Result<Vec<ProbeNode>, HefError> {
-    let Some(fs) = axis_neighbors(node.f, F_AXIS) else {
-        return Err(HefError::OffAxisPrefetch { f: node.f });
-    };
-    let mut out: Vec<ProbeNode> = try_neighbors(node.cfg)?
-        .into_iter()
-        .map(|cfg| ProbeNode { cfg, f: node.f })
-        .collect();
-    for f in fs {
-        out.push(ProbeNode { cfg: node.cfg, f });
-    }
-    Ok(out)
-}
-
-/// Panicking convenience over [`try_probe_neighbors`] for known-on-grid nodes.
-pub fn probe_neighbors(node: ProbeNode) -> Vec<ProbeNode> {
-    try_probe_neighbors(node).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Algorithm 2 over the probe family's four-dimensional `(v,s,p,f)` grid:
-/// identical winner/loser classification and monotone pruning, with the
-/// prefetch depth as one more axis.
-pub fn optimize_probe(initial: ProbeNode, eval: &mut dyn ProbeCostEvaluator) -> ProbeSearchOutcome {
-    let initial = ProbeNode {
-        cfg: crate::candidate::snap(initial.cfg),
-        f: crate::candidate::snap_to_axis(initial.f, F_AXIS),
-    };
-    let _span = hef_obs::span!(
-        "optimize_probe",
-        v = initial.cfg.v,
-        s = initial.cfg.s,
-        p = initial.cfg.p,
-        f = initial.f
-    );
-    hef_obs::metrics::add(hef_obs::metrics::Metric::TunerSearches, 1);
-    let mut costs: HashMap<ProbeNode, f64> = HashMap::new();
-    let mut order: Vec<(ProbeNode, f64)> = Vec::new();
-    let mut end_list: Vec<ProbeNode> = Vec::new();
-
-    let c0 = robust_cost(&mut || eval.probe_cost(initial), None, f64::INFINITY);
-    costs.insert(initial, c0);
-    order.push((initial, c0));
-    let mut best = (initial, c0);
-
-    let mut candidates = vec![initial];
-    let mut expanded: Vec<ProbeNode> = Vec::new();
-
-    while let Some(pos) = candidates
-        .iter()
-        .enumerate()
-        .min_by(|a, b| costs[a.1].total_cmp(&costs[b.1]))
-        .map(|(i, _)| i)
-    {
-        let node = candidates.swap_remove(pos);
-        if expanded.contains(&node) {
-            continue;
-        }
-        expanded.push(node);
-        let node_cost = costs[&node];
-
-        for n in try_probe_neighbors(node).unwrap_or_default() {
-            if costs.contains_key(&n) {
-                continue;
-            }
-            let c = robust_cost(&mut || eval.probe_cost(n), Some(node_cost), best.1);
-            costs.insert(n, c);
-            order.push((n, c));
-            if c < best.1 {
-                best = (n, c);
-            }
-            if c < node_cost {
-                candidates.push(n);
-            } else {
-                end_list.push(n);
-            }
-        }
-    }
-
-    let outcome =
-        ProbeSearchOutcome { best: best.0, best_cost: best.1, tested: order, end_list };
-    hef_obs::metrics::add(
-        hef_obs::metrics::Metric::TunerPruned,
-        outcome.pruned() as u64,
-    );
-    outcome
-}
-
 /// Applies the armed fault plan's cost spikes (`HEF_FAULT=spike:…` or a
 /// programmatic [`hef_testutil::fault::FaultPlan`]) to an inner evaluator,
 /// counting measurements in global call order. The `tune_*` facades wrap
@@ -397,16 +253,6 @@ pub struct SpikedCost<E> {
 impl<E: CostEvaluator> CostEvaluator for SpikedCost<E> {
     fn cost(&mut self, cfg: HybridConfig) -> f64 {
         let c = self.inner.cost(cfg);
-        match hef_testutil::fault::next_cost_spike() {
-            Some(factor) => c * factor,
-            None => c,
-        }
-    }
-}
-
-impl<E: ProbeCostEvaluator> ProbeCostEvaluator for SpikedCost<E> {
-    fn probe_cost(&mut self, node: ProbeNode) -> f64 {
-        let c = self.inner.probe_cost(node);
         match hef_testutil::fault::next_cost_spike() {
             Some(factor) => c * factor,
             None => c,
@@ -521,7 +367,6 @@ impl MeasuredCost {
                 keys: &self.input2, // small-domain keys: mixture of hits
                 table: self.table.as_ref().expect("probe table built"),
                 out: &mut self.output,
-                prefetch: 0,
             },
             Family::Filter => KernelIo::Filter {
                 input: &self.input2,
@@ -540,7 +385,6 @@ impl MeasuredCost {
                 src: &self.input,
                 idx: &self.input2, // values < 97 < n: always in bounds
                 out: &mut self.output,
-                prefetch: 0,
             },
             Family::Decode => {
                 let (words, dict) = self.decode.as_ref().expect("decode inputs built");
@@ -578,116 +422,6 @@ impl CostEvaluator for MeasuredCost {
             );
         }
         secs
-    }
-}
-
-/// Prices a probe node by running the compiled kernel against a build side
-/// of a *chosen* size — unlike [`MeasuredCost`]'s fixed small-domain table,
-/// this is how the `f` axis gets tuned where it matters: with the hash
-/// table resident in L2, LLC, or DRAM.
-pub struct MeasuredProbeCost {
-    keys: Vec<u64>,
-    output: Vec<u64>,
-    table: ProbeTable,
-    /// Timing trials per node; the minimum is used.
-    pub trials: usize,
-    /// Hardware cycles of the fastest trial of the most recent cost call.
-    pub last_cycles: Option<u64>,
-}
-
-impl MeasuredProbeCost {
-    /// An evaluator probing `nkeys` uniform keys into a table of
-    /// `build_entries` entries (≈50 % hit rate: keys are drawn from twice
-    /// the inserted key domain).
-    pub fn new(build_entries: usize, nkeys: usize) -> Self {
-        let mut table = ProbeTable::with_capacity(build_entries.max(1));
-        for k in 0..build_entries as u64 {
-            table.insert(k * 2 + 1, k + 1);
-        }
-        // Golden-ratio scramble: uniform, aperiodic, deterministic.
-        let domain = (2 * build_entries.max(1)) as u64;
-        let keys: Vec<u64> = (0..nkeys as u64)
-            .map(|i| i.wrapping_mul(0x9e37_79b9_7f4a_7c15) % domain)
-            .collect();
-        MeasuredProbeCost {
-            output: vec![0u64; nkeys],
-            keys,
-            table,
-            trials: 3,
-            last_cycles: None,
-        }
-    }
-
-    /// Bytes of the build side actually touched by probes.
-    pub fn working_set_bytes(&self) -> usize {
-        self.table.working_set_bytes()
-    }
-
-    fn run_once(&mut self, node: ProbeNode) -> bool {
-        let mut io = KernelIo::Probe {
-            keys: &self.keys,
-            table: &self.table,
-            out: &mut self.output,
-            prefetch: node.f,
-        };
-        hef_kernels::run(Family::Probe, node.cfg, &mut io)
-    }
-}
-
-impl ProbeCostEvaluator for MeasuredProbeCost {
-    fn probe_cost(&mut self, node: ProbeNode) -> f64 {
-        if !self.run_once(node) {
-            return f64::INFINITY;
-        }
-        let (secs, cycles) = hef_testutil::time_best_of_cycles(self.trials, || {
-            self.run_once(node);
-        });
-        self.last_cycles = cycles;
-        if let Some(c) = cycles {
-            hef_obs::metrics::observe(
-                hef_obs::metrics::Hist::KernelCyclesPerRow,
-                c / self.keys.len().max(1) as u64,
-            );
-        }
-        secs
-    }
-}
-
-/// Prices a probe node on a modeled CPU: the µop simulator gives the
-/// compute cycles of the hybrid shape, and the cache model's prefetch-aware
-/// stall cost ([`CacheSim::prefetch_stall_cycles`]) adds the memory side,
-/// so simulated Mcycles stay comparable with measured ones across the `f`
-/// axis.
-pub struct SimulatedProbeCost<'a> {
-    pub model: &'a CpuModel,
-    pub template: &'a OperatorTemplate,
-    /// Bytes of the build side the probes hit (drives the miss model).
-    pub working_set: u64,
-    /// Steady-state iterations to simulate.
-    pub iterations: usize,
-}
-
-impl<'a> SimulatedProbeCost<'a> {
-    pub fn new(model: &'a CpuModel, template: &'a OperatorTemplate, working_set: u64) -> Self {
-        SimulatedProbeCost { model, template, working_set, iterations: 60 }
-    }
-}
-
-impl ProbeCostEvaluator for SimulatedProbeCost<'_> {
-    fn probe_cost(&mut self, node: ProbeNode) -> f64 {
-        let body = to_loop_body(self.template, node.cfg);
-        let r = hef_uarch::simulate(self.model, &body, self.iterations);
-        hef_obs::metrics::add(hef_obs::metrics::Metric::SimRuns, 1);
-        hef_obs::metrics::add(hef_obs::metrics::Metric::SimCycles, r.cycles);
-        let elems = (node.cfg.step() * self.iterations) as u64;
-        let cache = CacheSim::new(self.model);
-        let misses = cache.misses(AccessPattern::RandomProbe {
-            count: elems,
-            working_set: self.working_set,
-        });
-        let stall = cache.prefetch_stall_cycles(&misses, node.f);
-        let ghz = hef_uarch::freq::frequency_ghz(self.model, &body);
-        (r.cycles as f64 + stall as f64) / ghz / elems as f64
     }
 }
 
@@ -870,100 +604,6 @@ mod tests {
                 assert_eq!(plain.cost(cfg), wrapped.cost(cfg));
             }
         });
-    }
-
-    /// A convex synthetic probe-cost surface over (v, s, p, f).
-    struct SyntheticProbe {
-        opt: ProbeNode,
-        calls: usize,
-    }
-
-    impl ProbeCostEvaluator for SyntheticProbe {
-        fn probe_cost(&mut self, node: ProbeNode) -> f64 {
-            self.calls += 1;
-            let pos = |x: usize, axis: &[usize]| {
-                axis.iter().position(|&a| a == x).unwrap() as f64
-            };
-            1.0 + (pos(node.cfg.v, V_AXIS) - pos(self.opt.cfg.v, V_AXIS)).abs()
-                + (node.cfg.s as f64 - self.opt.cfg.s as f64).abs()
-                + (node.cfg.p as f64 - self.opt.cfg.p as f64).abs()
-                + (pos(node.f, F_AXIS) - pos(self.opt.f, F_AXIS)).abs()
-        }
-    }
-
-    #[test]
-    fn probe_search_finds_the_optimum_including_depth() {
-        for opt in [
-            ProbeNode::new(2, 2, 3, 16),
-            ProbeNode::new(1, 1, 3, 0),
-            ProbeNode::new(8, 0, 1, 64),
-        ] {
-            let mut eval = SyntheticProbe { opt, calls: 0 };
-            let out = optimize_probe(ProbeNode::new(1, 1, 1, 0), &mut eval);
-            assert_eq!(out.best, opt, "from (1,1,1,f=0)");
-            let total = all_configs().count() * F_AXIS.len();
-            assert!(out.tested.len() < total, "4-D search must prune");
-            assert_eq!(out.pruned(), total - out.tested.len());
-        }
-    }
-
-    #[test]
-    fn probe_neighbors_step_every_axis_including_f() {
-        let n = probe_neighbors(ProbeNode::new(2, 2, 2, 8));
-        // Hybrid-axis steps keep f; f-axis steps keep the shape.
-        assert!(n.contains(&ProbeNode::new(1, 2, 2, 8)));
-        assert!(n.contains(&ProbeNode::new(4, 2, 2, 8)));
-        assert!(n.contains(&ProbeNode::new(2, 2, 2, 4)));
-        assert!(n.contains(&ProbeNode::new(2, 2, 2, 16)));
-        assert_eq!(n.len(), 8, "{n:?}");
-        // f = 0 has only an upward step.
-        let n0 = probe_neighbors(ProbeNode::new(2, 2, 2, 0));
-        assert!(n0.contains(&ProbeNode::new(2, 2, 2, 4)));
-        assert!(!n0.iter().any(|x| x.f != 0 && x.f != 4));
-    }
-
-    #[test]
-    fn off_axis_prefetch_is_a_typed_error() {
-        let e = try_probe_neighbors(ProbeNode::new(1, 1, 3, 7)).unwrap_err();
-        assert!(matches!(e, HefError::OffAxisPrefetch { f: 7 }), "{e}");
-        assert!(e.to_string().contains("off the search axis"), "{e}");
-    }
-
-    #[test]
-    fn probe_node_snap_lands_on_the_grid() {
-        // Off-grid initial nodes are snapped, not rejected.
-        let mut eval = SyntheticProbe { opt: ProbeNode::new(2, 2, 3, 16), calls: 0 };
-        let out = optimize_probe(ProbeNode::new(3, 2, 3, 13), &mut eval);
-        assert_eq!(out.best, ProbeNode::new(2, 2, 3, 16));
-    }
-
-    #[test]
-    fn measured_probe_cost_prices_any_depth() {
-        let mut eval = MeasuredProbeCost::new(1 << 10, 4096);
-        for f in [0usize, 16] {
-            let c = eval.probe_cost(ProbeNode::new(1, 1, 3, f));
-            assert!(c.is_finite() && c > 0.0, "f={f}");
-            assert!(eval.last_cycles.is_some() || !cfg!(target_arch = "x86_64"));
-        }
-        assert!(eval.working_set_bytes() > 0);
-        // Off-grid shapes are unaffordable, not a panic.
-        assert_eq!(eval.probe_cost(ProbeNode::new(3, 1, 1, 0)), f64::INFINITY);
-    }
-
-    #[test]
-    fn simulated_probe_cost_rewards_prefetch_only_out_of_cache() {
-        let t = crate::templates::probe();
-        let m = CpuModel::silver_4110();
-        // DRAM-resident build side: prefetch depth pays.
-        let mut dram = SimulatedProbeCost::new(&m, &t, 64 << 20);
-        let flat = dram.probe_cost(ProbeNode::new(2, 2, 3, 0));
-        let deep = dram.probe_cost(ProbeNode::new(2, 2, 3, 16));
-        assert!(deep < flat * 0.6, "deep {deep} vs flat {flat}");
-        // L1-resident: no misses to hide, f is a wash.
-        let mut hot = SimulatedProbeCost::new(&m, &t, 16 << 10);
-        let hot_flat = hot.probe_cost(ProbeNode::new(2, 2, 3, 0));
-        let hot_deep = hot.probe_cost(ProbeNode::new(2, 2, 3, 16));
-        assert_eq!(hot_flat, hot_deep);
     }
 
     #[test]

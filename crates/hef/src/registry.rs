@@ -7,35 +7,24 @@
 //! The registry stores that result in a small, diff-friendly text format:
 //!
 //! ```text
-//! # hef tuned-operator registry v1
+//! # hef tuned-operator registry v3
 //! # cpu: Intel Xeon Silver 4110
 //! # isa: avx512
 //! murmur = 1 3 2
 //! crc64 = 8 0 1
+//! pipeline 1f2e3d4c5b6a7980 = filter:1,3,2 probe:2,4,3 agg_sum:1,1,3
 //! ```
 //!
-//! The **v2** format adds an optional fourth column to the `probe` entry —
-//! the tuned software-prefetch depth `f` (`probe = 2 4 3 16`). The v2
-//! header is only emitted when a depth is actually recorded, so files
-//! written without one remain byte-identical v1 and old readers are never
-//! broken; this reader accepts both versions, and pre-`f` probe entries
-//! are back-filled by the degradation ladder with the candidate
-//! generator's analytic seed ([`crate::candidate::seed_prefetch`]).
+//! Per-op lines hold one node per family. *Pipeline rows* hold per-query
+//! joint configurations keyed by a stable plan fingerprint (the structural
+//! hash `hef-engine::StarPlan::fingerprint` computes), one stage per
+//! operator in pipeline order. Consumers walk a **degradation ladder**: a
+//! missing or dropped pipeline row falls back to the per-op entries, which
+//! in turn fall back to the candidate generator's analytic seeds.
 //!
-//! The **v3** format adds *pipeline rows*: per-query joint configurations
-//! keyed by a stable plan fingerprint (the structural hash
-//! `hef-engine::StarPlan::fingerprint` computes), one stage per operator in
-//! pipeline order plus the shared prefetch depth:
-//!
-//! ```text
-//! pipeline 1f2e3d4c5b6a7980 = filter:1,3,2 probe:2,4,3 agg_sum:1,1,3 f:16
-//! ```
-//!
-//! The v3 header is only emitted when a pipeline row exists, mirroring the
-//! v2 rule, so per-op-only files stay byte-identical v2/v1. Consumers walk
-//! a **degradation ladder across versions**: a missing or dropped pipeline
-//! row falls back to the per-op v2/v1 entries, which in turn fall back to
-//! the candidate generator's analytic seeds.
+//! The one writer always emits the v3 header. The reader also accepts v1
+//! and v2 files, and drops the probe prefetch depth that older files carry
+//! (a fourth `probe` column, a trailing `f:<depth>` pipeline token).
 //!
 //! Because a production deployment's hot path keys off this file, loading
 //! is defensive at two levels:
@@ -54,17 +43,15 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::Path;
 
-use hef_kernels::{Family, HybridConfig, F_AXIS};
+use hef_kernels::{Family, HybridConfig};
 
 use crate::error::on_grid;
-use crate::tuner::{TunedOperator, TunedProbe};
+use crate::tuner::TunedOperator;
 
 /// A set of tuned nodes, keyed by operator family.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Registry {
     entries: BTreeMap<&'static str, HybridConfig>,
-    /// Tuned prefetch depths (v2 column 4) — today only `probe` carries one.
-    prefetch: BTreeMap<&'static str, usize>,
     /// Joint pipeline configurations (v3 rows), keyed by plan fingerprint.
     pipelines: BTreeMap<u64, PipelineEntry>,
     /// Tune-time calibration per family (`# drift:` provenance comments):
@@ -96,11 +83,8 @@ pub enum ParseError {
     DuplicateFamily { line: usize, name: String },
     /// The version header names a format this build does not understand.
     UnsupportedVersion { line: usize, version: String },
-    /// A fourth (prefetch-depth) column this build cannot honour: present
-    /// on a family other than `probe`, or off the tuner's `f` axis.
-    BadPrefetch { line: usize, name: String, f: usize },
     /// A v3 pipeline row this build cannot honour (bad fingerprint, unknown
-    /// stage family, off-grid stage node, off-axis depth, no stages…).
+    /// stage family, off-grid stage node, no stages…).
     BadPipeline { line: usize, message: String },
     /// The same plan fingerprint appears twice.
     DuplicatePipeline { line: usize, fingerprint: String },
@@ -130,12 +114,6 @@ impl std::fmt::Display for ParseError {
                     "line {line}: unsupported registry version `{version}` (this build reads v1/v2/v3)"
                 )
             }
-            ParseError::BadPrefetch { line, name, f: depth } => {
-                write!(
-                    f,
-                    "line {line}: `{name}` prefetch depth {depth} rejected (probe-only; f ∈ {F_AXIS:?})"
-                )
-            }
             ParseError::BadPipeline { line, message } => {
                 write!(f, "line {line}: bad pipeline row: {message}")
             }
@@ -153,13 +131,11 @@ fn family_by_name(name: &str) -> Option<Family> {
 }
 
 /// One joint pipeline configuration (a v3 row): the per-stage hybrid nodes
-/// in pipeline order plus the shared probe-prefetch depth `f`.
+/// in pipeline order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineEntry {
     /// Stages in pipeline order, each with its tuned node.
     pub stages: Vec<(Family, HybridConfig)>,
-    /// Shared software-prefetch depth (on [`hef_kernels::F_AXIS`]).
-    pub f: usize,
 }
 
 impl PipelineEntry {
@@ -169,17 +145,20 @@ impl PipelineEntry {
     }
 }
 
-/// The row body as the registry file spells it: `family:v,s,p … f:<depth>`.
+/// The row body as the registry file spells it: `family:v,s,p …`.
 impl std::fmt::Display for PipelineEntry {
     fn fmt(&self, w: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        for (family, cfg) in &self.stages {
-            write!(w, "{}:{},{},{} ", family.name(), cfg.v, cfg.s, cfg.p)?;
+        for (i, (family, cfg)) in self.stages.iter().enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(w, "{sep}{}:{},{},{}", family.name(), cfg.v, cfg.s, cfg.p)?;
         }
-        write!(w, "f:{}", self.f)
+        Ok(())
     }
 }
 
-/// Parse a v3 pipeline row body (`<16hex> = family:v,s,p … f:<depth>`).
+/// Parse a v3 pipeline row body (`<16hex> = family:v,s,p …`). A legacy
+/// `f:<depth>` token (the probe prefetch depth older files carry) is
+/// dropped.
 fn parse_pipeline_row(rest: &str, line_no: usize) -> Result<Line, ParseError> {
     let bad = |message: String| ParseError::BadPipeline { line: line_no, message };
     let (fp, body) = rest
@@ -189,23 +168,12 @@ fn parse_pipeline_row(rest: &str, line_no: usize) -> Result<Line, ParseError> {
     let fingerprint = u64::from_str_radix(fp, 16)
         .map_err(|_| bad(format!("bad fingerprint `{fp}` (expected hex)")))?;
     let mut stages = Vec::new();
-    let mut depth = None;
     for tok in body.split_whitespace() {
         let (head, tail) = tok
             .split_once(':')
             .ok_or_else(|| bad(format!("bad stage token `{tok}`")))?;
         if head == "f" {
-            if depth.is_some() {
-                return Err(bad("duplicate `f:` token".to_string()));
-            }
-            let f: usize = tail
-                .parse()
-                .map_err(|_| bad(format!("bad depth `{tail}`")))?;
-            if !F_AXIS.contains(&f) {
-                return Err(bad(format!("depth {f} off the search axis {F_AXIS:?}")));
-            }
-            depth = Some(f);
-            continue;
+            continue; // a legacy prefetch depth
         }
         let family = family_by_name(head)
             .ok_or_else(|| bad(format!("unknown stage family `{head}`")))?;
@@ -225,7 +193,7 @@ fn parse_pipeline_row(rest: &str, line_no: usize) -> Result<Line, ParseError> {
     if stages.is_empty() {
         return Err(bad("pipeline row has no stages".to_string()));
     }
-    Ok(Line::Pipeline(fingerprint, PipelineEntry { stages, f: depth.unwrap_or(0) }))
+    Ok(Line::Pipeline(fingerprint, PipelineEntry { stages }))
 }
 
 /// One parsed line of the registry format.
@@ -234,7 +202,7 @@ enum Line {
     Cpu(String),
     Isa(String),
     Drift(Family, u64, u64),
-    Entry(Family, HybridConfig, Option<usize>),
+    Entry(Family, HybridConfig),
     Pipeline(u64, PipelineEntry),
 }
 
@@ -288,9 +256,10 @@ fn parse_line(line: &str, line_no: usize) -> Result<Line, ParseError> {
         .map(str::parse)
         .collect::<Result<_, _>>()
         .map_err(|_| ParseError::Malformed { line: line_no, text: line.to_string() })?;
-    let (v, s, p, pf) = match nums[..] {
-        [v, s, p] => (v, s, p, None),
-        [v, s, p, f] => (v, s, p, Some(f)),
+    // A fourth `probe` column is a legacy prefetch depth: dropped.
+    let (v, s, p) = match nums[..] {
+        [v, s, p] => (v, s, p),
+        [v, s, p, _] if family == Family::Probe => (v, s, p),
         _ => return Err(ParseError::Malformed { line: line_no, text: line.to_string() }),
     };
     if v + s == 0 || p == 0 {
@@ -305,14 +274,7 @@ fn parse_line(line: &str, line_no: usize) -> Result<Line, ParseError> {
             p,
         });
     }
-    if let Some(f) = pf {
-        // The depth column is probe-only and must sit on the search axis,
-        // mirroring the off-grid rule for (v, s, p).
-        if family != Family::Probe || !F_AXIS.contains(&f) {
-            return Err(ParseError::BadPrefetch { line: line_no, name: name.to_string(), f });
-        }
-    }
-    Ok(Line::Entry(family, HybridConfig { v, s, p }, pf))
+    Ok(Line::Entry(family, HybridConfig { v, s, p }))
 }
 
 impl Registry {
@@ -367,20 +329,10 @@ impl Registry {
         self.drift.iter().map(|(&name, &(p, m))| (name, p as f64 / 1000.0, m as f64 / 1000.0))
     }
 
-    /// Record a tuned prefetch depth (v2 column 4; probe-only today).
-    pub fn insert_prefetch(&mut self, family: Family, f: usize) {
-        self.prefetch.insert(family.name(), f);
-    }
-
-    /// Record a probe tuning result: the hybrid shape plus its depth.
-    pub fn insert_tuned_probe(&mut self, tuned: &TunedProbe) {
-        self.insert(Family::Probe, tuned.node.cfg);
-        self.insert_prefetch(Family::Probe, tuned.node.f);
-    }
-
-    /// Tuned prefetch depth for a family, if recorded.
-    pub fn get_prefetch(&self, family: Family) -> Option<usize> {
-        self.prefetch.get(family.name()).copied()
+    /// Always `None`: registries no longer record a prefetch depth. Kept
+    /// for `hefbench/src/workload.rs`, which still asks for one.
+    pub fn get_prefetch(&self, _family: Family) -> Option<usize> {
+        None
     }
 
     /// Record a joint pipeline configuration for a plan fingerprint.
@@ -424,19 +376,9 @@ impl Registry {
         self.entries.is_empty()
     }
 
-    /// Serialize to the registry text format. The v2 header (and fourth
-    /// column) appear only when a prefetch depth is recorded, and the v3
-    /// header only when a pipeline row is recorded, so files without those
-    /// features stay byte-identical to the older formats for old readers.
+    /// Serialize to the registry text format, always under the v3 header.
     pub fn to_text(&self) -> String {
-        let version = if !self.pipelines.is_empty() {
-            "v3"
-        } else if !self.prefetch.is_empty() {
-            "v2"
-        } else {
-            "v1"
-        };
-        let mut out = format!("# hef tuned-operator registry {version}\n");
+        let mut out = String::from("# hef tuned-operator registry v3\n");
         if !self.cpu.is_empty() {
             let _ = writeln!(out, "# cpu: {}", self.cpu);
         }
@@ -447,14 +389,7 @@ impl Registry {
             let _ = writeln!(out, "# drift: {name} = {p} {m}");
         }
         for (name, cfg) in &self.entries {
-            match self.prefetch.get(name) {
-                Some(f) => {
-                    let _ = writeln!(out, "{name} = {} {} {} {f}", cfg.v, cfg.s, cfg.p);
-                }
-                None => {
-                    let _ = writeln!(out, "{name} = {} {} {}", cfg.v, cfg.s, cfg.p);
-                }
-            }
+            let _ = writeln!(out, "{name} = {} {} {}", cfg.v, cfg.s, cfg.p);
         }
         for (fp, e) in &self.pipelines {
             let _ = writeln!(out, "pipeline {fp:016x} = {e}");
@@ -499,7 +434,7 @@ impl Registry {
                 Ok(Line::Drift(family, p, m)) => {
                     reg.drift.insert(family.name(), (p, m));
                 }
-                Ok(Line::Entry(family, cfg, pf)) => {
+                Ok(Line::Entry(family, cfg)) => {
                     if reg.entries.contains_key(family.name()) {
                         errors.push(ParseError::DuplicateFamily {
                             line: line_no,
@@ -507,9 +442,6 @@ impl Registry {
                         });
                     } else {
                         reg.insert(family, cfg);
-                        if let Some(f) = pf {
-                            reg.insert_prefetch(family, f);
-                        }
                     }
                 }
                 Ok(Line::Pipeline(fp, entry)) => {
@@ -611,11 +543,9 @@ impl Registry {
             })
             .collect();
 
-        // Stale ISA: the whole file was tuned for a different backend. The
-        // recorded prefetch depth is dropped too — it was balanced against
-        // another machine's miss latency — and re-seeded below. Pipeline
-        // rows are cleared outright: a joint configuration is even more
-        // machine-specific than a per-op node, and dropping a row just
+        // Stale ISA: the whole file was tuned for a different backend.
+        // Pipeline rows are cleared outright: a joint configuration is even
+        // more machine-specific than a per-op node, and dropping a row just
         // walks consumers one rung down the ladder (per-op entries).
         let current_isa = hef_hid::Backend::native().name();
         if !reg.isa.is_empty() && reg.isa != current_isa {
@@ -626,7 +556,6 @@ impl Registry {
             fallback_families
                 .extend(Family::ALL.into_iter().filter(|f| reg.get(*f).is_some()));
             reg.isa = current_isa.to_string();
-            reg.prefetch.clear();
             reg.pipelines.clear();
             // Calibration rows pair a simulator prediction with *that*
             // machine's cycle counter; on new hardware they say nothing.
@@ -643,28 +572,10 @@ impl Registry {
             reg.insert(family, node);
         }
 
-        // Pre-`f` (v1) probe entries: the shape is trusted but no prefetch
-        // depth was ever tuned. Seed one analytically at a canonical
-        // DRAM-resident working set so memory-bound probes are not left at
-        // the serialized `f = 0` this field was introduced to escape.
-        if reg.get(Family::Probe).is_some() && reg.get_prefetch(Family::Probe).is_none() {
-            let f = crate::candidate::seed_prefetch(
-                &model,
-                &crate::templates::probe(),
-                SEED_PREFETCH_WORKING_SET,
-            );
-            reg.insert_prefetch(Family::Probe, f);
-            report.issues.push(RegistryIssue::SeededPrefetch { f });
-        }
         report.emit_diagnostics();
         (reg, report)
     }
 }
-
-/// Canonical working set used when the ladder seeds a prefetch depth for a
-/// pre-`f` registry: 64 MiB — comfortably past any LLC we model, i.e. the
-/// regime where the depth matters.
-const SEED_PREFETCH_WORKING_SET: u64 = 64 << 20;
 
 /// One structured warning from the degradation ladder.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -677,8 +588,6 @@ pub enum RegistryIssue {
     StaleIsa { recorded: String, current: String },
     /// A family was re-pointed at the candidate generator's analytical pick.
     Fallback { family: &'static str, node: HybridConfig },
-    /// A pre-`f` probe entry had its prefetch depth seeded analytically.
-    SeededPrefetch { f: usize },
 }
 
 impl std::fmt::Display for RegistryIssue {
@@ -694,9 +603,6 @@ impl std::fmt::Display for RegistryIssue {
             ),
             RegistryIssue::Fallback { family, node } => {
                 write!(f, "{family}: falling back to analytical candidate {node}")
-            }
-            RegistryIssue::SeededPrefetch { f: depth } => {
-                write!(f, "probe: pre-f registry entry; seeded prefetch depth {depth}")
             }
         }
     }
@@ -714,16 +620,8 @@ pub struct WarmReport {
 
 impl WarmReport {
     /// `true` when the registry loaded cleanly (or no file was requested).
-    ///
-    /// [`RegistryIssue::SeededPrefetch`] does not count against cleanliness:
-    /// a v1 file with no `f` column is a valid registry from before the
-    /// prefetch dimension existed, and backfilling an analytic depth is a
-    /// benign upgrade, not a degradation. It still appears in `issues` so
-    /// diagnostics and counters surface it.
     pub fn is_clean(&self) -> bool {
-        self.issues
-            .iter()
-            .all(|i| matches!(i, RegistryIssue::SeededPrefetch { .. }))
+        self.issues.is_empty()
     }
 
     /// Route every ladder decision through the `hef_obs` sink: a `diag`
@@ -736,9 +634,7 @@ impl WarmReport {
             hef_obs::trace::instant_labeled("registry_issue", &issue.to_string(), &[]);
             match issue {
                 RegistryIssue::BadLine { .. } => add(Metric::RegistryLinesDropped, 1),
-                RegistryIssue::Fallback { .. } | RegistryIssue::SeededPrefetch { .. } => {
-                    add(Metric::RegistryFallbacks, 1)
-                }
+                RegistryIssue::Fallback { .. } => add(Metric::RegistryFallbacks, 1),
                 RegistryIssue::StaleIsa { .. } => add(Metric::RegistryStaleIsa, 1),
                 RegistryIssue::Unreadable { .. } => {}
             }
@@ -782,8 +678,7 @@ mod tests {
         let mut r = sample();
         r.insert_drift(Family::Murmur, 2.451, 3.12);
         let text = r.to_text();
-        // Still a v1 file: drift is provenance, not a format feature.
-        assert!(text.starts_with("# hef tuned-operator registry v1"));
+        assert!(text.starts_with("# hef tuned-operator registry v3"));
         assert!(text.contains("# drift: murmur = 2451 3120"), "{text}");
         let parsed = Registry::parse(&text).unwrap();
         assert_eq!(parsed, r);
@@ -902,7 +797,6 @@ mod tests {
                 (Family::Gather, HybridConfig::new(1, 1, 3)),
                 (Family::AggSum, HybridConfig::new(1, 1, 3)),
             ],
-            f: 16,
         }
     }
 
@@ -914,14 +808,13 @@ mod tests {
         assert!(text.starts_with("# hef tuned-operator registry v3\n"), "{text}");
         assert!(
             text.contains(
-                "pipeline 1f2e3d4c5b6a7980 = filter:1,3,2 probe:2,4,3 gather:1,1,3 agg_sum:1,1,3 f:16"
+                "pipeline 1f2e3d4c5b6a7980 = filter:1,3,2 probe:2,4,3 gather:1,1,3 agg_sum:1,1,3\n"
             ),
             "{text}"
         );
         let parsed = Registry::parse(&text).unwrap();
         assert_eq!(parsed, r);
         let e = parsed.get_pipeline(0x1f2e_3d4c_5b6a_7980).expect("row recorded");
-        assert_eq!(e.f, 16);
         assert_eq!(e.stage(Family::Probe), Some(HybridConfig::new(2, 4, 3)));
         assert_eq!(e.stage(Family::Murmur), None);
         assert_eq!(parsed.pipelines_len(), 1);
@@ -929,11 +822,11 @@ mod tests {
     }
 
     #[test]
-    fn registries_without_pipelines_never_write_v3() {
+    fn every_registry_is_written_as_v3() {
         let mut r = sample();
-        r.insert_prefetch(Family::Probe, 16);
-        r.insert(Family::Probe, HybridConfig::new(2, 4, 3));
-        assert!(r.to_text().starts_with("# hef tuned-operator registry v2\n"));
+        assert!(r.to_text().starts_with("# hef tuned-operator registry v3\n"));
+        r.insert_pipeline(1, sample_pipeline());
+        assert!(r.to_text().starts_with("# hef tuned-operator registry v3\n"));
     }
 
     #[test]
@@ -947,10 +840,7 @@ mod tests {
         // Off-grid stage node.
         let e = Registry::parse("pipeline 1 = probe:3,1,2 f:0").unwrap_err();
         assert!(e.to_string().contains("off the compiled grid"), "{e}");
-        // Off-axis depth.
-        let e = Registry::parse("pipeline 1 = probe:1,1,3 f:7").unwrap_err();
-        assert!(e.to_string().contains("off the search axis"), "{e}");
-        // No stages.
+        // No stages (a legacy depth token is not one).
         let e = Registry::parse("pipeline 1 = f:16").unwrap_err();
         assert!(e.to_string().contains("no stages"), "{e}");
         // Duplicate fingerprint.
@@ -983,7 +873,6 @@ mod tests {
         let path = dir.join("trunc.txt");
         let mut r = Registry::new("test rig");
         r.insert(Family::Probe, HybridConfig::new(2, 4, 3));
-        r.insert_prefetch(Family::Probe, 16);
         r.insert_pipeline(0xabcd, sample_pipeline());
         let full = r.to_text();
         // Cut mid-token ("gather" → "gat"): the torn row must not parse.
@@ -993,7 +882,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
         assert_eq!(reg.pipelines_len(), 0, "mangled pipeline row must drop");
         assert_eq!(reg.get(Family::Probe), Some(HybridConfig::new(2, 4, 3)));
-        assert_eq!(reg.get_prefetch(Family::Probe), Some(16));
         assert!(!report.is_clean());
     }
 
@@ -1015,76 +903,22 @@ mod tests {
     }
 
     #[test]
-    fn v2_roundtrip_preserves_prefetch_depth() {
-        let mut r = sample();
-        r.insert(Family::Probe, HybridConfig::new(2, 4, 3));
-        r.insert_prefetch(Family::Probe, 16);
-        let text = r.to_text();
-        assert!(text.starts_with("# hef tuned-operator registry v2\n"), "{text}");
-        assert!(text.contains("probe = 2 4 3 16"), "{text}");
-        let parsed = Registry::parse(&text).unwrap();
-        assert_eq!(parsed, r);
-        assert_eq!(parsed.get_prefetch(Family::Probe), Some(16));
-        // Families without a depth stay three-column.
-        assert!(text.contains("murmur = 1 3 2\n"), "{text}");
-        assert_eq!(parsed.get_prefetch(Family::Murmur), None);
-    }
-
-    #[test]
-    fn registries_without_prefetch_stay_v1_on_disk() {
-        // Old readers never see a v2 header unless a depth was tuned.
-        let text = sample().to_text();
-        assert!(text.starts_with("# hef tuned-operator registry v1\n"), "{text}");
-        assert!(!text.contains(" v2"));
-    }
-
-    #[test]
-    fn bad_prefetch_column_is_a_typed_error() {
-        // The depth column is probe-only…
-        let e = Registry::parse("murmur = 1 3 2 16").unwrap_err();
-        assert!(
-            matches!(e, ParseError::BadPrefetch { line: 1, f: 16, .. }),
-            "{e}"
-        );
-        assert!(e.to_string().contains("probe-only"), "{e}");
-        // …and must sit on the search axis (7 is not).
-        let e = Registry::parse("probe = 1 1 3 7").unwrap_err();
-        assert!(matches!(e, ParseError::BadPrefetch { f: 7, .. }), "{e}");
-        // Five columns are plain malformed.
-        assert!(matches!(
-            Registry::parse("probe = 1 1 3 16 2"),
-            Err(ParseError::Malformed { .. })
-        ));
-        // The lenient parser salvages the rest of the file around one.
-        let (reg, issues) = Registry::parse_lenient("murmur = 1 3 2 16\ncrc64 = 8 0 1\n");
-        assert_eq!(reg.get(Family::Crc64), Some(HybridConfig::new(8, 0, 1)));
-        assert_eq!(reg.get(Family::Murmur), None);
-        assert_eq!(issues.len(), 1);
-    }
-
-    #[test]
-    fn pre_prefetch_probe_entry_gets_seeded_by_the_ladder() {
-        let dir = std::env::temp_dir().join("hef-registry-seedf-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("v1-probe.txt");
-        std::fs::write(
-            &path,
-            "# hef tuned-operator registry v1\nprobe = 2 4 3\nmurmur = 1 3 2\n",
+    fn legacy_prefetch_columns_are_dropped_on_read() {
+        // A v2 probe depth and a pipeline row's `f:` token parse to the same
+        // nodes as the files without them.
+        let legacy = Registry::parse(
+            "# hef tuned-operator registry v2\nprobe = 2 4 3 16\npipeline 2a = probe:2,4,3 f:16\n",
         )
         .unwrap();
-        let (reg, report) = Registry::load_degraded(&path);
-        std::fs::remove_file(&path).ok();
-        // The recorded shape is trusted as-is…
-        assert_eq!(reg.get(Family::Probe), Some(HybridConfig::new(2, 4, 3)));
-        // …but a depth was seeded, on the axis, and the decision logged.
-        let f = reg.get_prefetch(Family::Probe).expect("ladder seeds a depth");
-        assert!(F_AXIS.contains(&f), "seeded {f}");
-        assert!(report
-            .issues
-            .iter()
-            .any(|i| matches!(i, RegistryIssue::SeededPrefetch { .. })));
-        // Non-probe families are untouched by the seeding rule.
-        assert_eq!(reg.get_prefetch(Family::Murmur), None);
+        let plain = Registry::parse("probe = 2 4 3\npipeline 2a = probe:2,4,3\n").unwrap();
+        assert_eq!(legacy, plain);
+        assert_eq!(legacy.get(Family::Probe), Some(HybridConfig::new(2, 4, 3)));
+        assert_eq!(legacy.get_prefetch(Family::Probe), None);
+        // A fourth column only ever belonged to `probe`; five never did.
+        for text in ["murmur = 1 3 2 16", "probe = 1 1 3 16 2"] {
+            let e = Registry::parse(text).unwrap_err();
+            assert!(matches!(e, ParseError::Malformed { line: 1, .. }), "{e}");
+        }
     }
 
     #[test]
@@ -1092,14 +926,12 @@ mod tests {
         let dir = std::env::temp_dir().join("hef-registry-v2clean-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("v2.txt");
-        let mut r = Registry::new("test rig");
-        r.insert(Family::Probe, HybridConfig::new(2, 4, 3));
-        r.insert_prefetch(Family::Probe, 32);
-        r.save(&path).unwrap();
+        std::fs::write(&path, "# hef tuned-operator registry v2\nprobe = 2 4 3 32\n").unwrap();
         let (reg, report) = Registry::load_degraded(&path);
         std::fs::remove_file(&path).ok();
         assert!(report.is_clean(), "{:?}", report.issues);
-        assert_eq!(reg.get_prefetch(Family::Probe), Some(32));
+        assert_eq!(reg.get(Family::Probe), Some(HybridConfig::new(2, 4, 3)));
+        assert!(reg.to_text().contains("probe = 2 4 3\n"));
     }
 
     #[test]

@@ -35,13 +35,6 @@ pub fn grid_size() -> usize {
     hef_kernels::all_configs().count()
 }
 
-/// The probe family's grid: the `(v, s, p)` grid times the prefetch-depth
-/// axis ([`hef_kernels::F_AXIS`]). `f` is a runtime parameter, so this
-/// multiplies the *search*, not the compiled-kernel count.
-pub fn probe_grid_size() -> usize {
-    grid_size() * hef_kernels::F_AXIS.len()
-}
-
 /// Savings report for a finished search.
 #[derive(Debug, Clone, Copy)]
 pub struct PruningSavings {
@@ -102,12 +95,6 @@ mod tests {
         let a = space_eq2(4, 4, 4);
         let b = space_eq2(4, 4, 8);
         assert!(b > a + 4 * 4 * 3);
-    }
-
-    #[test]
-    fn probe_grid_multiplies_by_the_depth_axis() {
-        assert_eq!(probe_grid_size(), grid_size() * hef_kernels::F_AXIS.len());
-        assert!(probe_grid_size() > grid_size());
     }
 
     #[test]

@@ -9,13 +9,10 @@
 use hef_kernels::{Family, HybridConfig};
 use hef_uarch::CpuModel;
 
-use crate::candidate::{initial_candidate, seed_prefetch};
+use crate::candidate::initial_candidate;
 use crate::error::HefError;
 use crate::ir::OperatorTemplate;
-use crate::optimizer::{
-    optimize, optimize_probe, MeasuredCost, MeasuredProbeCost, ProbeNode, ProbeSearchOutcome,
-    SearchOutcome, SimulatedCost, SimulatedProbeCost, SpikedCost,
-};
+use crate::optimizer::{optimize, MeasuredCost, SearchOutcome, SimulatedCost, SpikedCost};
 use crate::templates;
 
 /// A tuned operator: the output of the offline phase.
@@ -43,32 +40,6 @@ impl TunedOperator {
             self.initial,
             self.outcome.tested.len(),
             hef_kernels::all_configs().count(),
-            self.outcome.pruned(),
-        )
-    }
-}
-
-/// A tuned probe operator: the hybrid shape *and* the prefetch depth `f`,
-/// found together by the four-dimensional search.
-#[derive(Debug, Clone)]
-pub struct TunedProbe {
-    /// The winning `(v, s, p, f)` node.
-    pub node: ProbeNode,
-    /// The seeded initial node (analytic shape + analytic depth).
-    pub initial: ProbeNode,
-    /// Full search trace.
-    pub outcome: ProbeSearchOutcome,
-}
-
-impl TunedProbe {
-    /// One-line summary for reports.
-    pub fn describe(&self) -> String {
-        format!(
-            "probe: {} (initial {}, tested {}/{} nodes, pruned {})",
-            self.node,
-            self.initial,
-            self.outcome.tested.len(),
-            hef_kernels::all_configs().count() * hef_kernels::F_AXIS.len(),
             self.outcome.pruned(),
         )
     }
@@ -152,44 +123,6 @@ pub fn measure_drift(family: Family, cfg: HybridConfig, n: usize) -> Option<Drif
         );
     }
     Some(rec)
-}
-
-/// Tune the probe family on this machine over `(v, s, p, f)`: a build side
-/// of `build_entries` entries (choose it to land the hash table in the
-/// cache level being tuned for) probed with `nkeys` uniform keys per trial.
-/// The depth axis is seeded from the cache model — miss latency divided by
-/// loop-body cycles — so the search starts near the analytic balance point.
-pub fn tune_probe_measured(build_entries: usize, nkeys: usize) -> TunedProbe {
-    let _span = hef_obs::trace::span_begin_labeled(
-        "tune",
-        "probe+f",
-        &[("n", nkeys as i64), ("build", build_entries as i64), ("measured", 1)],
-    );
-    let template = templates::probe();
-    let model = CpuModel::host();
-    let cfg = initial_candidate(&model, &template);
-    let mut eval = SpikedCost { inner: MeasuredProbeCost::new(build_entries, nkeys) };
-    let f = seed_prefetch(&model, &template, eval.inner.working_set_bytes() as u64);
-    let initial = ProbeNode { cfg, f };
-    let outcome = optimize_probe(initial, &mut eval);
-    TunedProbe { node: outcome.best, initial, outcome }
-}
-
-/// Tune the probe family against a modeled CPU with the build side resident
-/// in a working set of `working_set` bytes.
-pub fn tune_probe_simulated(model: &CpuModel, working_set: u64) -> TunedProbe {
-    let _span = hef_obs::trace::span_begin_labeled(
-        "tune",
-        "probe+f",
-        &[("ws", working_set as i64), ("measured", 0)],
-    );
-    let template = templates::probe();
-    let cfg = initial_candidate(model, &template);
-    let f = seed_prefetch(model, &template, working_set);
-    let mut eval =
-        SpikedCost { inner: SimulatedProbeCost::new(model, &template, working_set) };
-    let outcome = optimize_probe(ProbeNode { cfg, f }, &mut eval);
-    TunedProbe { node: outcome.best, initial: ProbeNode { cfg, f }, outcome }
 }
 
 /// Tune an operator by running its compiled kernels on this machine with
@@ -304,29 +237,13 @@ mod tests {
     }
 
     #[test]
-    fn simulated_probe_tuning_picks_depth_by_residency() {
-        let m = CpuModel::silver_4110();
-        // DRAM-resident build side: the tuned depth must be non-zero —
-        // serialized misses dominate and prefetch hides them.
-        let dram = tune_probe_simulated(&m, 64 << 20);
-        assert!(dram.node.f > 0, "tuned to {}", dram.node);
-        assert!(dram.outcome.best_cost.is_finite());
-        // L1-resident: no misses, so depth must tune (or stay) at zero.
-        let hot = tune_probe_simulated(&m, 16 << 10);
-        assert_eq!(hot.node.f, 0, "tuned to {}", hot.node);
-        // The 4-D search still prunes.
-        let total = hef_kernels::all_configs().count() * hef_kernels::F_AXIS.len();
-        assert!(dram.outcome.tested.len() * 2 < total);
-        assert!(dram.describe().contains("probe"));
-    }
-
-    #[test]
     fn measured_probe_tuning_runs_end_to_end() {
-        // Small table, few keys: just the plumbing, not a perf claim.
-        let t = tune_probe_measured(1 << 10, 4096);
+        // The probe family tunes through the same `(v, s, p)` search as
+        // every other family: just the plumbing, not a perf claim.
+        let t = tune_measured(Family::Probe, 4096);
         assert!(t.outcome.best_cost.is_finite());
-        assert!(hef_kernels::F_AXIS.contains(&t.node.f));
-        assert!(crate::error::on_grid(t.node.cfg.v, t.node.cfg.s, t.node.cfg.p));
+        assert!(t.describe().contains("probe"));
+        assert!(crate::error::on_grid(t.cfg.v, t.cfg.s, t.cfg.p));
     }
 
     #[test]

@@ -32,7 +32,6 @@ pub mod filter;
 pub mod filter32;
 pub mod gather;
 pub mod murmur;
-pub mod partition;
 pub mod prefetch;
 pub mod probe;
 
@@ -40,9 +39,6 @@ mod dispatch;
 
 pub use dispatch::{grid_for, kernel_for, GridEntry};
 pub use dense::DenseIndex;
-pub use partition::{
-    plan_partition_bits, PartitionScratch, PartitionedProbeTable, MAX_PARTITION_BITS,
-};
 pub use probe::{ProbeTable, MISS};
 
 use hef_hid::Backend;
@@ -163,16 +159,10 @@ pub enum KernelIo<'a> {
         output: &'a mut [u64],
     },
     /// Hash-table probe: `out[i] = payload of keys[i]` or [`MISS`].
-    ///
-    /// `prefetch` is the memory dimension `f`: the target number of probe
-    /// elements kept in flight by the software-prefetched pipeline
-    /// ([`probe::body_prefetched`]). `0` selects the flat loop. Any value
-    /// runs; [`F_AXIS`] lists the points the tuner searches.
     Probe {
         keys: &'a [u64],
         table: &'a ProbeTable,
         out: &'a mut [u64],
-        prefetch: usize,
     },
     /// Range filter `lo <= x <= hi` (signed); appends absolute row ids
     /// (`base + i`) of qualifying rows to `sel`.
@@ -203,13 +193,11 @@ pub enum KernelIo<'a> {
         acc: &'a mut u64,
     },
     /// Selective gather: `out[i] = src[idx[i]]`. All indices must be in
-    /// bounds of `src`. `prefetch` as in [`KernelIo::Probe`] (index-ahead
-    /// source prefetch).
+    /// bounds of `src`.
     Gather {
         src: &'a [u64],
         idx: &'a [u64],
         out: &'a mut [u64],
-        prefetch: usize,
     },
     /// Fused dense join probe, on the [`Family::Gather`] grid: keeps, in
     /// place and in order, the rows of `sel` whose key (`keys[i]` is row
@@ -259,12 +247,6 @@ pub const V_AXIS: &[usize] = &[0, 1, 2, 4, 8];
 pub const S_AXIS: &[usize] = &[0, 1, 2, 3, 4];
 /// See [`V_AXIS`].
 pub const P_AXIS: &[usize] = &[1, 2, 3, 4];
-
-/// Prefetch-distance axis of the memory dimension `f` (probe elements in
-/// flight; `0` = flat loop). Unlike `v`/`s`/`p`, `f` is a *runtime*
-/// parameter — every value executes on the same compiled kernel — so the
-/// axis only bounds what the tuner searches, not what can run.
-pub const F_AXIS: &[usize] = &[0, 4, 8, 16, 32, 64];
 
 /// Iterate every valid grid configuration.
 pub fn all_configs() -> impl Iterator<Item = HybridConfig> {

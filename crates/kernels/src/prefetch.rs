@@ -7,9 +7,9 @@
 //! for *any* address — it never faults and never changes program state, only
 //! cache contents — so there is no safety contract to uphold.
 //!
-//! On non-x86 targets the hint compiles to nothing; the memory-parallel
-//! kernel shapes (software-pipelined hash/probe phases) still help there by
-//! letting the out-of-order window overlap the loads themselves.
+//! On non-x86 targets the hint compiles to nothing; split hash and probe
+//! passes (the Voila comparator's) still let the out-of-order window
+//! overlap the loads themselves.
 
 /// Hint that the cache line containing `ptr` will be read soon
 /// (`prefetcht0`: pull into every cache level including L1).

@@ -138,8 +138,7 @@ impl ProbeTable {
     }
 
     /// Software-prefetch the slot's key (and payload, same line or next)
-    /// into L1. Used by the memory-parallel probe loop and by prefetching
-    /// engines such as the Voila comparator.
+    /// into L1. Used by prefetching engines such as the Voila comparator.
     #[inline(always)]
     pub fn prefetch(&self, slot: usize) {
         let slot = slot & self.mask as usize;
@@ -288,158 +287,6 @@ pub unsafe fn body<B: Simd64, const V: usize, const S: usize, const P: usize>(
     }
 }
 
-/// Slot-ring capacity of the prefetched probe pipeline, in elements.
-/// 16 KiB of stack; bounds the in-flight window regardless of `f`.
-const RING_SLOTS: usize = 2048;
-
-/// The memory-parallel probe body: AMAC-style group prefetch at runtime
-/// depth `f` (target number of probe elements in flight).
-///
-/// The loop is software-pipelined over the same `(V, S, P)` step blocks as
-/// [`body`]: a *hash phase* computes home slots for a block, stores them in
-/// a small stack ring, and issues `prefetcht0` hints for the slots' key and
-/// payload lines; a *resolve phase* runs `D = ceil(f / step)` blocks behind,
-/// re-loading the stored slots (now cache-resident) and finishing exactly
-/// the gather/compare/collision-walk of the flat body. `f` independent cache
-/// misses therefore overlap instead of serializing. `f == 0` must be routed
-/// to [`body`] by the caller; results are bit-identical for any `f`.
-///
-/// # Safety
-/// Backend ISA must be available.
-#[inline(always)]
-pub unsafe fn body_prefetched<B: Simd64, const V: usize, const S: usize, const P: usize>(
-    keys: &[u64],
-    table: &ProbeTable,
-    out: &mut [u64],
-    f: usize,
-) {
-    assert_eq!(keys.len(), out.len(), "probe: length mismatch");
-    const L: usize = hef_hid::LANES;
-    let step = P * (V * L + S);
-    let main = if step == 0 { 0 } else { keys.len() - keys.len() % step };
-    let nblocks = if step == 0 { 0 } else { main / step };
-    let inp = keys.as_ptr();
-    let outp = out.as_mut_ptr();
-    let (tkeys, tvals, mask) = table.raw();
-
-    let m_v = B::splat(crate::murmur::M);
-    let hseed_v = B::splat(crate::murmur::SEED ^ crate::murmur::M);
-    let mask_v = B::splat(mask);
-    let empty_v = B::splat(EMPTY);
-    let miss_v = B::splat(MISS);
-    let one_v = B::splat(1);
-
-    // Pipeline depth in blocks, bounded by the ring and the input.
-    let depth = f
-        .div_ceil(step.max(1))
-        .clamp(1, (RING_SLOTS / step.max(1)).max(1))
-        .min(nblocks.max(1));
-    // Left uninitialized: only the first `depth * step` slots are used, and
-    // every block's chunk is written by its hash phase before its resolve
-    // phase reads it, so zero-filling 16 KiB per call bought nothing.
-    let mut ring = core::mem::MaybeUninit::<[u64; RING_SLOTS]>::uninit();
-    let ringp = ring.as_mut_ptr().cast::<u64>();
-
-    // Hash phase for block `b`: compute home slots into ring chunk
-    // `(b % depth) * step` and prefetch each slot's key/payload lines.
-    macro_rules! hash_block {
-        ($b:expr) => {{
-            let chunk = ringp.add(($b % depth) * step);
-            for pi in 0..P {
-                let base = $b * step + pi * (V * L + S);
-                let cbase = pi * (V * L + S);
-                for vi in 0..V {
-                    let kv = B::loadu(inp.add(base + vi * L));
-                    let sv = B::and(crate::murmur::murmur64_v::<B>(kv, m_v, hseed_v), mask_v);
-                    B::storeu(chunk.add(cbase + vi * L), sv);
-                    for slot in B::to_array(sv) {
-                        table.prefetch(slot as usize);
-                    }
-                }
-                for si in 0..S {
-                    let k = hef_hid::opaque64(*inp.add(base + V * L + si));
-                    let slot = murmur64(k) & mask;
-                    *chunk.add(cbase + V * L + si) = slot;
-                    table.prefetch(slot as usize);
-                }
-            }
-        }};
-    }
-
-    // Resolve phase for block `b`: identical to the flat body's probe step,
-    // except home slots come from the ring instead of being recomputed.
-    macro_rules! resolve_block {
-        ($b:expr) => {{
-            let chunk = ringp.add(($b % depth) * step) as *const u64;
-            for pi in 0..P {
-                let base = $b * step + pi * (V * L + S);
-                let cbase = pi * (V * L + S);
-                for vi in 0..V {
-                    let kv = B::loadu(inp.add(base + vi * L));
-                    let mut slot = B::loadu(chunk.add(cbase + vi * L));
-                    let skey = B::gather(tkeys, slot);
-                    let sval = B::gather(tvals, slot);
-                    let empty = B::cmpeq(skey, empty_v);
-                    let hit = B::cmpeq(skey, kv) & !empty;
-                    let mut res = B::blend(hit, miss_v, sval);
-                    let mut resolved = hit | empty;
-                    let mut steps = 0u32;
-                    while resolved != 0xff {
-                        slot = B::and(B::add(slot, one_v), mask_v);
-                        let skey = B::gather(tkeys, slot);
-                        let sval = B::gather(tvals, slot);
-                        let empty = B::cmpeq(skey, empty_v) & !resolved;
-                        let hit = B::cmpeq(skey, kv) & !resolved & !empty;
-                        res = B::blend(hit, res, sval);
-                        resolved |= hit | empty;
-                        steps += 1;
-                        if steps > 64 {
-                            let karr = B::to_array(kv);
-                            let mut rarr = B::to_array(res);
-                            for lane in 0..L {
-                                if resolved & (1 << lane) == 0 {
-                                    rarr[lane] = table.probe_scalar(karr[lane]);
-                                }
-                            }
-                            res = B::from_array(rarr);
-                            break;
-                        }
-                    }
-                    B::storeu(outp.add(base + vi * L), res);
-                }
-                for si in 0..S {
-                    let k = hef_hid::opaque64(*inp.add(base + V * L + si));
-                    let slot = *chunk.add(cbase + V * L + si) as usize;
-                    let skey = *tkeys.add(slot);
-                    let o = outp.add(base + V * L + si);
-                    if skey == EMPTY {
-                        *o = MISS;
-                    } else if skey == k {
-                        *o = *tvals.add(slot);
-                    } else {
-                        *o = table.probe_scalar(k);
-                    }
-                }
-            }
-        }};
-    }
-
-    // Prime: hash the first `depth` blocks, then steady-state resolve block
-    // `b` and refill its ring chunk with block `b + depth`.
-    for b in 0..depth.min(nblocks) {
-        hash_block!(b);
-    }
-    for b in 0..nblocks {
-        resolve_block!(b);
-        if b + depth < nblocks {
-            hash_block!(b + depth);
-        }
-    }
-    for j in main..keys.len() {
-        out[j] = table.probe_scalar(keys[j]);
-    }
-}
-
 /// Type-erasure adapter used by the generated dispatch shims.
 ///
 /// # Safety
@@ -449,10 +296,7 @@ pub unsafe fn run<B: Simd64, const V: usize, const S: usize, const P: usize>(
     io: &mut KernelIo<'_>,
 ) {
     match io {
-        KernelIo::Probe { keys, table, out, prefetch: 0 } => body::<B, V, S, P>(keys, table, out),
-        KernelIo::Probe { keys, table, out, prefetch } => {
-            body_prefetched::<B, V, S, P>(keys, table, out, *prefetch)
-        }
+        KernelIo::Probe { keys, table, out } => body::<B, V, S, P>(keys, table, out),
         _ => panic!("probe kernel requires KernelIo::Probe"),
     }
 }
@@ -527,41 +371,6 @@ mod tests {
             super::body::<Emu, 0, 2, 2>(&keys, &t, &mut out);
             assert_eq!(out, expect, "(0,2,2)");
         }
-    }
-
-    #[test]
-    fn prefetched_probe_matches_flat_for_every_depth() {
-        let t = sample_table(500);
-        let keys: Vec<u64> = (0..701).map(|i| i * 3 + 1).collect();
-        let expect: Vec<u64> = keys.iter().map(|&k| t.probe_scalar(k)).collect();
-        let mut out = vec![0u64; keys.len()];
-        // Depths below/at/above the step, beyond the ring, and degenerate.
-        for f in [1usize, 3, 8, 16, 33, 64, 5000] {
-            unsafe {
-                super::body_prefetched::<Emu, 1, 1, 3>(&keys, &t, &mut out, f);
-                assert_eq!(out, expect, "(1,1,3) f={f}");
-                out.fill(0);
-                super::body_prefetched::<Emu, 0, 1, 1>(&keys, &t, &mut out, f);
-                assert_eq!(out, expect, "scalar f={f}");
-                out.fill(0);
-                super::body_prefetched::<Emu, 2, 0, 2>(&keys, &t, &mut out, f);
-                assert_eq!(out, expect, "(2,0,2) f={f}");
-                out.fill(0);
-            }
-        }
-    }
-
-    #[test]
-    fn prefetched_probe_handles_collision_chains() {
-        let mut t = ProbeTable::with_capacity(64);
-        for k in 0..64u64 {
-            t.insert(k + 1, k + 1000);
-        }
-        let keys: Vec<u64> = (0..128).collect();
-        let expect: Vec<u64> = keys.iter().map(|&k| t.probe_scalar(k)).collect();
-        let mut out = vec![0u64; keys.len()];
-        unsafe { super::body_prefetched::<Emu, 1, 2, 1>(&keys, &t, &mut out, 16) };
-        assert_eq!(out, expect);
     }
 
     #[test]

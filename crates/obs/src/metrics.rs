@@ -30,12 +30,12 @@ pub enum Metric {
     AggRows,
     GatherRows,
     RowsMaterialized,
-    /// Probe keys run through the software-prefetched (f > 0) pipeline.
+    /// Nothing records this counter since the software-prefetched probe
+    /// was removed; it stays because benchmark reports still name it.
     ProbePrefetchedKeys,
-    /// Probe keys routed through a radix-partitioned table.
+    /// Nothing records this counter since radix-partitioned probing was
+    /// removed (see [`Metric::ProbePrefetchedKeys`]).
     ProbePartitionedKeys,
-    /// Sub-table kernel invocations issued by partitioned probes.
-    ProbeSubProbes,
     /// Probe keys answered by a dense (direct-addressed) join index; also
     /// counted in `ProbeKeys`.
     ProbeDenseKeys,
@@ -91,7 +91,7 @@ pub enum Metric {
 }
 
 impl Metric {
-    pub const ALL: [Metric; 49] = [
+    pub const ALL: [Metric; 48] = [
         Metric::QueriesExecuted,
         Metric::MorselsClaimed,
         Metric::MorselsRetried,
@@ -108,7 +108,6 @@ impl Metric {
         Metric::RowsMaterialized,
         Metric::ProbePrefetchedKeys,
         Metric::ProbePartitionedKeys,
-        Metric::ProbeSubProbes,
         Metric::ProbeDenseKeys,
         Metric::TunerSearches,
         Metric::TunerTrials,
@@ -159,9 +158,8 @@ impl Metric {
             Metric::AggRows => "kernel.agg_rows",
             Metric::GatherRows => "kernel.gather_rows",
             Metric::RowsMaterialized => "kernel.rows_materialized",
-            Metric::ProbePrefetchedKeys => "kernel.probe_prefetched_keys",
-            Metric::ProbePartitionedKeys => "kernel.probe_partitioned_keys",
-            Metric::ProbeSubProbes => "kernel.probe_sub_probes",
+            Metric::ProbePrefetchedKeys => "kernel.prefetched_probe_keys",
+            Metric::ProbePartitionedKeys => "kernel.partitioned_probe_keys",
             Metric::ProbeDenseKeys => "kernel.probe_dense_keys",
             Metric::TunerSearches => "tuner.searches",
             Metric::TunerTrials => "tuner.trials",

@@ -100,24 +100,6 @@ impl<'a> CacheSim<'a> {
         (raw / mlp) as u64
     }
 
-    /// Memory-level parallelism achieved by a probe loop that keeps `f`
-    /// independent probes in flight via software prefetch (`f = 0` is the
-    /// flat loop: the out-of-order window alone sustains about one miss).
-    ///
-    /// Monotone non-decreasing in `f` and capped by the core's line-fill
-    /// buffers ([`CpuModel::mem_parallelism`]) — the same assumption the
-    /// tuner's pruning along the `f` axis relies on.
-    pub fn effective_mlp(&self, f: usize) -> f64 {
-        let cap = self.model.mem_parallelism.max(1.0);
-        ((1 + f) as f64).clamp(1.0, cap)
-    }
-
-    /// Prefetch-aware memory cost: expected stall cycles of `m` when the
-    /// loop runs at prefetch depth `f`. This is what keeps simulated probe
-    /// Mcycles comparable with measured ones across the `f` axis.
-    pub fn prefetch_stall_cycles(&self, m: &MissCounts, f: usize) -> u64 {
-        self.stall_cycles(m, self.effective_mlp(f))
-    }
 }
 
 #[cfg(test)]
@@ -166,38 +148,6 @@ mod tests {
         assert!(huge.llc > huge.l2 / 2, "memory-resident probes mostly miss LLC");
         // Monotone across levels: l1 misses >= l2 misses >= llc misses.
         assert!(huge.l1 >= huge.l2 && huge.l2 >= huge.llc);
-    }
-
-    #[test]
-    fn effective_mlp_is_monotone_and_lfb_capped() {
-        let m = CpuModel::silver_4110();
-        let c = CacheSim::new(&m);
-        assert_eq!(c.effective_mlp(0), 1.0);
-        let mut last = 0.0;
-        for f in [0usize, 1, 4, 8, 16, 32, 64] {
-            let mlp = c.effective_mlp(f);
-            assert!(mlp >= last, "mlp must not decrease with f");
-            last = mlp;
-        }
-        assert_eq!(c.effective_mlp(1 << 20), m.mem_parallelism);
-    }
-
-    #[test]
-    fn prefetch_shrinks_modeled_stalls_until_the_lfb_cap() {
-        let m = CpuModel::silver_4110();
-        let c = CacheSim::new(&m);
-        let misses = c.misses(AccessPattern::RandomProbe {
-            count: 1_000_000,
-            working_set: 64 << 20,
-        });
-        let flat = c.prefetch_stall_cycles(&misses, 0);
-        let deep = c.prefetch_stall_cycles(&misses, 16);
-        assert!(deep * 4 < flat, "{deep} vs {flat}");
-        // Past the line-fill-buffer cap, more depth buys nothing.
-        assert_eq!(
-            c.prefetch_stall_cycles(&misses, 64),
-            c.prefetch_stall_cycles(&misses, 4096)
-        );
     }
 
     #[test]

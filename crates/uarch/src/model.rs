@@ -72,8 +72,7 @@ pub struct CpuModel {
     pub mem_bw_bytes_per_cycle: f64,
     /// Maximum memory-level parallelism per core: outstanding demand misses
     /// bounded by the line-fill buffers (10 on Skylake-SP, 12 on
-    /// Cascade-Lake-SP). Caps how much software prefetching at depth `f`
-    /// can overlap misses (see [`crate::CacheSim::effective_mlp`]).
+    /// Cascade-Lake-SP).
     pub mem_parallelism: f64,
     /// Core frequency (GHz) per AVX license level: `[L0, L1, L2]`.
     pub freq_ghz: [f64; 3],

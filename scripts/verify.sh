@@ -88,9 +88,10 @@ done
 # end of this script picks them up).
 cargo run --release --offline -q -p hef-bench --bin repro -- trend --strict
 
-# Probe-crossover bench smoke: flat vs prefetched vs partitioned rows run
-# end to end and a results/bench_probe_smoke.json snapshot is written (the
-# committed bench_probe.json archive only changes on full runs).
+# Probe bench smoke: the flat hash probe at each working-set size, the
+# load-factor rows and the dense fused-probe rows run end to end, and the
+# results/bench_probe_smoke.json and bench_probe_load_smoke.json snapshots
+# are written (the committed full-run snapshots only change on full runs).
 cargo bench -p hef-bench --bench probe --offline -- --smoke
 
 # Cheap end-to-end run of the thread-scaling bench (asserts parallel output
@@ -112,7 +113,8 @@ cargo bench -p hef-bench --bench obs_overhead --offline -- --assert
 # playoff, writing the registry to target/ so
 # the committed results/tuned.txt is never rewritten, then reload the row
 # through HEF_PIPELINE end to end. A mid-row truncated copy must degrade
-# down the ladder (per-op v2 → analytic) and still run the query.
+# down the ladder (pipeline row → per-op rows → analytic) and still run
+# the query.
 mkdir -p target
 cargo run --release --offline -q -p hef-bench --bin repro -- \
     tune-pipeline --sf 0.002 --query q21 --out target/tuned-smoke.txt

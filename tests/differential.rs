@@ -81,7 +81,7 @@ fn probe_agrees_across_backends_with_collisions() {
     for backend in backends() {
         for cfg in sample_nodes() {
             let mut out = vec![0u64; keys.len()];
-            let mut io = KernelIo::Probe { keys: &keys, table: &table, out: &mut out, prefetch: 0 };
+            let mut io = KernelIo::Probe { keys: &keys, table: &table, out: &mut out };
             assert!(run_on(Family::Probe, cfg, backend, &mut io));
             assert_eq!(out, expect, "{cfg} {backend:?}");
         }
@@ -183,7 +183,7 @@ fn gather_agrees_across_backends() {
     for backend in backends() {
         for cfg in sample_nodes() {
             let mut out = vec![0u64; idx.len()];
-            let mut io = KernelIo::Gather { src: &src, idx: &idx, out: &mut out, prefetch: 0 };
+            let mut io = KernelIo::Gather { src: &src, idx: &idx, out: &mut out };
             assert!(run_on(Family::Gather, cfg, backend, &mut io));
             assert_eq!(out, expect, "{cfg} {backend:?}");
         }

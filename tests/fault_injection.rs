@@ -24,8 +24,9 @@
 use hef::core::{initial_candidate, on_grid, optimize, templates, Registry, RegistryIssue};
 use hef::core::optimizer::{SimulatedCost, SpikedCost};
 use hef::engine::{
-    build_dimension, estimate_query_bytes, execute_star, CancelToken, Engine, ExecConfig,
-    ExecError, ExecReport, Fact, GovernorConfig, Measure, QueryOutput, StarPlan, MIN_BATCH,
+    build_dimension, estimate_query_bytes, execute_star, join_table_budget, CancelToken,
+    DegradeAction, Engine, ExecConfig, ExecError, ExecReport, Fact, GovernorConfig, Measure,
+    QueryOutput, StarPlan, MIN_BATCH,
 };
 use hef::kernels::{Family, HybridConfig, P_AXIS, S_AXIS, V_AXIS};
 use hef::storage::{Column, Table};
@@ -385,9 +386,9 @@ fn grid_steps(a: HybridConfig, b: HybridConfig) -> usize {
 
 // ---------------------------------------------------------------- governance
 
-/// A star plan whose dimension is big enough to trigger radix partitioning,
-/// so cancellation lands while per-batch partition bucketing is live.
-fn partitioned() -> (Table, StarPlan) {
+/// A star plan whose one dimension is a hash table far past the L2 budget,
+/// so cancellation lands in the middle of its probes.
+fn hashed() -> (Table, StarPlan) {
     // Sparse keys `k × 7919 + 13`, so the dimension is hashed.
     let n_dim = 200_000u64;
     let key = |k: u64| k * 7919 + 13;
@@ -395,7 +396,8 @@ fn partitioned() -> (Table, StarPlan) {
     dim.add_column(Column::new("key", (0..n_dim).map(key).collect()));
     dim.add_column(Column::new("grp", (0..n_dim).map(|k| k % 8).collect()));
     let d = build_dimension(&dim, "key", |_| true, |r| dim.col("grp")[r], 8, "fk");
-    assert!(d.index.parts().is_some(), "dimension must trigger partitioning");
+    let table = d.index.hashed().expect("sparse keys hash");
+    assert!(table.working_set_bytes() > join_table_budget(), "table must spill the budget");
     let n = 200_000u64;
     let mut fact = Table::new("fact");
     fact.add_column(Column::new("fk", (0..n).map(|i| key((i * 7919) % (n_dim * 3 / 2))).collect()));
@@ -445,8 +447,8 @@ fn governance_deadline_mid_morsel_is_typed_and_workers_joined() {
 }
 
 #[test]
-fn governance_cancel_during_partition_build_returns_budget_to_zero() {
-    let (fact, plan) = partitioned();
+fn governance_cancel_during_hashed_probe_returns_budget_to_zero() {
+    let (fact, plan) = hashed();
     let cfg = ExecConfig::hybrid_default().with_threads(4);
     // A finite budget so the admission actually charges bytes.
     let budget = estimate_query_bytes(&plan, fact.len(), &cfg, 4) * 4;
@@ -475,9 +477,9 @@ fn governance_cancel_during_partition_build_returns_budget_to_zero() {
 #[test]
 fn governance_degraded_run_completes_bit_identical() {
     // A budget that fits only the minimal shape: the full ladder engages
-    // (drop partition, shrink batch, shed workers) and the query still
-    // produces exactly the reference answer.
-    let (fact, plan) = partitioned();
+    // (shrink batch, shed workers) and the query still produces exactly
+    // the reference answer.
+    let (fact, plan) = hashed();
     let reference = serial_reference(&plan, &fact, &ExecConfig::scalar());
     let minimal = estimate_query_bytes(
         &plan,
@@ -491,7 +493,10 @@ fn governance_degraded_run_completes_bit_identical() {
         run(&engine, &plan, &fact, &ExecConfig::hybrid_default().with_threads(4))
             .expect("degraded admission must still execute");
     assert_eq!(out.groups, reference.groups, "degradation changed the result");
-    assert!(!report.degrade_actions.is_empty(), "ladder must have engaged");
+    let actions = &report.degrade_actions;
+    let took = |rung: fn(&DegradeAction) -> bool| actions.iter().any(rung);
+    assert!(took(|a| matches!(a, DegradeAction::ShrinkBatch { .. })), "{actions:?}");
+    assert!(took(|a| matches!(a, DegradeAction::ReduceWorkers { .. })), "{actions:?}");
     assert!(!report.is_clean(), "a degraded run must not report clean");
     assert_eq!(engine.governor().budget().used(), 0);
     assert_eq!(engine.governor().active_queries(), 0);

@@ -234,9 +234,9 @@ fn paged_budget_returns_to_zero_after_success_degradation_and_read_failure() {
     let cache = PageCache::with_shards(2 * page_bytes, 1);
     let cfg = ExecConfig::hybrid_default().with_threads(2);
     let page_rows = fx.table.max_page_rows();
-    let minimal = estimate_paged_query_bytes(&plan, page_rows, &cfg, 1);
+    let minimal = estimate_paged_query_bytes(&plan, page_rows, 1);
     let budget = minimal + cache.capacity();
-    assert!(estimate_paged_query_bytes(&plan, page_rows, &cfg, 2) + cache.capacity() > budget);
+    assert!(estimate_paged_query_bytes(&plan, page_rows, 2) + cache.capacity() > budget);
     let engine =
         Engine::default().with_limits(GovernorConfig { max_queries: 0, mem_budget: budget });
     let gov = engine.governor();

@@ -5,10 +5,15 @@
 use hef::engine::ExecConfig;
 use hef_bench::playoff::{playoff, run_rounds, MIN_ROUNDS, PAGED_CHECKS};
 
-/// Candidates told apart by their probe prefetch depth (the fake
-/// clocks below key on it).
+/// Candidates told apart by their batch size (the fake clocks below key on
+/// [`idx`]).
 fn cands(n: usize) -> Vec<ExecConfig> {
-    (0..n).map(|i| ExecConfig::hybrid_default().with_probe_prefetch(i)).collect()
+    (0..n).map(|i| ExecConfig::hybrid_default().with_batch(1000 + i)).collect()
+}
+
+/// A candidate's position in [`cands`].
+fn idx(c: &ExecConfig) -> usize {
+    c.batch - 1000
 }
 
 /// A deterministic jitter in [-1, 1) from a call counter.
@@ -77,7 +82,7 @@ fn winner_inside_the_noise_margin_is_rejected() {
     let mut calls = 0u64;
     let mut clock = |c: &ExecConfig| {
         calls += 1;
-        let base = if c.probe_prefetch == 1 { 49.5 } else { 50.0 };
+        let base = if idx(c) == 1 { 49.5 } else { 50.0 };
         base + 2.0 * jitter(calls)
     };
     let out = playoff(&cands(2), 12, &mut clock, &mut |_| 50.0);
@@ -90,7 +95,7 @@ fn clear_winner_ships_when_paged_holds() {
     let mut calls = 0u64;
     let mut clock = |c: &ExecConfig| {
         calls += 1;
-        let base = [50.0, 45.0, 40.0][c.probe_prefetch];
+        let base = [50.0, 45.0, 40.0][idx(c)];
         base + 0.3 * jitter(calls)
     };
     let out = playoff(&cands(3), 10, &mut clock, &mut |_| 30.0);
@@ -107,12 +112,12 @@ fn memory_winner_that_loses_on_paged_is_rejected() {
     let mut calls = 0u64;
     let mut mem = |c: &ExecConfig| {
         calls += 1;
-        (if c.probe_prefetch == 0 { 50.0 } else { 40.0 }) + 0.2 * jitter(calls)
+        (if idx(c) == 0 { 50.0 } else { 40.0 }) + 0.2 * jitter(calls)
     };
     let mut paged_calls = 0u64;
     let mut paged = |c: &ExecConfig| {
         paged_calls += 1;
-        (if c.probe_prefetch == 0 { 50.0 } else { 60.0 }) + 0.2 * jitter(paged_calls)
+        (if idx(c) == 0 { 50.0 } else { 60.0 }) + 0.2 * jitter(paged_calls)
     };
     let out = playoff(&cands(4), 10, &mut mem, &mut paged);
     assert_eq!(out.winner, 0);

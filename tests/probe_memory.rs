@@ -1,201 +1,220 @@
-//! Differential suite for the memory-parallel probe pipeline: software
-//! prefetch (any depth, on- or off-axis) and radix partitioning must be
-//! *pure optimizations* — bit-identical to the flat scalar reference probe
-//! for every flavor, every key distribution, and every partition size.
+//! Differential suite for the hashed join probe: a dimension whose keys are
+//! sparse (`k·7919 + 13`, far too wide for a direct-addressed array) is
+//! probed through one flat linear-probe table, and every grid node on every
+//! backend must answer exactly as the scalar reference probe does — the
+//! key `u64::MAX`, the table's empty-slot sentinel, included.
 //!
-//! Also covers the persistence story: `(v, s, p, f)` registry round-trips
-//! through the v2 text format, and a stale pre-`f` registry loads through
-//! the degradation ladder with a seeded depth instead of an error.
+//! Also covers the registry file the engine ships: the text written before
+//! the probe prefetch depth was dropped parses to the same nodes and rows as
+//! its re-saved form.
 
 use hef::core::{Family as CoreFamily, Registry};
-use hef::engine::{execute_star, ExecConfig, Flavor};
-use hef::kernels::{
-    all_configs, run, Family, HybridConfig, KernelIo, PartitionScratch,
-    PartitionedProbeTable, ProbeTable, F_AXIS,
-};
-use hef::ssb::{build_plan, generate, QueryId};
+use hef::engine::{build_dimension, execute_star, ExecConfig, Flavor, Measure, StarPlan};
+use hef::hid::Backend;
+use hef::kernels::{all_configs, run_on, Family, HybridConfig, KernelIo, ProbeTable, MISS};
+use hef::storage::{Column, Table};
 use hef_testutil::{prop, strategy, Rng};
+
+/// The sparse key of dimension row `k`.
+fn key(k: u64) -> u64 {
+    k * 7919 + 13
+}
 
 /// Reference: one scalar probe per key against the flat table.
 fn reference(table: &ProbeTable, keys: &[u64]) -> Vec<u64> {
     keys.iter().map(|&k| table.probe_scalar(k)).collect()
 }
 
-fn build(entries: usize) -> (ProbeTable, Vec<(u64, u64)>) {
+fn build(entries: usize) -> ProbeTable {
     let mut t = ProbeTable::with_capacity(entries);
-    let mut pairs = Vec::with_capacity(entries);
     for k in 0..entries as u64 {
-        t.insert(k * 3 + 1, k + 7);
-        pairs.push((k * 3 + 1, k + 7));
+        t.insert(key(k), k + 7);
     }
-    (t, pairs)
+    t
 }
 
-/// The three adversarial key distributions of the issue: collision-heavy
-/// (many duplicates hammering few buckets), all-miss, and dense-hit.
+/// Adversarial key distributions: collision-heavy (many duplicates
+/// hammering few buckets), all-miss, dense-hit, and the sentinel between
+/// hits and misses so it reaches SIMD lanes, scalar statements and tails.
 fn distributions(entries: usize, nkeys: usize) -> Vec<(&'static str, Vec<u64>)> {
     let mut rng = Rng::seed_from_u64(0xFEED);
-    let collision: Vec<u64> =
-        (0..nkeys).map(|_| rng.gen_range(0..8u64) * 3 + 1).collect();
+    let collision: Vec<u64> = (0..nkeys).map(|_| key(rng.gen_range(0..8u64))).collect();
     let all_miss: Vec<u64> =
-        (0..nkeys).map(|_| rng.gen_range(0..entries as u64 * 3) * 3 + 2).collect();
+        (0..nkeys).map(|_| key(rng.gen_range(0..entries as u64 * 3)) + 1).collect();
     let dense_hit: Vec<u64> =
-        (0..nkeys).map(|_| rng.gen_range(0..entries as u64) * 3 + 1).collect();
-    vec![("collision", collision), ("all_miss", all_miss), ("dense_hit", dense_hit)]
+        (0..nkeys).map(|_| key(rng.gen_range(0..entries as u64))).collect();
+    let sentinel: Vec<u64> = (0..nkeys as u64)
+        .map(|i| if i % 3 == 0 { u64::MAX } else { key(i % (2 * entries as u64)) })
+        .collect();
+    vec![
+        ("collision", collision),
+        ("all_miss", all_miss),
+        ("dense_hit", dense_hit),
+        ("sentinel", sentinel),
+    ]
+}
+
+fn backends() -> impl Iterator<Item = Backend> {
+    [Backend::Emu, Backend::Avx2, Backend::Avx512].into_iter().filter(|b| b.is_available())
 }
 
 #[test]
-fn prefetched_probe_is_identical_for_every_flavor_and_depth() {
+fn hashed_probe_is_identical_for_every_node_and_backend() {
     let entries = 4096;
-    let (table, _) = build(entries);
-    // On-axis depths, off-axis depths, absurd depths: all legal at runtime.
-    let depths: Vec<usize> = F_AXIS.iter().copied().chain([3, 7, 100, 5000]).collect();
+    let table = build(entries);
+    assert_eq!(table.probe_scalar(u64::MAX), MISS);
     for (dist, keys) in distributions(entries, 2048) {
         let expect = reference(&table, &keys);
-        for cfg in all_configs() {
-            for &f in &depths {
+        for backend in backends() {
+            for cfg in all_configs() {
                 let mut out = vec![0u64; keys.len()];
-                let mut io =
-                    KernelIo::Probe { keys: &keys, table: &table, out: &mut out, prefetch: f };
-                assert!(run(Family::Probe, cfg, &mut io));
-                assert_eq!(out, expect, "{dist} {cfg} f={f}");
+                let mut io = KernelIo::Probe { keys: &keys, table: &table, out: &mut out };
+                assert!(run_on(Family::Probe, cfg, backend, &mut io));
+                assert_eq!(out, expect, "{dist} {cfg} on {}", backend.name());
             }
         }
     }
 }
 
 #[test]
-fn partitioned_probe_is_identical_across_bits_and_flavors() {
-    let entries = 8192;
-    let (table, pairs) = build(entries);
-    let nodes = [HybridConfig::SCALAR, HybridConfig::SIMD, HybridConfig::new(1, 1, 3)];
-    for (dist, keys) in distributions(entries, 2048) {
-        let expect = reference(&table, &keys);
-        for bits in [1u32, 3, 6] {
-            let parts = PartitionedProbeTable::from_pairs(&pairs, bits);
-            let mut scratch = PartitionScratch::default();
-            for cfg in nodes {
-                for f in [0usize, 16] {
-                    let mut out = vec![0u64; keys.len()];
-                    parts.probe_with(&keys, &mut out, &mut scratch, |t, k, o| {
-                        let mut io =
-                            KernelIo::Probe { keys: k, table: t, out: o, prefetch: f };
-                        assert!(run(Family::Probe, cfg, &mut io));
-                    });
-                    assert_eq!(out, expect, "{dist} b={bits} {cfg} f={f}");
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn property_prefetch_and_partition_agree_with_reference() {
-    // Randomized shapes: table size, key count, depth, and bits all move.
+fn property_hashed_probe_agrees_with_reference() {
+    // Randomized shapes: table size, key count and node all move.
     let gen = |rng: &mut Rng| {
         let entries = rng.gen_range(1..2000usize);
         let nkeys = rng.gen_range(0..1500usize);
-        let f = rng.gen_range(0..70usize);
-        let bits = rng.gen_range(1..7u32);
+        let node = rng.gen_range(0..all_configs().count());
         let keys = strategy::vec_of(strategy::in_range(0..6000u64), nkeys..nkeys + 1)(rng);
-        (entries, keys, f, bits)
+        (entries, keys, node)
     };
-    prop::check("probe memory strategies agree", gen, |(entries, keys, f, bits)| {
-        let (table, pairs) = build(*entries);
-        let expect = reference(&table, keys);
-        let mut out = vec![0u64; keys.len()];
-        let mut io =
-            KernelIo::Probe { keys, table: &table, out: &mut out, prefetch: *f };
-        assert!(run(Family::Probe, HybridConfig::new(2, 1, 2), &mut io));
-        assert_eq!(out, expect, "prefetched f={f}");
-        let parts = PartitionedProbeTable::from_pairs(&pairs, *bits);
-        let mut scratch = PartitionScratch::default();
-        let mut out2 = vec![0u64; keys.len()];
-        parts.probe_with(keys, &mut out2, &mut scratch, |t, k, o| {
-            let mut io = KernelIo::Probe { keys: k, table: t, out: o, prefetch: *f };
-            assert!(run(Family::Probe, HybridConfig::new(2, 1, 2), &mut io));
-        });
-        assert_eq!(out2, expect, "partitioned b={bits} f={f}");
+    prop::check("hashed probe agrees with reference", gen, |(entries, keys, node)| {
+        let table = build(*entries);
+        let keys: Vec<u64> = keys.iter().map(|&k| if k == 0 { u64::MAX } else { key(k) }).collect();
+        let expect = reference(&table, &keys);
+        let cfg = all_configs().nth(*node).expect("node on the grid");
+        for backend in backends() {
+            let mut out = vec![0u64; keys.len()];
+            let mut io = KernelIo::Probe { keys: &keys, table: &table, out: &mut out };
+            assert!(run_on(Family::Probe, cfg, backend, &mut io));
+            assert_eq!(out, expect, "{cfg} on {}", backend.name());
+        }
         Ok(())
     });
 }
 
 #[test]
-fn engine_query_results_are_invariant_under_memory_knobs() {
-    let data = generate(0.002, 0x9E37);
-    for q in [QueryId::Q2_1, QueryId::Q4_2] {
-        let plan = build_plan(&data, q);
-        let baseline = execute_star(&plan, &data.lineorder, &ExecConfig::for_flavor(Flavor::Scalar));
-        for flavor in [Flavor::Scalar, Flavor::Simd, Flavor::Hybrid] {
-            for f in [0usize, 8, 32] {
-                for partition in [false, true] {
-                    // The serial path and the morsel-driven parallel path.
-                    for threads in [1usize, 4] {
-                        let mut cfg = ExecConfig::for_flavor(flavor)
-                            .with_probe_prefetch(f)
-                            .with_threads(threads);
-                        cfg.partition = partition;
-                        let out = execute_star(&plan, &data.lineorder, &cfg);
-                        assert_eq!(
-                            out.groups, baseline.groups,
-                            "{} {} f={f} partition={partition} threads={threads}",
-                            q.name(),
-                            flavor.name()
-                        );
-                    }
-                }
+fn hashed_star_query_is_identical_for_every_flavor_and_thread_count() {
+    // Two hashed dimensions: one grouping, one a pure filter. Fact keys
+    // range past each dimension's selected keys, and every 97th is the
+    // sentinel.
+    let n = 20_000u64;
+    let mut fact = Table::new("fact");
+    let fk = |m: u64| {
+        move |i: u64| if i.is_multiple_of(97) { u64::MAX } else { key((i * 31) % m) }
+    };
+    fact.add_column(Column::new("fk1", (0..n).map(fk(600)).collect()));
+    fact.add_column(Column::new("fk2", (0..n).map(fk(300)).collect()));
+    fact.add_column(Column::new("rev", (0..n).map(|i| i % 13 + 1).collect()));
+    let mut dim1 = Table::new("dim1");
+    dim1.add_column(Column::new("key", (0..500).map(key).collect()));
+    let d1 = build_dimension(&dim1, "key", |r| r % 3 != 0, |r| (r % 4) as u64, 4, "fk1");
+    let mut dim2 = Table::new("dim2");
+    dim2.add_column(Column::new("key", (0..300).map(key).collect()));
+    let d2 = build_dimension(&dim2, "key", |r| r % 5 != 0, |_| 0, 1, "fk2");
+    assert!(d1.index.hashed().is_some() && d2.index.hashed().is_some());
+    let plan = StarPlan {
+        name: "sparse".into(),
+        filters: vec![],
+        dims: vec![d1, d2],
+        measure: Measure::Sum("rev".into()),
+        strides: vec![],
+    };
+
+    // Row-at-a-time reference through the scalar probe.
+    let mut expect = vec![0u64; plan.group_cells()];
+    let strides = plan.gid_strides();
+    'row: for r in 0..n as usize {
+        let mut gid = 0u64;
+        for (d, stride) in plan.dims.iter().zip(&strides) {
+            match d.index.probe_scalar(fact.col(&d.fk_col)[r]) {
+                MISS => continue 'row,
+                pay => gid += pay * stride,
             }
+        }
+        expect[gid as usize] = expect[gid as usize].wrapping_add(fact.col("rev")[r]);
+    }
+    for flavor in Flavor::ALL {
+        for threads in [1usize, 4] {
+            let cfg = ExecConfig::for_flavor(flavor).with_threads(threads);
+            let out = execute_star(&plan, &fact, &cfg);
+            assert_eq!(out.groups, expect, "{} threads={threads}", flavor.name());
         }
     }
 }
 
+/// `results/tuned.txt` as written before the probe prefetch depth was
+/// dropped: a fourth `probe` column and an `f:0` token on every row.
+const PRE_CHANGE_REGISTRY: &str = "\
+# hef tuned-operator registry v3
+# cpu: this machine (repro tune)
+agg_dot = 1 2 1
+agg_sum = 1 1 3
+crc64 = 2 2 3
+filter = 4 0 4
+gather = 2 2 3
+murmur = 4 2 4
+probe = 2 4 3 64
+pipeline 01fa63d60bedb82d = filter:1,1,3 probe:1,1,3 gather:1,1,3 agg_dot:1,1,3 decode:1,1,3 f:0
+pipeline 0796fe4d84b2a40a = filter:1,1,3 probe:1,1,3 gather:1,1,3 agg_dot:1,1,3 decode:1,1,3 f:0
+pipeline 1b8eef06841b31c9 = probe:1,1,3 gather:1,1,3 agg_sum:1,1,3 decode:1,1,3 f:0
+pipeline 23cdcbd24343ba38 = filter:1,1,3 probe:1,1,3 gather:1,1,3 agg_dot:1,1,3 decode:1,1,3 f:0
+pipeline 279a3627d4dcab46 = probe:1,1,3 gather:1,1,3 agg_sum:1,1,3 decode:1,1,3 f:0
+pipeline 31cc3ed165ed2bb9 = probe:1,1,3 gather:1,1,3 agg_sum:1,1,3 decode:1,1,3 f:0
+pipeline 3a2004ecbf5d7d9b = probe:1,1,3 gather:1,1,3 agg_sum:1,1,3 decode:1,1,3 f:0
+pipeline 3eda0bec36a9a422 = probe:1,1,3 gather:1,1,3 agg_sum:1,1,3 decode:1,1,3 f:0
+pipeline 7116aaf7e34332ed = probe:1,1,3 gather:1,1,3 agg_sum:1,1,3 decode:1,1,3 f:0
+pipeline 7d1e034a7a5d188c = probe:1,1,3 gather:1,1,3 agg_sum:1,1,3 decode:1,1,3 f:0
+pipeline 9bde94fba7359fd7 = probe:1,1,3 gather:1,1,3 agg_sum:1,1,3 decode:1,1,3 f:0
+pipeline 9cdc041e0f4c14b3 = probe:1,1,3 gather:1,1,3 agg_sum:1,1,3 decode:1,1,3 f:0
+pipeline f5e044d16e15a32a = probe:1,1,3 gather:1,1,3 agg_sum:1,1,3 decode:1,1,3 f:0
+";
+
 #[test]
-fn registry_roundtrips_vspf_through_a_file() {
-    let dir = std::env::temp_dir().join(format!("hef_vspf_{}", std::process::id()));
+fn pre_change_registry_text_matches_its_resaved_form() {
+    let dir = std::env::temp_dir().join(format!("hef_prechange_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("tuned_v2.txt");
+    let old = dir.join("old.txt");
+    std::fs::write(&old, PRE_CHANGE_REGISTRY).unwrap();
+    let (before, report) = Registry::load_degraded(&old);
+    assert!(report.is_clean(), "{:?}", report.issues);
+    assert_eq!(before.get(CoreFamily::Probe), Some(HybridConfig::new(2, 4, 3)));
+    assert_eq!(before.len(), 7);
+    assert_eq!(before.pipelines_len(), 13);
 
-    let mut reg = Registry::new("test-cpu");
-    reg.insert(CoreFamily::Probe, HybridConfig::new(2, 1, 4));
-    reg.insert(CoreFamily::Murmur, HybridConfig::new(1, 1, 3));
-    reg.insert_prefetch(CoreFamily::Probe, 32);
-    reg.save(&path).expect("save v2");
-
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(text.contains("v2"), "prefetch forces the v2 header:\n{text}");
-
-    let back = Registry::load(&path).expect("load v2");
-    assert_eq!(back.get(CoreFamily::Probe), Some(HybridConfig::new(2, 1, 4)));
-    assert_eq!(back.get_prefetch(CoreFamily::Probe), Some(32));
-    assert_eq!(back.get(CoreFamily::Murmur), Some(HybridConfig::new(1, 1, 3)));
-    assert_eq!(back.get_prefetch(CoreFamily::Murmur), None);
+    let new = dir.join("new.txt");
+    before.save(&new).unwrap();
+    let text = std::fs::read_to_string(&new).unwrap();
+    assert!(text.contains("probe = 2 4 3\n") && !text.contains(" f:"), "{text}");
+    let (after, report) = Registry::load_degraded(&new);
+    assert!(report.is_clean(), "{:?}", report.issues);
+    assert_eq!(after, before);
+    for family in CoreFamily::ALL {
+        assert_eq!(after.get(family), before.get(family), "{}", family.name());
+    }
+    assert!(before.pipelines().eq(after.pipelines()));
+    // The re-saved form is the committed file.
+    assert_eq!(text, include_str!("../results/tuned.txt"));
     std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
-fn stale_pre_prefetch_registry_degrades_to_a_seeded_depth() {
-    let dir = std::env::temp_dir().join(format!("hef_stale_f_{}", std::process::id()));
+fn v1_registry_loads_cleanly_and_resaves_as_v3() {
+    let dir = std::env::temp_dir().join(format!("hef_v1_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("tuned_v1.txt");
-
-    // A v1 registry from before the `f` dimension existed: probe has a
-    // hybrid node but no depth column.
-    let mut reg = Registry::new("test-cpu");
-    reg.insert(CoreFamily::Probe, HybridConfig::new(1, 1, 3));
-    reg.save(&path).expect("save v1");
-    let text = std::fs::read_to_string(&path).unwrap();
-    assert!(!text.contains("v2"), "no prefetch ⇒ v1 on disk:\n{text}");
-
+    std::fs::write(&path, "# hef tuned-operator registry v1\nprobe = 1 1 3\n").unwrap();
     let (loaded, report) = Registry::load_degraded(&path);
+    assert!(report.is_clean(), "{:?}", report.issues);
     assert_eq!(loaded.get(CoreFamily::Probe), Some(HybridConfig::new(1, 1, 3)));
-    let f = loaded
-        .get_prefetch(CoreFamily::Probe)
-        .expect("ladder seeds a depth for pre-f probe entries");
-    assert!(F_AXIS.contains(&f), "seeded depth {f} must be on the axis");
-    assert!(
-        report.issues.iter().any(|i| i.to_string().contains("seeded prefetch")),
-        "issues: {:?}",
-        report.issues.iter().map(|i| i.to_string()).collect::<Vec<_>>()
-    );
+    assert!(loaded.to_text().starts_with("# hef tuned-operator registry v3\n"));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -109,7 +109,7 @@ fn probe_kernel_equals_scalar_probe() {
         }
         let expect: Vec<u64> = keys.iter().map(|&k| table.probe_scalar(k)).collect();
         let mut out = vec![0u64; keys.len()];
-        let mut io = KernelIo::Probe { keys, table: &table, out: &mut out, prefetch: 0 };
+        let mut io = KernelIo::Probe { keys, table: &table, out: &mut out };
         prop_assert!(run_on(Family::Probe, *cfg, Backend::native(), &mut io));
         prop_assert_eq!(out, expect);
         Ok(())
