@@ -220,19 +220,10 @@ impl Engine {
         let mut cfg = self.configure(plan, *cfg);
         let requested = resolve_threads(cfg.threads);
         let mut threads = requested;
-        let page_rows = match fact {
-            Fact::Mem(_) => None,
-            Fact::Paged(t, _) => Some(t.max_page_rows()),
-        };
         // The guards release their charges on every path out of here.
-        let mut admission = self.governor.admit_spiked(
-            plan,
-            fact.rows(),
-            page_rows,
-            &mut cfg,
-            &mut threads,
-            || self.faults.next_mem_spike(),
-        )?;
+        let mut admission = self.governor.admit_spiked(plan, fact, &mut cfg, &mut threads, || {
+            self.faults.next_mem_spike()
+        })?;
         let threads = resolve_threads_governed(requested, threads);
         let _cache_charge = match fact {
             Fact::Mem(_) => None,

@@ -34,8 +34,11 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use hef_storage::{ColumnSlice, Table};
+
 use crate::parallel::{ExecError, ExecReport};
-use crate::star::{ExecConfig, Flavor, Measure, StarPlan};
+use crate::star::{ColumnSlots, ExecConfig, Flavor, Measure, StarPlan};
+use crate::Fact;
 
 /// Why a governed query stopped before completing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,21 +282,17 @@ impl Drop for ByteCharge<'_> {
     }
 }
 
-/// Worst-case bytes an in-memory query's execution scratch will allocate:
-/// per worker, the reusable batch buffers, each `cfg.batch` rows (at most
-/// the fact table) — for the pipeline worker `sel`, `keys`, `gids`,
-/// `vals`, and the probe output `out` when a dimension is hashed (a dense
-/// dimension's fused probe compacts `sel` and `gids` in place), plus the
-/// filter's 8 lanes of compress-store slack on `sel`; for Voila one dense
-/// buffer per column plus gid/slots/pay/vals — and the private
+/// Worst-case bytes an in-memory query over `fact` will allocate for its
+/// execution scratch: per worker, the reusable batch buffers, each
+/// `cfg.batch` rows (at most the fact table) — for the pipeline worker
+/// `sel`, `keys`, `gids`, `vals`, the probe output `out` when a dimension
+/// is hashed (a dense dimension's fused probe compacts `sel` and `gids` in
+/// place), and the widened window when the plan reads a 32-bit column,
+/// plus the filter's 8 lanes of compress-store slack on `sel`; for Voila
+/// one dense buffer per column plus gid/slots/pay/vals — and the private
 /// group-accumulator array. Admission must never under-charge.
-pub fn estimate_query_bytes(
-    plan: &StarPlan,
-    fact_rows: usize,
-    cfg: &ExecConfig,
-    threads: usize,
-) -> usize {
-    let batch = cfg.batch.clamp(1, fact_rows.max(1));
+pub fn estimate_query_bytes(plan: &StarPlan, fact: &Table, cfg: &ExecConfig, threads: usize) -> usize {
+    let batch = cfg.batch.clamp(1, fact.len().max(1));
     let streams = if cfg.flavor == Flavor::Voila {
         let measure_cols = match plan.measure {
             Measure::Sum(_) => 1,
@@ -301,9 +300,18 @@ pub fn estimate_query_bytes(
         };
         plan.dims.len() + measure_cols + 4
     } else {
-        pipeline_streams(plan)
+        pipeline_streams(plan) + reads_32_bit(plan, fact) as usize
     };
     scratch_bytes(plan, batch, streams, threads)
+}
+
+/// Whether `plan` reads a 32-bit column of `fact`: the in-memory source
+/// then widens that column's batch window into one more buffer.
+fn reads_32_bit(plan: &StarPlan, fact: &Table) -> bool {
+    ColumnSlots::of(plan)
+        .names
+        .iter()
+        .any(|&c| fact.column(c).is_some_and(|c| matches!(c.slice(), ColumnSlice::U32(_))))
 }
 
 /// [`estimate_query_bytes`] for a paged scan. Every flavor runs the
@@ -376,32 +384,29 @@ impl Governor {
         self.active.load(Ordering::Acquire)
     }
 
-    /// Admit a query over `fact_rows` rows, degrading `cfg`/`threads` under
-    /// memory pressure (see module docs for the ladder) or rejecting with a
-    /// retry hint. The returned [`Admission`] releases all accounting on
-    /// drop.
+    /// Admit a query over `fact`, degrading `cfg`/`threads` under memory
+    /// pressure (see module docs for the ladder) or rejecting with a retry
+    /// hint. The returned [`Admission`] releases all accounting on drop.
     pub fn admit(
         &self,
         plan: &StarPlan,
-        fact_rows: usize,
+        fact: Fact<'_>,
         cfg: &mut ExecConfig,
         threads: &mut usize,
     ) -> Result<Admission<'_>, ExecError> {
-        self.admit_spiked(plan, fact_rows, None, cfg, threads, || None)
+        self.admit_spiked(plan, fact, cfg, threads, || None)
     }
 
     /// [`Governor::admit`], with `spike` adding injected bytes to the
     /// estimate (the engine's `mem_spike` fault hook). It is consulted once,
     /// and only when a budget is set: with an unlimited budget a spike has
-    /// nothing to push against. `page_rows` is the largest page's rows for
-    /// a paged scan (`None` in memory): its batches are whole pages, so the
-    /// charge is [`estimate_paged_query_bytes`] and the ladder skips the
-    /// batch step, which cannot shrink a page.
+    /// nothing to push against. A paged scan's batches are whole pages, so
+    /// its charge is [`estimate_paged_query_bytes`] at the largest page and
+    /// the ladder skips the batch step, which cannot shrink a page.
     pub(crate) fn admit_spiked(
         &self,
         plan: &StarPlan,
-        fact_rows: usize,
-        page_rows: Option<usize>,
+        fact: Fact<'_>,
         cfg: &mut ExecConfig,
         threads: &mut usize,
         spike: impl FnOnce() -> Option<u64>,
@@ -422,9 +427,9 @@ impl Governor {
         if self.budget.limit > 0 {
             let spike = spike().unwrap_or(0) as usize;
             loop {
-                let est = match page_rows {
-                    None => estimate_query_bytes(plan, fact_rows, cfg, *threads),
-                    Some(rows) => estimate_paged_query_bytes(plan, rows, *threads),
+                let est = match fact {
+                    Fact::Mem(t) => estimate_query_bytes(plan, t, cfg, *threads),
+                    Fact::Paged(t, _) => estimate_paged_query_bytes(plan, t.max_page_rows(), *threads),
                 }
                 .saturating_add(spike);
                 if self.budget.try_charge(est) {
@@ -432,7 +437,7 @@ impl Governor {
                     break;
                 }
                 // Degradation ladder: cheapest-to-lose first.
-                let action = if page_rows.is_none() && cfg.batch > MIN_BATCH {
+                let action = if matches!(fact, Fact::Mem(_)) && cfg.batch > MIN_BATCH {
                     let from = cfg.batch;
                     cfg.batch = (cfg.batch / 2).max(MIN_BATCH);
                     DegradeAction::ShrinkBatch { from, to: cfg.batch }
@@ -522,8 +527,8 @@ mod tests {
         let d = build_dimension(
             &dim,
             "key",
-            |r| dim.col("key")[r] < 96,
-            |r| dim.col("key")[r] % 8,
+            |r| dim.col("key").get(r) < 96,
+            |r| dim.col("key").get(r) % 8,
             8,
             "fk",
         );
@@ -556,7 +561,7 @@ mod tests {
     fn admission_cap_rejects_with_hint() {
         let gov = Governor::new(GovernorConfig { max_queries: 1, mem_budget: 0 });
         let (fact, plan) = toy(4000);
-        let rows = fact.len();
+        let rows = Fact::Mem(&fact);
         let mut cfg = ExecConfig::hybrid_default();
         let mut threads = 2;
         let first = gov.admit(&plan, rows, &mut cfg, &mut threads).expect("admitted");
@@ -575,11 +580,11 @@ mod tests {
     #[test]
     fn ladder_degrades_batch_then_threads_then_rejects() {
         let (fact, plan) = toy(20_000);
-        let rows = fact.len();
+        let rows = Fact::Mem(&fact);
         // The ladder starts at batch shrinking. Budget fits exactly one
         // minimal worker shape.
         let minimal =
-            estimate_query_bytes(&plan, rows, &ExecConfig::hybrid_default().with_batch(MIN_BATCH), 1);
+            estimate_query_bytes(&plan, &fact, &ExecConfig::hybrid_default().with_batch(MIN_BATCH), 1);
         let gov = Governor::new(GovernorConfig { max_queries: 0, mem_budget: minimal });
         let mut cfg = ExecConfig::hybrid_default();
         let mut threads = 4;
@@ -610,7 +615,7 @@ mod tests {
         use hef_testutil::fault::{FaultPlan, MemSpike};
         let (fact, plan) = toy(20_000);
         let cfg = ExecConfig::hybrid_default().with_threads(4);
-        let comfortable = estimate_query_bytes(&plan, fact.len(), &cfg, 4) * 2;
+        let comfortable = estimate_query_bytes(&plan, &fact, &cfg, 4) * 2;
         let limits = GovernorConfig { max_queries: 0, mem_budget: comfortable };
         let run = |engine: &Engine| engine.execute(&plan, Fact::Mem(&fact), &cfg, &CancelToken::new());
         // Without a spike: admitted clean at full shape.
@@ -661,10 +666,21 @@ mod tests {
         assert_eq!(parse_byte_size("k"), None);
     }
 
+    /// A fact table for `plan` of `rows` rows, its columns 64-bit when
+    /// `wide` and 32-bit otherwise.
+    fn fact_for(plan: &StarPlan, rows: u64, wide: bool) -> Table {
+        let mut fact = Table::new("fact");
+        let base = if wide { 1 << 32 } else { 0 };
+        for c in ColumnSlots::of(plan).names {
+            fact.add_column(Column::new(c, (0..rows).map(|i| base | (i % 16)).collect()));
+        }
+        fact
+    }
+
     /// Four dense dimensions, as SSB's Q4.x at SF 1: the estimate covers
     /// every batch-long buffer the pipeline worker holds, in memory and on
     /// pages, where a batch is a whole page; a hashed dimension adds its
-    /// probe output.
+    /// probe output, and a 32-bit fact column the window it widens into.
     #[test]
     fn estimate_covers_every_worker_buffer() {
         let mut dim = Table::new("dim");
@@ -684,11 +700,18 @@ mod tests {
             strides: vec![],
         };
         let cfg = ExecConfig::hybrid_default();
+        let rows = 4 * cfg.batch as u64;
+        let (wide, narrow) = (fact_for(&plan, rows, true), fact_for(&plan, rows, false));
         // sel (with the filter's 8 lanes of slack), keys, gids and vals;
         // the dense probes compact sel and gids in place.
         let worker = |batch: usize| (batch * 4 + 8) * 8 + plan.group_cells() * 8;
-        assert!(estimate_query_bytes(&plan, 1 << 20, &cfg, 1) >= worker(cfg.batch));
-        assert!(estimate_query_bytes(&plan, 1 << 20, &cfg, 3) >= 3 * worker(cfg.batch));
+        assert!(estimate_query_bytes(&plan, &wide, &cfg, 1) >= worker(cfg.batch));
+        assert!(estimate_query_bytes(&plan, &wide, &cfg, 3) >= 3 * worker(cfg.batch));
+        // 32-bit columns: one more batch-long buffer per worker, the
+        // widened window.
+        let widened = |batch: usize| worker(batch) + batch * 8;
+        assert!(estimate_query_bytes(&plan, &narrow, &cfg, 1) >= widened(cfg.batch));
+        assert!(estimate_query_bytes(&plan, &narrow, &cfg, 3) >= 3 * widened(cfg.batch));
         // A 256 KiB page of 8-byte rows, plus the page source's decode
         // buffer and kept indices.
         let page = 32_768;
@@ -704,7 +727,8 @@ mod tests {
         hashed.dims[3] = build_dimension(&sparse, "key", |_| true, |r| (r % 2) as u64, 2, "fk3");
         assert!(!hashed.dims[3].index.is_dense());
         let worker = |batch: usize| (batch * 5 + 8) * 8 + hashed.group_cells() * 8;
-        assert!(estimate_query_bytes(&hashed, 1 << 20, &cfg, 1) >= worker(cfg.batch));
+        assert!(estimate_query_bytes(&hashed, &wide, &cfg, 1) >= worker(cfg.batch));
+        assert!(estimate_query_bytes(&hashed, &narrow, &cfg, 1) >= worker(cfg.batch) + cfg.batch * 8);
         assert!(estimate_paged_query_bytes(&hashed, page, 1) >= worker(page) + 2 * page * 8);
     }
 }

@@ -521,8 +521,8 @@ mod tests {
         let d1 = build_dimension(
             &dim1,
             "key",
-            |r| dim1.col("key")[r] < 40,
-            |r| dim1.col("grp")[r],
+            |r| dim1.col("key").get(r) < 40,
+            |r| dim1.col("grp").get(r),
             4,
             "fk1",
         );
@@ -531,7 +531,7 @@ mod tests {
         let d2 = build_dimension(
             &dim2,
             "key",
-            |r| dim2.col("key")[r].is_multiple_of(5),
+            |r| dim2.col("key").get(r).is_multiple_of(5),
             |_| 0,
             1,
             "fk2",
@@ -724,7 +724,7 @@ mod tests {
         assert!(plan.dims.iter().all(|d| d.index.is_dense()));
         assert_eq!(one_worker, (6 * page_rows + 8) * 8 + plan.group_cells() * 8);
         // An in-memory scan of the same table holds 256-row batches.
-        assert!(estimate_query_bytes(&plan, mem.len(), &cfg, 2) < one_worker);
+        assert!(estimate_query_bytes(&plan, &mem, &cfg, 2) < one_worker);
         assert!(cache.capacity() < one_worker);
         let limits =
             GovernorConfig { max_queries: 0, mem_budget: one_worker + cache.capacity() };

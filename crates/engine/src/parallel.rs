@@ -575,8 +575,8 @@ mod tests {
         let d = build_dimension(
             &dim,
             "key",
-            |r| dim.col("key")[r] < 96,
-            |r| dim.col("key")[r] % 8,
+            |r| dim.col("key").get(r) < 96,
+            |r| dim.col("key").get(r) % 8,
             8,
             "fk",
         );

@@ -184,8 +184,8 @@ mod tests {
         let d = build_dimension(
             &dim,
             "key",
-            |r| dim.col("key")[r] < 48,
-            |r| dim.col("key")[r] % 4,
+            |r| dim.col("key").get(r) < 48,
+            |r| dim.col("key").get(r) % 4,
             4,
             "fk",
         );
@@ -212,8 +212,8 @@ mod tests {
         let d = build_dimension(
             &dim,
             "key",
-            |r| dim.col("key")[r] < 48,
-            |r| dim.col("key")[r] % 4,
+            |r| dim.col("key").get(r) < 48,
+            |r| dim.col("key").get(r) % 4,
             4,
             "fk",
         );

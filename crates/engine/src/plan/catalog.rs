@@ -11,7 +11,7 @@
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 
-use hef_storage::Table;
+use hef_storage::{ColumnSlice, Table};
 
 /// Row-count ceiling for exact (sort-dedup) distinct counting.
 pub const NDV_EXACT_ROWS: usize = 1 << 20;
@@ -78,25 +78,9 @@ impl<'a> Catalog<'a> {
             }
         }
         let t = self.table(table)?;
-        let values = t.column(column)?.values();
-        if values.is_empty() {
-            return None;
-        }
-        let mut min = i64::MAX;
-        let mut max = i64::MIN;
-        for &v in values {
-            let v = v as i64;
-            min = min.min(v);
-            max = max.max(v);
-        }
-        let ndv = if values.len() <= NDV_EXACT_ROWS {
-            let mut sorted: Vec<u64> = values.to_vec();
-            sorted.sort_unstable();
-            sorted.dedup();
-            sorted.len() as u64
-        } else {
-            // Dense-code proxy: distinct count ≈ range width.
-            ((max - min).max(0) as u64 + 1).min(values.len() as u64)
+        let (min, max, ndv) = match t.column(column)?.slice() {
+            ColumnSlice::U32(v) => value_stats(v)?,
+            ColumnSlice::U64(v) => value_stats(v)?,
         };
         let cs = ColStats { min, max, ndv: ndv.max(1) };
         let mut stats = self.stats.borrow_mut();
@@ -112,6 +96,31 @@ impl<'a> Catalog<'a> {
     pub fn rows(&self, table: &str) -> Option<usize> {
         self.table(table).map(Table::len)
     }
+}
+
+/// `(min, max, ndv)` of a column's stored values, read in place at their
+/// width; `None` when empty.
+fn value_stats<T: Copy + Ord + Into<u64>>(values: &[T]) -> Option<(i64, i64, u64)> {
+    if values.is_empty() {
+        return None;
+    }
+    let mut min = i64::MAX;
+    let mut max = i64::MIN;
+    for &v in values {
+        let v = v.into() as i64;
+        min = min.min(v);
+        max = max.max(v);
+    }
+    let ndv = if values.len() <= NDV_EXACT_ROWS {
+        let mut sorted = values.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        sorted.len() as u64
+    } else {
+        // Dense-code proxy: distinct count ≈ range width.
+        ((max - min).max(0) as u64 + 1).min(values.len() as u64)
+    };
+    Some((min, max, ndv))
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 //! fact column, which has no single range kernel) is a typed
 //! [`PlanError::Unsupported`], never a panic.
 
-use hef_storage::Table;
+use hef_storage::{Column, ColumnSlice, Table};
 
 use crate::star::{build_dimension, RangeFilter, StarPlan};
 
@@ -50,10 +50,10 @@ fn to_range_filter(pred: &Pred) -> Result<RangeFilter, PlanError> {
 }
 
 /// Resolve a column of `table`, with a typed error naming both.
-fn col_of<'t>(table: &'t Table, column: &str) -> Result<&'t [u64], PlanError> {
+fn col_of<'t>(table: &'t Table, column: &str) -> Result<ColumnSlice<'t>, PlanError> {
     table
         .column(column)
-        .map(|c| c.values())
+        .map(Column::slice)
         .ok_or_else(|| PlanError::UnknownColumn {
             table: table.name().to_string(),
             column: column.to_string(),
@@ -67,7 +67,7 @@ fn lower_join(j: &JoinSpec, cat: &Catalog<'_>, fact: &Table) -> Result<crate::st
         .ok_or_else(|| PlanError::UnknownTable(j.dim_table.clone()))?;
     col_of(fact, &j.fk_col)?;
     col_of(dim, &j.key_col)?;
-    let filter_cols: Vec<(&[u64], &Pred)> = j
+    let filter_cols: Vec<(ColumnSlice<'_>, &Pred)> = j
         .filters
         .iter()
         .map(|p| Ok((col_of(dim, p.col())?, p)))
@@ -76,9 +76,9 @@ fn lower_join(j: &JoinSpec, cat: &Catalog<'_>, fact: &Table) -> Result<crate::st
     let key = j.group.as_ref().map(|g| &g.key);
     let key_vals = key.map(|k| col_of(dim, k.column())).transpose()?;
 
-    let passes = |r: usize| filter_cols.iter().all(|(col, p)| p.matches(col[r]));
+    let passes = |r: usize| filter_cols.iter().all(|(col, p)| p.matches(col.get(r)));
     let code = |r: usize| match (key, key_vals) {
-        (Some(k), Some(vals)) => k.eval(vals[r]),
+        (Some(k), Some(vals)) => k.eval(vals.get(r)),
         _ => 0,
     };
     // Group codes must land in `0..groups` for every surviving build row —
@@ -213,18 +213,18 @@ mod tests {
         // Row-at-a-time reference straight off the logical spec.
         let mut expect = vec![0u64; 8];
         for r in 0..fact.len() {
-            let q = fact.col("q")[r];
+            let q = fact.col("q").get(r);
             if !(5..=40).contains(&q) {
                 continue;
             }
-            let ka = fact.col("fk_a")[r] as usize; // a.key == index
-            let kb = fact.col("fk_b")[r] as usize;
-            let attr = b.col("attr")[kb];
+            let ka = fact.col("fk_a").get(r) as usize; // a.key == index
+            let kb = fact.col("fk_b").get(r) as usize;
+            let attr = b.col("attr").get(kb);
             if attr != 1 {
                 continue;
             }
-            let gid = a.col("grp")[ka] * 2 + u64::from(attr == 1);
-            expect[gid as usize] += fact.col("rev")[r];
+            let gid = a.col("grp").get(ka) * 2 + u64::from(attr == 1);
+            expect[gid as usize] += fact.col("rev").get(r);
         }
         assert_eq!(out.groups, expect);
     }

@@ -6,11 +6,11 @@ use hef_hid::Backend;
 use hef_kernels::{DenseIndex, Family, HybridConfig, Kernel, KernelIo, ProbeTable};
 use hef_obs::metrics::{Hist, Metric, Tally};
 use hef_obs::trace::SpanGuard;
-use hef_storage::Table;
+use hef_storage::{ColumnSlice, Table};
 use hef_testutil::fault::EngineFaults;
 
 use crate::govern::QueryCtx;
-use crate::ops::{compact_hits, gather_keys, grouped_accumulate};
+use crate::ops::{compact_hits, grouped_accumulate};
 use crate::parallel::{MorselWorker, Scan, Stop};
 
 /// Execution flavor (the four bars of the paper's Figs. 8–10).
@@ -458,7 +458,7 @@ pub fn build_dimension(
     groups: usize,
     fk_col: &str,
 ) -> DimJoin {
-    let keys = dim.col(key_col);
+    let keys = dim.col(key_col).slice();
     let pairs: Vec<(u64, u64)> = (0..dim.len())
         .filter(|&r| predicate(r))
         .map(|r| {
@@ -467,7 +467,7 @@ pub fn build_dimension(
                 (code as usize) < groups.max(1),
                 "group code {code} out of range {groups}"
             );
-            (keys[r], code)
+            (keys.get(r), code)
         })
         .collect();
     let budget = join_table_budget();
@@ -585,12 +585,12 @@ pub(crate) fn run_table(
     faults: &EngineFaults,
 ) -> Result<(QueryOutput, crate::parallel::ExecReport), crate::parallel::ExecError> {
     let slots = ColumnSlots::of(plan);
-    let cols: Vec<&[u64]> = slots.names.iter().map(|c| fact.col(c)).collect();
+    let cols: Vec<ColumnSlice<'_>> = slots.names.iter().map(|c| fact.col(c).slice()).collect();
     let make = || -> Box<dyn MorselWorker + '_> {
         if cfg.flavor == Flavor::Voila {
             Box::new(crate::voila::VoilaWorker::new(plan, fact, cfg.batch))
         } else {
-            let src = TableSource { cols: cols.clone(), batch: cfg.batch, window: 0..0 };
+            let src = TableSource { cols: cols.clone(), batch: cfg.batch, window: 0..0, wide: Vec::new() };
             Box::new(PipelineWorker::new(plan, cfg, &slots, src))
         }
     };
@@ -632,8 +632,9 @@ impl<'p> ColumnSlots<'p> {
 /// selection vectors are batch-local and ascending.
 ///
 /// Past the first filter the loop only asks for selected rows ([`take`],
-/// [`refine`]). Their defaults gather from [`values`]; a source that must
-/// decode its columns overrides them to decode just those rows.
+/// [`refine`]). A source reads them at their stored form: a 32-bit column
+/// is gathered at its width, a page decodes just those rows. [`refine`]'s
+/// default filters the batch's [`values`].
 ///
 /// [`take`]: BatchSource::take
 /// [`refine`]: BatchSource::refine
@@ -665,10 +666,7 @@ pub(crate) trait BatchSource {
         sel: &[u64],
         out: &mut Vec<u64>,
         k: &Kernels,
-    ) -> Result<(), Stop> {
-        k.gather(self.values(slot, k)?, sel, out);
-        Ok(())
-    }
+    ) -> Result<(), Stop>;
     /// Keep, in order, the rows of `sel` whose column `slot` value passes
     /// `f` (secondary fact-table filters).
     fn refine(
@@ -688,11 +686,15 @@ pub(crate) trait BatchSource {
 /// the bounds to apply to it; `None` when no row of the batch can pass.
 pub(crate) type FilterInput<'s> = Option<(&'s [u64], u64, u64)>;
 
-/// `cfg.batch`-row windows over resident columns.
+/// `cfg.batch`-row windows over resident columns, read at their stored
+/// width: a whole-batch read of a 32-bit column widens its window into
+/// `wide`, and a selection gathers from the 32-bit values directly.
 struct TableSource<'a> {
-    cols: Vec<&'a [u64]>,
+    cols: Vec<ColumnSlice<'a>>,
     batch: usize,
     window: Range<usize>,
+    /// The last widened 32-bit window, reused from batch to batch.
+    wide: Vec<u64>,
 }
 
 impl BatchSource for TableSource<'_> {
@@ -701,8 +703,24 @@ impl BatchSource for TableSource<'_> {
         self.window = start..end;
         (end, end - start)
     }
-    fn values(&mut self, slot: usize, _k: &Kernels) -> Result<&[u64], Stop> {
-        Ok(&self.cols[slot][self.window.clone()])
+    fn values(&mut self, slot: usize, k: &Kernels) -> Result<&[u64], Stop> {
+        Ok(match self.cols[slot].range(self.window.clone()) {
+            ColumnSlice::U64(v) => v,
+            ColumnSlice::U32(v) => {
+                k.widen(v, &mut self.wide);
+                &self.wide
+            }
+        })
+    }
+    fn take(
+        &mut self,
+        slot: usize,
+        sel: &[u64],
+        out: &mut Vec<u64>,
+        k: &Kernels,
+    ) -> Result<(), Stop> {
+        k.gather(self.cols[slot].range(self.window.clone()), sel, out);
+        Ok(())
     }
 }
 
@@ -997,17 +1015,36 @@ impl Kernels {
     }
 
     /// `out = col[sel]`, the selective projection, through the tuned gather
-    /// kernel. Falls back to the scalar helper for off-grid nodes, which
-    /// cannot happen for the shipped flavor configs.
-    fn gather(&self, col: &[u64], sel: &[u64], out: &mut Vec<u64>) {
+    /// kernel (its 32-bit-source form for a 32-bit column). Falls back to a
+    /// scalar loop for off-grid nodes, which cannot happen for the shipped
+    /// flavor configs.
+    fn gather(&self, col: ColumnSlice<'_>, sel: &[u64], out: &mut Vec<u64>) {
         self.gathered.set(self.gathered.get() + sel.len() as u64);
+        let Some(k) = self.gather.kernel else {
+            out.clear();
+            out.extend(sel.iter().map(|&r| col.get(r as usize)));
+            return;
+        };
+        // The kernel writes every element, so a resize (no refill) suffices.
+        out.resize(sel.len(), 0);
+        match col {
+            ColumnSlice::U64(src) => k.run(&mut KernelIo::Gather { src, idx: sel, out }),
+            ColumnSlice::U32(src) => k.run(&mut KernelIo::GatherU32 { src, idx: Some(sel), out }),
+        }
+    }
+
+    /// `out = src` zero-extended to `u64`, the widening copy of a 32-bit
+    /// window, on the gather node (scalar for an off-grid node).
+    fn widen(&self, src: &[u32], out: &mut Vec<u64>) {
         match self.gather.kernel {
-            // The kernel writes every element, so a resize (no refill) suffices.
             Some(k) => {
-                out.resize(sel.len(), 0);
-                k.run(&mut KernelIo::Gather { src: col, idx: sel, out })
+                out.resize(src.len(), 0);
+                k.run(&mut KernelIo::GatherU32 { src, idx: None, out })
             }
-            None => gather_keys(col, sel, out),
+            None => {
+                out.clear();
+                out.extend(src.iter().map(|&v| u64::from(v)));
+            }
         }
     }
 }
@@ -1038,7 +1075,7 @@ mod tests {
         dim1.add_column(Column::new("key", (0..100).map(&key).collect()));
         dim1.add_column(Column::new("grp", (0..100).map(|k| k % 4).collect()));
         // Select keys < 40, group by grp (4 groups).
-        let d1 = build_dimension(&dim1, "key", |r| r < 40, |r| dim1.col("grp")[r], 4, "fk1");
+        let d1 = build_dimension(&dim1, "key", |r| r < 40, |r| dim1.col("grp").get(r), 4, "fk1");
 
         let mut dim2 = Table::new("dim2");
         dim2.add_column(Column::new("key", (0..50).map(&key).collect()));
@@ -1067,14 +1104,14 @@ mod tests {
         let mut acc = vec![0u64; plan.group_cells()];
         'row: for r in 0..fact.len() {
             for f in &plan.filters {
-                let x = fact.col(&f.col)[r] as i64;
+                let x = fact.col(&f.col).get(r) as i64;
                 if !(f.lo as i64 <= x && x <= f.hi as i64) {
                     continue 'row;
                 }
             }
             let mut gid = 0u64;
             for d in &plan.dims {
-                let key = fact.col(&d.fk_col)[r];
+                let key = fact.col(&d.fk_col).get(r);
                 let pay = d.index.probe_scalar(key);
                 if pay == hef_kernels::MISS {
                     continue 'row;
@@ -1082,11 +1119,11 @@ mod tests {
                 gid = gid * d.groups as u64 + pay;
             }
             let v = match &plan.measure {
-                Measure::Sum(c) => fact.col(c)[r],
+                Measure::Sum(c) => fact.col(c).get(r),
                 Measure::SumProduct(a, b) => {
-                    fact.col(a)[r].wrapping_mul(fact.col(b)[r])
+                    fact.col(a).get(r).wrapping_mul(fact.col(b).get(r))
                 }
-                Measure::SumDiff(a, b) => fact.col(a)[r].wrapping_sub(fact.col(b)[r]),
+                Measure::SumDiff(a, b) => fact.col(a).get(r).wrapping_sub(fact.col(b).get(r)),
             };
             acc[gid as usize] = acc[gid as usize].wrapping_add(v);
         }
@@ -1236,6 +1273,7 @@ mod tests {
         let shipped = shipped_configs();
 
         let vals: Vec<u64> = (0..3000u64).map(|i| (i * 37) % 1000).collect();
+        let narrow: Vec<u32> = vals.iter().map(|&v| v as u32).collect();
         let sel: Vec<u64> = (0..3000u64).filter(|i| i % 3 != 0).collect();
         let mut table = ProbeTable::with_capacity(400);
         for key in (0..1000u64).step_by(3) {
@@ -1259,10 +1297,18 @@ mod tests {
             assert_eq!(a, b, "probe {cfg:?}");
 
             let (mut a, mut b) = (Vec::new(), vec![0; sel.len()]);
-            k.gather(&vals, &sel, &mut a);
+            k.gather(ColumnSlice::U64(&vals), &sel, &mut a);
             let io = &mut KernelIo::Gather { src: &vals, idx: &sel, out: &mut b };
             assert!(run_on(Family::Gather, cfg.gather, cfg.backend, io));
             assert_eq!(a, b, "gather {cfg:?}");
+
+            // The 32-bit-source forms: a gather at `sel` and the widening
+            // copy both read back the values the 64-bit gather did.
+            let mut c = Vec::new();
+            k.gather(ColumnSlice::U32(&narrow), &sel, &mut c);
+            assert_eq!(c, b, "32-bit gather {cfg:?}");
+            k.widen(&narrow, &mut c);
+            assert_eq!(c, vals, "widen {cfg:?}");
 
             let (mut a, mut b) = ((sel.clone(), Vec::new()), (sel.clone(), Vec::new()));
             let keys = &vals[..sel.len()];
@@ -1334,7 +1380,7 @@ mod tests {
         let mut dim = Table::new("bigdim");
         dim.add_column(Column::new("key", (0..n_dim).map(key).collect()));
         dim.add_column(Column::new("grp", (0..n_dim).map(|k| k % 8).collect()));
-        let d = build_dimension(&dim, "key", |_| true, |r| dim.col("grp")[r], 8, "fk");
+        let d = build_dimension(&dim, "key", |_| true, |r| dim.col("grp").get(r), 8, "fk");
         let bytes = d.index.hashed().expect("sparse keys hash").working_set_bytes();
         assert!(bytes > join_table_budget(), "{bytes} B must spill the budget");
 

@@ -24,7 +24,7 @@
 //!   HEF in the paper's figures.
 
 use hef_kernels::MISS;
-use hef_storage::Table;
+use hef_storage::{ColumnSlice, Table};
 
 use crate::govern::QueryCtx;
 use crate::ops::grouped_accumulate;
@@ -42,10 +42,13 @@ const PREFETCH_DIST: usize = 16;
 /// thread count). In-memory only.
 pub(crate) struct VoilaWorker<'a> {
     plan: &'a StarPlan,
-    fact: &'a Table,
     batch: usize,
-    /// Live measure column names (`bufs[ndims..]` in pipeline order).
-    measure_cols: Vec<&'a str>,
+    /// The fact columns, resolved once: each filter's, each dimension's
+    /// foreign key, and the live measure columns (`bufs[ndims..]` in
+    /// pipeline order).
+    filter_cols: Vec<ColumnSlice<'a>>,
+    fk_cols: Vec<ColumnSlice<'a>>,
+    measure_cols: Vec<ColumnSlice<'a>>,
     ncols: usize,
     acc: Vec<u64>,
     stats: ExecStats,
@@ -71,13 +74,15 @@ impl<'a> VoilaWorker<'a> {
         };
         // The live column set carried through the pipeline: every fk column
         // still to be probed plus the measure columns.
-        let measure_cols = plan.measure.columns();
+        let col = |name: &str| fact.col(name).slice();
+        let measure_cols: Vec<_> = plan.measure.columns().into_iter().map(col).collect();
         let ncols = ndims + measure_cols.len();
         let buf_cap = batch.min(fact.len());
         VoilaWorker {
             plan,
-            fact,
             batch,
+            filter_cols: plan.filters.iter().map(|f| col(&f.col)).collect(),
+            fk_cols: plan.dims.iter().map(|d| col(&d.fk_col)).collect(),
             measure_cols,
             ncols,
             acc: vec![0u64; plan.group_cells()],
@@ -92,7 +97,7 @@ impl<'a> VoilaWorker<'a> {
     }
 
     fn run_batch(&mut self, start: usize, end: usize) {
-        let (plan, fact, ncols) = (self.plan, self.fact, self.ncols);
+        let (plan, ncols) = (self.plan, self.ncols);
         let ndims = plan.dims.len();
         let materialized_before = self.stats.materialized;
 
@@ -109,15 +114,15 @@ impl<'a> VoilaWorker<'a> {
         let mut first_dim = 0usize;
         if plan.filters.is_empty() && ndims > 0 {
             let dim = &plan.dims[0];
-            let col = &fact.col(&dim.fk_col)[start..end];
+            let col = self.fk_cols[0].range(start..end);
             self.stats.rows_after_filter += col.len() as u64;
             self.stats.probes[0] += col.len() as u64;
             // Slot pass (hash, or clamp for a dense index) over the raw column.
             self.slots.clear();
-            self.slots.extend(col.iter().map(|&k| dim.index.slot_of(k)));
+            self.slots.extend(col.iter().map(|k| dim.index.slot_of(k)));
             // Prefetch + probe + selective materialization.
             let g0 = dim.groups as u64;
-            for (j, &key) in col.iter().enumerate() {
+            for (j, key) in col.iter().enumerate() {
                 if j + PREFETCH_DIST < col.len() {
                     dim.index.prefetch(self.slots[j + PREFETCH_DIST]);
                 }
@@ -126,11 +131,11 @@ impl<'a> VoilaWorker<'a> {
                     continue;
                 }
                 let r = start + j;
-                for (ci, d) in plan.dims.iter().enumerate().skip(1) {
-                    self.bufs[ci].push(fact.col(&d.fk_col)[r]);
+                for (ci, fk) in self.fk_cols.iter().enumerate().skip(1) {
+                    self.bufs[ci].push(fk.get(r));
                 }
                 for (mi, mc) in self.measure_cols.iter().enumerate() {
-                    self.bufs[ndims + mi].push(fact.col(mc)[r]);
+                    self.bufs[ndims + mi].push(mc.get(r));
                 }
                 debug_assert!(pay0 < g0);
                 self.gid.push(pay0.wrapping_mul(self.strides[0]));
@@ -139,9 +144,10 @@ impl<'a> VoilaWorker<'a> {
             self.stats.materialized += (self.gid.len() * ncols) as u64;
             first_dim = 1;
         } else {
+            let filter_cols = &self.filter_cols;
             let pass = |r: usize| -> bool {
-                plan.filters.iter().all(|f| {
-                    let x = fact.col(&f.col)[r] as i64;
+                plan.filters.iter().zip(filter_cols).all(|(f, col)| {
+                    let x = col.get(r) as i64;
                     f.lo as i64 <= x && x <= f.hi as i64
                 })
             };
@@ -149,11 +155,11 @@ impl<'a> VoilaWorker<'a> {
                 if !pass(r) {
                     continue;
                 }
-                for (ci, d) in plan.dims.iter().enumerate() {
-                    self.bufs[ci].push(fact.col(&d.fk_col)[r]);
+                for (ci, fk) in self.fk_cols.iter().enumerate() {
+                    self.bufs[ci].push(fk.get(r));
                 }
                 for (mi, mc) in self.measure_cols.iter().enumerate() {
-                    self.bufs[ndims + mi].push(fact.col(mc)[r]);
+                    self.bufs[ndims + mi].push(mc.get(r));
                 }
                 self.gid.push(0);
             }
@@ -276,8 +282,8 @@ mod tests {
         let d = build_dimension(
             &dim,
             "key",
-            |r| dim.col("key")[r] < cut,
-            |r| dim.col("key")[r] % 2,
+            |r| dim.col("key").get(r) < cut,
+            |r| dim.col("key").get(r) % 2,
             2,
             "fk",
         );
@@ -342,7 +348,7 @@ mod tests {
             + w.pay.capacity()
             + w.vals.capacity()
             + w.acc.len();
-        let estimate = estimate_query_bytes(&plan, fact.len(), &cfg, 1);
+        let estimate = estimate_query_bytes(&plan, &fact, &cfg, 1);
         assert!(bytes * 8 <= estimate, "{} B of buffers, {estimate} B charged", bytes * 8);
     }
 

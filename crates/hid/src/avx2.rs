@@ -116,6 +116,14 @@ impl Simd64 for Avx2 {
     }
 
     #[inline(always)]
+    unsafe fn loadu_u32(ptr: *const u32) -> Self::V {
+        (
+            _mm256_cvtepu32_epi64(_mm_loadu_si128(ptr as *const __m128i)),
+            _mm256_cvtepu32_epi64(_mm_loadu_si128(ptr.add(4) as *const __m128i)),
+        )
+    }
+
+    #[inline(always)]
     unsafe fn storeu(ptr: *mut u64, v: Self::V) {
         _mm256_storeu_si256(ptr as *mut __m256i, v.0);
         _mm256_storeu_si256(ptr.add(4) as *mut __m256i, v.1);
@@ -167,6 +175,14 @@ impl Simd64 for Avx2 {
         (
             _mm256_i64gather_epi64::<8>(base as *const i64, idx.0),
             _mm256_i64gather_epi64::<8>(base as *const i64, idx.1),
+        )
+    }
+
+    #[inline(always)]
+    unsafe fn gather_u32(base: *const u32, idx: Self::V) -> Self::V {
+        (
+            _mm256_cvtepu32_epi64(_mm256_i64gather_epi32::<4>(base as *const i32, idx.0)),
+            _mm256_cvtepu32_epi64(_mm256_i64gather_epi32::<4>(base as *const i32, idx.1)),
         )
     }
 

@@ -34,6 +34,11 @@ impl Simd64 for Avx512 {
     }
 
     #[inline(always)]
+    unsafe fn loadu_u32(ptr: *const u32) -> __m512i {
+        _mm512_cvtepu32_epi64(_mm256_loadu_si256(ptr as *const __m256i))
+    }
+
+    #[inline(always)]
     unsafe fn storeu(ptr: *mut u64, v: __m512i) {
         _mm512_storeu_si512(ptr as *mut __m512i, v)
     }
@@ -96,6 +101,11 @@ impl Simd64 for Avx512 {
     #[inline(always)]
     unsafe fn gather(base: *const u64, idx: __m512i) -> __m512i {
         _mm512_i64gather_epi64::<8>(idx, base as *const i64)
+    }
+
+    #[inline(always)]
+    unsafe fn gather_u32(base: *const u32, idx: __m512i) -> __m512i {
+        _mm512_cvtepu32_epi64(_mm512_i64gather_epi32::<4>(idx, base as *const i32))
     }
 
     #[inline(always)]

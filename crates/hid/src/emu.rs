@@ -27,6 +27,11 @@ impl Simd64 for Emu {
     }
 
     #[inline(always)]
+    unsafe fn loadu_u32(ptr: *const u32) -> [u64; 8] {
+        core::ptr::read_unaligned(ptr as *const [u32; 8]).map(u64::from)
+    }
+
+    #[inline(always)]
     unsafe fn storeu(ptr: *mut u64, v: [u64; 8]) {
         core::ptr::write_unaligned(ptr as *mut [u64; 8], v);
     }
@@ -89,6 +94,11 @@ impl Simd64 for Emu {
     #[inline(always)]
     unsafe fn gather(base: *const u64, idx: [u64; 8]) -> [u64; 8] {
         core::array::from_fn(|i| *base.add(idx[i] as usize))
+    }
+
+    #[inline(always)]
+    unsafe fn gather_u32(base: *const u32, idx: [u64; 8]) -> [u64; 8] {
+        core::array::from_fn(|i| u64::from(*base.add(idx[i] as usize)))
     }
 
     #[inline(always)]

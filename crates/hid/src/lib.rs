@@ -31,7 +31,6 @@
 pub mod desc;
 pub mod emu;
 pub mod ops;
-pub mod ops32;
 
 #[cfg(target_arch = "x86_64")]
 pub mod avx2;
@@ -40,7 +39,6 @@ pub mod avx512;
 
 pub use emu::Emu;
 pub use ops::{CmpOp, Simd64};
-pub use ops32::Simd32;
 
 #[cfg(target_arch = "x86_64")]
 pub use avx2::Avx2;

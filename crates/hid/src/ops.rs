@@ -56,6 +56,13 @@ pub trait Simd64: Copy + 'static {
     /// `ptr` must be valid for reads of 8 `u64`s.
     unsafe fn loadu(ptr: *const u64) -> Self::V;
 
+    /// Unaligned load of 8 consecutive `u32`s, each zero-extended to its
+    /// 64-bit lane (`vpmovzxdq`): how a 32-bit column enters the `u64`
+    /// lanes every kernel computes in.
+    ///
+    /// `ptr` must be valid for reads of 8 `u32`s.
+    unsafe fn loadu_u32(ptr: *const u32) -> Self::V;
+
     /// Unaligned store of 8 consecutive lanes (`vmovdqu64`).
     ///
     /// `ptr` must be valid for writes of 8 `u64`s.
@@ -105,6 +112,16 @@ pub trait Simd64: Copy + 'static {
     /// Every lane of `idx` must be a valid index into the allocation starting
     /// at `base` (i.e. `base + idx[i]` readable as `u64` for all lanes).
     unsafe fn gather(base: *const u64, idx: Self::V) -> Self::V;
+
+    /// Gather 8 `u32`s from `base[idx[i]]`, each zero-extended to its
+    /// 64-bit lane (`vpgatherqd`, scale 4, then `vpmovzxdq`): 64-bit
+    /// indices, 32-bit values.
+    ///
+    /// Every lane of `idx` must be a valid index into the allocation
+    /// starting at `base` (`base + idx[i]` readable as `u32`); the gather
+    /// reads exactly 4 bytes per lane, so the last element is a valid
+    /// index.
+    unsafe fn gather_u32(base: *const u32, idx: Self::V) -> Self::V;
 
     /// Lane-wise compare producing an 8-bit mask (`vpcmpq`), bit `i` set when
     /// the predicate holds for lane `i`. Signed comparison.
@@ -157,6 +174,65 @@ pub fn cmp_scalar(op: CmpOp, a: u64, b: u64) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The widening load and the 64-bit-index/32-bit-value gather on
+    /// backend `B` agree with the emulation: values with the top bit set
+    /// zero-extend, every load offset reads its 8 values, and a gather may
+    /// name the slice's last element.
+    unsafe fn u32_ops_match_emu<B: Simd64>() {
+        use crate::Emu;
+        let src: Vec<u32> = (0..37u32)
+            .map(|i| i.wrapping_mul(0x9e37_79b9) | (i & 1) << 31)
+            .collect();
+        let last = src.len() as u64 - 1;
+        for at in 0..=src.len() - 8 {
+            let p = src.as_ptr().add(at);
+            let want = Emu::loadu_u32(p);
+            assert_eq!(
+                B::to_array(B::loadu_u32(p)),
+                want,
+                "{} load at {at}",
+                B::BACKEND.name()
+            );
+            assert_eq!(
+                want.to_vec(),
+                src[at..at + 8]
+                    .iter()
+                    .map(|&v| u64::from(v))
+                    .collect::<Vec<_>>()
+            );
+        }
+        for idx in [
+            [last, 0, 1, last, 17, 36, 5, 2],
+            [0; 8],
+            [last; 8],
+            core::array::from_fn(|i| i as u64 * 5),
+        ] {
+            let want = Emu::gather_u32(src.as_ptr(), idx);
+            let got = B::to_array(B::gather_u32(src.as_ptr(), B::from_array(idx)));
+            assert_eq!(got, want, "{} gather {idx:?}", B::BACKEND.name());
+            assert!(want
+                .iter()
+                .zip(idx)
+                .all(|(&w, i)| w == u64::from(src[i as usize])));
+        }
+    }
+
+    #[test]
+    fn u32_ops_match_emu_on_every_backend() {
+        unsafe {
+            u32_ops_match_emu::<crate::Emu>();
+            #[cfg(target_arch = "x86_64")]
+            {
+                if crate::avx2_available() {
+                    u32_ops_match_emu::<crate::Avx2>();
+                }
+                if crate::avx512_available() {
+                    u32_ops_match_emu::<crate::Avx512>();
+                }
+            }
+        }
+    }
 
     #[test]
     fn cmp_scalar_is_signed() {

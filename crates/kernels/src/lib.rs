@@ -29,7 +29,6 @@ pub mod crc64;
 pub mod decode;
 pub mod dense;
 pub mod filter;
-pub mod filter32;
 pub mod gather;
 pub mod murmur;
 pub mod prefetch;
@@ -112,8 +111,8 @@ pub enum Family {
     /// Sum-of-products aggregation (`sum(a*b)`, e.g. revenue columns).
     AggDot,
     /// Selective gather (`out[i] = src[idx[i]]`, the pipeline "take"); the
-    /// same grid runs the fused dense join probe
-    /// ([`KernelIo::DenseProbe`]).
+    /// same grid runs the 32-bit-source forms ([`KernelIo::GatherU32`])
+    /// and the fused dense join probe ([`KernelIo::DenseProbe`]).
     Gather,
     /// Compressed-page decode: bit-unpack + frame-of-reference add or
     /// dictionary gather (the hot loop of paged column scans).
@@ -197,6 +196,15 @@ pub enum KernelIo<'a> {
     Gather {
         src: &'a [u64],
         idx: &'a [u64],
+        out: &'a mut [u64],
+    },
+    /// [`KernelIo::Gather`] from a 32-bit column, on the
+    /// [`Family::Gather`] grid: `out[i] = src[idx[i]]` zero-extended, or
+    /// with no `idx` the widening copy `out[i] = src[i]` of
+    /// `src[..out.len()]`. All indices must be in bounds of `src`.
+    GatherU32 {
+        src: &'a [u32],
+        idx: Option<&'a [u64]>,
         out: &'a mut [u64],
     },
     /// Fused dense join probe, on the [`Family::Gather`] grid: keeps, in

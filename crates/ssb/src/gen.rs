@@ -6,7 +6,7 @@
 //! SF1; we keep that rule and scale linearly below SF1 so small test
 //! workloads stay proportionate), and the fixed 7-year date dimension.
 
-use hef_storage::{Column, Table};
+use hef_storage::{Column, ColumnSlice, Table};
 use hef_testutil::{Rng, SplitMix64};
 
 use crate::encode::*;
@@ -46,12 +46,18 @@ pub fn cardinalities(sf: f64) -> (usize, usize, usize, usize) {
     (lineorder, customer, supplier, part)
 }
 
+/// An SSB value as stored: every generated value fits 32 bits, so the
+/// generator builds 32-bit columns directly (no `u64` copy to narrow).
+fn n32(v: u64) -> u32 {
+    u32::try_from(v).expect("SSB values fit 32 bits")
+}
+
 fn gen_date() -> Table {
     let mut datekey = Vec::new();
     let mut year = Vec::new();
     let mut yearmonthnum = Vec::new();
     let mut weeknuminyear = Vec::new();
-    let days_in_month = |y: u64, m: u64| -> u64 {
+    let days_in_month = |y: u32, m: u32| -> u32 {
         match m {
             1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
             4 | 6 | 9 | 11 => 30,
@@ -59,8 +65,8 @@ fn gen_date() -> Table {
             _ => 28,
         }
     };
-    for y in FIRST_YEAR..=LAST_YEAR {
-        let mut day_of_year = 0u64;
+    for y in n32(FIRST_YEAR)..=n32(LAST_YEAR) {
+        let mut day_of_year = 0u32;
         for m in 1..=12 {
             for d in 1..=days_in_month(y, m) {
                 day_of_year += 1;
@@ -72,10 +78,10 @@ fn gen_date() -> Table {
         }
     }
     let mut t = Table::new("date");
-    t.add_column(Column::new("d_datekey", datekey));
-    t.add_column(Column::new("d_year", year));
-    t.add_column(Column::new("d_yearmonthnum", yearmonthnum));
-    t.add_column(Column::new("d_weeknuminyear", weeknuminyear));
+    t.add_column(Column::from_u32("d_datekey", datekey));
+    t.add_column(Column::from_u32("d_year", year));
+    t.add_column(Column::from_u32("d_yearmonthnum", yearmonthnum));
+    t.add_column(Column::from_u32("d_weeknuminyear", weeknuminyear));
     t
 }
 
@@ -86,16 +92,16 @@ fn gen_customer(n: usize, rng: &mut Rng) -> Table {
     let mut region = Vec::with_capacity(n);
     for i in 0..n as u64 {
         let c = rng.gen_range(0..CITIES);
-        key.push(i + 1);
-        city_c.push(c);
-        nation.push(nation_of_city(c));
-        region.push(region_of_nation(nation_of_city(c)));
+        key.push(n32(i + 1));
+        city_c.push(n32(c));
+        nation.push(n32(nation_of_city(c)));
+        region.push(n32(region_of_nation(nation_of_city(c))));
     }
     let mut t = Table::new("customer");
-    t.add_column(Column::new("c_custkey", key));
-    t.add_column(Column::new("c_city", city_c));
-    t.add_column(Column::new("c_nation", nation));
-    t.add_column(Column::new("c_region", region));
+    t.add_column(Column::from_u32("c_custkey", key));
+    t.add_column(Column::from_u32("c_city", city_c));
+    t.add_column(Column::from_u32("c_nation", nation));
+    t.add_column(Column::from_u32("c_region", region));
     t
 }
 
@@ -106,16 +112,16 @@ fn gen_supplier(n: usize, rng: &mut Rng) -> Table {
     let mut region = Vec::with_capacity(n);
     for i in 0..n as u64 {
         let c = rng.gen_range(0..CITIES);
-        key.push(i + 1);
-        city_c.push(c);
-        nation.push(nation_of_city(c));
-        region.push(region_of_nation(nation_of_city(c)));
+        key.push(n32(i + 1));
+        city_c.push(n32(c));
+        nation.push(n32(nation_of_city(c)));
+        region.push(n32(region_of_nation(nation_of_city(c))));
     }
     let mut t = Table::new("supplier");
-    t.add_column(Column::new("s_suppkey", key));
-    t.add_column(Column::new("s_city", city_c));
-    t.add_column(Column::new("s_nation", nation));
-    t.add_column(Column::new("s_region", region));
+    t.add_column(Column::from_u32("s_suppkey", key));
+    t.add_column(Column::from_u32("s_city", city_c));
+    t.add_column(Column::from_u32("s_nation", nation));
+    t.add_column(Column::from_u32("s_region", region));
     t
 }
 
@@ -126,16 +132,16 @@ fn gen_part(n: usize, rng: &mut Rng) -> Table {
     let mut brand1 = Vec::with_capacity(n);
     for i in 0..n as u64 {
         let b = rng.gen_range(0..BRANDS);
-        key.push(i + 1);
-        brand1.push(b);
-        category_c.push(category_of_brand(b));
-        mfgr.push(mfgr_of_category(category_of_brand(b)));
+        key.push(n32(i + 1));
+        brand1.push(n32(b));
+        category_c.push(n32(category_of_brand(b)));
+        mfgr.push(n32(mfgr_of_category(category_of_brand(b))));
     }
     let mut t = Table::new("part");
-    t.add_column(Column::new("p_partkey", key));
-    t.add_column(Column::new("p_mfgr", mfgr));
-    t.add_column(Column::new("p_category", category_c));
-    t.add_column(Column::new("p_brand1", brand1));
+    t.add_column(Column::from_u32("p_partkey", key));
+    t.add_column(Column::from_u32("p_mfgr", mfgr));
+    t.add_column(Column::from_u32("p_category", category_c));
+    t.add_column(Column::from_u32("p_brand1", brand1));
     t
 }
 
@@ -144,7 +150,7 @@ fn gen_lineorder(
     ncust: usize,
     nsupp: usize,
     npart: usize,
-    datekeys: &[u64],
+    datekeys: ColumnSlice<'_>,
     rng: &mut Rng,
 ) -> Table {
     let mut custkey = Vec::with_capacity(n);
@@ -157,27 +163,27 @@ fn gen_lineorder(
     let mut revenue = Vec::with_capacity(n);
     let mut supplycost = Vec::with_capacity(n);
     for _ in 0..n {
-        custkey.push(rng.gen_range(1..=ncust as u64));
-        partkey.push(rng.gen_range(1..=npart as u64));
-        suppkey.push(rng.gen_range(1..=nsupp as u64));
-        orderdate.push(datekeys[rng.gen_range(0..datekeys.len())]);
-        quantity.push(rng.gen_range(1..=50u64));
-        discount.push(rng.gen_range(0..=10u64));
+        custkey.push(n32(rng.gen_range(1..=ncust as u64)));
+        partkey.push(n32(rng.gen_range(1..=npart as u64)));
+        suppkey.push(n32(rng.gen_range(1..=nsupp as u64)));
+        orderdate.push(n32(datekeys.get(rng.gen_range(0..datekeys.len()))));
+        quantity.push(n32(rng.gen_range(1..=50u64)));
+        discount.push(n32(rng.gen_range(0..=10u64)));
         let price = rng.gen_range(90_000..=104_949u64) / 100 * 100; // cents
-        extendedprice.push(price);
-        revenue.push(price * (100 - rng.gen_range(0..=10u64)) / 100);
-        supplycost.push(price * 6 / 10);
+        extendedprice.push(n32(price));
+        revenue.push(n32(price * (100 - rng.gen_range(0..=10u64)) / 100));
+        supplycost.push(n32(price * 6 / 10));
     }
     let mut t = Table::new("lineorder");
-    t.add_column(Column::new("lo_custkey", custkey));
-    t.add_column(Column::new("lo_partkey", partkey));
-    t.add_column(Column::new("lo_suppkey", suppkey));
-    t.add_column(Column::new("lo_orderdate", orderdate));
-    t.add_column(Column::new("lo_quantity", quantity));
-    t.add_column(Column::new("lo_discount", discount));
-    t.add_column(Column::new("lo_extendedprice", extendedprice));
-    t.add_column(Column::new("lo_revenue", revenue));
-    t.add_column(Column::new("lo_supplycost", supplycost));
+    t.add_column(Column::from_u32("lo_custkey", custkey));
+    t.add_column(Column::from_u32("lo_partkey", partkey));
+    t.add_column(Column::from_u32("lo_suppkey", suppkey));
+    t.add_column(Column::from_u32("lo_orderdate", orderdate));
+    t.add_column(Column::from_u32("lo_quantity", quantity));
+    t.add_column(Column::from_u32("lo_discount", discount));
+    t.add_column(Column::from_u32("lo_extendedprice", extendedprice));
+    t.add_column(Column::from_u32("lo_revenue", revenue));
+    t.add_column(Column::from_u32("lo_supplycost", supplycost));
     t
 }
 
@@ -197,28 +203,32 @@ fn table_seeds(seed: u64) -> [u64; 4] {
 
 /// Generate the SSB database at `sf`, deterministically from `seed`.
 ///
-/// Tables are generated in parallel, one thread per table; the output is
-/// bit-identical to [`generate_serial`] because every table draws from its
-/// own seed stream ([`table_seeds`]). The date dimension is built first on
-/// the calling thread — lineorder samples its datekeys.
+/// Tables are generated in parallel: the three dimensions on threads of
+/// their own, lineorder on the calling thread. The output is bit-identical
+/// to [`generate_serial`] because every table draws from its own seed
+/// stream ([`table_seeds`]). The date dimension is built first — lineorder
+/// samples its datekeys. Lineorder, nearly all the work, stays on the
+/// calling thread: its 32-bit columns (24 MB each at SF 1, below glibc's
+/// largest mmap threshold) may come from a heap rather than an mmap, and
+/// on a generator thread's heap a column freed with a discarded dataset
+/// stayed resident, since glibc's `malloc_trim` does not return the top
+/// of a thread heap (EXPERIMENTS §32-bit fact columns).
 pub fn generate(sf: f64, seed: u64) -> SsbData {
     assert!(sf > 0.0, "scale factor must be positive");
     let (nl, nc, ns, np) = cardinalities(sf);
     let [sc, ss, sp, sl] = table_seeds(seed);
     let date = gen_date();
-    let datekeys = date.col("d_datekey");
+    let datekeys = date.col("d_datekey").slice();
     let (customer, supplier, part, lineorder) = std::thread::scope(|scope| {
         let hc = scope.spawn(move || gen_customer(nc, &mut Rng::seed_from_u64(sc)));
         let hs = scope.spawn(move || gen_supplier(ns, &mut Rng::seed_from_u64(ss)));
         let hp = scope.spawn(move || gen_part(np, &mut Rng::seed_from_u64(sp)));
-        let hl = scope.spawn(move || {
-            gen_lineorder(nl, nc, ns, np, datekeys, &mut Rng::seed_from_u64(sl))
-        });
+        let lineorder = gen_lineorder(nl, nc, ns, np, datekeys, &mut Rng::seed_from_u64(sl));
         (
             hc.join().expect("customer generator panicked"),
             hs.join().expect("supplier generator panicked"),
             hp.join().expect("part generator panicked"),
-            hl.join().expect("lineorder generator panicked"),
+            lineorder,
         )
     });
     SsbData { lineorder, customer, supplier, part, date, sf }
@@ -275,7 +285,7 @@ pub fn generate_paged(
     let customer = gen_customer(nc, &mut Rng::seed_from_u64(sc));
     let supplier = gen_supplier(ns, &mut Rng::seed_from_u64(ss));
     let part = gen_part(np, &mut Rng::seed_from_u64(sp));
-    let datekeys = date.col("d_datekey");
+    let datekeys = date.col("d_datekey").slice();
 
     let mut writers = Vec::with_capacity(LINEORDER_COLUMNS.len());
     for col in LINEORDER_COLUMNS {
@@ -293,7 +303,7 @@ pub fn generate_paged(
             rng.gen_range(1..=nc as u64),
             rng.gen_range(1..=np as u64),
             rng.gen_range(1..=ns as u64),
-            datekeys[rng.gen_range(0..datekeys.len())],
+            datekeys.get(rng.gen_range(0..datekeys.len())),
             rng.gen_range(1..=50u64),
             rng.gen_range(0..=10u64),
             {
@@ -344,7 +354,7 @@ pub(crate) fn generate_serial_rows(sf: f64, seed: u64, nl: usize) -> SsbData {
     let supplier = gen_supplier(ns, &mut Rng::seed_from_u64(ss));
     let part = gen_part(np, &mut Rng::seed_from_u64(sp));
     let lineorder =
-        gen_lineorder(nl, nc, ns, np, date.col("d_datekey"), &mut Rng::seed_from_u64(sl));
+        gen_lineorder(nl, nc, ns, np, date.col("d_datekey").slice(), &mut Rng::seed_from_u64(sl));
     SsbData { lineorder, customer, supplier, part, date, sf }
 }
 
@@ -357,9 +367,9 @@ mod tests {
         let d = gen_date();
         // 1992..=1998 includes leap years 1992 and 1996: 5*365 + 2*366.
         assert_eq!(d.len(), 5 * 365 + 2 * 366);
-        assert_eq!(d.col("d_datekey")[0], 19_920_101);
-        assert_eq!(*d.col("d_datekey").last().unwrap(), 19_981_231);
-        assert!(d.col("d_weeknuminyear").iter().all(|&w| (1..=53).contains(&w)));
+        assert_eq!(d.col("d_datekey").get(0), 19_920_101);
+        assert_eq!(d.col("d_datekey").get(d.len() - 1), 19_981_231);
+        assert!(d.col("d_weeknuminyear").iter().all(|w| (1..=53).contains(&w)));
     }
 
     #[test]
@@ -396,7 +406,7 @@ mod tests {
         for col in LINEORDER_COLUMNS {
             let pc = hef_storage::PagedColumn::open(&dir.join(format!("{col}.hefc"))).unwrap();
             let decoded = pc.to_column().unwrap();
-            assert_eq!(decoded.values(), mem.lineorder.col(col), "column {col}");
+            assert_eq!(&decoded, mem.lineorder.col(col), "column {col}");
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -409,31 +419,30 @@ mod tests {
             .lineorder
             .col("lo_custkey")
             .iter()
-            .all(|&k| (1..=nc).contains(&k)));
+            .all(|k| (1..=nc).contains(&k)));
         let np = d.part.len() as u64;
         assert!(d
             .lineorder
             .col("lo_partkey")
             .iter()
-            .all(|&k| (1..=np).contains(&k)));
+            .all(|k| (1..=np).contains(&k)));
         // Every orderdate is a real datekey.
-        let dk: std::collections::HashSet<u64> =
-            d.date.col("d_datekey").iter().copied().collect();
-        assert!(d.lineorder.col("lo_orderdate").iter().all(|k| dk.contains(k)));
+        let dk: std::collections::HashSet<u64> = d.date.col("d_datekey").iter().collect();
+        assert!(d.lineorder.col("lo_orderdate").iter().all(|k| dk.contains(&k)));
     }
 
     #[test]
     fn attribute_domains() {
         let d = generate(0.001, 7);
-        assert!(d.lineorder.col("lo_quantity").iter().all(|&q| (1..=50).contains(&q)));
-        assert!(d.lineorder.col("lo_discount").iter().all(|&x| x <= 10));
-        assert!(d.customer.col("c_region").iter().all(|&r| r < REGIONS));
-        assert!(d.part.col("p_brand1").iter().all(|&b| b < BRANDS));
+        assert!(d.lineorder.col("lo_quantity").iter().all(|q| (1..=50).contains(&q)));
+        assert!(d.lineorder.col("lo_discount").iter().all(|x| x <= 10));
+        assert!(d.customer.col("c_region").iter().all(|r| r < REGIONS));
+        assert!(d.part.col("p_brand1").iter().all(|b| b < BRANDS));
         // Hierarchies hold row-wise.
         for r in 0..d.part.len() {
             assert_eq!(
-                d.part.col("p_category")[r],
-                category_of_brand(d.part.col("p_brand1")[r])
+                d.part.col("p_category").get(r),
+                category_of_brand(d.part.col("p_brand1").get(r))
             );
         }
     }

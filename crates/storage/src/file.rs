@@ -171,15 +171,14 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
 /// Serialize a column to its on-disk form.
 pub fn encode_column(col: &Column) -> Vec<u8> {
     let name = col.name().as_bytes();
-    let data = col.values();
-    let mut out = Vec::with_capacity(4 + 4 + 4 + name.len() + 8 + data.len() * 8 + 8);
+    let mut out = Vec::with_capacity(4 + 4 + 4 + name.len() + 8 + col.len() * 8 + 8);
     out.extend_from_slice(MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(name.len() as u32).to_le_bytes());
     out.extend_from_slice(name);
-    out.extend_from_slice(&(data.len() as u64).to_le_bytes());
+    out.extend_from_slice(&(col.len() as u64).to_le_bytes());
     let data_start = out.len();
-    for v in data {
+    for v in col.iter() {
         out.extend_from_slice(&v.to_le_bytes());
     }
     let sum = fnv1a(&out[data_start..]);
@@ -349,7 +348,7 @@ mod tests {
         let (back, issues) = decode_column(&bytes).unwrap();
         assert!(issues.is_empty(), "{issues:?}");
         assert_eq!(back.name(), "lo_quantity");
-        assert_eq!(back.values(), col.values());
+        assert_eq!(back, col);
     }
 
     #[test]
@@ -363,7 +362,7 @@ mod tests {
             issues,
             vec![ColumnFileIssue::Truncated { expected_rows: 100, salvaged_rows: 91 }]
         );
-        assert_eq!(col.values()[90], 90 * 3 + 1);
+        assert_eq!(col.get(90), 90 * 3 + 1);
     }
 
     #[test]
@@ -412,7 +411,7 @@ mod tests {
         save_column(&col, &path).unwrap();
         let (back, issues) = load_column(&path).unwrap();
         assert!(issues.is_empty());
-        assert_eq!(back.values(), col.values());
+        assert_eq!(back, col);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -14,7 +14,7 @@ pub mod selection;
 pub mod table;
 
 pub use cache::{PageCache, PageKey};
-pub use column::Column;
+pub use column::{Column, ColumnSlice};
 pub use file::{
     load_column, load_column_report, partial_load_marker, save_column, ColumnFileError,
     ColumnFileIssue, LoadedColumn, PartialLoad,

@@ -493,7 +493,9 @@ impl PagedColumnWriter {
 /// Write a whole in-memory column as a paged v3 file.
 pub fn save_paged_column(col: &Column, path: &Path, rows_per_page: u32) -> std::io::Result<u64> {
     let mut w = PagedColumnWriter::create(path, col.name(), rows_per_page)?;
-    w.push_all(col.values())?;
+    for v in col.iter() {
+        w.push(v)?;
+    }
     w.finish()
 }
 
@@ -871,7 +873,7 @@ mod tests {
         assert_eq!(col.rows(), 10_000);
         assert_eq!(col.page_count(), 10);
         assert!(col.issues().is_empty());
-        assert_eq!(col.to_column().unwrap().values(), &vals[..]);
+        assert_eq!(col.to_column().unwrap().iter().collect::<Vec<_>>(), &vals[..]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -891,7 +893,7 @@ mod tests {
         let col = PagedColumn::open(&path).unwrap();
         assert!(col.issues().contains(&ColumnFileIssue::FooterDamaged));
         assert_eq!(col.rows(), 5_000);
-        assert_eq!(col.to_column().unwrap().values(), &vals[..]);
+        assert_eq!(col.to_column().unwrap().iter().collect::<Vec<_>>(), &vals[..]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -913,7 +915,7 @@ mod tests {
             .issues()
             .iter()
             .any(|i| matches!(i, ColumnFileIssue::PagesTruncated { .. })));
-        assert_eq!(col.to_column().unwrap().values(), &vals[..salvaged as usize]);
+        assert_eq!(col.to_column().unwrap().iter().collect::<Vec<_>>(), &vals[..salvaged as usize]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -937,8 +939,8 @@ mod tests {
         let decoded = col.to_column().unwrap();
         assert_eq!(decoded.len(), 3_000);
         // Pages 0 and 2 are bit-identical; page 1 differs somewhere.
-        assert_eq!(&decoded.values()[..1024], &vals[..1024]);
-        assert_eq!(&decoded.values()[2048..], &vals[2048..]);
+        assert_eq!(&decoded.iter().collect::<Vec<_>>()[..1024], &vals[..1024]);
+        assert_eq!(&decoded.iter().collect::<Vec<_>>()[2048..], &vals[2048..]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -982,8 +984,8 @@ mod tests {
 
             let common = (partial.salvaged_rows as usize).min(pcol.len());
             assert!(common >= 1024);
-            assert_eq!(&m.column.values()[..common], &vals[..common]);
-            assert_eq!(&pcol.values()[..common], &vals[..common]);
+            assert_eq!(&m.column.iter().collect::<Vec<_>>()[..common], &vals[..common]);
+            assert_eq!(&pcol.iter().collect::<Vec<_>>()[..common], &vals[..common]);
         });
 
         // Torn write: the last 256 bytes are seeded garbage. The monolithic
@@ -1002,18 +1004,18 @@ mod tests {
             let pcol = p.to_column().unwrap();
             assert!(pcol.len() >= 4096, "salvaged {}", pcol.len());
 
-            assert_eq!(&m.column.values()[..4096], &vals[..4096]);
-            assert_eq!(&pcol.values()[..4096], &vals[..4096]);
+            assert_eq!(&m.column.iter().collect::<Vec<_>>()[..4096], &vals[..4096]);
+            assert_eq!(&pcol.iter().collect::<Vec<_>>()[..4096], &vals[..4096]);
         });
 
         // No plan installed: both formats load clean — the differential
         // pair itself is sound.
         let m = load_column_report(&mono).unwrap();
         assert!(m.issues.is_empty() && m.partial.is_none());
-        assert_eq!(m.column.values(), &vals[..]);
+        assert_eq!(m.column.iter().collect::<Vec<_>>(), &vals[..]);
         let p = PagedColumn::open(&paged).unwrap();
         assert!(p.issues().is_empty());
-        assert_eq!(p.to_column().unwrap().values(), &vals[..]);
+        assert_eq!(p.to_column().unwrap().iter().collect::<Vec<_>>(), &vals[..]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -56,12 +56,10 @@ impl Table {
         self.columns.iter().find(|c| c.name() == name)
     }
 
-    /// Column values by name; panics when absent (queries reference fixed
+    /// Column by name; panics when absent (queries reference fixed
     /// schemas, so absence is a programming error).
-    pub fn col(&self, name: &str) -> &[u64] {
-        self.column(name)
-            .unwrap_or_else(|| panic!("{}: no column `{name}`", self.name))
-            .values()
+    pub fn col(&self, name: &str) -> &Column {
+        self.column(name).unwrap_or_else(|| panic!("{}: no column `{name}`", self.name))
     }
 
     /// All columns.
@@ -79,7 +77,7 @@ impl Table {
         let n = n.min(self.len());
         let mut t = Table::new(self.name.clone());
         for c in &self.columns {
-            t.add_column(Column::new(c.name(), c.values()[..n].to_vec()));
+            t.add_column(c.head(n));
         }
         t
     }
@@ -100,9 +98,9 @@ mod tests {
     fn lookup_and_len() {
         let t = t();
         assert_eq!(t.len(), 3);
-        assert_eq!(t.col("size"), &[10, 20, 30]);
+        assert_eq!(t.col("size").iter().collect::<Vec<_>>(), [10, 20, 30]);
         assert!(t.column("missing").is_none());
-        assert_eq!(t.bytes(), 48);
+        assert_eq!(t.bytes(), 24, "six values that fit 32 bits");
     }
 
     #[test]

@@ -54,6 +54,6 @@ fn honest_small_files_still_decode_cleanly() {
     let col = Column::new("x", vec![1, 2, 3]);
     let bytes = encode_column(&col);
     let (back, issues) = decode_column(&bytes).expect("clean file decodes");
-    assert_eq!(back.values(), col.values());
+    assert_eq!(back, col);
     assert!(issues.is_empty());
 }

@@ -70,10 +70,6 @@ pub struct CpuModel {
     /// Sustainable memory bandwidth per core, bytes/cycle (used by the
     /// analytic stall model for streaming phases).
     pub mem_bw_bytes_per_cycle: f64,
-    /// Maximum memory-level parallelism per core: outstanding demand misses
-    /// bounded by the line-fill buffers (10 on Skylake-SP, 12 on
-    /// Cascade-Lake-SP).
-    pub mem_parallelism: f64,
     /// Core frequency (GHz) per AVX license level: `[L0, L1, L2]`.
     pub freq_ghz: [f64; 3],
 }
@@ -134,7 +130,6 @@ impl CpuModel {
             llc: CacheLevel { bytes: 11 << 20, latency: 50 },
             mem_latency: 200,
             mem_bw_bytes_per_cycle: 6.0,
-            mem_parallelism: 10.0,
             freq_ghz: [3.0, 2.8, 2.2],
         }
     }
@@ -151,7 +146,6 @@ impl CpuModel {
         m.llc = CacheLevel { bytes: 35 << 20, latency: 55 };
         m.freq_ghz = [3.2, 3.05, 2.6];
         m.mem_bw_bytes_per_cycle = 7.0;
-        m.mem_parallelism = 12.0;
         m
     }
 
@@ -205,7 +199,6 @@ impl CpuModel {
         }
         let _ = writeln!(out, "mem_latency = {}", self.mem_latency);
         let _ = writeln!(out, "mem_bw_bytes_per_cycle = {}", self.mem_bw_bytes_per_cycle);
-        let _ = writeln!(out, "mem_parallelism = {}", self.mem_parallelism);
         let _ = writeln!(
             out,
             "freq_ghz = {} {} {}",
@@ -230,9 +223,6 @@ impl CpuModel {
             llc: CacheLevel { bytes: 0, latency: 0 },
             mem_latency: 0,
             mem_bw_bytes_per_cycle: 0.0,
-            // Default for model files written before the field existed
-            // (Skylake-SP line-fill buffers); overwritten when present.
-            mem_parallelism: 10.0,
             freq_ghz: [0.0; 3],
         };
         let mut seen_name = false;
@@ -310,11 +300,9 @@ impl CpuModel {
                         .parse()
                         .map_err(|_| err(format!("bad float `{value}`")))?;
                 }
-                "mem_parallelism" => {
-                    m.mem_parallelism = value
-                        .parse()
-                        .map_err(|_| err(format!("bad float `{value}`")))?;
-                }
+                // Written by older models for a prefetch-stall model that
+                // is gone; skipped so those files still load.
+                "mem_parallelism" => {}
                 "freq_ghz" => {
                     let nums: Result<Vec<f64>, _> =
                         value.split_whitespace().map(str::parse).collect();
@@ -403,17 +391,12 @@ mod tests {
     }
 
     #[test]
-    fn pre_mem_parallelism_model_files_still_load() {
-        // Files written before the `mem_parallelism` key get the
-        // Skylake-SP default instead of a parse error.
-        let old: String = CpuModel::silver_4110()
-            .to_text()
-            .lines()
-            .filter(|l| !l.starts_with("mem_parallelism"))
-            .map(|l| format!("{l}\n"))
-            .collect();
-        let m = CpuModel::parse(&old).unwrap();
-        assert_eq!(m.mem_parallelism, 10.0);
+    fn model_files_with_mem_parallelism_still_load() {
+        // Older files carry a `mem_parallelism` key the model no longer
+        // has; they load as the same model instead of a parse error.
+        let m = CpuModel::silver_4110();
+        let old = format!("{}mem_parallelism = 10\n", m.to_text());
+        assert_eq!(CpuModel::parse(&old).unwrap(), m);
     }
 
     #[test]

@@ -69,6 +69,15 @@ if grep -rn '_mm_prefetch' crates --include='*.rs' | grep -v 'crates/kernels/src
     exit 1
 fi
 
+# 32-bit column hygiene: the gather and widening intrinsics that read 32-bit
+# values into 64-bit lanes stay behind the Simd64 ops of crates/hid
+# (`gather_u32`, `loadu_u32`); kernels and the engine call those.
+if grep -rnE '_mm(256|512)_(i64gather_epi32|cvtepu32_epi64)' crates src tests examples --include='*.rs' \
+    | grep -v '^crates/hid/'; then
+    echo "verify: FAIL — 32-bit gather/widen intrinsics outside crates/hid" >&2
+    exit 1
+fi
+
 # One executor: the stage loop (filter → probe → aggregate) lives only in
 # star.rs and the thread pool only in parallel.rs. The paged module supplies
 # a batch source over pages and nothing else.

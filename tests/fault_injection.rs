@@ -44,7 +44,7 @@ fn toy() -> (Table, StarPlan) {
     fact.add_column(Column::new("rev", (0..n).map(|i| i % 11 + 1).collect()));
     let mut dim = Table::new("dim");
     dim.add_column(Column::new("key", (0..128).collect()));
-    let d = build_dimension(&dim, "key", |r| dim.col("key")[r] < 96, |r| dim.col("key")[r] % 8, 8, "fk");
+    let d = build_dimension(&dim, "key", |r| dim.col("key").get(r) < 96, |r| dim.col("key").get(r) % 8, 8, "fk");
     let plan = StarPlan {
         name: "toy".into(),
         filters: vec![],
@@ -358,7 +358,7 @@ fn torn_and_short_column_files_salvage_and_emit_events() {
     assert_eq!(salvaged.0, 512);
     assert!(salvaged.1 < 512, "nothing was actually truncated");
     assert_eq!(short_col.len() as u64, salvaged.1, "salvage count disagrees with data");
-    assert_eq!(short_col.values(), &col.values()[..short_col.len()], "salvaged rows differ");
+    assert_eq!(short_col, col.head(short_col.len()), "salvaged rows differ");
     assert!(short_warnings.iter().any(|w| w.contains("storage")), "{short_warnings:?}");
 
     // Both degradations are visible in the metrics registry.
@@ -395,7 +395,7 @@ fn hashed() -> (Table, StarPlan) {
     let mut dim = Table::new("bigdim");
     dim.add_column(Column::new("key", (0..n_dim).map(key).collect()));
     dim.add_column(Column::new("grp", (0..n_dim).map(|k| k % 8).collect()));
-    let d = build_dimension(&dim, "key", |_| true, |r| dim.col("grp")[r], 8, "fk");
+    let d = build_dimension(&dim, "key", |_| true, |r| dim.col("grp").get(r), 8, "fk");
     let table = d.index.hashed().expect("sparse keys hash");
     assert!(table.working_set_bytes() > join_table_budget(), "table must spill the budget");
     let n = 200_000u64;
@@ -451,7 +451,7 @@ fn governance_cancel_during_hashed_probe_returns_budget_to_zero() {
     let (fact, plan) = hashed();
     let cfg = ExecConfig::hybrid_default().with_threads(4);
     // A finite budget so the admission actually charges bytes.
-    let budget = estimate_query_bytes(&plan, fact.len(), &cfg, 4) * 4;
+    let budget = estimate_query_bytes(&plan, &fact, &cfg, 4) * 4;
     let engine = faulted("slow_morsel:morsel=1,ms=500,times=8")
         .with_limits(GovernorConfig { max_queries: 0, mem_budget: budget });
     let cancel = CancelToken::new();
@@ -483,7 +483,7 @@ fn governance_degraded_run_completes_bit_identical() {
     let reference = serial_reference(&plan, &fact, &ExecConfig::scalar());
     let minimal = estimate_query_bytes(
         &plan,
-        fact.len(),
+        &fact,
         &ExecConfig::hybrid_default().with_batch(MIN_BATCH),
         1,
     );
@@ -514,7 +514,7 @@ fn governance_rejected_admission_retries_with_backoff_until_slot_frees() {
     // Occupy the only slot, then free it from another thread while the
     // governed call sits in its backoff sleeps.
     let (mut held_cfg, mut held_threads) = (cfg, 2);
-    let held = gov.admit(&plan, fact.len(), &mut held_cfg, &mut held_threads).expect("first admit");
+    let held = gov.admit(&plan, Fact::Mem(&fact), &mut held_cfg, &mut held_threads).expect("first admit");
     std::thread::scope(|s| {
         s.spawn(move || {
             std::thread::sleep(std::time::Duration::from_millis(20));
@@ -525,7 +525,7 @@ fn governance_rejected_admission_retries_with_backoff_until_slot_frees() {
     });
     // With no retries, a held slot is an immediate typed rejection.
     let (mut held_cfg, mut held_threads) = (cfg, 2);
-    let held2 = gov.admit(&plan, fact.len(), &mut held_cfg, &mut held_threads).expect("re-admit");
+    let held2 = gov.admit(&plan, Fact::Mem(&fact), &mut held_cfg, &mut held_threads).expect("re-admit");
     match retry(0).expect_err("no retries, full queue") {
         ExecError::Rejected { retry_after_ms, .. } => assert!(retry_after_ms >= 1),
         other => panic!("expected Rejected, got {other}"),
@@ -549,7 +549,7 @@ fn concurrent_engines_never_share_state() {
             let (mut held_cfg, mut held_threads) = (cfg, 4);
             let _held = capped
                 .governor()
-                .admit(&plan, fact.len(), &mut held_cfg, &mut held_threads)
+                .admit(&plan, Fact::Mem(&fact), &mut held_cfg, &mut held_threads)
                 .expect("the only slot");
             for i in 0..50 {
                 let r = run(&capped, &plan, &fact, &cfg);
@@ -624,7 +624,7 @@ fn governance_any_fault_schedule_is_typed_never_hung() {
                 let cfg = ExecConfig::hybrid_default()
                     .with_threads(threads)
                     .with_deadline_ms(deadline_ms);
-                let budget = estimate_query_bytes(&plan, fact.len(), &cfg, threads) * 2;
+                let budget = estimate_query_bytes(&plan, &fact, &cfg, threads) * 2;
                 let faults = if spec_str.is_empty() {
                     FaultPlan::default()
                 } else {

@@ -34,7 +34,7 @@ fn toy(rows: u64) -> (Table, StarPlan) {
     fact.add_column(Column::new("rev", (0..rows).map(|i| i % 13 + 1).collect()));
     let mut dim = Table::new("dim");
     dim.add_column(Column::new("key", (0..64).collect()));
-    let d = build_dimension(&dim, "key", |r| dim.col("key")[r] < 48, |r| dim.col("key")[r] % 4, 4, "fk");
+    let d = build_dimension(&dim, "key", |r| dim.col("key").get(r) < 48, |r| dim.col("key").get(r) % 4, 4, "fk");
     let plan = StarPlan {
         name: "obs-toy".into(),
         filters: vec![],

@@ -210,8 +210,8 @@ fn paged_query_on_a_full_engine_is_rejected() {
     let cfg = ExecConfig::hybrid_default().with_threads(2);
     let engine = Engine::default().with_limits(GovernorConfig { max_queries: 1, mem_budget: 0 });
     let (mut held_cfg, mut held_threads) = (cfg, 2);
-    let rows = fx.table.rows() as usize;
-    let held = engine.governor().admit(&plan, rows, &mut held_cfg, &mut held_threads);
+    let fact = Fact::Paged(&fx.table, &cache);
+    let held = engine.governor().admit(&plan, fact, &mut held_cfg, &mut held_threads);
     let held = held.expect("the only slot");
     match run_paged(&engine, &plan, &fx, &cfg, &cache) {
         Err(ExecError::Rejected { retry_after_ms, .. }) => assert!(retry_after_ms >= 1),

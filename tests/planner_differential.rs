@@ -72,33 +72,33 @@ fn interpret(plan: &LogicalPlan, fact: &Table, dims: &[&Table]) -> Vec<u64> {
     let mut acc = vec![0u64; cells.max(1)];
     'row: for r in 0..fact.len() {
         for p in &preds {
-            if !p.matches(fact.col(p.col())[r]) {
+            if !p.matches(fact.col(p.col()).get(r)) {
                 continue 'row;
             }
         }
         let mut gid = 0u64;
         for j in &joins {
             let dim = dim_of(&j.dim_table);
-            let fk = fact.col(&j.fk_col)[r];
-            let Some(dr) = dim.col(&j.key_col).iter().position(|&k| k == fk) else {
+            let fk = fact.col(&j.fk_col).get(r);
+            let Some(dr) = dim.col(&j.key_col).iter().position(|k| k == fk) else {
                 continue 'row;
             };
             for p in &j.filters {
-                if !p.matches(dim.col(p.col())[dr]) {
+                if !p.matches(dim.col(p.col()).get(dr)) {
                     continue 'row;
                 }
             }
             let code = j
                 .group
                 .as_ref()
-                .map(|g| g.key.eval(dim.col(g.key.column())[dr]))
+                .map(|g| g.key.eval(dim.col(g.key.column()).get(dr)))
                 .unwrap_or(0);
             gid = gid * j.groups().max(1) as u64 + code;
         }
         let v = match measure {
-            Measure::Sum(c) => fact.col(c)[r],
-            Measure::SumProduct(a, b) => fact.col(a)[r].wrapping_mul(fact.col(b)[r]),
-            Measure::SumDiff(a, b) => fact.col(a)[r].wrapping_sub(fact.col(b)[r]),
+            Measure::Sum(c) => fact.col(c).get(r),
+            Measure::SumProduct(a, b) => fact.col(a).get(r).wrapping_mul(fact.col(b).get(r)),
+            Measure::SumDiff(a, b) => fact.col(a).get(r).wrapping_sub(fact.col(b).get(r)),
         };
         acc[gid as usize] = acc[gid as usize].wrapping_add(v);
     }

@@ -135,12 +135,12 @@ fn hashed_star_query_is_identical_for_every_flavor_and_thread_count() {
     'row: for r in 0..n as usize {
         let mut gid = 0u64;
         for (d, stride) in plan.dims.iter().zip(&strides) {
-            match d.index.probe_scalar(fact.col(&d.fk_col)[r]) {
+            match d.index.probe_scalar(fact.col(&d.fk_col).get(r)) {
                 MISS => continue 'row,
                 pay => gid += pay * stride,
             }
         }
-        expect[gid as usize] = expect[gid as usize].wrapping_add(fact.col("rev")[r]);
+        expect[gid as usize] = expect[gid as usize].wrapping_add(fact.col("rev").get(r));
     }
     for flavor in Flavor::ALL {
         for threads in [1usize, 4] {

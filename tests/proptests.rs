@@ -242,8 +242,8 @@ fn parallel_execution_is_schedule_invariant() {
             let d = build_dimension(
                 &dim,
                 "key",
-                |r| dim.col("key")[r] < cut,
-                |r| dim.col("key")[r] % 4,
+                |r| dim.col("key").get(r) < cut,
+                |r| dim.col("key").get(r) % 4,
                 4,
                 "fk",
             );
