@@ -754,9 +754,10 @@ const MAX_DECODE_ROWS_PER_FACT_ROW: f64 = 2.0;
 /// compressed column files, scanned through the bounded page cache, checked
 /// bit-identical to the in-memory executor at 1 and 4 threads. The cache
 /// capacity comes from `HEF_PAGE_CACHE` when set, else 25% of the dataset's
-/// raw (decoded) bytes — small enough that eviction is constant. Exits
-/// non-zero on any divergence, on a bounded cache that somehow never
-/// evicted (the out-of-core claim would be vacuous), and on more than
+/// raw (decoded) bytes — small enough that eviction or declined admission
+/// is constant. Exits non-zero on any divergence, on a bounded cache that
+/// somehow never evicted or declined a page (the out-of-core claim would be
+/// vacuous), and on more than
 /// [`MAX_DECODE_ROWS_PER_FACT_ROW`] decoded rows per scanned fact row (a
 /// silent fallback to full-page decode past the first filter).
 fn paged_cmd(opts: &Opts) {
@@ -835,13 +836,15 @@ fn paged_cmd(opts: &Opts) {
 
     use hef_obs::metrics::Metric;
     let d = hef_obs::metrics::snapshot().delta(&before);
-    let (hits, misses, evict) = (
+    let (hits, misses, evict, rejected) = (
         d.get(Metric::PageCacheHits),
         d.get(Metric::PageCacheMisses),
         d.get(Metric::PageCacheEvictions),
+        d.get(Metric::PageCacheRejected),
     );
     println!(
-        "\npage cache: {hits} hits / {misses} misses ({:.1}% hit rate), {evict} evictions",
+        "\npage cache: {hits} hits / {misses} misses ({:.1}% hit rate), {evict} evictions, \
+         {rejected} admissions declined",
         hits as f64 / (hits + misses).max(1) as f64 * 100.0
     );
     let per_fact_row = d.get(Metric::DecodeRows) as f64 / scanned.max(1) as f64;
@@ -852,11 +855,14 @@ fn paged_cmd(opts: &Opts) {
         d.get(Metric::DecodeRows),
         d.get(Metric::DecodeCodeFiltered)
     );
-    // Pages are cached compressed, so the eviction expectation keys off the
-    // on-disk byte count: a cache smaller than the compressed dataset must
-    // have evicted or the bound was never exercised.
-    if (cache.capacity() as u64) < disk && evict == 0 {
-        eprintln!("paged: cache below compressed dataset size but never evicted — bound not exercised");
+    // Pages are cached compressed, so the expectation keys off the on-disk
+    // byte count: a cache smaller than the compressed dataset must have
+    // evicted or declined pages, or the bound was never exercised.
+    if (cache.capacity() as u64) < disk && evict + rejected == 0 {
+        eprintln!(
+            "paged: cache below compressed dataset size but never evicted or declined a page \
+             — bound not exercised"
+        );
         std::process::exit(1);
     }
     if per_fact_row > MAX_DECODE_ROWS_PER_FACT_ROW {

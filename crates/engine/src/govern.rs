@@ -318,9 +318,19 @@ fn reads_32_bit(plan: &StarPlan, fact: &Table) -> bool {
 /// pipeline worker there, and its batch is a whole page — `page_rows`, the
 /// largest page's rows, whatever the config's batch says — so each stream
 /// is a page long. The page source adds two more: its decode buffer and the
-/// secondary filter's kept indices.
-pub fn estimate_paged_query_bytes(plan: &StarPlan, page_rows: usize, threads: usize) -> usize {
+/// secondary filter's kept indices. It also holds one parsed page per
+/// column the plan reads for its whole morsel, which the cache may have
+/// declined or evicted meanwhile: `page_bytes` each, the largest page's
+/// heap size ([`PagedTable::max_page_bytes`](crate::PagedTable::max_page_bytes)).
+pub fn estimate_paged_query_bytes(
+    plan: &StarPlan,
+    page_rows: usize,
+    page_bytes: usize,
+    threads: usize,
+) -> usize {
+    let held = ColumnSlots::of(plan).names.len() * page_bytes;
     scratch_bytes(plan, page_rows.max(1), pipeline_streams(plan) + 2, threads)
+        + threads.max(1) * held
 }
 
 /// The pipeline worker's batch-long buffers: `sel`, `keys`, `gids`,
@@ -429,7 +439,12 @@ impl Governor {
             loop {
                 let est = match fact {
                     Fact::Mem(t) => estimate_query_bytes(plan, t, cfg, *threads),
-                    Fact::Paged(t, _) => estimate_paged_query_bytes(plan, t.max_page_rows(), *threads),
+                    Fact::Paged(t, _) => estimate_paged_query_bytes(
+                        plan,
+                        t.max_page_rows(),
+                        t.max_page_bytes(),
+                        *threads,
+                    ),
                 }
                 .saturating_add(spike);
                 if self.budget.try_charge(est) {
@@ -679,8 +694,9 @@ mod tests {
 
     /// Four dense dimensions, as SSB's Q4.x at SF 1: the estimate covers
     /// every batch-long buffer the pipeline worker holds, in memory and on
-    /// pages, where a batch is a whole page; a hashed dimension adds its
-    /// probe output, and a 32-bit fact column the window it widens into.
+    /// pages, where a batch is a whole page and the worker also holds one
+    /// parsed page per column it reads; a hashed dimension adds its probe
+    /// output, and a 32-bit fact column the window it widens into.
     #[test]
     fn estimate_covers_every_worker_buffer() {
         let mut dim = Table::new("dim");
@@ -713,11 +729,18 @@ mod tests {
         assert!(estimate_query_bytes(&plan, &narrow, &cfg, 1) >= widened(cfg.batch));
         assert!(estimate_query_bytes(&plan, &narrow, &cfg, 3) >= 3 * widened(cfg.batch));
         // A 256 KiB page of 8-byte rows, plus the page source's decode
-        // buffer and kept indices.
-        let page = 32_768;
-        let paged = worker(page) + 2 * page * 8;
-        assert!(estimate_paged_query_bytes(&plan, page, 1) >= paged);
-        assert!(estimate_paged_query_bytes(&plan, page, 2) >= 2 * paged);
+        // buffer and kept indices, and a held page of each of the five
+        // columns (four foreign keys and the measure).
+        let (page, page_bytes) = (32_768, 40_000);
+        let held = 5 * page_bytes;
+        let paged = worker(page) + 2 * page * 8 + held;
+        assert!(estimate_paged_query_bytes(&plan, page, page_bytes, 1) >= paged);
+        assert!(estimate_paged_query_bytes(&plan, page, page_bytes, 2) >= 2 * paged);
+        assert_eq!(
+            estimate_paged_query_bytes(&plan, page, page_bytes, 2)
+                - estimate_paged_query_bytes(&plan, page, 0, 2),
+            2 * held
+        );
 
         // A sparse key domain builds a hash table, whose probe writes one
         // more batch-long buffer before it folds into the group ids.
@@ -729,6 +752,9 @@ mod tests {
         let worker = |batch: usize| (batch * 5 + 8) * 8 + hashed.group_cells() * 8;
         assert!(estimate_query_bytes(&hashed, &wide, &cfg, 1) >= worker(cfg.batch));
         assert!(estimate_query_bytes(&hashed, &narrow, &cfg, 1) >= worker(cfg.batch) + cfg.batch * 8);
-        assert!(estimate_paged_query_bytes(&hashed, page, 1) >= worker(page) + 2 * page * 8);
+        assert!(
+            estimate_paged_query_bytes(&hashed, page, page_bytes, 1)
+                >= worker(page) + 2 * page * 8 + held
+        );
     }
 }

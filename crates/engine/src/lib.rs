@@ -43,7 +43,7 @@ pub use govern::{
     estimate_paged_query_bytes, estimate_query_bytes, BudgetTracker, CancelToken, DegradeAction,
     Governor, GovernorConfig, Interrupt, QueryCtx, MIN_BATCH,
 };
-pub use ops::{gather_keys, grouped_accumulate};
+pub use ops::grouped_accumulate;
 pub use paged::{try_execute_star_paged_ctx, PagedTable, PagedTableError};
 pub use parallel::{resolve_threads, resolve_threads_governed, ExecError, ExecReport};
 pub use pipeline_plan::{apply_pipeline_entry, conflicting_stages};

@@ -1,18 +1,11 @@
 //! Engine-level helper operations shared by all flavors.
 //!
 //! These are the pipeline-glue steps whose cost is identical across
-//! execution flavors (selective key gathering, dense grouped accumulation);
+//! execution flavors (dense grouped accumulation, hit compaction);
 //! the flavor-differentiated work — filtering, hash probing, aggregation —
 //! runs through the tuned kernel grid in `hef-kernels`.
 
 use hef_kernels::MISS;
-
-/// Gather `col[sel[i]]` into `out` (selective projection of join keys for
-/// rows that survived earlier operators).
-pub fn gather_keys(col: &[u64], sel: &[u64], out: &mut Vec<u64>) {
-    out.clear();
-    out.extend(sel.iter().map(|&r| col[r as usize]));
-}
 
 /// Dense grouped accumulation: `acc[gid[i]] += val[i]` (wrapping).
 ///
@@ -55,14 +48,6 @@ pub fn compact_hits(sel: &mut Vec<u64>, gids: &mut Vec<u64>, out: &[u64], stride
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gather_keys_is_positional() {
-        let col = vec![10, 11, 12, 13, 14];
-        let mut out = Vec::new();
-        gather_keys(&col, &[4, 0, 2], &mut out);
-        assert_eq!(out, vec![14, 10, 12]);
-    }
 
     #[test]
     fn grouped_accumulate_sums_per_group() {

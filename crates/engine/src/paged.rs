@@ -10,7 +10,11 @@
 //! a page that cannot be read becomes a typed [`ExecError::Failed`].
 //!
 //! The source pulls each needed column's page through the bounded shared
-//! [`PageCache`] and decodes it with the tuned `Decode` kernel family.
+//! [`PageCache`] once per page morsel, holds it until the next morsel
+//! begins, and decodes it with the tuned `Decode` kernel family. A page the
+//! cache declines to admit is therefore read once per morsel, not once per
+//! stage that reads its column (Q1.x reads `lo_discount` as a filter and as
+//! a measure).
 //! Decode is late: only the plan's *first* filter reads its column's whole
 //! page; secondary filters, probe keys and measures decode just the rows
 //! the stage loop still holds (`BatchSource::take` / `refine`, decode at
@@ -173,6 +177,14 @@ impl PagedTable {
     pub fn max_page_rows(&self) -> usize {
         self.cols[0].pages().iter().map(|p| p.rows as usize).max().unwrap_or(0)
     }
+    /// Heap bytes the largest page of any column can pin once parsed, a
+    /// page a scan's worker holds for its morsel: the page's on-disk length
+    /// twice over (a dictionary pads to a power of two entries) plus the
+    /// [`Page`] itself.
+    pub fn max_page_bytes(&self) -> usize {
+        let len = self.cols.iter().flat_map(|c| c.pages()).map(|p| p.len as usize).max();
+        std::mem::size_of::<Page>() + 2 * len.unwrap_or(0)
+    }
     pub fn column_names(&self) -> impl Iterator<Item = &str> {
         self.cols.iter().map(|c| c.name())
     }
@@ -307,15 +319,7 @@ pub(crate) fn run_paged(
         })
         .collect::<Result<Vec<_>, _>>()?;
     let make = || -> Box<dyn MorselWorker + '_> {
-        let src = PageSource {
-            pages: fact.cols[0].pages(),
-            cols: cols.clone(),
-            cache,
-            page: 0,
-            buf: Vec::new(),
-            keep: Vec::new(),
-        };
-        Box::new(PipelineWorker::new(plan, cfg, &slots, src))
+        Box::new(PipelineWorker::new(plan, cfg, &slots, PageSource::new(fact, cols.clone(), cache)))
     };
     let scan = Scan { plan, units: fact.page_count(), morsel: 1, make: &make, faults };
     crate::parallel::run_scan(&scan, threads, ctx)
@@ -325,12 +329,16 @@ pub(crate) fn run_paged(
 /// reads its whole column, in code space when the page's encoding allows
 /// it (see [`fuse_filter`]); every later read decodes only the selected
 /// rows, so join and measure columns cost per surviving row, not per page.
+/// Each column's page is looked up once per morsel and held until the next
+/// [`begin`](BatchSource::begin).
 struct PageSource<'a> {
     /// Page directory shared by every column (`open_dir` checks geometry).
     pages: &'a [PageMeta],
     cols: Vec<&'a PagedColumn>,
     cache: &'a PageCache,
     page: usize,
+    /// Per column slot, its page of the current morsel once fetched.
+    held: Vec<Option<Arc<Page>>>,
     /// The column the current stage decoded: first-filter codes or values,
     /// or a secondary filter's selected values.
     buf: Vec<u64>,
@@ -338,17 +346,35 @@ struct PageSource<'a> {
     keep: Vec<u64>,
 }
 
-impl PageSource<'_> {
-    fn fetch(&self, slot: usize) -> Result<Arc<Page>, Stop> {
-        self.cache
+impl<'a> PageSource<'a> {
+    fn new(fact: &'a PagedTable, cols: Vec<&'a PagedColumn>, cache: &'a PageCache) -> Self {
+        PageSource {
+            pages: fact.cols[0].pages(),
+            held: vec![None; cols.len()],
+            cols,
+            cache,
+            page: 0,
+            buf: Vec::new(),
+            keep: Vec::new(),
+        }
+    }
+
+    fn fetch(&mut self, slot: usize) -> Result<Arc<Page>, Stop> {
+        if let Some(page) = &self.held[slot] {
+            return Ok(Arc::clone(page));
+        }
+        let page = self
+            .cache
             .page(self.cols[slot], self.page)
-            .map_err(|e| Stop::Failed(format!("paged read failed: {e}")))
+            .map_err(|e| Stop::Failed(format!("paged read failed: {e}")))?;
+        self.held[slot] = Some(Arc::clone(&page));
+        Ok(page)
     }
 
     /// [`fetch`](Self::fetch), after checking that every row of `sel` lies
     /// inside the page. The decode kernel gathers packed words unchecked,
     /// so this check is what keeps a selective decode in bounds.
-    fn fetch_for(&self, slot: usize, sel: &[u64]) -> Result<Arc<Page>, Stop> {
+    fn fetch_for(&mut self, slot: usize, sel: &[u64]) -> Result<Arc<Page>, Stop> {
         let rows = self.pages[self.page].rows as u64;
         match sel.iter().max() {
             Some(&last) if last >= rows => Err(Stop::Failed(format!(
@@ -363,6 +389,7 @@ impl PageSource<'_> {
 impl BatchSource for PageSource<'_> {
     fn begin(&mut self, start: usize, _hi: usize) -> (usize, usize) {
         self.page = start;
+        self.held.fill(None);
         (start + 1, self.pages[start].rows as usize)
     }
 
@@ -620,14 +647,7 @@ mod tests {
 
         let cache = PageCache::new(1 << 20);
         let k = Kernels::resolve(&ExecConfig::hybrid_default());
-        let mut src = PageSource {
-            pages: col.pages(),
-            cols: vec![col],
-            cache: &cache,
-            page: 0,
-            buf: Vec::new(),
-            keep: Vec::new(),
-        };
+        let mut src = PageSource::new(&table, vec![col], &cache);
         assert_eq!(src.begin(0, 1), (1, rows as usize));
         metrics::enable();
         let passes = |r: &u64| (-100..=300).contains(&(vals[*r as usize] as i64));
@@ -645,6 +665,40 @@ mod tests {
         assert!(matches!(src.refine(0, &f, &mut outside, &k), Err(Stop::Failed(_))));
         let mut out = Vec::new();
         assert!(matches!(src.take(0, &outside, &mut out, &k), Err(Stop::Failed(_))));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The page source looks each column's page up in the cache once per
+    /// page, also when two stages read the column (here `disc` is the
+    /// filter and a measure factor), in an ample cache and in one that
+    /// evicts or declines nearly every miss: hits plus misses are pages ×
+    /// columns read, since every toy page keeps rows through every stage.
+    #[test]
+    fn page_source_looks_up_each_column_once_per_page() {
+        use hef_obs::metrics::{self, Metric};
+        let _serial = serial();
+        let dir = std::env::temp_dir().join(format!("hef-paged-lookups-{}", std::process::id()));
+        let (paged, mem, mut plan) = toy_paged(&dir);
+        plan.measure = Measure::SumProduct("rev".into(), "disc".into());
+        let cols = ColumnSlots::of(&plan).names.len();
+        assert_eq!(cols, 4);
+        let cfg = ExecConfig::hybrid_default().with_threads(1);
+        let expect = execute_star(&plan, &mem, &cfg);
+        metrics::enable();
+        for cache in [PageCache::new(1 << 20), PageCache::with_shards(40 * 1024, 1)] {
+            let before = metrics::snapshot();
+            let got =
+                try_execute_star_paged_ctx(&plan, &paged, &cfg, &cache, &QueryCtx::unbounded())
+                    .unwrap();
+            let d = metrics::snapshot().delta(&before);
+            assert_eq!(got.groups, expect.groups);
+            assert_eq!(
+                d.get(Metric::PageCacheHits) + d.get(Metric::PageCacheMisses),
+                (paged.page_count() * cols) as u64,
+                "capacity {}",
+                cache.capacity()
+            );
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -702,14 +756,16 @@ mod tests {
         assert!(matches!(fuse_filter(&page, 0, 10), FusedFilter::Values));
     }
 
-    /// Admission charges a paged scan's workers a whole page per buffer:
-    /// a budget that fits one worker's page-sized scratch beside the cache
-    /// takes a two-thread query down to one thread, and never by shrinking
-    /// the batch, which cannot shrink a page.
+    /// Admission charges a paged scan's workers a whole page per buffer
+    /// and one held page per column read: a budget that fits one worker's
+    /// page-sized scratch beside the cache takes a two-thread query down to
+    /// one thread, and never by shrinking the batch, which cannot shrink a
+    /// page.
     #[test]
     fn admission_charges_a_page_per_worker_buffer() {
         use crate::govern::{estimate_paged_query_bytes, estimate_query_bytes, GovernorConfig};
         use crate::{CancelToken, DegradeAction, Engine, Fact};
+        let _serial = serial();
         let dir = std::env::temp_dir().join(format!("hef-paged-admit-{}", std::process::id()));
         let (paged, mem, plan) = toy_paged(&dir);
         let cfg = ExecConfig::hybrid_default().with_batch(256).with_threads(2);
@@ -717,12 +773,24 @@ mod tests {
         let cache = PageCache::with_shards(40 * 1024, 1);
         let page_rows = paged.max_page_rows();
         assert_eq!(page_rows, 1024);
-        let one_worker = estimate_paged_query_bytes(&plan, page_rows, 1);
+        // Each held page bounds the largest parsed page of any column.
+        let page_bytes = paged.max_page_bytes();
+        for name in ["fk1", "fk2", "rev", "disc"] {
+            let col = paged.column(name).unwrap();
+            for i in 0..col.page_count() {
+                assert!(col.read_page(i).unwrap().bytes() <= page_bytes, "{name} page {i}");
+            }
+        }
+        let one_worker = estimate_paged_query_bytes(&plan, page_rows, page_bytes, 1);
         // A page each for sel, keys, gids and vals (the toy dimensions are
         // dense, so no probe output), the decode buffer and the kept
-        // indices, plus the accumulators and the filter's 8-lane slack.
+        // indices, plus the accumulators and the filter's 8-lane slack,
+        // and a held page of each of the four columns the plan reads.
         assert!(plan.dims.iter().all(|d| d.index.is_dense()));
-        assert_eq!(one_worker, (6 * page_rows + 8) * 8 + plan.group_cells() * 8);
+        assert_eq!(
+            one_worker,
+            (6 * page_rows + 8) * 8 + plan.group_cells() * 8 + 4 * page_bytes
+        );
         // An in-memory scan of the same table holds 256-row batches.
         assert!(estimate_query_bytes(&plan, &mem, &cfg, 2) < one_worker);
         assert!(cache.capacity() < one_worker);

@@ -63,6 +63,9 @@ pub enum Metric {
     PageCacheMisses,
     /// Pages evicted by the clock hand to stay under `HEF_PAGE_CACHE`.
     PageCacheEvictions,
+    /// Missed pages the cache declined to admit: the clock's victim was
+    /// looked up at least as often. Each is also a miss.
+    PageCacheRejected,
     /// Compressed pages decoded (bit-unpack + FOR/dict).
     PagesDecoded,
     /// Rows produced by the decode kernel family.
@@ -91,7 +94,7 @@ pub enum Metric {
 }
 
 impl Metric {
-    pub const ALL: [Metric; 48] = [
+    pub const ALL: [Metric; 49] = [
         Metric::QueriesExecuted,
         Metric::MorselsClaimed,
         Metric::MorselsRetried,
@@ -125,6 +128,7 @@ impl Metric {
         Metric::PageCacheHits,
         Metric::PageCacheMisses,
         Metric::PageCacheEvictions,
+        Metric::PageCacheRejected,
         Metric::PagesDecoded,
         Metric::DecodeRows,
         Metric::DecodeCodeFiltered,
@@ -177,6 +181,7 @@ impl Metric {
             Metric::PageCacheHits => "storage.page_cache_hits",
             Metric::PageCacheMisses => "storage.page_cache_misses",
             Metric::PageCacheEvictions => "storage.page_cache_evictions",
+            Metric::PageCacheRejected => "storage.page_cache_rejected",
             Metric::PagesDecoded => "storage.pages_decoded",
             Metric::DecodeRows => "kernel.decode_rows",
             Metric::DecodeCodeFiltered => "kernel.decode_code_filtered",

@@ -114,7 +114,8 @@ fn all_queries_match_in_memory_reference_every_flavor_thread_and_cache() {
         "{} pages",
         fx.table.page_count()
     );
-    // About two pages in one clock: nearly every fetch evicts.
+    // About two pages in one clock: nearly every miss evicts a page or is
+    // declined.
     let tiny = PageCache::with_shards(2 * fx.max_page_bytes(), 1);
     let ample = PageCache::new(64 << 20);
     for q in QueryId::ALL {
@@ -233,10 +234,10 @@ fn paged_budget_returns_to_zero_after_success_degradation_and_read_failure() {
     let page_bytes = fx.max_page_bytes();
     let cache = PageCache::with_shards(2 * page_bytes, 1);
     let cfg = ExecConfig::hybrid_default().with_threads(2);
-    let page_rows = fx.table.max_page_rows();
-    let minimal = estimate_paged_query_bytes(&plan, page_rows, 1);
+    let (page_rows, held) = (fx.table.max_page_rows(), fx.table.max_page_bytes());
+    let minimal = estimate_paged_query_bytes(&plan, page_rows, held, 1);
     let budget = minimal + cache.capacity();
-    assert!(estimate_paged_query_bytes(&plan, page_rows, 2) + cache.capacity() > budget);
+    assert!(estimate_paged_query_bytes(&plan, page_rows, held, 2) + cache.capacity() > budget);
     let engine =
         Engine::default().with_limits(GovernorConfig { max_queries: 0, mem_budget: budget });
     let gov = engine.governor();
